@@ -32,7 +32,6 @@ from .solver import (
     regin_filter,
     solve,
 )
-from .matching import max_matching
 from .features import (
     FeatureSpec,
     SummaryVector,
@@ -47,14 +46,12 @@ from .learn import (
     DecisionTreeModel,
     EvaluationReport,
     TuningResult,
-    bayesian_score,
     cascade_datasets,
     evaluate,
     grow_tree,
     label_by_median,
     leaf_log_marginal,
     marginal_model,
-    predict_proba_short,
     tune_kappa,
 )
 from .policy import (
@@ -67,7 +64,6 @@ from .policy import (
     ModelPredictor,
     PolicyStats,
     RtdSource,
-    SolverSource,
     SyntheticPredictor,
     dynamic_expected_runs,
     dynamic_expected_run_length_ub,
@@ -99,4 +95,3 @@ from .io import (
     write_report,
     write_rtd,
 )
-from .solver import select_branch

@@ -42,8 +42,6 @@ from .policy import (
     RtdSource,
     DatasetSource,
     SyntheticPredictor,
-    expected_time_fixed,
-    is_unbounded,
     optimal_fixed_cutoff,
     scan_dynamic_limits,
     simulate_policy,
@@ -443,10 +441,7 @@ def _cmd_policy(args) -> int:
             source, policy, trials=args.trials, master_seed=args.seed,
             run_budget=args.run_budget,
         )
-        entry = asdict(stats)
-        if isinstance(policy, FixedPolicy):
-            entry["expected_steps"] = expected_time_fixed(rtd, policy.cutoff)
-        results.append(entry)
+        results.append(asdict(stats))
         hit_unbounded = hit_unbounded or stats.unbounded
         mc = "UNBOUNDED" if stats.unbounded else f"{stats.mc_mean_cost:.1f} +- {stats.mc_se_cost:.1f}"
         print(f"{stats.policy}: simulated mean cost {mc} over {stats.trials} trials")

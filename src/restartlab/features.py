@@ -10,8 +10,9 @@ alternations in those differences.  Summaries are what the learner consumes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,9 +31,6 @@ STAT_NAMES: Tuple[str, ...] = (
 # Magnitude statistics are rescaled in multi-instance mode; the sign-change
 # count is an event count and is never rescaled.
 _SCALED_STATS = ("init", "final", "avg", "min", "max", "d_avg", "d_min", "d_max")
-
-SECOND_DERIV_STAT_NAMES: Tuple[str, ...] = ("d2_avg", "d2_min", "d2_max", "d2_signchg")
-_SCALED_SECOND_STATS = ("d2_avg", "d2_min", "d2_max")
 
 
 @dataclass(frozen=True)
@@ -112,18 +110,19 @@ def registry_hash(registry: Sequence[FeatureSpec] = REGISTRY) -> str:
     return h.hexdigest()
 
 
-def summary_columns(
-    registry: Sequence[FeatureSpec] = REGISTRY, second_derivatives: bool = False
-) -> List[str]:
+def summary_columns(registry: Sequence[FeatureSpec] = REGISTRY) -> List[str]:
     """Column names, feature-major: <feature>__<stat>."""
-    cols = [f"{spec.name}__{stat}" for spec in registry for stat in STAT_NAMES]
-    if second_derivatives:
-        cols += [
-            f"{spec.name}__{stat}"
-            for spec in registry
-            for stat in SECOND_DERIV_STAT_NAMES
-        ]
-    return cols
+    return [f"{spec.name}__{stat}" for spec in registry for stat in STAT_NAMES]
+
+
+@lru_cache(maxsize=None)
+def _scaled_mask(registry: Tuple[FeatureSpec, ...]) -> np.ndarray:
+    """True at the summary columns that normalize_for_multi rescales."""
+    return np.array(
+        [spec.scales_with_size and stat in _SCALED_STATS
+         for spec in registry for stat in STAT_NAMES],
+        dtype=bool,
+    )
 
 
 def snapshot(state, pooled_line_variance: bool = True) -> Tuple[float, ...]:
@@ -198,13 +197,13 @@ def _population_variance(xs: Sequence[int]) -> float:
 
 @dataclass(frozen=True)
 class SummaryVector:
-    """Summary statistics of one run's trace, keyed by column name.
+    """Summary statistics of one run's trace, in summary_columns order.
 
     divisor records the instance-size normalization applied in multi-instance
     mode; 1.0 means raw values.
     """
 
-    values: Dict[str, float]
+    values: np.ndarray
     censored: bool = False
     divisor: float = 1.0
 
@@ -213,7 +212,6 @@ def summarize(
     trace: Sequence[Sequence[float]],
     horizon: int,
     registry: Sequence[FeatureSpec] = REGISTRY,
-    second_derivatives: bool = False,
     censored: bool = False,
 ) -> SummaryVector:
     """Compress a trace into per-feature summary statistics.
@@ -233,36 +231,19 @@ def summarize(
             f"trace width {arr.shape} does not match registry of {len(registry)}"
         )
     diffs = np.diff(arr, axis=0)
-    stats = {
-        "init": arr[0],
-        "final": arr[-1],
-        "avg": arr.mean(axis=0),
-        "min": arr.min(axis=0),
-        "max": arr.max(axis=0),
-        "d_avg": diffs.mean(axis=0),
-        "d_min": diffs.min(axis=0),
-        "d_max": diffs.max(axis=0),
-        "d_signchg": _sign_changes(diffs),
-    }
-    values: Dict[str, float] = {}
-    for j, spec in enumerate(registry):
-        for stat in STAT_NAMES:
-            values[f"{spec.name}__{stat}"] = float(stats[stat][j])
-    if second_derivatives:
-        if m < 3:
-            d2 = np.zeros((0, arr.shape[1]))
-        else:
-            d2 = np.diff(diffs, axis=0)
-        second = {
-            "d2_avg": d2.mean(axis=0) if d2.size else np.zeros(arr.shape[1]),
-            "d2_min": d2.min(axis=0) if d2.size else np.zeros(arr.shape[1]),
-            "d2_max": d2.max(axis=0) if d2.size else np.zeros(arr.shape[1]),
-            "d2_signchg": _sign_changes(d2),
-        }
-        for j, spec in enumerate(registry):
-            for stat in SECOND_DERIV_STAT_NAMES:
-                values[f"{spec.name}__{stat}"] = float(second[stat][j])
-    return SummaryVector(values=values, censored=censored, divisor=1.0)
+    # rows follow STAT_NAMES; the transpose flattens feature-major
+    stats = np.stack([
+        arr[0],
+        arr[-1],
+        arr.mean(axis=0),
+        arr.min(axis=0),
+        arr.max(axis=0),
+        diffs.mean(axis=0),
+        diffs.min(axis=0),
+        diffs.max(axis=0),
+        _sign_changes(diffs),
+    ])
+    return SummaryVector(values=stats.T.ravel(), censored=censored, divisor=1.0)
 
 
 def _sign_changes(diffs: np.ndarray) -> np.ndarray:
@@ -289,16 +270,6 @@ def normalize_for_multi(
             f"post_propagation_size must be >= 1, got {post_propagation_size}"
         )
     div = float(post_propagation_size)
-    values = dict(summary.values)
-    for spec in registry:
-        if not spec.scales_with_size:
-            continue
-        for stat in _SCALED_STATS:
-            key = f"{spec.name}__{stat}"
-            if key in values:
-                values[key] = values[key] / div
-        for stat in _SCALED_SECOND_STATS:
-            key = f"{spec.name}__{stat}"
-            if key in values:
-                values[key] = values[key] / div
+    values = summary.values.copy()
+    values[_scaled_mask(tuple(registry))] /= div
     return SummaryVector(values=values, censored=summary.censored, divisor=div)

@@ -67,7 +67,7 @@ class ExperimentSpec:
 
 # One record per launched run; summary is None for runs that finished before
 # the horizon (their traces are too short to summarize).
-_RunRow = Tuple[int, int, bool, bool, int, Optional[Tuple[float, ...]]]
+_RunRow = Tuple[int, int, bool, bool, int, Optional[np.ndarray]]
 
 _WORK: Dict[str, object] = {}
 
@@ -98,8 +98,7 @@ def _run_one(task: Tuple[int, int]) -> _RunRow:
     sv = summarize(rec.trace, spec.horizon, registry=registry, censored=not solved)
     if spec.mode == MULTI_INSTANCE:
         sv = normalize_for_multi(sv, rec.post_propagation_size, registry=registry)
-    values = tuple(sv.values[c] for c in _WORK["columns"])
-    return (idx, runtime, solved, not solved, rec.post_propagation_size, values)
+    return (idx, runtime, solved, not solved, rec.post_propagation_size, sv.values)
 
 
 def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRow]:
@@ -111,7 +110,6 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
         pooled_line_variance=spec.pooled_line_variance,
     )
     registry = default_registry(spec.pooled_line_variance)
-    columns = summary_columns(registry)
     instance = spec.instance
     if spec.mode == SINGLE_INSTANCE and instance is None:
         square = generate_complete(spec.order, derive_seed(spec.master_seed, "instance"))
@@ -120,7 +118,6 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
         "spec": spec,
         "config": config,
         "registry": registry,
-        "columns": columns,
         "instance": instance,
     }
     tasks = [(i, derive_seed(spec.master_seed, "run", i)) for i in range(total)]

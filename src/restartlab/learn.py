@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 SHORT = "SHORT"
 LONG = "LONG"
@@ -48,8 +47,15 @@ def leaf_log_marginal(n_short: int, n_long: int) -> float:
     )
 
 
-def _leaf_log_marginal_vec(ns: np.ndarray, nl: np.ndarray) -> np.ndarray:
-    return gammaln(ns + 1) + gammaln(nl + 1) - gammaln(ns + nl + 2)
+def _log_factorials(n: int) -> np.ndarray:
+    """ln(k!) for k = 0..n, from math.lgamma so that table lookups reproduce
+    leaf_log_marginal bit for bit."""
+    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
+
+
+def _leaf_log_marginals(log_fact: np.ndarray, ns, nl):
+    """leaf_log_marginal by table lookup; needs log_fact to reach ns + nl + 1."""
+    return log_fact[ns] + log_fact[nl] - log_fact[ns + nl + 1]
 
 
 @dataclass
@@ -106,49 +112,12 @@ def tree_score(root: TreeNode, kappa: float) -> float:
     return total + n_leaves * math.log(kappa)
 
 
-def bayesian_score(
-    model: DecisionTreeModel,
-    X: np.ndarray,
-    y: Sequence[bool],
-    kappa: Optional[float] = None,
-) -> float:
-    """Score the tree's structure against a dataset.
-
-    Rows are routed to leaves by the stored splits; the score is the sum of
-    per-leaf log marginal likelihoods of the routed class counts plus
-    ln(kappa) for each leaf (one free parameter per leaf).
-    """
-    if kappa is None:
-        kappa = model.kappa
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=bool)
-    total = 0.0
-    n_leaves = 0
-
-    def walk(node: TreeNode, rows: np.ndarray) -> None:
-        nonlocal total, n_leaves
-        if node.is_leaf:
-            ns = int(y[rows].sum())
-            total += leaf_log_marginal(ns, rows.size - ns)
-            n_leaves += 1
-            return
-        mask = X[rows, node.feature] <= node.threshold
-        walk(node.left, rows[mask])
-        walk(node.right, rows[~mask])
-
-    if model.root.is_leaf:
-        ns = int(y.sum())
-        total = leaf_log_marginal(ns, y.size - ns)
-        n_leaves = 1
-    else:
-        walk(model.root, np.arange(y.size))
-    return total + n_leaves * math.log(kappa)
-
-
 def _best_split(
-    X: np.ndarray, y: np.ndarray, rows: np.ndarray, ln_kappa: float
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    ln_kappa: float,
+    log_fact: np.ndarray,
 ) -> Optional[Tuple[float, int, float]]:
     """Best (gain, feature, threshold) for one leaf, or None.
 
@@ -158,7 +127,7 @@ def _best_split(
     """
     ns_total = int(y[rows].sum())
     nl_total = rows.size - ns_total
-    base = leaf_log_marginal(ns_total, nl_total)
+    base = _leaf_log_marginals(log_fact, ns_total, nl_total)
     best: Optional[Tuple[float, int, float]] = None
     for j in range(X.shape[1]):
         v = X[rows, j]
@@ -183,8 +152,8 @@ def _best_split(
         right_s = ns_total - left_s
         right_l = nl_total - left_l
         gains = (
-            _leaf_log_marginal_vec(left_s, left_l)
-            + _leaf_log_marginal_vec(right_s, right_l)
+            _leaf_log_marginals(log_fact, left_s, left_l)
+            + _leaf_log_marginals(log_fact, right_s, right_l)
             - base
             + ln_kappa
         )
@@ -222,10 +191,11 @@ def grow_tree(
     if len(columns) != X.shape[1]:
         raise ValueError("column names must match feature count")
     ln_kappa = math.log(kappa)
+    log_fact = _log_factorials(X.shape[0] + 1)
     all_rows = np.arange(X.shape[0])
     root = TreeNode(n_short=int(y.sum()), n_long=int(X.shape[0] - y.sum()))
     # leaf work list: (node, rows, cached best split or None)
-    leaves: List[List] = [[root, all_rows, _best_split(X, y, all_rows, ln_kappa)]]
+    leaves: List[List] = [[root, all_rows, _best_split(X, y, all_rows, ln_kappa, log_fact)]]
     while True:
         best_i = -1
         best_gain = 0.0
@@ -253,8 +223,8 @@ def grow_tree(
         node.threshold = theta
         node.left = TreeNode(n_short=int(y[lrows].sum()), n_long=int(lrows.size - y[lrows].sum()))
         node.right = TreeNode(n_short=int(y[rrows].sum()), n_long=int(rrows.size - y[rrows].sum()))
-        leaves[best_i] = [node.left, lrows, _best_split(X, y, lrows, ln_kappa)]
-        leaves.append([node.right, rrows, _best_split(X, y, rrows, ln_kappa)])
+        leaves[best_i] = [node.left, lrows, _best_split(X, y, lrows, ln_kappa, log_fact)]
+        leaves.append([node.right, rrows, _best_split(X, y, rrows, ln_kappa, log_fact)])
     return DecisionTreeModel(root=root, columns=columns, kappa=kappa)
 
 
@@ -265,35 +235,19 @@ def marginal_model(y: Sequence[bool], columns: Optional[Sequence[str]] = None) -
     return DecisionTreeModel(root=root, columns=list(columns or []), kappa=1.0)
 
 
-def predict_proba_short(model: DecisionTreeModel, x: Union[Mapping[str, float], Sequence[float]]) -> float:
-    """Laplace posterior-mean P(SHORT) for one summary vector.
-
-    Accepts a mapping keyed by column name (missing features are an error)
-    or a sequence aligned with model.columns.
-    """
-    if isinstance(x, Mapping):
-        row = []
-        for name in model.columns:
-            if name not in x:
-                raise ValueError(f"missing feature {name!r}")
-            row.append(float(x[name]))
-    else:
-        row = [float(v) for v in x]
-        if len(row) != len(model.columns) and not (
-            len(model.columns) == 0 and model.root.is_leaf
-        ):
-            raise ValueError(
-                f"expected {len(model.columns)} features, got {len(row)}"
-            )
-    node = model.root
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return (node.n_short + 1) / (node.n_short + node.n_long + 2)
-
-
 def predict_batch(model: DecisionTreeModel, X: np.ndarray) -> np.ndarray:
-    """Vectorized P(SHORT) for a feature matrix aligned with model.columns."""
+    """Vectorized P(SHORT) for a feature matrix aligned with model.columns.
+
+    A featureless single-leaf model (the marginal baseline) takes rows of any
+    width; every other model rejects a matrix of the wrong width.
+    """
     X = np.asarray(X, dtype=float)
+    if (model.columns or not model.root.is_leaf) and (
+        X.ndim != 2 or X.shape[1] != len(model.columns)
+    ):
+        raise ValueError(
+            f"expected rows of {len(model.columns)} features, got shape {X.shape}"
+        )
     if model.root.is_leaf:
         p = (model.root.n_short + 1) / (model.root.n_short + model.root.n_long + 2)
         return np.full(X.shape[0] if X.ndim == 2 else len(X), p)

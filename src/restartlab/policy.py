@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -196,6 +196,24 @@ def scan_dynamic_limits(
 
 
 # -- policies --------------------------------------------------------------
+#
+# Every policy offers the same two methods:
+#   step(lengths, features, round_no, rng) -> (cost, success) prices one round
+#     of runs, one per still-active trial;
+#   analytic(run_source) -> Analytic gives what is known in closed form.
+
+
+class Analytic(NamedTuple):
+    """Closed-form figures of a policy on a run source; None where unknown.
+
+    success_probability is the chance that one run succeeds; expected_runs
+    and expected_steps are exact for FIXED, and exact E(N) with an upper bound
+    on steps for DYNAMIC with a synthetic predictor.
+    """
+
+    success_probability: Optional[float] = None
+    expected_runs: Optional[float] = None
+    expected_steps: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -211,6 +229,18 @@ class FixedPolicy:
     def describe(self) -> str:
         return f"fixed:{self.cutoff}"
 
+    def step(self, lengths, features, round_no, rng):
+        return np.minimum(lengths, self.cutoff), lengths <= self.cutoff
+
+    def analytic(self, run_source) -> Analytic:
+        rtd = getattr(run_source, "rtd", None)
+        if rtd is None:
+            return Analytic()
+        p = rtd.cdf(self.cutoff)
+        return Analytic(
+            p, UNBOUNDED if p == 0 else 1.0 / p, expected_time_fixed(rtd, self.cutoff)
+        )
+
 
 @dataclass(frozen=True)
 class LubyPolicy:
@@ -224,6 +254,14 @@ class LubyPolicy:
 
     def describe(self) -> str:
         return f"luby:{self.scale}"
+
+    def step(self, lengths, features, round_no, rng):
+        cutoff = self.scale * luby_term(round_no)
+        return np.minimum(lengths, cutoff), lengths <= cutoff
+
+    def analytic(self, run_source) -> Analytic:
+        # Luby cutoffs grow without bound, so any finite run length is reachable.
+        return Analytic()
 
 
 class SyntheticPredictor:
@@ -243,6 +281,19 @@ class SyntheticPredictor:
         truth = lengths <= limit
         flip = rng.random(lengths.size) >= self.accuracy
         return truth ^ flip
+
+    def analytic(self, policy: "DynamicPolicy", run_source) -> Analytic:
+        rtd = getattr(run_source, "rtd", None)
+        if rtd is None:
+            return Analytic()
+        a = self.accuracy
+        p_o = rtd.cdf(policy.observe)
+        p_l = 1.0 if math.isinf(policy.limit) else rtd.cdf(policy.limit)
+        return Analytic(
+            a * (p_l - p_o) + p_o,
+            dynamic_expected_runs(a, p_o, p_l),
+            dynamic_expected_total_ub(policy.observe, policy.limit, a, p_o, p_l),
+        )
 
     def describe(self) -> str:
         return f"oracle(accuracy={self.accuracy})"
@@ -264,6 +315,15 @@ class ModelPredictor:
         if features is None:
             raise ValueError("this run source provides no features to predict from")
         return _learn.predict_batch(self.model, features) > 0.5
+
+    def analytic(self, policy: "DynamicPolicy", run_source) -> Analytic:
+        """Success probability over a dataset source's rows; nothing else."""
+        ds = getattr(run_source, "dataset", None)
+        if ds is None:
+            return Analytic()
+        pred = _learn.predict_batch(self.model, ds.X) > 0.5
+        ok = (ds.runtime <= policy.observe) | (pred & (ds.runtime <= policy.limit))
+        return Analytic(float(ok.mean()))
 
     def describe(self) -> str:
         return "model"
@@ -288,6 +348,21 @@ class DynamicPolicy:
         lim = "inf" if math.isinf(self.limit) else int(self.limit)
         pred = self.predictor.describe() if self.predictor is not None else "none"
         return f"dynamic:O={self.observe},L={lim},{pred}"
+
+    def step(self, lengths, features, round_no, rng):
+        done_early = lengths <= self.observe
+        pred_short = self.predictor.predict_short(lengths, features, self.limit, rng)
+        go_on = done_early | pred_short
+        capped = (
+            lengths.astype(float)
+            if math.isinf(self.limit)
+            else np.minimum(lengths, self.limit)
+        )
+        cost = np.where(go_on, capped, float(self.observe))
+        return cost, done_early | (pred_short & (lengths <= self.limit))
+
+    def analytic(self, run_source) -> Analytic:
+        return self.predictor.analytic(self, run_source)
 
 
 Policy = Union[FixedPolicy, LubyPolicy, DynamicPolicy]
@@ -322,41 +397,6 @@ class DatasetSource:
         )
 
 
-class SolverSource:
-    """Draws fresh solver runs; used for live policy simulation.
-
-    Runs are cut off at `max_steps` (the policy never watches longer), so a
-    returned length equal to max_steps + 1 stands for "did not finish".
-    """
-
-    def __init__(self, instance, config, collect_features: bool = False):
-        from . import solver as _solver  # local import to avoid cycles
-
-        self._solver = _solver
-        self.instance = instance
-        self.config = config
-        self.collect_features = collect_features
-        self.rtd = None
-
-    def sample(self, rng: np.random.Generator, size: int):
-        from .features import summarize, summary_columns
-
-        lengths = np.empty(size, dtype=np.int64)
-        feats = [] if self.collect_features else None
-        cap = self.config.cutoff
-        for i in range(size):
-            seed = int(rng.integers(0, 2**63 - 1))
-            rec = self._solver.solve(self.instance, self.config, seed)
-            if rec.outcome == self._solver.SOLVED:
-                lengths[i] = rec.choice_points
-            else:
-                lengths[i] = (cap if cap is not None else rec.choice_points) + 1
-            if feats is not None:
-                sv = summarize(rec.trace, self.config.horizon)
-                feats.append([sv.values[c] for c in summary_columns()])
-        return lengths, (np.asarray(feats) if feats is not None else None)
-
-
 # -- simulation ------------------------------------------------------------
 
 
@@ -382,30 +422,6 @@ class PolicyStats:
     unbounded: bool = False
 
 
-def _success_probability(policy: Policy, run_source) -> Optional[float]:
-    """Per-run success probability where it is exactly computable upfront."""
-    rtd = getattr(run_source, "rtd", None)
-    if isinstance(policy, FixedPolicy):
-        return None if rtd is None else rtd.cdf(policy.cutoff)
-    if isinstance(policy, DynamicPolicy):
-        if isinstance(policy.predictor, SyntheticPredictor):
-            if rtd is None:
-                return None
-            p_o = rtd.cdf(policy.observe)
-            p_l = 1.0 if math.isinf(policy.limit) else rtd.cdf(policy.limit)
-            return policy.predictor.accuracy * (p_l - p_o) + p_o
-        if isinstance(policy.predictor, ModelPredictor) and isinstance(
-            run_source, DatasetSource
-        ):
-            ds = run_source.dataset
-            lengths = ds.runtime
-            pred = _learn.predict_batch(policy.predictor.model, ds.X) > 0.5
-            ok = (lengths <= policy.observe) | (pred & (lengths <= policy.limit))
-            return float(ok.mean())
-    # Luby cutoffs grow without bound, so any finite run length is reachable.
-    return None
-
-
 def simulate_policy(
     run_source,
     policy: Policy,
@@ -425,14 +441,11 @@ def simulate_policy(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(derive_seed(master_seed, "policy", policy.describe()))
-    rtd = getattr(run_source, "rtd", None)
 
     # A policy that cannot succeed on its support loops forever; detect the
     # analytic cases up front instead of burning the run budget.
-    p_succ = _success_probability(policy, run_source)
-    unbounded = False
-    if p_succ is not None and p_succ == 0.0:
-        unbounded = True
+    analytic = policy.analytic(run_source)
+    unbounded = analytic.success_probability == 0.0
 
     total_cost = np.zeros(trials, dtype=float)
     total_runs = np.zeros(trials, dtype=np.int64)
@@ -445,26 +458,7 @@ def simulate_policy(
                 unbounded = True
                 break
             lengths, feats = run_source.sample(rng, active.size)
-            if isinstance(policy, FixedPolicy):
-                cost = np.minimum(lengths, policy.cutoff)
-                success = lengths <= policy.cutoff
-            elif isinstance(policy, LubyPolicy):
-                cutoff = policy.scale * luby_term(round_no)
-                cost = np.minimum(lengths, cutoff)
-                success = lengths <= cutoff
-            else:
-                done_early = lengths <= policy.observe
-                pred_short = policy.predictor.predict_short(
-                    lengths, feats, policy.limit, rng
-                )
-                go_on = done_early | pred_short
-                capped = (
-                    lengths.astype(float)
-                    if math.isinf(policy.limit)
-                    else np.minimum(lengths, policy.limit)
-                )
-                cost = np.where(go_on, capped, float(policy.observe))
-                success = done_early | (pred_short & (lengths <= policy.limit))
+            cost, success = policy.step(lengths, feats, round_no, rng)
             total_cost[active] += cost
             total_runs[active] += 1
             active = active[~success]
@@ -486,28 +480,11 @@ def simulate_policy(
             f"p{p}": float(np.percentile(total_cost, p)) for p in percentiles
         }
 
-    expected_runs: Optional[float] = None
-    expected_steps: Optional[float] = None
-    if rtd is not None:
-        if isinstance(policy, FixedPolicy):
-            expected_steps = expected_time_fixed(rtd, policy.cutoff)
-            p = rtd.cdf(policy.cutoff)
-            expected_runs = UNBOUNDED if p == 0 else 1.0 / p
-        elif isinstance(policy, DynamicPolicy) and isinstance(
-            policy.predictor, SyntheticPredictor
-        ):
-            a = policy.predictor.accuracy
-            p_o = rtd.cdf(policy.observe)
-            p_l = 1.0 if math.isinf(policy.limit) else rtd.cdf(policy.limit)
-            expected_runs = dynamic_expected_runs(a, p_o, p_l)
-            expected_steps = dynamic_expected_total_ub(
-                policy.observe, policy.limit, a, p_o, p_l
-            )
     return PolicyStats(
         policy=policy.describe(),
         trials=trials,
-        expected_runs=expected_runs,
-        expected_steps=expected_steps,
+        expected_runs=analytic.expected_runs,
+        expected_steps=analytic.expected_steps,
         mc_mean_cost=mc_mean,
         mc_se_cost=mc_se,
         mc_mean_runs=mean_runs,

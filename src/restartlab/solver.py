@@ -500,14 +500,6 @@ class SearchState:
         return PartialLatinSquare(order=n, cells=cells)
 
 
-def select_branch(state: SearchState, rng: random.Random) -> Tuple[Tuple[int, int], int]:
-    """Pick the next (row, column) cell by the Brelaz rule and a uniform value."""
-    c = state.select_cell(rng)
-    vals = state.domain_values(c)
-    v = vals[rng.randrange(len(vals))]
-    return (divmod(c, state.n), v)
-
-
 def solve(
     instance: PartialLatinSquare,
     config: Optional[SolverConfig] = None,

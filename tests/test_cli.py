@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: verbs, exit codes, file
 round trips, and byte-level determinism of produced artifacts."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -403,3 +404,59 @@ class TestParsing:
         )
         assert proc.returncode == 0
         assert "restartlab" in proc.stdout
+
+    def test_import_leaves_scipy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, restartlab.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
+# A small pipeline run from its own directory with relative paths, so headers
+# echo identical invocations.  Any change to these hashes changes the bytes
+# a user gets for an unchanged command line.
+GOLDEN_STEPS = [
+    ["dataset", "--order", "10", "--holes", "70", "--balanced", "--runs", "48",
+     "--test-runs", "16", "--horizon", "20", "--cutoff", "3000",
+     "--propagation", "forward_check", "--seed", "7", "--out-prefix", "g"],
+    ["train", "g_train.csv", "--kappa-grid", "0.5,0.05", "--seed", "1",
+     "-o", "model.json", "--report", "train.json"],
+    ["eval", "model.json", "g_test.csv", "-o", "eval.json"],
+    ["policy", "g_rtd.txt", "--policy", "fixed:40", "--policy", "luby:2",
+     "--policy", "dynamic:20,200", "--accuracy", "0.9", "--trials", "2000",
+     "--seed", "3", "-o", "policy.json"],
+    ["policy", "g_rtd.txt", "--policy", "dynamic:20,200", "--model", "model.json",
+     "--dataset", "g_test.csv", "--trials", "2000", "--seed", "3",
+     "-o", "policy_model.json"],
+    ["dataset", "--mode", "multi", "--order", "10", "--holes", "50", "--balanced",
+     "--runs", "20", "--test-runs", "6", "--horizon", "2", "--cutoff", "2000",
+     "--propagation", "alldiff_regin", "--seed", "4", "--out-prefix", "m"],
+]
+GOLDEN_SHA256 = {
+    "g_train.csv": "f3af57ef2bccbc5ae2ddca08414412d787956a5c0cb1c1d6ab07ca081b8ca948",
+    "g_test.csv": "c8e8f927baae35777d9793024f1a5254f4ce0caff2b582a8c66d612a1ae8262d",
+    "g_rtd.txt": "f4fdd8b18c1028e6db54052bde4ef60206a0c5a73b6a33c9531a3723f7f67f03",
+    "model.json": "9b75753c6ea5d5357a0ced389176ed53c10aad796b5d04fc542a17c1398c5613",
+    "train.json": "99f002c57d79e490ba5f11a53327f77d333a186f9b44907e6b7bd1bc00f56a68",
+    "eval.json": "f058f80d9bd66137ab78262155e0946e02073c87e254f579868452cb5bc4f1f4",
+    "policy.json": "30d7b851c9e9d6df555e646ea4ba97216f4845fed5a55c47367fe12dfef67b05",
+    "policy_model.json": "c17cd3e4e83768befd0c9ce61e47d2bcc633eaa26ae3a4e0752fe31c412fe7da",
+    "m_train.csv": "97e17c35a542f0573472bed0869f27f3474559ff889bdf1570308c43e4bf5fd2",
+    "m_test.csv": "72d3f7141a9de1823553b35ae7d2e6a353dfde75b74b490e6dd433ee634f4c21",
+    "m_rtd.txt": "2d31fcdcbba05d1ab3245a2499578cf8500da083083d3eb225000f77fd953bca",
+}
+
+
+class TestGoldenBytes:
+    def test_pipeline_artifacts_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in GOLDEN_STEPS:
+            assert main(argv) == EXIT_OK, argv
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SHA256
+        }
+        assert got == GOLDEN_SHA256

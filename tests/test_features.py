@@ -28,6 +28,11 @@ TWO = (
 TRACE = [[0, 5], [2, 3], [1, 4], [1, 7]]
 
 
+def named(sv, registry=TWO):
+    """A summary's values keyed by column name."""
+    return dict(zip(summary_columns(registry), sv.values.tolist()))
+
+
 class TestRegistry:
     def test_counts(self):
         assert len(REGISTRY) == 14
@@ -55,16 +60,11 @@ class TestRegistry:
             default_registry(False)
         )
 
-    def test_second_derivative_columns(self):
-        cols = summary_columns(second_derivatives=True)
-        assert len(cols) == 14 * 13
-        assert any(c.endswith("__d2_avg") for c in cols)
-
 
 class TestSummarize:
     def test_hand_computed_stats(self):
         sv = summarize(TRACE, horizon=10, registry=TWO)
-        v = sv.values
+        v = named(sv)
         assert v["a__init"] == 0 and v["a__final"] == 1
         assert v["a__avg"] == 1.0
         assert v["a__min"] == 0 and v["a__max"] == 2
@@ -80,7 +80,7 @@ class TestSummarize:
         assert sv.divisor == 1.0 and not sv.censored
 
     def test_horizon_truncates(self):
-        v = summarize(TRACE, horizon=3, registry=TWO).values
+        v = named(summarize(TRACE, horizon=3, registry=TWO))
         assert v["a__final"] == 1
         assert v["a__avg"] == 1.0
         assert math.isclose(v["a__d_avg"], 0.5)
@@ -89,18 +89,18 @@ class TestSummarize:
     def test_prefix_stability(self):
         # models must not see anything past the horizon
         longer = TRACE + [[99, 99], [5, 5]]
-        assert (
-            summarize(TRACE[:3], horizon=3, registry=TWO).values
-            == summarize(longer, horizon=3, registry=TWO).values
+        assert np.array_equal(
+            summarize(TRACE[:3], horizon=3, registry=TWO).values,
+            summarize(longer, horizon=3, registry=TWO).values,
         )
 
     def test_sign_change_zero_breaks_run(self):
         # diffs 1,0,-1: the zero separates the signs, no strict alternation
         trace = [[0], [1], [1], [0]]
         reg = (FeatureSpec("x", False, ""),)
-        assert summarize(trace, 10, registry=reg).values["x__d_signchg"] == 0
+        assert named(summarize(trace, 10, registry=reg), reg)["x__d_signchg"] == 0
         trace2 = [[0], [1], [0], [1]]
-        assert summarize(trace2, 10, registry=reg).values["x__d_signchg"] == 2
+        assert named(summarize(trace2, 10, registry=reg), reg)["x__d_signchg"] == 2
 
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError):
@@ -119,22 +119,13 @@ class TestSummarize:
     def test_censored_flag_carried(self):
         assert summarize(TRACE, 10, registry=TWO, censored=True).censored
 
-    def test_second_derivatives(self):
-        v = summarize(TRACE, 10, registry=TWO, second_derivatives=True).values
-        assert v["a__d2_avg"] == -1.0
-        assert v["a__d2_min"] == -3 and v["a__d2_max"] == 1
-        assert v["a__d2_signchg"] == 1
-        assert v["b__d2_avg"] == 2.5
-        assert v["b__d2_min"] == 2 and v["b__d2_max"] == 3
-        assert v["b__d2_signchg"] == 0
-
-    def test_second_derivatives_degenerate(self):
-        v = summarize(TRACE[:2], 10, registry=TWO, second_derivatives=True).values
-        assert v["a__d2_avg"] == 0.0 and v["a__d2_signchg"] == 0.0
-
     def test_keys_match_columns(self):
         sv = summarize(TRACE, 10, registry=TWO)
-        assert set(sv.values) == set(summary_columns(TWO))
+        assert sv.values.shape == (len(summary_columns(TWO)),)
+        assert sv.values.dtype == float
+        # feature-major, stats in STAT_NAMES order
+        assert sv.values[:3].tolist() == [0.0, 1.0, 1.0]
+        assert sv.values[9:11].tolist() == [5.0, 7.0]
 
 
 class TestNormalizeForMulti:
@@ -142,20 +133,20 @@ class TestNormalizeForMulti:
         sv = summarize(TRACE, 10, registry=TWO)
         out = normalize_for_multi(sv, 4, registry=TWO)
         assert out.divisor == 4.0
-        assert out.values["a__final"] == sv.values["a__final"] / 4
-        assert out.values["a__max"] == sv.values["a__max"] / 4
-        assert out.values["a__d_min"] == sv.values["a__d_min"] / 4
+        v, w = named(sv), named(out)
+        for stat in STAT_NAMES[:-1]:
+            assert w[f"a__{stat}"] == v[f"a__{stat}"] / 4
 
     def test_sign_changes_untouched(self):
         sv = summarize(TRACE, 10, registry=TWO)
         out = normalize_for_multi(sv, 4, registry=TWO)
-        assert out.values["a__d_signchg"] == sv.values["a__d_signchg"]
+        assert named(out)["a__d_signchg"] == named(sv)["a__d_signchg"]
 
     def test_unscaled_feature_untouched(self):
         sv = summarize(TRACE, 10, registry=TWO)
         out = normalize_for_multi(sv, 4, registry=TWO)
         for stat in STAT_NAMES:
-            assert out.values[f"b__{stat}"] == sv.values[f"b__{stat}"]
+            assert named(out)[f"b__{stat}"] == named(sv)[f"b__{stat}"]
 
     def test_rejects_bad_size(self):
         sv = summarize(TRACE, 10, registry=TWO)
@@ -164,9 +155,9 @@ class TestNormalizeForMulti:
 
     def test_original_not_mutated(self):
         sv = summarize(TRACE, 10, registry=TWO)
-        before = dict(sv.values)
+        before = sv.values.copy()
         normalize_for_multi(sv, 4, registry=TWO)
-        assert sv.values == before
+        assert np.array_equal(sv.values, before)
 
 
 class TestLiveTraces:
@@ -221,17 +212,17 @@ class TestLiveTraces:
     horizon=st.integers(2, 15),
 )
 def test_summarize_matches_numpy_oracle(rows, horizon):
-    sv = summarize(rows, horizon, registry=TWO)
+    sv = named(summarize(rows, horizon, registry=TWO))
     arr = np.asarray(rows[: min(horizon, len(rows))], dtype=float)
     for j, name in enumerate(("a", "b")):
         series = arr[:, j]
         diffs = np.diff(series)
-        assert sv.values[f"{name}__init"] == series[0]
-        assert sv.values[f"{name}__final"] == series[-1]
-        assert math.isclose(sv.values[f"{name}__avg"], series.mean(), abs_tol=1e-12)
-        assert sv.values[f"{name}__min"] == series.min()
-        assert sv.values[f"{name}__max"] == series.max()
-        assert math.isclose(sv.values[f"{name}__d_avg"], diffs.mean(), abs_tol=1e-12)
+        assert sv[f"{name}__init"] == series[0]
+        assert sv[f"{name}__final"] == series[-1]
+        assert math.isclose(sv[f"{name}__avg"], series.mean(), abs_tol=1e-12)
+        assert sv[f"{name}__min"] == series.min()
+        assert sv[f"{name}__max"] == series.max()
+        assert math.isclose(sv[f"{name}__d_avg"], diffs.mean(), abs_tol=1e-12)
         signs = np.sign(diffs)
         changes = int(((signs[1:] * signs[:-1]) < 0).sum())
-        assert sv.values[f"{name}__d_signchg"] == changes
+        assert sv[f"{name}__d_signchg"] == changes

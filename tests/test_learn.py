@@ -13,7 +13,6 @@ from restartlab.learn import (
     Dataset,
     DecisionTreeModel,
     TreeNode,
-    bayesian_score,
     cascade_datasets,
     evaluate,
     grow_tree,
@@ -21,7 +20,6 @@ from restartlab.learn import (
     leaf_log_marginal,
     marginal_model,
     predict_batch,
-    predict_proba_short,
     tree_score,
     tune_kappa,
 )
@@ -114,32 +112,6 @@ class TestTreeScore:
             tree_score(TreeNode(1, 1), kappa=0.0)
 
 
-class TestBayesianScore:
-    def test_routes_rows(self):
-        root = TreeNode(
-            n_short=0,
-            n_long=0,
-            feature=0,
-            threshold=1.5,
-            left=TreeNode(0, 0),
-            right=TreeNode(0, 0),
-        )
-        model = DecisionTreeModel(root=root, columns=["x"], kappa=0.5)
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        y = np.array([True, True, False, False])
-        got = bayesian_score(model, X, y)
-        # left leaf gets both SHORTs, right both LONGs
-        want = 2 * math.log(0.5) + leaf_log_marginal(2, 0) + leaf_log_marginal(0, 2)
-        assert math.isclose(got, want)
-
-    def test_single_leaf_matches_tree_score(self):
-        y = np.array([True, False, False])
-        model = marginal_model(y)
-        got = bayesian_score(model, np.zeros((3, 0)), y, kappa=0.3)
-        want = math.log(0.3) + leaf_log_marginal(1, 2)
-        assert math.isclose(got, want)
-
-
 class TestGrowTree:
     def test_separable_single_split(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -148,8 +120,7 @@ class TestGrowTree:
         assert model.leaf_count == 2
         assert model.root.feature == 0
         assert model.root.threshold == 1.5
-        assert predict_proba_short(model, [0.0]) == 3 / 4
-        assert predict_proba_short(model, [3.0]) == 1 / 4
+        assert predict_batch(model, [[0.0], [3.0]]).tolist() == [3 / 4, 1 / 4]
 
     def test_break_even_kappa(self):
         # 2-row pure split: gain ln(3k/2) flips sign at kappa = 2/3
@@ -244,26 +215,21 @@ class TestGrowTree:
         kappa = 1e-2
         grown = grow_tree(X, y, kappa)
         single = marginal_model(y)
-        assert bayesian_score(grown, X, y, kappa) >= bayesian_score(
-            single, X, y, kappa
-        )
+        assert tree_score(grown.root, kappa) >= tree_score(single.root, kappa)
 
 
 class TestPredict:
-    def test_mapping_input(self):
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        y = np.array([True, True, False, False])
-        model = grow_tree(X, y, kappa=0.5, columns=["depth__avg"])
-        assert predict_proba_short(model, {"depth__avg": 0.0}) == 3 / 4
-        with pytest.raises(ValueError):
-            predict_proba_short(model, {"other": 1.0})
-
     def test_sequence_length_checked(self):
         model = grow_tree(
             np.array([[0.0], [1.0]]), np.array([True, False]), 0.9, columns=["a"]
         )
         with pytest.raises(ValueError):
-            predict_proba_short(model, [1.0, 2.0])
+            predict_batch(model, [[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            predict_batch(model, [1.0])
+        # a single leaf that still names its columns checks the width too
+        with pytest.raises(ValueError):
+            predict_batch(marginal_model([True, False], columns=["a"]), [[1.0, 2.0]])
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(6)
@@ -272,7 +238,10 @@ class TestPredict:
         model = grow_tree(X, y, kappa=1e-1)
         batch = predict_batch(model, X)
         for i in range(X.shape[0]):
-            assert batch[i] == predict_proba_short(model, X[i])
+            node = model.root
+            while not node.is_leaf:
+                node = node.left if X[i, node.feature] <= node.threshold else node.right
+            assert batch[i] == (node.n_short + 1) / (node.n_short + node.n_long + 2)
 
     def test_probabilities_strictly_inside_unit_interval(self):
         X = np.array([[0.0], [1.0]])
@@ -432,16 +401,21 @@ class TestCascade:
         assert entries[0].dataset.runtime.tolist() == [20, 30]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    s=st.integers(0, 40),
-    l=st.integers(0, 40),
+    counts=st.lists(
+        st.tuples(st.integers(0, 5000), st.integers(0, 5000)), min_size=1, max_size=20
+    ),
 )
-def test_leaf_marginal_vector_matches_scalar(s, l):
-    from restartlab.learn import _leaf_log_marginal_vec
+def test_leaf_marginal_vector_matches_scalar(counts):
+    from restartlab.learn import _leaf_log_marginals, _log_factorials
 
-    got = _leaf_log_marginal_vec(np.array([s]), np.array([l]))[0]
-    assert math.isclose(got, leaf_log_marginal(s, l), rel_tol=1e-10, abs_tol=1e-10)
+    # the table grow_tree scores splits with reproduces the scalar bit for bit
+    ns = np.array([s for s, _ in counts])
+    nl = np.array([l for _, l in counts])
+    table = _log_factorials(int((ns + nl).max()) + 1)
+    got = _leaf_log_marginals(table, ns, nl)
+    assert got.tolist() == [leaf_log_marginal(s, l) for s, l in counts]
 
 
 @settings(max_examples=25, deadline=None)

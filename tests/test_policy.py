@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restartlab.latin import HoleSpec, UNBALANCED, generate_complete, poke_holes
 from restartlab.learn import Dataset, label_by_median, marginal_model
 from restartlab.policy import (
     UNBOUNDED,
@@ -18,7 +17,6 @@ from restartlab.policy import (
     LubyPolicy,
     ModelPredictor,
     RtdSource,
-    SolverSource,
     SyntheticPredictor,
     dynamic_expected_run_length_ub,
     dynamic_expected_runs,
@@ -30,7 +28,6 @@ from restartlab.policy import (
     scan_dynamic_limits,
     simulate_policy,
 )
-from restartlab.solver import FORWARD_CHECK, SolverConfig
 
 TWO_POINT = EmpiricalRTD([1, 10**6])
 
@@ -311,16 +308,6 @@ class TestRunSources:
         assert feats.shape == (200, 2)
         assert (feats[:, 0] * 10 == lengths).all()
         assert src.rtd.lengths.tolist() == [10, 20, 30]
-
-    def test_solver_source_live_runs(self):
-        sq = generate_complete(6, seed=1)
-        inst = poke_holes(sq, HoleSpec(mode=UNBALANCED, total_holes=14), seed=2)
-        cfg = SolverConfig(cutoff=100, propagation=FORWARD_CHECK)
-        src = SolverSource(inst, cfg)
-        lengths, feats = src.sample(np.random.default_rng(3), 10)
-        assert feats is None
-        assert (lengths >= 0).all()
-        assert (lengths <= 101).all()  # cap + 1 marks unfinished
 
 
 class TestSimulatePolicy:
