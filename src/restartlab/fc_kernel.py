@@ -1,0 +1,151 @@
+"""Build and load the forward-checking C kernel (`_fc_kernel.c`) through cffi.
+
+The kernel is compiled on first use, never at import: cffi emits the wrapper
+source and one `cc -O2 -shared -fPIC` call compiles it.  The module file is
+named by the SHA-256 of everything that goes into it and lives in the first
+usable cache directory ($XDG_CACHE_HOME/restartlab or ~/.cache/restartlab,
+then a per-user directory under the system temp dir).  A finished build is
+moved into place with os.replace, so concurrent builders never see a partial
+file.  When cffi, the compiler or every cache directory is unavailable,
+`load` reports why and the solver runs on its Python state instead.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import hashlib
+import importlib.util
+import io
+import os
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+from typing import List, Optional, Tuple
+
+SOURCE = Path(__file__).with_name("_fc_kernel.c")
+
+CDEF = """
+typedef struct {
+    int n;
+    int n_holes;
+    int unassigned_count;
+    int trail_len;
+    long long forced_assignments;
+    uint64_t *domain;
+    int *symbol;
+    int *line_unassigned;
+    const int *hole_cells;
+    int *trail_cell;
+    uint64_t *trail_bits;
+    int *queue;
+} fc_state;
+
+int fc_propagate_root(fc_state *st);
+int fc_branch(fc_state *st, int cell, int value);
+void fc_undo_to(fc_state *st, int mark);
+int fc_select(fc_state *st, int *ties);
+"""
+
+COMPILER = "cc"
+CFLAGS = ("-O2", "-shared", "-fPIC")
+
+# Domains are 64-bit masks.
+MAX_ORDER = 64
+
+
+class KernelUnavailable(Exception):
+    """The kernel cannot be built or loaded here; the message says why."""
+
+
+def _cache_dirs() -> List[Path]:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return [Path(base) / "restartlab",
+            Path(tempfile.gettempdir()) / f"restartlab-{os.getuid()}"]
+
+
+def _usable(d: Path) -> bool:
+    try:
+        d.mkdir(mode=0o700, parents=True, exist_ok=True)
+    except OSError:
+        return False
+    return os.access(d, os.W_OK | os.X_OK) and d.stat().st_uid == os.getuid()
+
+
+def _module_name(source: str, backend_version: str) -> str:
+    h = hashlib.sha256()
+    for part in (source, CDEF, backend_version, " ".join(CFLAGS)):
+        h.update(part.encode("utf-8"))
+        h.update(b"\0")
+    return "_fc_" + h.hexdigest()
+
+
+def _build(name: str, source: str, target: Path) -> None:
+    try:
+        import cffi
+    except ImportError as exc:
+        raise KernelUnavailable(f"cffi is not installed ({exc})") from None
+    cc = shutil.which(COMPILER)
+    if cc is None:
+        raise KernelUnavailable(f"no C compiler ({COMPILER}) on PATH")
+    ffi = cffi.FFI()
+    ffi.cdef(CDEF)
+    ffi.set_source(name, source)
+    with tempfile.TemporaryDirectory(dir=target.parent, prefix=".build-") as tmp:
+        c_file = os.path.join(tmp, name + ".c")
+        so_file = os.path.join(tmp, target.name)
+        with contextlib.redirect_stdout(io.StringIO()):  # cffi announces the file
+            ffi.emit_c_code(c_file)
+        include = sysconfig.get_paths()["include"]
+        try:
+            proc = subprocess.run(
+                [cc, *CFLAGS, f"-I{include}", c_file, "-o", so_file],
+                capture_output=True, text=True, timeout=300,
+            )
+        except subprocess.TimeoutExpired as exc:
+            raise KernelUnavailable(f"{COMPILER} did not finish ({exc})") from None
+        if proc.returncode != 0:
+            last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+            raise KernelUnavailable(f"{COMPILER} exited {proc.returncode}: {last}")
+        os.replace(so_file, target)
+
+
+def _load():
+    try:
+        import _cffi_backend
+    except ImportError as exc:
+        raise KernelUnavailable(f"cffi is not installed ({exc})") from None
+    try:
+        source = SOURCE.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise KernelUnavailable(f"cannot read the kernel source ({exc})") from None
+    name = _module_name(source, _cffi_backend.__version__)
+    filename = name + sysconfig.get_config_var("EXT_SUFFIX")
+    cache = next((d for d in _cache_dirs() if _usable(d)), None)
+    if cache is None:
+        raise KernelUnavailable("no writable cache directory")
+    target = cache / filename
+    if not target.exists():
+        try:
+            _build(name, source, target)
+        except OSError as exc:
+            raise KernelUnavailable(f"cannot build in {cache} ({exc})") from None
+    spec = importlib.util.spec_from_file_location(name, target)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        raise KernelUnavailable(f"cannot load {target} ({exc})") from None
+    return module
+
+
+@functools.lru_cache(maxsize=None)
+def load() -> Tuple[Optional[object], str]:
+    """The compiled kernel module (with `.ffi` and `.lib`) and "", or None and
+    the reason it is unavailable.  Builds at most once per process."""
+    try:
+        return _load(), ""
+    except KernelUnavailable as exc:
+        return None, str(exc)

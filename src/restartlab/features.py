@@ -130,7 +130,8 @@ def snapshot(state, pooled_line_variance: bool = True) -> Tuple[float, ...]:
 
     Called by the solver once per choice point, after propagation and before
     the branch assignment.  The state object must expose the solver's public
-    counters (see solver.SearchState).
+    counters (see solver.SearchState); its line counts may be a cffi array,
+    which slices only with both bounds given.
     """
     n = state.n
     symbol = state.symbol
@@ -174,8 +175,8 @@ def snapshot(state, pooled_line_variance: bool = True) -> Tuple[float, ...]:
     if pooled_line_variance:
         base.append(_population_variance(lu))
     else:
-        base.append(_population_variance(lu[:n]))
-        base.append(_population_variance(lu[n:]))
+        base.append(_population_variance(lu[0:n]))
+        base.append(_population_variance(lu[n:2 * n]))
     base.extend(
         [
             open_cells / n,

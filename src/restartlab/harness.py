@@ -8,12 +8,14 @@ records that are merged by run index before anything downstream happens.
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import fc_kernel
 from .features import (
     default_registry,
     normalize_for_multi,
@@ -120,6 +122,12 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
         "registry": registry,
         "instance": instance,
     }
+    if spec.propagation == FORWARD_CHECK:
+        # Build the kernel here, once, so pool workers only ever load it.
+        kernel, reason = fc_kernel.load()
+        if kernel is None:
+            print(f"restartlab: forward checking runs in Python, slower:"
+                  f" the C kernel is unavailable ({reason})", file=sys.stderr)
     tasks = [(i, derive_seed(spec.master_seed, "run", i)) for i in range(total)]
     if threads <= 1:
         _init_worker(payload)

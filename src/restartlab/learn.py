@@ -442,7 +442,8 @@ def cascade_datasets(
     """Derive per-threshold sub-datasets for conditional length prediction.
 
     Each stage keeps rows with runtime strictly above its threshold and
-    relabels them by the subset's own median.  Stages smaller than min_rows
+    relabels them by the median of the subset's scaled runtimes, the rule
+    Dataset.relabeled applies to test rows.  Stages smaller than min_rows
     are skipped with a reason instead of producing unstable models.
     """
     out: List[CascadeEntry] = []
@@ -460,7 +461,7 @@ def cascade_datasets(
             )
             continue
         sub = dataset.subset(mask)
-        median, labels = label_by_median(sub.runtime)
+        median, labels = label_by_median(sub.scaled_runtime)
         sub.median = median
         sub.is_short = labels
         out.append(CascadeEntry(threshold=float(t), dataset=sub, skipped=False))

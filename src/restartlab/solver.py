@@ -9,6 +9,9 @@ makes the choice-point count the unit of measured run time.
 
 Domains are bitmasks (bit s-1 set means symbol s is still possible), and all
 search-state mutation goes through a trail so backtracking is O(undone work).
+Forward checking keeps that state in a C kernel (see fc_kernel) wherever the
+kernel builds; the Python SearchState runs alldiff filtering, forward
+checking without the kernel, and serves as the kernel's reference.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from . import fc_kernel
 from .features import snapshot
 from .latin import HOLE, PartialLatinSquare, StructureError, validate
 from .seeds import normalize_seed
@@ -256,16 +260,18 @@ def regin_filter(domains: Sequence[Iterable[int]]) -> Optional[List[Set[int]]]:
     return out
 
 
-class SearchState:
-    """Mutable constraint state for one run: domains, trail, counters."""
+class _RunState:
+    """What both search states share: the instance's cells and line counts,
+    the run counters that features.snapshot reads, and read-only helpers.
 
-    def __init__(self, instance: PartialLatinSquare, config: Optional[SolverConfig] = None):
-        config = config or SolverConfig()
+    A state also offers unassigned_count, forced_assignments, propagate_root,
+    select_cell, mark, branch and undo_to; solve drives either state through
+    these alone.
+    """
+
+    def __init__(self, instance: PartialLatinSquare):
         n = instance.order
         self.n = n
-        self.config = config
-        self.regin = config.propagation == ALLDIFF_REGIN
-        self.peers, self.line_cells = _tables(n)
         full = (1 << n) - 1
         size = n * n
         self.domain = [full] * size
@@ -292,21 +298,55 @@ class SearchState:
             r, c = divmod(i, n)
             self.domain[i] = full & ~(row_used[r] | col_used[c])
         self.hole_cells = tuple(holes)
-        self.unassigned_count = len(holes)
-        self.trail: List[int] = []  # flat (cell, bits) pairs; ~cell marks an assignment
-        self._fq: deque = deque()
-        self._dirty: deque = deque()
-        self._dirty_flag = [False] * (2 * n)
         # run counters read by feature snapshots
         self.backtracks = 0
         self.contradictions = 0
-        self.forced_assignments = 0
         self.alldiff_prunings = 0
         self.depth = 0
         self.max_depth = 0
         self.min_leaf_depth: Optional[int] = None
         self.node_visits = 0
         self.node_depth_sum = 0
+
+    def domain_values(self, c: int) -> List[int]:
+        out = []
+        m = self.domain[c]
+        while m:
+            b = m & -m
+            m ^= b
+            out.append(b.bit_length())
+        return out
+
+    def extract_square(self) -> PartialLatinSquare:
+        n = self.n
+        sym = self.symbol
+        cells = tuple(
+            tuple(sym[r * n + c] if sym[r * n + c] else HOLE for c in range(n))
+            for r in range(n)
+        )
+        return PartialLatinSquare(order=n, cells=cells)
+
+
+class SearchState(_RunState):
+    """Mutable constraint state for one run in Python: domains, trail, counters.
+
+    Runs every alldiff search, and forward checking where the C kernel is
+    unavailable; tests compare KernelState against it.
+    """
+
+    def __init__(self, instance: PartialLatinSquare, config: Optional[SolverConfig] = None):
+        super().__init__(instance)
+        config = config or SolverConfig()
+        n = self.n
+        self.config = config
+        self.regin = config.propagation == ALLDIFF_REGIN
+        self.peers, self.line_cells = _tables(n)
+        self.unassigned_count = len(self.hole_cells)
+        self.forced_assignments = 0
+        self.trail: List[int] = []  # flat (cell, bits) pairs; ~cell marks an assignment
+        self._fq: deque = deque()
+        self._dirty: deque = deque()
+        self._dirty_flag = [False] * (2 * n)
 
     # -- mutation ---------------------------------------------------------
 
@@ -336,6 +376,18 @@ class SearchState:
         if self.regin:
             self._mark_dirty(r)
             self._mark_dirty(col)
+
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def branch(self, c: int, s: int) -> bool:
+        """Assign s to c and propagate to a fixpoint; False on contradiction."""
+        self._clear_dirty()
+        self._assign(c, s)
+        fq = self._fq
+        fq.clear()
+        fq.append(c)
+        return self._propagate(fq)
 
     def undo_to(self, mark: int) -> None:
         trail = self.trail
@@ -481,23 +533,80 @@ class SearchState:
             return ties2[0]
         return ties2[rng.randrange(len(ties2))]
 
-    def domain_values(self, c: int) -> List[int]:
-        out = []
-        m = self.domain[c]
-        while m:
-            b = m & -m
-            m ^= b
-            out.append(b.bit_length())
-        return out
 
-    def extract_square(self) -> PartialLatinSquare:
+class KernelState(_RunState):
+    """Forward-checking state held and mutated by the C kernel (fc_kernel).
+
+    domain, symbol and line_unassigned are cffi arrays the kernel writes in
+    place, so features.snapshot reads them as it reads SearchState's lists.
+    Every buffer is allocated here and freed with this object.
+    """
+
+    def __init__(self, instance: PartialLatinSquare, kernel) -> None:
+        super().__init__(instance)
+        ffi = kernel.ffi
+        self._lib = kernel.lib
         n = self.n
-        sym = self.symbol
-        cells = tuple(
-            tuple(sym[r * n + c] if sym[r * n + c] else HOLE for c in range(n))
-            for r in range(n)
+        holes = len(self.hole_cells)
+        self.domain = ffi.new("uint64_t[]", self.domain)
+        self.symbol = ffi.new("int[]", self.symbol)
+        self.line_unassigned = ffi.new("int[]", self.line_unassigned)
+        # A live trail holds at most n prunings plus one assignment per hole.
+        trail = holes * (n + 1)
+        self._buffers = (
+            ffi.new("int[]", self.hole_cells),
+            ffi.new("int[]", trail),
+            ffi.new("uint64_t[]", trail),
+            ffi.new("int[]", holes + 1),
         )
-        return PartialLatinSquare(order=n, cells=cells)
+        self._ties = ffi.new("int[]", holes + 1)
+        st = ffi.new("fc_state *")
+        st.n = n
+        st.n_holes = holes
+        st.unassigned_count = holes
+        st.domain = self.domain
+        st.symbol = self.symbol
+        st.line_unassigned = self.line_unassigned
+        st.hole_cells, st.trail_cell, st.trail_bits, st.queue = self._buffers
+        self._st = st
+
+    @property
+    def unassigned_count(self) -> int:
+        return self._st.unassigned_count
+
+    @property
+    def forced_assignments(self) -> int:
+        return self._st.forced_assignments
+
+    def propagate_root(self) -> bool:
+        return bool(self._lib.fc_propagate_root(self._st))
+
+    def mark(self) -> int:
+        return self._st.trail_len
+
+    def branch(self, c: int, s: int) -> bool:
+        return bool(self._lib.fc_branch(self._st, c, s))
+
+    def undo_to(self, mark: int) -> None:
+        self._lib.fc_undo_to(self._st, mark)
+
+    def select_cell(self, rng: random.Random) -> int:
+        ties = self._ties
+        k = self._lib.fc_select(self._st, ties)
+        if k == 0:
+            raise RuntimeError("select_cell called with no open cells")
+        if k == 1:
+            return ties[0]
+        return ties[rng.randrange(k)]
+
+
+def _new_state(instance: PartialLatinSquare, config: SolverConfig) -> _RunState:
+    """The C kernel's state for forward checking where it loads, else Python's."""
+    if config.propagation == FORWARD_CHECK and instance.order <= fc_kernel.MAX_ORDER:
+        kernel, _ = fc_kernel.load()
+        if kernel is not None:
+            return KernelState(instance, kernel)
+    return SearchState(instance, config)
 
 
 def solve(
@@ -517,7 +626,7 @@ def solve(
         config = SolverConfig()
     if validate(instance):
         raise StructureError("instance violates the Latin property")
-    state = SearchState(instance, config)
+    state = _new_state(instance, config)
     rng = random.Random(normalize_seed(seed))
     tracing = config.trace_enabled
     trace: Optional[List[Tuple[float, ...]]] = [] if tracing else None
@@ -551,7 +660,6 @@ def solve(
         )
 
     frames: List[List] = []  # [cell, shuffled values, value index, trail mark]
-    fq = state._fq
     new_node = True
     while True:
         if new_node:
@@ -578,12 +686,8 @@ def solve(
             trace.append(snapshot(state, pooled))
         if len(frames) > state.max_depth:
             state.max_depth = len(frames)
-        f[3] = len(state.trail)
-        state._clear_dirty()
-        state._assign(f[0], f[1][f[2]])
-        fq.clear()
-        fq.append(f[0])
-        if state._propagate(fq):
+        f[3] = state.mark()
+        if state.branch(f[0], f[1][f[2]]):
             if state.unassigned_count == 0:
                 return RunRecord(
                     seed=seed,

@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from restartlab import fc_kernel
 from restartlab.cli import EXIT_DATA, EXIT_OK, EXIT_UNBOUNDED, EXIT_USAGE, main
 from restartlab.io import read_dataset, read_instance, read_model, write_dataset, write_rtd
-from restartlab.learn import Dataset
+from restartlab.learn import Dataset, label_by_median
 
 DATASET_ARGS = [
     "dataset",
@@ -267,6 +268,30 @@ class TestCascade:
         assert [s["threshold"] for s in stages] == [20.0, 60.0]
         assert capsys.readouterr().out.count("t=") == 2
 
+    def test_multi_mode_test_labels_follow_training_rule(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "dataset", "--mode", "multi", "--order", "10", "--holes", "50", "--balanced",
+            "--runs", "60", "--test-runs", "30", "--horizon", "2", "--cutoff", "2000",
+            "--propagation", "alldiff_regin", "--seed", "4", "--out-prefix", "m",
+        ]) == EXIT_OK
+        assert main(["cascade", "m_train.csv", "m_test.csv", "--thresholds", "2,3",
+                     "--min-rows", "5", "-o", "cascade.json"]) == EXIT_OK
+        capsys.readouterr()
+        train = read_dataset("m_train.csv")
+        test = read_dataset("m_test.csv")
+        train, test = train.subset(~train.censored), test.subset(~test.censored)
+        stages = json.loads((tmp_path / "cascade.json").read_text())["report"]["stages"]
+        assert [s["threshold"] for s in stages] == [2.0, 3.0]
+        for s in stages:
+            t = s["threshold"]
+            median, _ = label_by_median(train.scaled_runtime[train.runtime > t])
+            assert s["median"] == median
+            shorts = int((test.scaled_runtime[test.runtime > t] < median).sum())
+            confusion = s["marginal"]["confusion"]
+            assert confusion["short_as_short"] + confusion["short_as_long"] == shorts
+            assert 0 < shorts < s["test_rows"]
+
     def test_unsorted_thresholds_rejected(self, workdir, capsys):
         code = main(["cascade", str(workdir / "small_train.csv"),
                      str(workdir / "small_test.csv"), "--thresholds", "60,20"])
@@ -406,13 +431,16 @@ class TestParsing:
         assert "restartlab" in proc.stdout
 
     def test_import_leaves_scipy_out(self):
+        # nor cffi or the kernel, which load on the first forward-checking run
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, restartlab.cli; print('scipy' in sys.modules)"],
+             "import sys, restartlab.cli; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('scipy', 'cffi', '_cffi_backend')"
+             " or m.startswith('_fc_')))"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
 
 # A small pipeline run from its own directory with relative paths, so headers
@@ -460,3 +488,14 @@ class TestGoldenBytes:
             for name in GOLDEN_SHA256
         }
         assert got == GOLDEN_SHA256
+
+    def test_pipeline_artifacts_pinned_without_kernel(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fc_kernel, "_cache_dirs", lambda: [tmp_path / "cache"])
+        monkeypatch.setattr(fc_kernel, "COMPILER", "restartlab-missing-cc")
+        fc_kernel.load.cache_clear()
+        try:
+            self.test_pipeline_artifacts_pinned(tmp_path, monkeypatch)
+        finally:
+            fc_kernel.load.cache_clear()
+        err = capsys.readouterr().err
+        assert err.count("C kernel is unavailable (no C compiler") == 1

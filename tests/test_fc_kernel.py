@@ -1,0 +1,151 @@
+"""The forward-checking C kernel: identity with the Python search state, the
+choice between the two, and building the kernel once into a shared cache."""
+
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from restartlab import fc_kernel, solver
+from restartlab.latin import (
+    BALANCED,
+    HOLE,
+    HoleSpec,
+    PartialLatinSquare,
+    generate_complete,
+    poke_holes,
+)
+from restartlab.seeds import derive_seed
+from restartlab.solver import (
+    ALLDIFF_REGIN,
+    CUTOFF,
+    FORWARD_CHECK,
+    KernelState,
+    SearchState,
+    SolverConfig,
+    solve,
+)
+
+SRC = Path(solver.__file__).resolve().parent.parent
+
+pytestmark = pytest.mark.skipif(
+    fc_kernel.load()[0] is None, reason=f"C kernel unavailable: {fc_kernel.load()[1]}"
+)
+
+
+def python_solve(instance, config, seed):
+    """solve() on the Python SearchState, the reference the kernel must match."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fc_kernel, "load", lambda: (None, "the Python reference"))
+        return solve(instance, config, seed)
+
+
+def desk_instance():
+    square = generate_complete(18, derive_seed(81, "instance"))
+    return poke_holes(square, HoleSpec(mode=BALANCED, holes_per_line=7), derive_seed(81, "mask"))
+
+
+@st.composite
+def instances(draw):
+    """Orders 3-10: holes poked into a complete square (always completable),
+    or symbols scattered without a Latin conflict (often not completable)."""
+    n = draw(st.integers(3, 10))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        cells = [list(row) for row in generate_complete(n, rng.randrange(2**32)).cells]
+        for i in rng.sample(range(n * n), draw(st.integers(0, n * n))):
+            cells[i // n][i % n] = HOLE
+    else:
+        cells = [[HOLE] * n for _ in range(n)]
+        density = draw(st.floats(0.05, 0.6))
+        for i in range(n * n):
+            r, c = divmod(i, n)
+            if rng.random() < density:
+                used = set(cells[r]) | {cells[k][c] for k in range(n)}
+                free = [s for s in range(1, n + 1) if s not in used]
+                if free:
+                    cells[r][c] = rng.choice(free)
+    return PartialLatinSquare.from_rows(cells)
+
+
+class TestIdentityWithPythonState:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        instance=instances(),
+        seed=st.integers(0, 2**63),
+        horizon=st.integers(1, 60),
+        cutoff=st.one_of(st.none(), st.integers(0, 400)),
+        pooled=st.booleans(),
+    )
+    def test_same_run_record(self, instance, seed, horizon, cutoff, pooled):
+        if cutoff is None and instance.order > 6:
+            cutoff = 5000
+        config = SolverConfig(cutoff=cutoff, propagation=FORWARD_CHECK, horizon=horizon,
+                              trace_enabled=True, pooled_line_variance=pooled)
+        assert solve(instance, config, seed) == python_solve(instance, config, seed)
+
+    def test_desk_runs(self):
+        instance = desk_instance()
+        config = SolverConfig(cutoff=2000, propagation=FORWARD_CHECK, horizon=50,
+                              trace_enabled=True)
+        outcomes = set()
+        for i in range(50):
+            seed = derive_seed(81, "run", i)
+            got = solve(instance, config, seed)
+            assert got == python_solve(instance, config, seed), i
+            outcomes.add(got.outcome)
+        assert CUTOFF in outcomes and len(outcomes) == 2
+
+
+class TestStateChoice:
+    def test_forward_check_runs_on_the_kernel(self):
+        state = solver._new_state(desk_instance(), SolverConfig(propagation=FORWARD_CHECK))
+        assert isinstance(state, KernelState)
+
+    def test_alldiff_runs_in_python(self):
+        state = solver._new_state(desk_instance(), SolverConfig(propagation=ALLDIFF_REGIN))
+        assert isinstance(state, SearchState)
+
+    def test_python_when_the_kernel_is_unavailable(self, monkeypatch):
+        monkeypatch.setattr(fc_kernel, "load", lambda: (None, "unavailable"))
+        state = solver._new_state(desk_instance(), SolverConfig(propagation=FORWARD_CHECK))
+        assert isinstance(state, SearchState)
+
+
+BUILD_AND_SOLVE = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+    from restartlab import fc_kernel, solver
+    from restartlab.latin import generate_complete, poke_holes, HoleSpec, BALANCED
+    fc_kernel._cache_dirs = lambda: [Path(sys.argv[1])]
+    kernel, reason = fc_kernel.load()
+    assert kernel is not None, reason
+    inst = poke_holes(generate_complete(8, 1), HoleSpec(mode=BALANCED, holes_per_line=4), 2)
+    config = solver.SolverConfig(propagation=solver.FORWARD_CHECK)
+    assert isinstance(solver._new_state(inst, config), solver.KernelState)
+    print(solver.solve(inst, config, 3).outcome)
+""")
+
+
+def test_concurrent_builds_share_one_cache(tmp_path):
+    cache = tmp_path / "cache"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", BUILD_AND_SOLVE, str(cache)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(2)
+    ]
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        assert out.strip() == "SOLVED"
+    built = [p.name for p in cache.iterdir()]
+    assert len(built) == 1 and built[0].startswith("_fc_")
