@@ -26,6 +26,7 @@ from .seeds import derive_seed
 from . import learn as _learn
 
 UNBOUNDED = math.inf
+MAX_LENGTH = 2**53  # float64 holds every whole number up to here exactly
 
 
 def is_unbounded(x: float) -> bool:
@@ -39,11 +40,19 @@ class EmpiricalRTD:
     lengths: np.ndarray
 
     def __init__(self, lengths: Sequence[int]):
-        arr = np.sort(np.asarray(lengths, dtype=np.int64))
+        try:
+            arr = np.sort(np.asarray(lengths, dtype=np.int64))
+        except OverflowError as exc:
+            raise ValueError(f"run lengths must lie between 0 and 2**53: {exc}") from exc
         if arr.size == 0:
             raise ValueError("an empirical distribution needs at least one run")
         if arr[0] < 0:
             raise ValueError("run lengths cannot be negative")
+        if arr[-1] > MAX_LENGTH:
+            raise ValueError(
+                f"run lengths must be at most 2**53, got {int(arr[-1])}:"
+                " float64 costs are no longer exact past it"
+            )
         object.__setattr__(self, "lengths", arr)
         object.__setattr__(self, "_prefix", np.concatenate(([0], np.cumsum(arr))))
 
@@ -197,7 +206,9 @@ def scan_dynamic_limits(
 
 # -- policies --------------------------------------------------------------
 #
-# Every policy offers the same two methods:
+# Every policy offers the same three methods:
+#   round_cutoff(round_no) -> the step count every run of that round is killed
+#     at, or None when the policy decides run by run;
 #   step(lengths, features, round_no, rng) -> (cost, success) prices one round
 #     of runs, one per still-active trial;
 #   analytic(run_source) -> Analytic gives what is known in closed form.
@@ -216,8 +227,16 @@ class Analytic(NamedTuple):
     expected_steps: Optional[float] = None
 
 
+class _CutoffPolicy:
+    """Kills every run of a round at round_cutoff(round_no) steps."""
+
+    def step(self, lengths, features, round_no, rng):
+        cutoff = self.round_cutoff(round_no)
+        return np.minimum(lengths, cutoff), lengths <= cutoff
+
+
 @dataclass(frozen=True)
-class FixedPolicy:
+class FixedPolicy(_CutoffPolicy):
     """Restart unconditionally after cutoff steps."""
 
     cutoff: int
@@ -229,8 +248,8 @@ class FixedPolicy:
     def describe(self) -> str:
         return f"fixed:{self.cutoff}"
 
-    def step(self, lengths, features, round_no, rng):
-        return np.minimum(lengths, self.cutoff), lengths <= self.cutoff
+    def round_cutoff(self, round_no: int) -> int:
+        return self.cutoff
 
     def analytic(self, run_source) -> Analytic:
         rtd = getattr(run_source, "rtd", None)
@@ -243,7 +262,7 @@ class FixedPolicy:
 
 
 @dataclass(frozen=True)
-class LubyPolicy:
+class LubyPolicy(_CutoffPolicy):
     """Restart after scale * luby_term(i) steps on the i-th run."""
 
     scale: int = 1
@@ -255,9 +274,8 @@ class LubyPolicy:
     def describe(self) -> str:
         return f"luby:{self.scale}"
 
-    def step(self, lengths, features, round_no, rng):
-        cutoff = self.scale * luby_term(round_no)
-        return np.minimum(lengths, cutoff), lengths <= cutoff
+    def round_cutoff(self, round_no: int) -> int:
+        return self.scale * luby_term(round_no)
 
     def analytic(self, run_source) -> Analytic:
         # Luby cutoffs grow without bound, so any finite run length is reachable.
@@ -348,6 +366,9 @@ class DynamicPolicy:
         lim = "inf" if math.isinf(self.limit) else int(self.limit)
         pred = self.predictor.describe() if self.predictor is not None else "none"
         return f"dynamic:O={self.observe},L={lim},{pred}"
+
+    def round_cutoff(self, round_no: int) -> None:
+        return None
 
     def step(self, lengths, features, round_no, rng):
         done_early = lengths <= self.observe
@@ -450,6 +471,14 @@ def simulate_policy(
     total_cost = np.zeros(trials, dtype=float)
     total_runs = np.zeros(trials, dtype=np.int64)
     if not unbounded:
+        shortest = run_source.rtd.min_length
+        # A round whose cutoff is below the shortest run kills every run at
+        # that cutoff, so it is priced once, in `shared`, for all active
+        # trials, and a trial adds it when it leaves; its lengths are still
+        # drawn to keep the RNG stream.  Cutoff costs are whole numbers, which
+        # float64 adds exactly up to 2**53, so this order of additions leaves
+        # every total bit-identical.
+        shared = 0
         active = np.arange(trials)
         round_no = 0
         while active.size:
@@ -458,10 +487,18 @@ def simulate_policy(
                 unbounded = True
                 break
             lengths, feats = run_source.sample(rng, active.size)
+            cutoff = policy.round_cutoff(round_no)
+            if cutoff is not None and cutoff < shortest:
+                shared += cutoff
+                continue
             cost, success = policy.step(lengths, feats, round_no, rng)
             total_cost[active] += cost
-            total_runs[active] += 1
-            active = active[~success]
+            if success.any():
+                done = active[success]
+                if shared:
+                    total_cost[done] += shared
+                total_runs[done] = round_no
+                active = active[~success]
 
     if unbounded:
         mc_mean = UNBOUNDED

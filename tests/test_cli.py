@@ -358,6 +358,13 @@ class TestPolicy:
         assert code == EXIT_UNBOUNDED
         assert "UNBOUNDED" in capsys.readouterr().out
 
+    def test_run_length_past_int64_is_data_error(self, tmp_path, capsys):
+        rtd_path = tmp_path / "huge_rtd.txt"
+        write_rtd(str(rtd_path), [5, 100000000000000000000])
+        code = main(["policy", str(rtd_path), "--policy", "fixed:5", "--trials", "10"])
+        assert code == EXIT_DATA
+        assert "2**53" in capsys.readouterr().err
+
     def test_scan_limit(self, workdir, capsys):
         code = main(["policy", str(workdir / "small_rtd.txt"),
                      "--scan-limit", "20", "--accuracy", "0.9"])

@@ -1,14 +1,22 @@
 """Restart-policy analysis: exact formulas, scans, and simulation."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restartlab.learn import Dataset, label_by_median, marginal_model
+from restartlab.learn import (
+    Dataset,
+    DecisionTreeModel,
+    TreeNode,
+    label_by_median,
+    marginal_model,
+)
 from restartlab.policy import (
+    MAX_LENGTH,
     UNBOUNDED,
     DatasetSource,
     DynamicPolicy,
@@ -16,6 +24,7 @@ from restartlab.policy import (
     FixedPolicy,
     LubyPolicy,
     ModelPredictor,
+    PolicyStats,
     RtdSource,
     SyntheticPredictor,
     dynamic_expected_run_length_ub,
@@ -28,6 +37,7 @@ from restartlab.policy import (
     scan_dynamic_limits,
     simulate_policy,
 )
+from restartlab.seeds import derive_seed
 
 TWO_POINT = EmpiricalRTD([1, 10**6])
 
@@ -65,6 +75,12 @@ class TestEmpiricalRTD:
             EmpiricalRTD([])
         with pytest.raises(ValueError):
             EmpiricalRTD([3, -1])
+
+    def test_lengths_past_float_exactness_rejected(self):
+        assert EmpiricalRTD([1, MAX_LENGTH]).max_length == 2**53
+        for bad in (MAX_LENGTH + 1, 10**20, -(10**20)):
+            with pytest.raises(ValueError):
+                EmpiricalRTD([5, bad])
 
 
 class TestExpectedTimeFixed:
@@ -438,3 +454,115 @@ def test_optimal_cutoff_is_global_minimum(lengths):
     assert 1 <= c_star
     for c in range(1, rtd.max_length + 2):
         assert cost_star <= expected_time_fixed(rtd, c) + 1e-9
+
+
+def _reference_simulate(
+    run_source, policy, trials, master_seed, run_budget=1_000_000,
+    percentiles=(50, 90, 99),
+):
+    """simulate_policy as a plain round loop: every round gathers, caps and
+    scatter-adds over every active trial, then compacts the active set."""
+    rng = np.random.default_rng(derive_seed(master_seed, "policy", policy.describe()))
+    analytic = policy.analytic(run_source)
+    unbounded = analytic.success_probability == 0.0
+    total_cost = np.zeros(trials, dtype=float)
+    total_runs = np.zeros(trials, dtype=np.int64)
+    if not unbounded:
+        active = np.arange(trials)
+        round_no = 0
+        while active.size:
+            round_no += 1
+            if round_no > run_budget:
+                unbounded = True
+                break
+            lengths, feats = run_source.sample(rng, active.size)
+            cost, success = policy.step(lengths, feats, round_no, rng)
+            total_cost[active] += cost
+            total_runs[active] += 1
+            active = active[~success]
+    if unbounded:
+        mc_mean = mc_se = mean_runs = se_runs = UNBOUNDED
+        pct = {f"p{p}": UNBOUNDED for p in percentiles}
+    else:
+        mc_mean = float(total_cost.mean())
+        mc_se = float(total_cost.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        mean_runs = float(total_runs.mean())
+        se_runs = float(total_runs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        pct = {f"p{p}": float(np.percentile(total_cost, p)) for p in percentiles}
+    return PolicyStats(
+        policy=policy.describe(), trials=trials,
+        expected_runs=analytic.expected_runs, expected_steps=analytic.expected_steps,
+        mc_mean_cost=mc_mean, mc_se_cost=mc_se, mc_mean_runs=mean_runs,
+        mc_se_runs=se_runs, percentiles=pct, unbounded=unbounded,
+    )
+
+
+@st.composite
+def _policy_case(draw):
+    """A run source, a policy on it, and a run budget that may trip."""
+    # shortest run 0, 1, or past the first Luby cutoffs
+    shortest = draw(st.sampled_from([0, 1]) | st.integers(2, 70))
+    lengths = [shortest + d for d in draw(st.lists(st.integers(0, 400), min_size=1, max_size=40))]
+    kind = draw(st.sampled_from(["fixed", "luby", "synthetic", "model"]))
+    if kind == "fixed":
+        policy = FixedPolicy(draw(st.integers(1, max(lengths) + 5)))
+    elif kind == "luby":
+        policy = LubyPolicy(draw(st.integers(1, 8)))
+    else:
+        observe = draw(st.integers(1, max(lengths) + 5))
+        limit = draw(st.just(math.inf) | st.integers(observe + 1, observe + 500))
+        if kind == "synthetic":
+            accuracy = draw(st.just(0.0) | st.floats(0.1, 1.0))
+            policy = DynamicPolicy(observe, limit, SyntheticPredictor(accuracy))
+        else:
+            ds = tiny_dataset(lengths)
+            ds.X[:, 0] = draw(st.lists(st.floats(-5, 5), min_size=ds.size, max_size=ds.size))
+            split = draw(st.floats(-5, 5))
+            leaves = [TreeNode(draw(st.integers(0, 3)), draw(st.integers(0, 3))) for _ in range(2)]
+            model = DecisionTreeModel(
+                root=TreeNode(4, 4, feature=0, threshold=split, left=leaves[0], right=leaves[1]),
+                columns=ds.columns, kappa=1.0,
+            )
+            policy = DynamicPolicy(observe, limit, ModelPredictor(model))
+            return DatasetSource(ds), policy, draw(st.just(10**6) | st.integers(1, 200))
+    return (
+        RtdSource(EmpiricalRTD(lengths)), policy,
+        draw(st.just(10**6) | st.integers(1, 200)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_policy_case(), trials=st.integers(1, 300), seed=st.integers(0, 2**32))
+def test_simulation_equals_reference_loop(case, trials, seed):
+    source, policy, budget = case
+    want = _reference_simulate(source, policy, trials, seed, run_budget=budget)
+    got = simulate_policy(source, policy, trials, seed, run_budget=budget)
+    assert asdict(got) == asdict(want)
+
+
+def test_budget_trips_inside_rounds_no_run_can_win():
+    # Luby cutoffs stay at 16 or below until round 63 (the first 32), so
+    # budgets under 63 trip while no run can win yet
+    source = RtdSource(EmpiricalRTD([18, 40, 700]))
+    for budget in (1, 14, 31, 62, 63, 200, 10**6):
+        want = _reference_simulate(source, LubyPolicy(1), 50, 3, run_budget=budget)
+        got = simulate_policy(source, LubyPolicy(1), 50, 3, run_budget=budget)
+        assert asdict(got) == asdict(want)
+        assert got.unbounded or budget >= 63
+
+
+def test_luby_steps_only_in_rounds_some_run_can_win(monkeypatch):
+    source = RtdSource(EmpiricalRTD([18, 19, 25, 40, 90, 400, 3000]))
+    want = _reference_simulate(source, LubyPolicy(1), 2000, 81)
+    rounds = []
+    real_step = LubyPolicy.step
+
+    def spy(self, lengths, features, round_no, rng):
+        rounds.append(round_no)
+        return real_step(self, lengths, features, round_no, rng)
+
+    monkeypatch.setattr(LubyPolicy, "step", spy)
+    got = simulate_policy(source, LubyPolicy(1), 2000, 81)
+    assert asdict(got) == asdict(want)
+    assert rounds == sorted(set(rounds))
+    assert rounds and all(luby_term(r) >= 18 for r in rounds)
