@@ -1,4 +1,7 @@
-"""Build and load the forward-checking C kernel (`_fc_kernel.c`) through cffi.
+"""Build and load the C kernel (`_fc_kernel.c`) through cffi.
+
+The kernel holds the forward-checking core of the solver and the two seeded
+instance generators of `latin` (square fill and balanced hole pattern).
 
 The kernel is compiled on first use, never at import: cffi emits the wrapper
 source and one `cc -O2 -shared -fPIC` call compiles it.  The module file is
@@ -7,7 +10,7 @@ usable cache directory ($XDG_CACHE_HOME/restartlab or ~/.cache/restartlab,
 then a per-user directory under the system temp dir).  A finished build is
 moved into place with os.replace, so concurrent builders never see a partial
 file.  When cffi, the compiler or every cache directory is unavailable,
-`load` reports why and the solver runs on its Python state instead.
+`load` reports why and the solver and the generators run in Python instead.
 """
 
 from __future__ import annotations
@@ -47,12 +50,31 @@ int fc_propagate_root(fc_state *st);
 int fc_branch(fc_state *st, int cell, int value);
 void fc_undo_to(fc_state *st, int mark);
 int fc_select(fc_state *st, int *ties);
+
+typedef struct {
+    uint32_t mt[624];
+    int index;
+} mt_state;
+
+typedef struct {
+    int n;
+    int filled;
+    int drawn;
+    int *flat;
+    int *cands;
+    int *n_cands;
+    uint64_t *row_used;
+    uint64_t *col_used;
+} lq_square;
+
+int lq_hole_pattern(mt_state *rng, int n, int h, int retries, uint64_t *taken);
+int lq_fill(mt_state *rng, lq_square *sq, long long steps);
 """
 
 COMPILER = "cc"
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
-# Domains are 64-bit masks.
+# Domains and line masks are 64-bit masks.
 MAX_ORDER = 64
 
 

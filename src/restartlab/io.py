@@ -196,10 +196,14 @@ def read_dataset(path: str) -> Dataset:
     median = meta.get("median")
     if median is None:
         raise DataFormatError(f"{path}: header carries no median")
+    try:
+        runtime_arr = np.asarray(runtime, dtype=np.int64)
+    except OverflowError as exc:
+        raise DataFormatError(f"{path}: a runtime does not fit in 64 bits ({exc})") from exc
     return Dataset(
         columns=feat_cols,
         X=np.asarray(X, dtype=float).reshape(len(runtime), len(feat_cols)),
-        runtime=np.asarray(runtime, dtype=np.int64),
+        runtime=runtime_arr,
         is_short=np.asarray(is_short, dtype=bool),
         censored=np.asarray(censored, dtype=bool),
         divisor=np.asarray(divisor, dtype=float),

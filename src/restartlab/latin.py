@@ -5,14 +5,22 @@ square and then erasing cells, which keeps the instance satisfiable by
 construction.  Balanced erasure (the same number of holes in every row and
 every column) produces markedly harder search problems than unconstrained
 erasure at the same hole count.
+
+Both seeded generators run in the C kernel (see fc_kernel) for orders up to
+64 where it loads.  The kernel draws from a copy of the generator's
+random.Random state and hands the state back, so it consumes exactly the
+stream the Python loops below would, and returns the same squares and hole
+patterns; those loops are its reference and its fallback.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import fc_kernel
 from .seeds import normalize_seed
 
 # Marker for an unfilled cell.  Symbols are 1..n, so None can never collide.
@@ -123,19 +131,48 @@ def _bits_to_symbols(mask: int) -> List[int]:
     return out
 
 
-def generate_complete(n: int, seed: int) -> PartialLatinSquare:
-    """Generate a complete order-n Latin square by randomized backtracking.
+def _kernel_for(n: int):
+    """The loaded C kernel when it serves order n, else None."""
+    if n > fc_kernel.MAX_ORDER:
+        return None
+    return fc_kernel.load()[0]
 
-    Cells are filled in row-major order; each cell draws a uniformly random
-    symbol among those still legal for its row and column, backtracking on
-    dead ends.  Any complete Latin rectangle extends to a full square, so the
-    search never has to retreat past a completed row and always terminates.
-    The construction is deterministic per seed but does not sample uniformly
-    from all Latin squares.
-    """
-    if n < 1:
-        raise StructureError(f"order must be >= 1, got {n}")
-    rng = random.Random(normalize_seed(seed))
+
+@contextlib.contextmanager
+def _kernel_stream(ffi, rng: random.Random):
+    """rng's Mersenne Twister state as a kernel mt_state; afterwards rng
+    continues from wherever the kernel left the stream."""
+    version, internal, gauss_next = rng.getstate()
+    state = ffi.new("mt_state *", {"mt": internal[:624], "index": internal[624]})
+    yield state
+    rng.setstate((version, tuple(ffi.unpack(state.mt, 624)) + (state.index,), gauss_next))
+
+
+# Placements and retreats per kernel call while filling a square, so that a
+# long search returns to Python, and to Ctrl-C, many times a second.
+_FILL_STEPS = 1 << 20
+
+
+def _fill_square(n: int, rng: random.Random) -> List[int]:
+    """Row-major symbols of a complete order-n Latin square drawn from rng."""
+    kernel = _kernel_for(n)
+    if kernel is not None:
+        ffi = kernel.ffi
+        buffers = {
+            "flat": ffi.new("int[]", n * n),
+            "cands": ffi.new("int[]", n * n * n),
+            "n_cands": ffi.new("int[]", n * n),
+            "row_used": ffi.new("uint64_t[]", n),
+            "col_used": ffi.new("uint64_t[]", n),
+        }
+        square = ffi.new("lq_square *", dict(buffers, n=n))
+        with _kernel_stream(ffi, rng) as state:
+            done = 0
+            while done == 0:
+                done = kernel.lib.lq_fill(state, square, _FILL_STEPS)
+        if done < 0:
+            raise RuntimeError("backtracked past the first cell")
+        return ffi.unpack(buffers["flat"], n * n)
     size = n * n
     full = (1 << n) - 1
     row_used = [0] * n
@@ -167,6 +204,22 @@ def generate_complete(n: int, seed: int) -> PartialLatinSquare:
             bit = 1 << (flat[i] - 1)
             row_used[r] &= ~bit
             col_used[c] &= ~bit
+    return flat
+
+
+def generate_complete(n: int, seed: int) -> PartialLatinSquare:
+    """Generate a complete order-n Latin square by randomized backtracking.
+
+    Cells are filled in row-major order; each cell draws a uniformly random
+    symbol among those still legal for its row and column, backtracking on
+    dead ends.  Any complete Latin rectangle extends to a full square, so the
+    search never has to retreat past a completed row and always terminates.
+    The construction is deterministic per seed but does not sample uniformly
+    from all Latin squares.
+    """
+    if n < 1:
+        raise StructureError(f"order must be >= 1, got {n}")
+    flat = _fill_square(n, random.Random(normalize_seed(seed)))
     cells = tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n))
     return PartialLatinSquare(order=n, cells=cells)
 
@@ -218,6 +271,13 @@ def _balanced_holes(n: int, h: int, rng: random.Random) -> List[Tuple[int, int]]
         keep = list(range(n))
         rng.shuffle(keep)
         return [(r, c) for r in range(n) for c in range(n) if c != keep[r]]
+    kernel = _kernel_for(n)
+    if kernel is not None:
+        taken_bits = kernel.ffi.new("uint64_t[]", n)
+        with _kernel_stream(kernel.ffi, rng) as state:
+            while not kernel.lib.lq_hole_pattern(state, n, h, _PATTERN_RETRIES, taken_bits):
+                pass
+        return [(r, c) for r in range(n) for c in range(n) if taken_bits[r] >> c & 1]
     while True:
         taken: List[set] = [set() for _ in range(n)]
         count = 0

@@ -27,6 +27,7 @@ from . import learn as _learn
 
 UNBOUNDED = math.inf
 MAX_LENGTH = 2**53  # float64 holds every whole number up to here exactly
+MAX_TOTAL = 2**63 - 1  # the int64 prefix sums of the lengths stay exact up to here
 
 
 def is_unbounded(x: float) -> bool:
@@ -52,6 +53,12 @@ class EmpiricalRTD:
             raise ValueError(
                 f"run lengths must be at most 2**53, got {int(arr[-1])}:"
                 " float64 costs are no longer exact past it"
+            )
+        total = sum(arr.tolist())  # Python ints, exact where an int64 sum would wrap
+        if total > MAX_TOTAL:
+            raise ValueError(
+                f"run lengths must sum to at most 2**63 - 1, got {total}:"
+                " their int64 prefix sums would wrap"
             )
         object.__setattr__(self, "lengths", arr)
         object.__setattr__(self, "_prefix", np.concatenate(([0], np.cumsum(arr))))
@@ -107,8 +114,7 @@ def optimal_fixed_cutoff(rtd: EmpiricalRTD) -> Tuple[int, float]:
     n = lengths.size
     candidates = np.unique(np.maximum(lengths, 1))
     k = np.searchsorted(lengths, candidates, side="right")
-    prefix = np.concatenate(([0], np.cumsum(lengths)))
-    emin = (prefix[k] + candidates * (n - k)) / n
+    emin = (rtd._prefix[k] + candidates * (n - k)) / n
     cost = emin / (k / n)
     i = int(np.argmin(cost))  # first minimum: smallest cutoff wins ties
     return int(candidates[i]), float(cost[i])

@@ -254,6 +254,17 @@ class TestEval:
         assert main(["eval", str(workdir / "model.json"), str(path)]) == EXIT_DATA
         capsys.readouterr()
 
+    def test_runtime_past_int64_is_data_error(self, workdir, tmp_path, capsys):
+        lines = (workdir / "small_test.csv").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+        fields = lines[row].split(",")
+        fields[-4] = "100000000000000000000"
+        lines[row] = ",".join(fields)
+        path = tmp_path / "huge_runtime.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(workdir / "model.json"), str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCascade:
     def test_runs_and_reports(self, workdir, tmp_path, capsys):
@@ -505,4 +516,7 @@ class TestGoldenBytes:
         finally:
             fc_kernel.load.cache_clear()
         err = capsys.readouterr().err
-        assert err.count("C kernel is unavailable (no C compiler") == 1
+        # one line per dataset: the FC dataset's runs, the multi alldiff one's instances
+        assert err.count("C kernel is unavailable (no C compiler") == 2
+        assert err.count("restartlab: forward checking runs in Python") == 1
+        assert err.count("restartlab: instance generation runs in Python") == 1

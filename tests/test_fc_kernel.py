@@ -3,6 +3,7 @@ choice between the two, and building the kernel once into a shared cache."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restartlab import fc_kernel, solver
+from restartlab import fc_kernel, latin, solver
 from restartlab.latin import (
     BALANCED,
     HOLE,
@@ -34,7 +35,7 @@ from restartlab.solver import (
 
 SRC = Path(solver.__file__).resolve().parent.parent
 
-pytestmark = pytest.mark.skipif(
+needs_kernel = pytest.mark.skipif(
     fc_kernel.load()[0] is None, reason=f"C kernel unavailable: {fc_kernel.load()[1]}"
 )
 
@@ -74,6 +75,7 @@ def instances(draw):
     return PartialLatinSquare.from_rows(cells)
 
 
+@needs_kernel
 class TestIdentityWithPythonState:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -103,6 +105,7 @@ class TestIdentityWithPythonState:
         assert CUTOFF in outcomes and len(outcomes) == 2
 
 
+@needs_kernel
 class TestStateChoice:
     def test_forward_check_runs_on_the_kernel(self):
         state = solver._new_state(desk_instance(), SolverConfig(propagation=FORWARD_CHECK))
@@ -121,7 +124,7 @@ class TestStateChoice:
 BUILD_AND_SOLVE = textwrap.dedent("""
     import sys
     from pathlib import Path
-    from restartlab import fc_kernel, solver
+    from restartlab import fc_kernel, latin, solver
     from restartlab.latin import generate_complete, poke_holes, HoleSpec, BALANCED
     fc_kernel._cache_dirs = lambda: [Path(sys.argv[1])]
     kernel, reason = fc_kernel.load()
@@ -133,6 +136,7 @@ BUILD_AND_SOLVE = textwrap.dedent("""
 """)
 
 
+@needs_kernel
 def test_concurrent_builds_share_one_cache(tmp_path):
     cache = tmp_path / "cache"
     procs = [
@@ -149,3 +153,17 @@ def test_concurrent_builds_share_one_cache(tmp_path):
         assert out.strip() == "SOLVED"
     built = [p.name for p in cache.iterdir()]
     assert len(built) == 1 and built[0].startswith("_fc_")
+
+
+def test_cdef_declares_every_entry_point_called():
+    """A kernel function that latin or solver calls but CDEF leaves out would
+    only fail when the call runs; each must be declared and defined."""
+    declared = set(re.findall(r"(\w+)\(", fc_kernel.CDEF))
+    called = set()
+    for module in (latin, solver):
+        called |= set(re.findall(r"lib\.(\w+)\(", Path(module.__file__).read_text()))
+    assert {"fc_branch", "fc_select", "lq_fill", "lq_hole_pattern"} <= called
+    assert called <= declared
+    source = fc_kernel.SOURCE.read_text()
+    for name in declared:
+        assert re.search(rf"^(?!static)\w[\w ]*\b{name}\(", source, re.M), name

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restartlab import fc_kernel, latin
 from restartlab.latin import (
     BALANCED,
     HOLE,
@@ -20,6 +21,7 @@ from restartlab.latin import (
     poke_holes,
     validate,
 )
+from restartlab.seeds import derive_seed
 
 
 def brute_force_completions(instance):
@@ -284,3 +286,100 @@ def test_balanced_poke_always_balanced(n, h, seed):
         for c in range(n):
             if inst.cell(r, c) is not HOLE:
                 assert inst.cell(r, c) == sq.cell(r, c)
+
+
+# -- the C kernel's generators against the Python loops ----------------------
+
+needs_kernel = pytest.mark.skipif(
+    fc_kernel.load()[0] is None, reason=f"C kernel unavailable: {fc_kernel.load()[1]}"
+)
+
+
+def on_python(fn, *args):
+    """fn(*args) with the C kernel reported unavailable, so on the Python loops."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fc_kernel, "load", lambda: (None, "the Python reference"))
+        return fn(*args)
+
+
+def both_paths(fn, n, seed, *args):
+    """fn(n, *args, rng) on the kernel and on Python, from random.Random(seed):
+    each path's output and the rng state it leaves."""
+    out = []
+    for run in (fn, lambda *a: on_python(fn, *a)):
+        rng = random.Random(seed)
+        out.append((run(n, *args, rng), rng.getstate()))
+    return out
+
+
+@needs_kernel
+class TestKernelGenerators:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2**64 - 1))
+    def test_fill_matches_python(self, n, seed):
+        kernel, python = both_paths(latin._fill_square, n, seed)
+        assert kernel == python
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 14), seed=st.integers(0, 2**64 - 1))
+    def test_hole_pattern_matches_python(self, data, n, seed):
+        h = data.draw(st.integers(1, min(n // 2, n - 2)))
+        kernel, python = both_paths(latin._balanced_holes, n, seed, h)
+        assert kernel == python
+
+    def test_continues_a_stream_python_has_advanced(self):
+        results = []
+        for path in (lambda fn, *args: fn(*args), on_python):
+            rng = random.Random(5)
+            rng.random()
+            out = (path(latin._balanced_holes, 9, 3, rng), path(latin._fill_square, 9, rng))
+            results.append((out, rng.getstate()))
+        assert results[0] == results[1]
+
+    def test_multi_alldiff_instances(self):
+        # the benchmark's multi-alldiff draws: order 20, 8 holes per line
+        for i in range(48):
+            kernel, python = both_paths(latin._fill_square, 20, derive_seed(81, "inst", i))
+            assert kernel == python, i
+            kernel, python = both_paths(latin._balanced_holes, 20, derive_seed(81, "mask", i), 8)
+            assert kernel == python, i
+
+    def test_desk_instance(self):
+        square = generate_complete(18, derive_seed(81, "instance"))
+        assert square == on_python(generate_complete, 18, derive_seed(81, "instance"))
+        kernel, python = both_paths(latin._balanced_holes, 18, derive_seed(81, "mask"), 7)
+        assert kernel == python
+
+
+class _NoKernel:
+    """A loaded kernel that fails on any use, to show a path never touches it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the kernel was used ({name})")
+
+
+class TestGeneratorFallbacks:
+    def test_orders_above_64_stay_in_python(self, monkeypatch):
+        expected = on_python(latin._balanced_holes, 65, 2, random.Random(3))
+        monkeypatch.setattr(fc_kernel, "load", lambda: (_NoKernel(), ""))
+        assert latin._kernel_for(65) is None
+        assert latin._balanced_holes(65, 2, random.Random(3)) == expected
+
+    def test_unavailable_kernel_runs_python(self, monkeypatch):
+        expected = poke_holes(generate_complete(9, 4), HoleSpec(mode=BALANCED, holes_per_line=3), 5)
+        monkeypatch.setattr(fc_kernel, "load", lambda: (None, "unavailable"))
+        assert latin._kernel_for(9) is None
+        square = generate_complete(9, 4)
+        assert poke_holes(square, HoleSpec(mode=BALANCED, holes_per_line=3), 5) == expected
+
+    @pytest.mark.parametrize("h", [0, 6, 7])
+    def test_direct_patterns_stay_in_python(self, monkeypatch, h):
+        expected = on_python(latin._balanced_holes, 7, h, random.Random(1))
+        monkeypatch.setattr(fc_kernel, "load", lambda: (_NoKernel(), ""))
+        assert latin._balanced_holes(7, h, random.Random(1)) == expected
+
+    def test_unbalanced_stays_in_python(self, monkeypatch):
+        square = generate_complete(6, 2)
+        expected = poke_holes(square, HoleSpec(mode=UNBALANCED, total_holes=11), 3)
+        monkeypatch.setattr(fc_kernel, "load", lambda: (_NoKernel(), ""))
+        assert poke_holes(square, HoleSpec(mode=UNBALANCED, total_holes=11), 3) == expected

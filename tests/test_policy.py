@@ -82,6 +82,12 @@ class TestEmpiricalRTD:
             with pytest.raises(ValueError):
                 EmpiricalRTD([5, bad])
 
+    def test_lengths_whose_sum_wraps_int64_rejected(self):
+        # 1100 * 2**53 passes 2**63, where an int64 cumsum wraps negative
+        with pytest.raises(ValueError, match="sum"):
+            EmpiricalRTD([MAX_LENGTH] * 1100)
+        assert EmpiricalRTD([MAX_LENGTH] * 1023).expected_truncated(MAX_LENGTH) == MAX_LENGTH
+
 
 class TestExpectedTimeFixed:
     def test_two_point_exact(self):
