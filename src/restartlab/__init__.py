@@ -27,6 +27,7 @@ from .solver import (
     FORWARD_CHECK,
     SOLVED,
     RunRecord,
+    RunStats,
     SearchState,
     SolverConfig,
     regin_filter,

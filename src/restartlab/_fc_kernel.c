@@ -1,35 +1,93 @@
-/* C kernels for orders up to 64: the forward-checking core of the completion
- * search, and the two seeded instance generators of latin.py.
+/* C kernels for orders up to 64: the completion search of solver.py at both
+ * propagation levels, and the two seeded instance generators of latin.py.
  *
- * One fc_state holds a run's mutable constraint state: bitmask domains (bit
- * s-1 set means symbol s is still possible), assigned symbols (0 = open),
- * open-cell counts per line (rows 0..n-1, then columns), the trail and the
- * propagation queue.  Every buffer is owned by the caller.  The step order
- * (peer order, FIFO queue, trail layout) mirrors the Python SearchState in
+ * One fc_state holds a run's mutable state: bitmask domains (bit s-1 set
+ * means symbol s is still possible), assigned symbols (0 = open), open-cell
+ * counts per line (rows 0..n-1, then columns), the trail, the propagation
+ * queues, the depth-first frame stack and the run counters.  Every buffer is
+ * owned by the caller.  The step order (peer order, FIFO queues, dirty-line
+ * order, pruning order, trail layout) mirrors the Python SearchState in
  * solver.py exactly, so both give identical counters and trajectories.
  *
- * The generators draw from an mt_state, a copy of a random.Random's
- * Mersenne Twister state, through the same genrand_uint32, _randbelow and
- * shuffle steps as CPython, so they consume exactly the stream the Python
- * code in latin.py would and return the same squares and hole patterns.
+ * The search and the generators draw from an mt_state, a copy of a
+ * random.Random's Mersenne Twister state, through the same genrand_uint32,
+ * _randbelow and shuffle steps as CPython, so they consume exactly the
+ * stream the Python code would and make the same choices.
  */
 
 #include <stdint.h>
 
+#define MAX_N 64
+
+/* fc_run results */
+#define FC_PAUSED 0    /* the step budget ran out: call again */
+#define FC_TRACE 1     /* at a traced choice point: snapshot, then call again */
+#define FC_SOLVED 2
+#define FC_CUTOFF 3    /* the choice-point cutoff was reached */
+#define FC_EXHAUSTED 4 /* the whole search space was explored */
+
+typedef struct {
+    int cell;
+    int n_values;
+    int next;  /* index of the value being tried */
+    int mark;  /* trail length before the branch */
+    int values[MAX_N];
+} fc_frame;
+
 typedef struct {
     int n;
     int n_holes;
+    int regin; /* alldiff (Regin) filtering after forward checking */
     int unassigned_count;
     int trail_len;
-    long long forced_assignments;
     uint64_t *domain;
     int *symbol;
     int *line_unassigned;
     const int *hole_cells;
     int *trail_cell;      /* pruned cell, or ~cell for an assignment */
     uint64_t *trail_bits; /* pruned bit, or the domain before the assignment */
-    int *queue;
+    int *queue;           /* assigned cells to forward-check, n_holes slots */
+    int *dirty;           /* ring of lines to filter, 2n slots */
+    int *dirty_flag;      /* line is in the ring */
+    int dirty_head;
+    int dirty_len;
+    fc_frame *frames;     /* n_holes slots */
+    int n_frames;
+    int new_node;         /* the next choice point opens a frame */
+    int at_branch;        /* returned at a traced choice point, branch next */
+    long long cutoff;     /* choice points allowed, -1 for no limit */
+    long long trace_left; /* leading choice points still to trace */
+    long long budget;     /* work left in this fc_run call */
+    long long choice_points;
+    /* counters read by features.snapshot */
+    long long backtracks;
+    long long contradictions;
+    long long forced_assignments;
+    long long alldiff_prunings;
+    long long depth;
+    long long max_depth;
+    long long min_leaf_depth; /* -1 before the first dead end */
+    long long node_visits;
+    long long node_depth_sum;
 } fc_state;
+
+static void mark_dirty(fc_state *st, int line)
+{
+    if (!st->dirty_flag[line]) {
+        int n2 = 2 * st->n;
+        st->dirty_flag[line] = 1;
+        st->dirty[(st->dirty_head + st->dirty_len++) % n2] = line;
+    }
+}
+
+static void clear_dirty(fc_state *st)
+{
+    int n2 = 2 * st->n;
+    for (; st->dirty_len > 0; st->dirty_len--) {
+        st->dirty_flag[st->dirty[st->dirty_head]] = 0;
+        st->dirty_head = (st->dirty_head + 1) % n2;
+    }
+}
 
 static void assign(fc_state *st, int c, int s)
 {
@@ -42,6 +100,10 @@ static void assign(fc_state *st, int c, int s)
     st->unassigned_count--;
     st->line_unassigned[c / n]--;
     st->line_unassigned[n + c % n]--;
+    if (st->regin) {
+        mark_dirty(st, c / n);
+        mark_dirty(st, n + c % n);
+    }
 }
 
 /* Remove symbol s (bit) from open peer p; 0 on contradiction. */
@@ -64,6 +126,10 @@ static int prune(fc_state *st, int p, int s, uint64_t bit, int *tail)
     st->trail_bits[t] = bit;
     if (d == 0)
         return 0;
+    if (st->regin) {
+        mark_dirty(st, p / st->n);
+        mark_dirty(st, st->n + p % st->n);
+    }
     if ((d & (d - 1)) == 0) {
         assign(st, p, __builtin_ctzll(d) + 1);
         st->forced_assignments++;
@@ -72,54 +138,205 @@ static int prune(fc_state *st, int p, int s, uint64_t bit, int *tail)
     return 1;
 }
 
-/* Forward-check the queued assignments to a fixpoint; 0 on contradiction. */
-static int propagate(fc_state *st, int tail)
+/* Maximum bipartite matching of k <= 64 left nodes against the values 0..63
+ * by augmenting paths: adj[u] has bit v set when u may take value v.  Left
+ * nodes are matched in index order, each by a depth-first search that tries
+ * values in ascending order.  Fills match[u] (-1: unmatched) and owner[v]
+ * (-1: free) and returns the number of matched left nodes. */
+static int augment(const uint64_t *adj, int u, uint64_t *visited, int *match, int *owner)
 {
-    int n = st->n;
-    int head = 0;
-    while (head < tail) {
-        int c = st->queue[head++];
-        int s = st->symbol[c];
-        uint64_t bit = (uint64_t)1 << (s - 1);
-        int r = c / n, col = c % n, i;
-        for (i = 0; i < n; i++)
-            if (i != col && !prune(st, r * n + i, s, bit, &tail))
-                return 0;
-        for (i = 0; i < n; i++)
-            if (i != r && !prune(st, i * n + col, s, bit, &tail))
-                return 0;
+    uint64_t m;
+    for (m = adj[u]; m; m &= m - 1) {
+        int v = __builtin_ctzll(m);
+        if (*visited >> v & 1)
+            continue;
+        *visited |= (uint64_t)1 << v;
+        if (owner[v] < 0 || augment(adj, owner[v], visited, match, owner)) {
+            match[u] = v;
+            owner[v] = u;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+static int bipartite_match(const uint64_t *adj, int k, int *match, int *owner)
+{
+    int u, v, size = 0;
+    for (v = 0; v < MAX_N; v++)
+        owner[v] = -1;
+    for (u = 0; u < k; u++) {
+        uint64_t visited = 0;
+        match[u] = -1;
+        size += augment(adj, u, &visited, match, owner);
+    }
+    return size;
+}
+
+/* Alldiff filtering of one line (Regin, AAAI 1994) on the domains of its k
+ * open cells: sets prune[u] to the values of cell u that no maximum matching
+ * uses, and returns 0 when the cells cannot take distinct values.  A value
+ * survives iff its edge is matched, lies on an alternating path from a free
+ * value, or lies on an alternating cycle.  Every cell has one out-edge (to
+ * its matched value) and a matched value one in-edge, so an edge (u, v) with
+ * v matched to w lies on a cycle iff w is reachable from u in the graph of
+ * cells where a -> b when b may take a's matched value; the strongly
+ * connected components reduce to that reachability. */
+static int regin_prunings(const uint64_t *doms, int k, uint64_t *prune)
+{
+    int match[MAX_N], owner[MAX_N], u;
+    uint64_t cells_of[MAX_N] = {0}, out[MAX_N];
+    uint64_t all = 0, matched = 0, reach, frontier, seen = 0, m;
+    if (bipartite_match(doms, k, match, owner) < k)
+        return 0;
+    for (u = 0; u < k; u++) {
+        for (m = doms[u]; m; m &= m - 1)
+            cells_of[__builtin_ctzll(m)] |= (uint64_t)1 << u;
+        all |= doms[u];
+        matched |= (uint64_t)1 << match[u];
+    }
+    /* values on an alternating path from a free value */
+    reach = frontier = all & ~matched;
+    while (frontier) {
+        int v = __builtin_ctzll(frontier);
+        uint64_t us = cells_of[v] & ~seen;
+        frontier &= frontier - 1;
+        if (owner[v] >= 0)
+            us &= ~((uint64_t)1 << owner[v]);
+        seen |= us;
+        for (; us; us &= us - 1) {
+            uint64_t mb = (uint64_t)1 << match[__builtin_ctzll(us)];
+            if (!(reach & mb)) {
+                reach |= mb;
+                frontier |= mb;
+            }
+        }
+    }
+    for (u = 0; u < k; u++)
+        out[u] = cells_of[match[u]] & ~((uint64_t)1 << u);
+    for (u = 0; u < k; u++) {
+        uint64_t cand = doms[u] & ~reach & ~((uint64_t)1 << match[u]);
+        uint64_t from_u, front;
+        prune[u] = 0;
+        if (!cand)
+            continue;
+        from_u = front = out[u];
+        while (front) {
+            uint64_t fresh = out[__builtin_ctzll(front)] & ~from_u;
+            front &= front - 1;
+            from_u |= fresh;
+            front |= fresh;
+        }
+        for (; cand; cand &= cand - 1) {
+            int v = __builtin_ctzll(cand);
+            if (!(from_u >> owner[v] & 1))
+                prune[u] |= (uint64_t)1 << v;
+        }
     }
     return 1;
 }
 
+/* Filter one dirty line and apply its prunings by cell position, then value,
+ * both ascending; 0 on contradiction. */
+static int filter_line(fc_state *st, int line, int *tail)
+{
+    int n = st->n, cells[MAX_N], k = 0, i;
+    uint64_t doms[MAX_N], prunings[MAX_N];
+    for (i = 0; i < n; i++) {
+        int c = line < n ? line * n + i : i * n + (line - n);
+        if (st->symbol[c] == 0) {
+            cells[k] = c;
+            doms[k++] = st->domain[c];
+        }
+    }
+    if (k <= 1)
+        return 1;
+    st->budget -= k;
+    if (!regin_prunings(doms, k, prunings))
+        return 0;
+    for (i = 0; i < k; i++) {
+        int c = cells[i];
+        uint64_t m;
+        for (m = prunings[i]; m; m &= m - 1) {
+            uint64_t bit = m & -m, d = st->domain[c] ^ bit;
+            int t = st->trail_len++;
+            st->domain[c] = d;
+            st->trail_cell[t] = c;
+            st->trail_bits[t] = bit;
+            st->alldiff_prunings++;
+            mark_dirty(st, line < n ? n + c % n : c / n);
+            if ((d & (d - 1)) == 0) {
+                assign(st, c, __builtin_ctzll(d) + 1);
+                st->forced_assignments++;
+                st->queue[(*tail)++] = c;
+            }
+        }
+    }
+    return 1;
+}
+
+/* Forward-check the queued assignments, then filter one dirty line (alldiff
+ * only), until both queues are empty; 0 on contradiction. */
+static int propagate(fc_state *st, int tail)
+{
+    int n = st->n;
+    int head = 0;
+    for (;;) {
+        int line;
+        while (head < tail) {
+            int c = st->queue[head++];
+            int s = st->symbol[c];
+            uint64_t bit = (uint64_t)1 << (s - 1);
+            int r = c / n, col = c % n, i;
+            for (i = 0; i < n; i++)
+                if (i != col && !prune(st, r * n + i, s, bit, &tail))
+                    return 0;
+            for (i = 0; i < n; i++)
+                if (i != r && !prune(st, i * n + col, s, bit, &tail))
+                    return 0;
+        }
+        if (st->dirty_len == 0)
+            return 1;
+        line = st->dirty[st->dirty_head];
+        st->dirty_head = (st->dirty_head + 1) % (2 * n);
+        st->dirty_len--;
+        st->dirty_flag[line] = 0;
+        if (!filter_line(st, line, &tail))
+            return 0;
+    }
+}
+
+/* Propagate the given cells to a fixpoint; a contradiction counts as one. */
 int fc_propagate_root(fc_state *st)
 {
     int tail = 0, k;
+    clear_dirty(st);
     for (k = 0; k < st->n_holes; k++) {
         int c = st->hole_cells[k];
         uint64_t d;
         if (st->symbol[c] != 0)
             continue;
         d = st->domain[c];
-        if (d == 0)
+        if (d == 0) {
+            st->contradictions++;
             return 0;
+        }
         if ((d & (d - 1)) == 0) {
             assign(st, c, __builtin_ctzll(d) + 1);
             st->forced_assignments++;
             st->queue[tail++] = c;
         }
     }
-    return propagate(st, tail);
+    if (st->regin)
+        for (k = 0; k < 2 * st->n; k++)
+            mark_dirty(st, k);
+    if (propagate(st, tail))
+        return 1;
+    st->contradictions++;
+    return 0;
 }
 
-int fc_branch(fc_state *st, int cell, int value)
-{
-    assign(st, cell, value);
-    st->queue[0] = cell;
-    return propagate(st, 1);
-}
-
-void fc_undo_to(fc_state *st, int mark)
+static void undo_to(fc_state *st, int mark)
 {
     int n = st->n;
     while (st->trail_len > mark) {
@@ -138,42 +355,7 @@ void fc_undo_to(fc_state *st, int mark)
     }
 }
 
-/* Brelaz scan: writes the open cells of smallest domain, narrowed to those
- * sharing a line with the most open cells, into ties in hole order; returns
- * their count (0 when no cell is open). */
-int fc_select(fc_state *st, int *ties)
-{
-    int n = st->n;
-    int best = n + 2, count = 0, bestdeg = -1, kept = 0, k;
-    for (k = 0; k < st->n_holes; k++) {
-        int c = st->hole_cells[k];
-        int d;
-        if (st->symbol[c] != 0)
-            continue;
-        d = __builtin_popcountll(st->domain[c]);
-        if (d < best) {
-            best = d;
-            count = 0;
-        }
-        if (d == best)
-            ties[count++] = c;
-    }
-    if (count <= 1)
-        return count;
-    for (k = 0; k < count; k++) {
-        int c = ties[k];
-        int deg = st->line_unassigned[c / n] + st->line_unassigned[n + c % n] - 2;
-        if (deg > bestdeg) {
-            bestdeg = deg;
-            kept = 0;
-        }
-        if (deg == bestdeg)
-            ties[kept++] = c;
-    }
-    return kept;
-}
-
-/* ---- instance generation on CPython's Mersenne Twister stream ---- */
+/* ---- CPython's Mersenne Twister stream ---- */
 
 #define MT_N 624
 #define MT_M 397
@@ -211,7 +393,7 @@ static uint32_t genrand_uint32(mt_state *rng)
     return y;
 }
 
-/* random.Random._randbelow(n) for 0 < n <= 64: getrandbits(k) with
+/* random.Random._randbelow(n) for 0 < n < 2**31: getrandbits(k) with
  * k = n.bit_length() is the top k bits of one word, redrawn while >= n. */
 static int randbelow(mt_state *rng, int n)
 {
@@ -234,6 +416,114 @@ static void shuffle(mt_state *rng, int *x, int len)
         x[j] = t;
     }
 }
+
+/* ---- the search ---- */
+
+/* Open a frame on the Brelaz cell: smallest domain, then most open cells
+ * sharing its lines, then a uniform draw among the remaining ties in hole
+ * order.  Its values are listed ascending and shuffled. */
+static void open_frame(fc_state *st, mt_state *rng)
+{
+    int n = st->n;
+    int ties[MAX_N * MAX_N];
+    int best = n + 2, count = 0, bestdeg = -1, kept = 0, k, cell;
+    fc_frame *f = &st->frames[st->n_frames++];
+    uint64_t m;
+    for (k = 0; k < st->n_holes; k++) {
+        int c = st->hole_cells[k];
+        int d;
+        if (st->symbol[c] != 0)
+            continue;
+        d = __builtin_popcountll(st->domain[c]);
+        if (d < best) {
+            best = d;
+            count = 0;
+        }
+        if (d == best)
+            ties[count++] = c;
+    }
+    if (count > 1) {
+        for (k = 0; k < count; k++) {
+            int c = ties[k];
+            int deg = st->line_unassigned[c / n] + st->line_unassigned[n + c % n] - 2;
+            if (deg > bestdeg) {
+                bestdeg = deg;
+                kept = 0;
+            }
+            if (deg == bestdeg)
+                ties[kept++] = c;
+        }
+        count = kept;
+    }
+    cell = count > 1 ? ties[randbelow(rng, count)] : ties[0];
+    f->cell = cell;
+    f->next = 0;
+    f->n_values = 0;
+    for (m = st->domain[cell]; m; m &= m - 1)
+        f->values[f->n_values++] = __builtin_ctzll(m) + 1;
+    shuffle(rng, f->values, f->n_values);
+}
+
+/* Run the search of solver.SearchState.search on a root-propagated state
+ * with open cells.  Returns an FC_* code; after FC_PAUSED and FC_TRACE the
+ * next call resumes the search.  A call pauses once it has done `budget`
+ * units of work: one per choice point, and one per open cell of each line
+ * it filters, which bounds its time at either level and any order. */
+int fc_run(fc_state *st, mt_state *rng, long long budget)
+{
+    st->budget = budget;
+    for (;;) {
+        fc_frame *f;
+        if (!st->at_branch) {
+            if (st->budget-- <= 0)
+                return FC_PAUSED;
+            if (st->new_node)
+                open_frame(st, rng);
+            if (st->cutoff >= 0 && st->choice_points >= st->cutoff)
+                return FC_CUTOFF;
+            st->choice_points++;
+            st->depth = st->n_frames - 1;
+            if (st->trace_left > 0) {
+                st->trace_left--;
+                st->node_visits++;
+                st->node_depth_sum += st->depth;
+                st->at_branch = 1;
+                return FC_TRACE;
+            }
+        }
+        st->at_branch = 0;
+        if (st->n_frames > st->max_depth)
+            st->max_depth = st->n_frames;
+        f = &st->frames[st->n_frames - 1];
+        f->mark = st->trail_len;
+        clear_dirty(st);
+        assign(st, f->cell, f->values[f->next]);
+        st->queue[0] = f->cell;
+        if (propagate(st, 1)) {
+            if (st->unassigned_count == 0)
+                return FC_SOLVED;
+            st->new_node = 1;
+            continue;
+        }
+        st->contradictions++;
+        if (st->min_leaf_depth < 0 || st->n_frames < st->min_leaf_depth)
+            st->min_leaf_depth = st->n_frames;
+        undo_to(st, f->mark);
+        st->backtracks++;
+        f->next++;
+        while (f->next >= f->n_values) {
+            if (--st->n_frames == 0)
+                return FC_EXHAUSTED;
+            f = &st->frames[st->n_frames - 1];
+            undo_to(st, f->mark);
+            st->backtracks++;
+            f->next++;
+        }
+        st->new_node = 0;
+    }
+}
+
+/* ---- instance generation ---- */
 
 /* One pass of latin._balanced_holes for 1 <= h <= n-2: h random permutations,
  * each redrawn (up to `retries` times) until it avoids every cell already

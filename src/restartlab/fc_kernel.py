@@ -1,7 +1,9 @@
 """Build and load the C kernel (`_fc_kernel.c`) through cffi.
 
-The kernel holds the forward-checking core of the solver and the two seeded
-instance generators of `latin` (square fill and balanced hole pattern).
+The kernel runs the solver's whole search at both propagation levels (forward
+checking and Regin alldiff filtering) and the two seeded instance generators
+of `latin` (square fill and balanced hole pattern), all on a copy of a
+`random.Random` state (`mt_stream`).
 
 The kernel is compiled on first use, never at import: cffi emits the wrapper
 source and one `cc -O2 -shared -fPIC` call compiles it.  The module file is
@@ -21,6 +23,7 @@ import hashlib
 import importlib.util
 import io
 import os
+import random
 import shutil
 import subprocess
 import sysconfig
@@ -31,12 +34,26 @@ from typing import List, Optional, Tuple
 SOURCE = Path(__file__).with_name("_fc_kernel.c")
 
 CDEF = """
+#define FC_PAUSED 0
+#define FC_TRACE 1
+#define FC_SOLVED 2
+#define FC_CUTOFF 3
+#define FC_EXHAUSTED 4
+
+typedef struct {
+    int cell;
+    int n_values;
+    int next;
+    int mark;
+    int values[64];
+} fc_frame;
+
 typedef struct {
     int n;
     int n_holes;
+    int regin;
     int unassigned_count;
     int trail_len;
-    long long forced_assignments;
     uint64_t *domain;
     int *symbol;
     int *line_unassigned;
@@ -44,17 +61,36 @@ typedef struct {
     int *trail_cell;
     uint64_t *trail_bits;
     int *queue;
+    int *dirty;
+    int *dirty_flag;
+    int dirty_head;
+    int dirty_len;
+    fc_frame *frames;
+    int n_frames;
+    int new_node;
+    int at_branch;
+    long long cutoff;
+    long long trace_left;
+    long long budget;
+    long long choice_points;
+    long long backtracks;
+    long long contradictions;
+    long long forced_assignments;
+    long long alldiff_prunings;
+    long long depth;
+    long long max_depth;
+    long long min_leaf_depth;
+    long long node_visits;
+    long long node_depth_sum;
 } fc_state;
-
-int fc_propagate_root(fc_state *st);
-int fc_branch(fc_state *st, int cell, int value);
-void fc_undo_to(fc_state *st, int mark);
-int fc_select(fc_state *st, int *ties);
 
 typedef struct {
     uint32_t mt[624];
     int index;
 } mt_state;
+
+int fc_propagate_root(fc_state *st);
+int fc_run(fc_state *st, mt_state *rng, long long budget);
 
 typedef struct {
     int n;
@@ -161,6 +197,16 @@ def _load():
     except ImportError as exc:
         raise KernelUnavailable(f"cannot load {target} ({exc})") from None
     return module
+
+
+@contextlib.contextmanager
+def mt_stream(ffi, rng: random.Random):
+    """rng's Mersenne Twister state as a kernel mt_state; afterwards rng
+    continues from wherever the kernel left the stream."""
+    version, internal, gauss_next = rng.getstate()
+    state = ffi.new("mt_state *", {"mt": internal[:624], "index": internal[624]})
+    yield state
+    rng.setstate((version, tuple(ffi.unpack(state.mt, 624)) + (state.index,), gauss_next))
 
 
 @functools.lru_cache(maxsize=None)

@@ -122,18 +122,17 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
         "registry": registry,
         "instance": instance,
     }
-    on_kernel = []  # the per-run work the C kernel would do
-    if spec.propagation == FORWARD_CHECK:
-        on_kernel.append("forward checking")
-    if spec.mode == MULTI_INSTANCE:
-        on_kernel.append("instance generation")
-    if on_kernel:
-        # Build the kernel here, once, so pool workers only ever load it.
-        kernel, reason = fc_kernel.load()
-        if kernel is None:
-            verb = "runs" if len(on_kernel) == 1 else "run"
-            print(f"restartlab: {' and '.join(on_kernel)} {verb} in Python, slower:"
-                  f" the C kernel is unavailable ({reason})", file=sys.stderr)
+    # Build the kernel here, once, so pool workers only ever load it.
+    kernel, reason = fc_kernel.load()
+    if kernel is None:
+        # the per-run work the C kernel would do
+        on_kernel = ["forward checking" if spec.propagation == FORWARD_CHECK
+                     else "alldiff filtering"]
+        if spec.mode == MULTI_INSTANCE:
+            on_kernel.append("instance generation")
+        verb = "runs" if len(on_kernel) == 1 else "run"
+        print(f"restartlab: {' and '.join(on_kernel)} {verb} in Python, slower:"
+              f" the C kernel is unavailable ({reason})", file=sys.stderr)
     tasks = [(i, derive_seed(spec.master_seed, "run", i)) for i in range(total)]
     if threads <= 1:
         _init_worker(payload)

@@ -15,7 +15,6 @@ patterns; those loops are its reference and its fallback.
 
 from __future__ import annotations
 
-import contextlib
 import random
 from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -138,16 +137,6 @@ def _kernel_for(n: int):
     return fc_kernel.load()[0]
 
 
-@contextlib.contextmanager
-def _kernel_stream(ffi, rng: random.Random):
-    """rng's Mersenne Twister state as a kernel mt_state; afterwards rng
-    continues from wherever the kernel left the stream."""
-    version, internal, gauss_next = rng.getstate()
-    state = ffi.new("mt_state *", {"mt": internal[:624], "index": internal[624]})
-    yield state
-    rng.setstate((version, tuple(ffi.unpack(state.mt, 624)) + (state.index,), gauss_next))
-
-
 # Placements and retreats per kernel call while filling a square, so that a
 # long search returns to Python, and to Ctrl-C, many times a second.
 _FILL_STEPS = 1 << 20
@@ -166,7 +155,7 @@ def _fill_square(n: int, rng: random.Random) -> List[int]:
             "col_used": ffi.new("uint64_t[]", n),
         }
         square = ffi.new("lq_square *", dict(buffers, n=n))
-        with _kernel_stream(ffi, rng) as state:
+        with fc_kernel.mt_stream(ffi, rng) as state:
             done = 0
             while done == 0:
                 done = kernel.lib.lq_fill(state, square, _FILL_STEPS)
@@ -274,7 +263,7 @@ def _balanced_holes(n: int, h: int, rng: random.Random) -> List[Tuple[int, int]]
     kernel = _kernel_for(n)
     if kernel is not None:
         taken_bits = kernel.ffi.new("uint64_t[]", n)
-        with _kernel_stream(kernel.ffi, rng) as state:
+        with fc_kernel.mt_stream(kernel.ffi, rng) as state:
             while not kernel.lib.lq_hole_pattern(state, n, h, _PATTERN_RETRIES, taken_bits):
                 pass
         return [(r, c) for r in range(n) for c in range(n) if taken_bits[r] >> c & 1]

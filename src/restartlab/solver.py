@@ -9,9 +9,9 @@ makes the choice-point count the unit of measured run time.
 
 Domains are bitmasks (bit s-1 set means symbol s is still possible), and all
 search-state mutation goes through a trail so backtracking is O(undone work).
-Forward checking keeps that state in a C kernel (see fc_kernel) wherever the
-kernel builds; the Python SearchState runs alldiff filtering, forward
-checking without the kernel, and serves as the kernel's reference.
+Wherever the C kernel (see fc_kernel) builds and the order is at most 64, the
+whole search runs there at either propagation level (KernelState); the
+Python SearchState runs it otherwise and serves as the kernel's reference.
 """
 
 from __future__ import annotations
@@ -59,6 +59,20 @@ class SolverConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
 
+@dataclass(frozen=True)
+class RunStats:
+    """Search counters of one run, kept whether or not it is traced.
+
+    They describe the run for its caller and go into no artifact.
+    """
+
+    backtracks: int = 0
+    contradictions: int = 0
+    forced_assignments: int = 0
+    alldiff_prunings: int = 0
+    max_depth: int = 0
+
+
 @dataclass
 class RunRecord:
     """Outcome of one solver run.
@@ -66,7 +80,8 @@ class RunRecord:
     outcome is SOLVED or CUTOFF; exhausted marks the case where the whole
     search space was explored without a solution (the instance is
     unsatisfiable), which is reported as CUTOFF with this flag set.
-    choice_points is exact even when the run stops at the cutoff.
+    choice_points is exact even when the run stops at the cutoff.  stats
+    holds the run's search counters at its end.
     """
 
     seed: int
@@ -76,6 +91,7 @@ class RunRecord:
     trace: Optional[List[Tuple[float, ...]]]
     post_propagation_size: int
     exhausted: bool = False
+    stats: RunStats = RunStats()
 
 
 _TABLE_CACHE: Dict[int, Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]] = {}
@@ -262,11 +278,11 @@ def regin_filter(domains: Sequence[Iterable[int]]) -> Optional[List[Set[int]]]:
 
 class _RunState:
     """What both search states share: the instance's cells and line counts,
-    the run counters that features.snapshot reads, and read-only helpers.
+    and read-only helpers.
 
-    A state also offers unassigned_count, forced_assignments, propagate_root,
-    select_cell, mark, branch and undo_to; solve drives either state through
-    these alone.
+    A state also offers the run counters that features.snapshot reads,
+    unassigned_count, propagate_root (which counts a root contradiction) and
+    search; solve drives either state through these alone.
     """
 
     def __init__(self, instance: PartialLatinSquare):
@@ -298,24 +314,15 @@ class _RunState:
             r, c = divmod(i, n)
             self.domain[i] = full & ~(row_used[r] | col_used[c])
         self.hole_cells = tuple(holes)
-        # run counters read by feature snapshots
-        self.backtracks = 0
-        self.contradictions = 0
-        self.alldiff_prunings = 0
-        self.depth = 0
-        self.max_depth = 0
-        self.min_leaf_depth: Optional[int] = None
-        self.node_visits = 0
-        self.node_depth_sum = 0
 
-    def domain_values(self, c: int) -> List[int]:
-        out = []
-        m = self.domain[c]
-        while m:
-            b = m & -m
-            m ^= b
-            out.append(b.bit_length())
-        return out
+    def stats(self) -> RunStats:
+        return RunStats(
+            backtracks=self.backtracks,
+            contradictions=self.contradictions,
+            forced_assignments=self.forced_assignments,
+            alldiff_prunings=self.alldiff_prunings,
+            max_depth=self.max_depth,
+        )
 
     def extract_square(self) -> PartialLatinSquare:
         n = self.n
@@ -330,8 +337,8 @@ class _RunState:
 class SearchState(_RunState):
     """Mutable constraint state for one run in Python: domains, trail, counters.
 
-    Runs every alldiff search, and forward checking where the C kernel is
-    unavailable; tests compare KernelState against it.
+    Runs the search where the C kernel is unavailable or the order exceeds
+    its 64; tests compare KernelState against it.
     """
 
     def __init__(self, instance: PartialLatinSquare, config: Optional[SolverConfig] = None):
@@ -342,11 +349,20 @@ class SearchState(_RunState):
         self.regin = config.propagation == ALLDIFF_REGIN
         self.peers, self.line_cells = _tables(n)
         self.unassigned_count = len(self.hole_cells)
-        self.forced_assignments = 0
         self.trail: List[int] = []  # flat (cell, bits) pairs; ~cell marks an assignment
         self._fq: deque = deque()
         self._dirty: deque = deque()
         self._dirty_flag = [False] * (2 * n)
+        # run counters read by feature snapshots
+        self.backtracks = 0
+        self.contradictions = 0
+        self.forced_assignments = 0
+        self.alldiff_prunings = 0
+        self.depth = 0
+        self.max_depth = 0
+        self.min_leaf_depth: Optional[int] = None
+        self.node_visits = 0
+        self.node_depth_sum = 0
 
     # -- mutation ---------------------------------------------------------
 
@@ -376,9 +392,6 @@ class SearchState(_RunState):
         if self.regin:
             self._mark_dirty(r)
             self._mark_dirty(col)
-
-    def mark(self) -> int:
-        return len(self.trail)
 
     def branch(self, c: int, s: int) -> bool:
         """Assign s to c and propagate to a fixpoint; False on contradiction."""
@@ -411,7 +424,8 @@ class SearchState(_RunState):
     # -- propagation ------------------------------------------------------
 
     def propagate_root(self) -> bool:
-        """Propagate the given cells to a fixpoint; False on contradiction."""
+        """Propagate the given cells to a fixpoint; on contradiction count it
+        and return False."""
         fq = self._fq
         fq.clear()
         self._clear_dirty()
@@ -419,6 +433,7 @@ class SearchState(_RunState):
             if self.symbol[c] == 0:
                 d = self.domain[c]
                 if d == 0:
+                    self.contradictions += 1
                     return False
                 if d & (d - 1) == 0:
                     self._assign(c, d.bit_length())
@@ -427,7 +442,10 @@ class SearchState(_RunState):
         if self.regin:
             for line in range(2 * self.n):
                 self._mark_dirty(line)
-        return self._propagate(fq)
+        if self._propagate(fq):
+            return True
+        self.contradictions += 1
+        return False
 
     def _propagate(self, fq: deque) -> bool:
         """Forward-check queued assignments, then filter dirty lines, to fixpoint."""
@@ -500,6 +518,15 @@ class SearchState(_RunState):
 
     # -- branching --------------------------------------------------------
 
+    def domain_values(self, c: int) -> List[int]:
+        out = []
+        m = self.domain[c]
+        while m:
+            b = m & -m
+            m ^= b
+            out.append(b.bit_length())
+        return out
+
     def select_cell(self, rng: random.Random) -> int:
         """Brelaz cell choice: min domain, then max degree, then random."""
         symbol = self.symbol
@@ -533,18 +560,87 @@ class SearchState(_RunState):
             return ties2[0]
         return ties2[rng.randrange(len(ties2))]
 
+    def search(
+        self, rng: random.Random, config: SolverConfig, trace: Optional[List]
+    ) -> Tuple[str, int, bool]:
+        """Depth-first search from the root-propagated state, which has open
+        cells; returns (outcome, choice points, exhausted).  Appends one
+        snapshot per choice point to trace, if given, up to the horizon."""
+        cutoff = config.cutoff
+        horizon = config.horizon
+        pooled = config.pooled_line_variance
+        trail = self.trail
+        choice_points = 0
+        frames: List[List] = []  # [cell, shuffled values, value index, trail mark]
+        new_node = True
+        while True:
+            if new_node:
+                cell = self.select_cell(rng)
+                values = self.domain_values(cell)
+                rng.shuffle(values)
+                frames.append([cell, values, 0, 0])
+            f = frames[-1]
+            if cutoff is not None and choice_points >= cutoff:
+                return CUTOFF, choice_points, False
+            choice_points += 1
+            self.depth = len(frames) - 1
+            if trace is not None and len(trace) < horizon:
+                self.node_visits += 1
+                self.node_depth_sum += self.depth
+                trace.append(snapshot(self, pooled))
+            if len(frames) > self.max_depth:
+                self.max_depth = len(frames)
+            f[3] = len(trail)
+            if self.branch(f[0], f[1][f[2]]):
+                if self.unassigned_count == 0:
+                    return SOLVED, choice_points, False
+                new_node = True
+                continue
+            self.contradictions += 1
+            leaf_depth = len(frames)
+            if self.min_leaf_depth is None or leaf_depth < self.min_leaf_depth:
+                self.min_leaf_depth = leaf_depth
+            self.undo_to(f[3])
+            self.backtracks += 1
+            f[2] += 1
+            while f[2] >= len(f[1]):
+                frames.pop()
+                if not frames:
+                    return CUTOFF, choice_points, True
+                f = frames[-1]
+                self.undo_to(f[3])
+                self.backtracks += 1
+                f[2] += 1
+            new_node = False
+
+
+def _kernel_field(name: str) -> property:
+    return property(lambda self: getattr(self._st, name))
+
 
 class KernelState(_RunState):
-    """Forward-checking state held and mutated by the C kernel (fc_kernel).
+    """Search state held and mutated by the C kernel (fc_kernel), at either
+    propagation level; its fc_run executes the whole search.
 
     domain, symbol and line_unassigned are cffi arrays the kernel writes in
-    place, so features.snapshot reads them as it reads SearchState's lists.
-    Every buffer is allocated here and freed with this object.
+    place, and the run counters are fields of the kernel's fc_state, so
+    features.snapshot reads them as it reads SearchState's.  Every buffer is
+    allocated here and freed with this object.
     """
 
-    def __init__(self, instance: PartialLatinSquare, kernel) -> None:
+    backtracks = _kernel_field("backtracks")
+    contradictions = _kernel_field("contradictions")
+    forced_assignments = _kernel_field("forced_assignments")
+    alldiff_prunings = _kernel_field("alldiff_prunings")
+    depth = _kernel_field("depth")
+    max_depth = _kernel_field("max_depth")
+    node_visits = _kernel_field("node_visits")
+    node_depth_sum = _kernel_field("node_depth_sum")
+    unassigned_count = _kernel_field("unassigned_count")
+
+    def __init__(self, instance: PartialLatinSquare, config: SolverConfig, kernel) -> None:
         super().__init__(instance)
-        ffi = kernel.ffi
+        ffi = self._ffi = kernel.ffi
         self._lib = kernel.lib
         n = self.n
         holes = len(self.hole_cells)
@@ -558,54 +654,64 @@ class KernelState(_RunState):
             ffi.new("int[]", trail),
             ffi.new("uint64_t[]", trail),
             ffi.new("int[]", holes + 1),
+            ffi.new("int[]", 2 * n),
+            ffi.new("int[]", 2 * n),
+            ffi.new("fc_frame[]", holes),
         )
-        self._ties = ffi.new("int[]", holes + 1)
         st = ffi.new("fc_state *")
         st.n = n
         st.n_holes = holes
+        st.regin = config.propagation == ALLDIFF_REGIN
         st.unassigned_count = holes
         st.domain = self.domain
         st.symbol = self.symbol
         st.line_unassigned = self.line_unassigned
-        st.hole_cells, st.trail_cell, st.trail_bits, st.queue = self._buffers
+        (st.hole_cells, st.trail_cell, st.trail_bits, st.queue,
+         st.dirty, st.dirty_flag, st.frames) = self._buffers
+        st.min_leaf_depth = -1
         self._st = st
 
     @property
-    def unassigned_count(self) -> int:
-        return self._st.unassigned_count
-
-    @property
-    def forced_assignments(self) -> int:
-        return self._st.forced_assignments
+    def min_leaf_depth(self) -> Optional[int]:
+        depth = self._st.min_leaf_depth
+        return None if depth < 0 else depth
 
     def propagate_root(self) -> bool:
         return bool(self._lib.fc_propagate_root(self._st))
 
-    def mark(self) -> int:
-        return self._st.trail_len
+    def search(
+        self, rng: random.Random, config: SolverConfig, trace: Optional[List]
+    ) -> Tuple[str, int, bool]:
+        """SearchState.search in the kernel: fc_run returns at each traced
+        choice point for the snapshot, and after every _RUN_STEPS units of
+        work so that Ctrl-C is handled."""
+        lib = self._lib
+        st = self._st
+        st.cutoff = -1 if config.cutoff is None else config.cutoff
+        st.trace_left = config.horizon if trace is not None else 0
+        st.new_node = 1
+        with fc_kernel.mt_stream(self._ffi, rng) as mt:
+            status = lib.fc_run(st, mt, _RUN_STEPS)
+            while status in (lib.FC_PAUSED, lib.FC_TRACE):
+                if status == lib.FC_TRACE:
+                    trace.append(snapshot(self, config.pooled_line_variance))
+                status = lib.fc_run(st, mt, _RUN_STEPS)
+        outcome = SOLVED if status == lib.FC_SOLVED else CUTOFF
+        return outcome, st.choice_points, status == lib.FC_EXHAUSTED
 
-    def branch(self, c: int, s: int) -> bool:
-        return bool(self._lib.fc_branch(self._st, c, s))
 
-    def undo_to(self, mark: int) -> None:
-        self._lib.fc_undo_to(self._st, mark)
-
-    def select_cell(self, rng: random.Random) -> int:
-        ties = self._ties
-        k = self._lib.fc_select(self._st, ties)
-        if k == 0:
-            raise RuntimeError("select_cell called with no open cells")
-        if k == 1:
-            return ties[0]
-        return ties[rng.randrange(k)]
+# Work per fc_run call (choice points plus the open cells of filtered lines),
+# so that a long search returns to Python, and to Ctrl-C, several times a
+# second.
+_RUN_STEPS = 1 << 16
 
 
 def _new_state(instance: PartialLatinSquare, config: SolverConfig) -> _RunState:
-    """The C kernel's state for forward checking where it loads, else Python's."""
-    if config.propagation == FORWARD_CHECK and instance.order <= fc_kernel.MAX_ORDER:
+    """The C kernel's state where it loads and serves the order, else Python's."""
+    if instance.order <= fc_kernel.MAX_ORDER:
         kernel, _ = fc_kernel.load()
         if kernel is not None:
-            return KernelState(instance, kernel)
+            return KernelState(instance, config, kernel)
     return SearchState(instance, config)
 
 
@@ -628,99 +734,22 @@ def solve(
         raise StructureError("instance violates the Latin property")
     state = _new_state(instance, config)
     rng = random.Random(normalize_seed(seed))
-    tracing = config.trace_enabled
-    trace: Optional[List[Tuple[float, ...]]] = [] if tracing else None
-    horizon = config.horizon
-    cutoff = config.cutoff
-    pooled = config.pooled_line_variance
-
+    trace: Optional[List[Tuple[float, ...]]] = [] if config.trace_enabled else None
     ok = state.propagate_root()
     post_prop = state.unassigned_count
     if not ok:
-        state.contradictions += 1
-        return RunRecord(
-            seed=seed,
-            outcome=CUTOFF,
-            choice_points=0,
-            assignment=None,
-            trace=trace,
-            post_propagation_size=post_prop,
-            exhausted=True,
-        )
-    choice_points = 0
-    if state.unassigned_count == 0:
-        return RunRecord(
-            seed=seed,
-            outcome=SOLVED,
-            choice_points=0,
-            assignment=state.extract_square(),
-            trace=trace,
-            post_propagation_size=post_prop,
-            exhausted=False,
-        )
-
-    frames: List[List] = []  # [cell, shuffled values, value index, trail mark]
-    new_node = True
-    while True:
-        if new_node:
-            cell = state.select_cell(rng)
-            values = state.domain_values(cell)
-            rng.shuffle(values)
-            frames.append([cell, values, 0, 0])
-        f = frames[-1]
-        if cutoff is not None and choice_points >= cutoff:
-            return RunRecord(
-                seed=seed,
-                outcome=CUTOFF,
-                choice_points=choice_points,
-                assignment=None,
-                trace=trace,
-                post_propagation_size=post_prop,
-                exhausted=False,
-            )
-        choice_points += 1
-        state.depth = len(frames) - 1
-        if tracing and len(trace) < horizon:
-            state.node_visits += 1
-            state.node_depth_sum += state.depth
-            trace.append(snapshot(state, pooled))
-        if len(frames) > state.max_depth:
-            state.max_depth = len(frames)
-        f[3] = state.mark()
-        if state.branch(f[0], f[1][f[2]]):
-            if state.unassigned_count == 0:
-                return RunRecord(
-                    seed=seed,
-                    outcome=SOLVED,
-                    choice_points=choice_points,
-                    assignment=state.extract_square(),
-                    trace=trace,
-                    post_propagation_size=post_prop,
-                    exhausted=False,
-                )
-            new_node = True
-            continue
-        state.contradictions += 1
-        leaf_depth = len(frames)
-        if state.min_leaf_depth is None or leaf_depth < state.min_leaf_depth:
-            state.min_leaf_depth = leaf_depth
-        state.undo_to(f[3])
-        state.backtracks += 1
-        f[2] += 1
-        while f[2] >= len(f[1]):
-            frames.pop()
-            if not frames:
-                return RunRecord(
-                    seed=seed,
-                    outcome=CUTOFF,
-                    choice_points=choice_points,
-                    assignment=None,
-                    trace=trace,
-                    post_propagation_size=post_prop,
-                    exhausted=True,
-                )
-            f = frames[-1]
-            state.undo_to(f[3])
-            state.backtracks += 1
-            f[2] += 1
-        new_node = False
+        outcome, choice_points, exhausted = CUTOFF, 0, True
+    elif post_prop == 0:
+        outcome, choice_points, exhausted = SOLVED, 0, False
+    else:
+        outcome, choice_points, exhausted = state.search(rng, config, trace)
+    return RunRecord(
+        seed=seed,
+        outcome=outcome,
+        choice_points=choice_points,
+        assignment=state.extract_square() if outcome == SOLVED else None,
+        trace=trace,
+        post_propagation_size=post_prop,
+        exhausted=exhausted,
+        stats=state.stats(),
+    )

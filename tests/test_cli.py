@@ -516,7 +516,9 @@ class TestGoldenBytes:
         finally:
             fc_kernel.load.cache_clear()
         err = capsys.readouterr().err
-        # one line per dataset: the FC dataset's runs, the multi alldiff one's instances
+        # one line per dataset: the FC dataset's runs, the multi alldiff one's
+        # filtering and instances
         assert err.count("C kernel is unavailable (no C compiler") == 2
         assert err.count("restartlab: forward checking runs in Python") == 1
-        assert err.count("restartlab: instance generation runs in Python") == 1
+        assert err.count(
+            "restartlab: alldiff filtering and instance generation run in Python") == 1

@@ -1,5 +1,6 @@
-"""The forward-checking C kernel: identity with the Python search state, the
-choice between the two, and building the kernel once into a shared cache."""
+"""The C kernel's search: identity with the Python search state at both
+propagation levels, the choice between the two, and building the kernel once
+into a shared cache."""
 
 import os
 import random
@@ -52,6 +53,16 @@ def desk_instance():
     return poke_holes(square, HoleSpec(mode=BALANCED, holes_per_line=7), derive_seed(81, "mask"))
 
 
+def multi_alldiff_instances():
+    """The 48 instances of the multi-alldiff benchmark workload (order 20,
+    8 holes per line, seed 81)."""
+    out = []
+    for i in range(48):
+        square = generate_complete(20, derive_seed(81, "inst", i))
+        out.append(poke_holes(square, HoleSpec.balanced(8), derive_seed(81, "mask", i)))
+    return out
+
+
 @st.composite
 def instances(draw):
     """Orders 3-10: holes poked into a complete square (always completable),
@@ -77,32 +88,64 @@ def instances(draw):
 
 @needs_kernel
 class TestIdentityWithPythonState:
+    """Equal RunRecords: outcome, choice points, assignment, trace, stats and
+    the exhausted flag."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         instance=instances(),
         seed=st.integers(0, 2**63),
+        propagation=st.sampled_from([FORWARD_CHECK, ALLDIFF_REGIN]),
+        traced=st.booleans(),
         horizon=st.integers(1, 60),
         cutoff=st.one_of(st.none(), st.integers(0, 400)),
         pooled=st.booleans(),
     )
-    def test_same_run_record(self, instance, seed, horizon, cutoff, pooled):
+    def test_same_run_record(self, instance, seed, propagation, traced, horizon, cutoff,
+                             pooled):
         if cutoff is None and instance.order > 6:
             cutoff = 5000
-        config = SolverConfig(cutoff=cutoff, propagation=FORWARD_CHECK, horizon=horizon,
-                              trace_enabled=True, pooled_line_variance=pooled)
+        config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=horizon,
+                              trace_enabled=traced, pooled_line_variance=pooled)
         assert solve(instance, config, seed) == python_solve(instance, config, seed)
 
     def test_desk_runs(self):
         instance = desk_instance()
-        config = SolverConfig(cutoff=2000, propagation=FORWARD_CHECK, horizon=50,
+        for propagation in (FORWARD_CHECK, ALLDIFF_REGIN):
+            config = SolverConfig(cutoff=2000, propagation=propagation, horizon=50,
+                                  trace_enabled=True)
+            outcomes = set()
+            for i in range(50):
+                seed = derive_seed(81, "run", i)
+                got = solve(instance, config, seed)
+                assert got == python_solve(instance, config, seed), (propagation, i)
+                outcomes.add(got.outcome)
+            if propagation == FORWARD_CHECK:
+                assert CUTOFF in outcomes and len(outcomes) == 2
+
+    def test_multi_alldiff_runs(self):
+        config = SolverConfig(cutoff=20000, propagation=ALLDIFF_REGIN, horizon=10,
                               trace_enabled=True)
-        outcomes = set()
-        for i in range(50):
+        prunings = 0
+        for i, instance in enumerate(multi_alldiff_instances()):
             seed = derive_seed(81, "run", i)
             got = solve(instance, config, seed)
             assert got == python_solve(instance, config, seed), i
-            outcomes.add(got.outcome)
-        assert CUTOFF in outcomes and len(outcomes) == 2
+            prunings += got.stats.alldiff_prunings
+        assert prunings > 0
+
+    def test_step_budget_of_one(self, monkeypatch):
+        # the kernel returns to Python after every choice point and resumes
+        monkeypatch.setattr(solver, "_RUN_STEPS", 1)
+        desk = desk_instance()
+        multi = multi_alldiff_instances()[:4]
+        for propagation, cases in ((FORWARD_CHECK, [desk] * 4), (ALLDIFF_REGIN, [desk] + multi)):
+            for traced in (False, True):
+                config = SolverConfig(cutoff=2000, propagation=propagation, horizon=10,
+                                      trace_enabled=traced)
+                for i, instance in enumerate(cases):
+                    seed = derive_seed(81, "run", i)
+                    assert solve(instance, config, seed) == python_solve(instance, config, seed)
 
 
 @needs_kernel
@@ -111,9 +154,19 @@ class TestStateChoice:
         state = solver._new_state(desk_instance(), SolverConfig(propagation=FORWARD_CHECK))
         assert isinstance(state, KernelState)
 
-    def test_alldiff_runs_in_python(self):
+    def test_alldiff_runs_on_the_kernel(self):
         state = solver._new_state(desk_instance(), SolverConfig(propagation=ALLDIFF_REGIN))
+        assert isinstance(state, KernelState)
+
+    def test_alldiff_runs_in_python(self):
+        # above order 64, where domains no longer fit the kernel's 64-bit masks
+        n = fc_kernel.MAX_ORDER + 1
+        cyclic = [[(r + c) % n + 1 for c in range(n)] for r in range(n)]
+        cyclic[0][0] = HOLE
+        instance = PartialLatinSquare.from_rows(cyclic)
+        state = solver._new_state(instance, SolverConfig(propagation=ALLDIFF_REGIN))
         assert isinstance(state, SearchState)
+        assert solve(instance, SolverConfig(propagation=ALLDIFF_REGIN)).choice_points == 0
 
     def test_python_when_the_kernel_is_unavailable(self, monkeypatch):
         monkeypatch.setattr(fc_kernel, "load", lambda: (None, "unavailable"))
@@ -162,7 +215,7 @@ def test_cdef_declares_every_entry_point_called():
     called = set()
     for module in (latin, solver):
         called |= set(re.findall(r"lib\.(\w+)\(", Path(module.__file__).read_text()))
-    assert {"fc_branch", "fc_select", "lq_fill", "lq_hole_pattern"} <= called
+    assert {"fc_propagate_root", "fc_run", "lq_fill", "lq_hole_pattern"} <= called
     assert called <= declared
     source = fc_kernel.SOURCE.read_text()
     for name in declared:

@@ -25,6 +25,7 @@ from restartlab.solver import (
     FORWARD_CHECK,
     SOLVED,
     SolverConfig,
+    _regin_masks,
     regin_filter,
     solve,
 )
@@ -223,6 +224,26 @@ class TestReginFilter:
                 assert out is None
             else:
                 assert out == supported
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 2**6 - 1), min_size=1, max_size=6))
+    def test_prunings_listed_by_cell_then_value(self, doms):
+        # the solver applies prunings in this order, and the alldiff_prunings
+        # counter and every trace depend on it
+        supported = [0] * len(doms)
+        feasible = False
+        values = [[v for v in range(6) if d >> v & 1] for d in doms]
+        for combo in itertools.product(*values):
+            if len(set(combo)) == len(doms):
+                feasible = True
+                for u, v in enumerate(combo):
+                    supported[u] |= 1 << v
+        expected = [
+            (u, 1 << v) for u, d in enumerate(doms) for v in range(6)
+            if d >> v & 1 and not supported[u] >> v & 1
+        ]
+        assert _regin_masks(list(doms)) == (expected if feasible else None)
 
 
 class TestReginAgainstCompletions:
