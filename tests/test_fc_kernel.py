@@ -86,28 +86,40 @@ def instances(draw):
     return PartialLatinSquare.from_rows(cells)
 
 
+run_draws = given(
+    instance=instances(),
+    seed=st.integers(0, 2**63),
+    horizon=st.integers(1, 60),
+    cutoff=st.one_of(st.none(), st.integers(0, 400)),
+    pooled=st.booleans(),
+)
+
+
 @needs_kernel
 class TestIdentityWithPythonState:
     """Equal RunRecords: outcome, choice points, assignment, trace, stats and
     the exhausted flag."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        instance=instances(),
-        seed=st.integers(0, 2**63),
-        propagation=st.sampled_from([FORWARD_CHECK, ALLDIFF_REGIN]),
-        traced=st.booleans(),
-        horizon=st.integers(1, 60),
-        cutoff=st.one_of(st.none(), st.integers(0, 400)),
-        pooled=st.booleans(),
-    )
-    def test_same_run_record(self, instance, seed, propagation, traced, horizon, cutoff,
-                             pooled):
+    @staticmethod
+    def _same_run_record(instance, seed, propagation, traced, horizon, cutoff, pooled):
         if cutoff is None and instance.order > 6:
             cutoff = 5000
         config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=horizon,
                               trace_enabled=traced, pooled_line_variance=pooled)
         assert solve(instance, config, seed) == python_solve(instance, config, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @run_draws
+    def test_same_run_record(self, instance, seed, horizon, cutoff, pooled):
+        self._same_run_record(instance, seed, FORWARD_CHECK, True, horizon, cutoff, pooled)
+
+    @pytest.mark.parametrize("propagation, traced", [
+        (FORWARD_CHECK, False), (ALLDIFF_REGIN, True), (ALLDIFF_REGIN, False)])
+    @settings(max_examples=200, deadline=None)
+    @run_draws
+    def test_same_run_record_at_level(self, propagation, traced, instance, seed, horizon,
+                                      cutoff, pooled):
+        self._same_run_record(instance, seed, propagation, traced, horizon, cutoff, pooled)
 
     def test_desk_runs(self):
         instance = desk_instance()

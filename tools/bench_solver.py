@@ -1,7 +1,7 @@
 """Solver throughput: choice points per second for each propagation level,
 on the C kernel and in Python, traced and untraced.
 
-    PYTHONPATH=src python tools/bench_solver.py [--repeats 5] [--out BENCH_solver.json]
+    PYTHONPATH=src python tools/bench_solver.py [--out BENCH_solver.json]
 
 Cases:
 
@@ -12,7 +12,7 @@ Cases:
   --holes 160 --balanced --seed 81` (each drawn before timing), one run
   each, horizon 10, cutoff 20000, alldiff filtering.
 
-Each case is timed `--repeats` times (kernel and Python alternating) over
+Each case is timed REPEATS (7) times (kernel and Python alternating) over
 all its runs, solver calls only.  The JSON records, per case, the
 deterministic work (runs, choice points) and the median, quartiles and range
 of the seconds and of the choice points per second, with nproc and the
@@ -38,6 +38,7 @@ from restartlab.seeds import derive_seed
 from restartlab.solver import ALLDIFF_REGIN, FORWARD_CHECK, SolverConfig, solve
 
 SEED = 81
+REPEATS = 7
 
 
 def desk_runs():
@@ -83,11 +84,8 @@ def spread(xs):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", default="BENCH_solver.json")
     args = ap.parse_args(argv)
-    if args.repeats < 5:
-        ap.error("--repeats must be at least 5")
     kernel, reason = fc_kernel.load()
     if kernel is None:
         print(f"the C kernel is unavailable: {reason}", file=sys.stderr)
@@ -104,7 +102,7 @@ def main(argv=None) -> int:
                                       horizon=horizon, trace_enabled=traced)
                 seconds = {"kernel": [], "python": []}
                 reference = None
-                for rep in range(args.repeats):
+                for rep in range(REPEATS):
                     order = ("kernel", "python") if rep % 2 == 0 else ("python", "kernel")
                     for state in order:
                         dt, records = time_case(runs, config, state)
@@ -139,7 +137,7 @@ def main(argv=None) -> int:
     result = {
         "benchmark": "solver choice points per second",
         "command": "PYTHONPATH=src python tools/bench_solver.py",
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "environment": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
