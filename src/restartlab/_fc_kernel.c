@@ -1,30 +1,39 @@
 /* C kernels for orders up to 64: the completion search of solver.py at both
- * propagation levels, and the two seeded instance generators of latin.py.
+ * propagation levels, the two seeded instance generators of latin.py, and
+ * the skip over discarded draws of policy.simulate_policy.
  *
  * One fc_state holds a run's mutable state: bitmask domains (bit s-1 set
  * means symbol s is still possible), assigned symbols (0 = open), open-cell
  * counts per line (rows 0..n-1, then columns), the trail, the propagation
- * queues, the depth-first frame stack and the run counters.  Every buffer is
- * owned by the caller.  The step order (peer order, FIFO queues, dirty-line
- * order, pruning order, trail layout) mirrors the Python SearchState in
- * solver.py exactly, so both give identical counters and trajectories.
+ * queues, the depth-first frame stack, the run counters and the buffer of
+ * traced feature rows.  Every buffer is owned by the caller.  The step order
+ * (peer order, FIFO queues, dirty-line order, pruning order, trail layout)
+ * mirrors the Python SearchState in solver.py exactly, so both give
+ * identical counters and trajectories, and a traced row holds the floats
+ * features.snapshot computes.
  *
  * The search and the generators draw from an mt_state, a copy of a
- * random.Random's Mersenne Twister state, through the same genrand_uint32,
+ * random.Random's Mersenne Twister state (or one seeded here as
+ * random.Random(seed) seeds it), through the same genrand_uint32,
  * _randbelow and shuffle steps as CPython, so they consume exactly the
  * stream the Python code would and make the same choices.
+ *
+ * pcg64_skip_bounded advances a copy of numpy's PCG64 state past the draws
+ * of Generator.integers(0, high, size=count) without making them: the same
+ * 128-bit LCG and XSL-RR output, the same buffered 32-bit half-words and the
+ * same Lemire rejection as numpy's random_bounded_uint64_fill.
  */
 
+#include <math.h>
 #include <stdint.h>
 
 #define MAX_N 64
 
 /* fc_run results */
 #define FC_PAUSED 0    /* the step budget ran out: call again */
-#define FC_TRACE 1     /* at a traced choice point: snapshot, then call again */
-#define FC_SOLVED 2
-#define FC_CUTOFF 3    /* the choice-point cutoff was reached */
-#define FC_EXHAUSTED 4 /* the whole search space was explored */
+#define FC_SOLVED 1
+#define FC_CUTOFF 2    /* the choice-point cutoff was reached */
+#define FC_EXHAUSTED 3 /* the whole search space was explored */
 
 typedef struct {
     int cell;
@@ -43,7 +52,7 @@ typedef struct {
     uint64_t *domain;
     int *symbol;
     int *line_unassigned;
-    const int *hole_cells;
+    int *hole_cells;      /* open cells of the instance, row-major */
     int *trail_cell;      /* pruned cell, or ~cell for an assignment */
     uint64_t *trail_bits; /* pruned bit, or the domain before the assignment */
     int *queue;           /* assigned cells to forward-check, n_holes slots */
@@ -54,12 +63,13 @@ typedef struct {
     fc_frame *frames;     /* n_holes slots */
     int n_frames;
     int new_node;         /* the next choice point opens a frame */
-    int at_branch;        /* returned at a traced choice point, branch next */
+    int pooled;           /* one line variance over all 2n lines, else two */
+    double *trace;        /* where the next traced feature row goes */
     long long cutoff;     /* choice points allowed, -1 for no limit */
     long long trace_left; /* leading choice points still to trace */
     long long budget;     /* work left in this fc_run call */
     long long choice_points;
-    /* counters read by features.snapshot */
+    /* counters of RunRecord.stats and the traced feature rows */
     long long backtracks;
     long long contradictions;
     long long forced_assignments;
@@ -306,6 +316,37 @@ static int propagate(fc_state *st, int tail)
     }
 }
 
+/* Set up a run from the instance in st->symbol (row-major, 0 for a hole):
+ * the hole list, the open cells per line and every domain, as
+ * solver.SearchState does. */
+void fc_init(fc_state *st)
+{
+    int n = st->n, k = 0, r, c;
+    uint64_t full = n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
+    uint64_t row_used[MAX_N] = {0}, col_used[MAX_N] = {0};
+    for (r = 0; r < 2 * n; r++)
+        st->line_unassigned[r] = 0;
+    for (r = 0; r < n; r++)
+        for (c = 0; c < n; c++) {
+            int i = r * n + c, s = st->symbol[i];
+            if (s == 0) {
+                st->hole_cells[k++] = i;
+                st->line_unassigned[r]++;
+                st->line_unassigned[n + c]++;
+            } else {
+                uint64_t bit = (uint64_t)1 << (s - 1);
+                st->domain[i] = bit;
+                row_used[r] |= bit;
+                col_used[c] |= bit;
+            }
+        }
+    for (r = 0; r < k; r++) {
+        int i = st->hole_cells[r];
+        st->domain[i] = full & ~(row_used[i / n] | col_used[i % n]);
+    }
+    st->n_holes = st->unassigned_count = k;
+}
+
 /* Propagate the given cells to a fixpoint; a contradiction counts as one. */
 int fc_propagate_root(fc_state *st)
 {
@@ -393,6 +434,37 @@ static uint32_t genrand_uint32(mt_state *rng)
     return y;
 }
 
+/* random.Random(seed) for 0 <= seed < 2**64: CPython's random_seed keys
+ * init_by_array with the seed's 32-bit words, least significant first. */
+void mt_seed(mt_state *rng, uint64_t seed)
+{
+    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    int key_length = seed >> 32 ? 2 : 1;
+    uint32_t *mt = rng->mt;
+    int i = 1, j = 0, k;
+    mt[0] = 19650218U;
+    for (k = 1; k < MT_N; k++)
+        mt[k] = 1812433253U * (mt[k - 1] ^ (mt[k - 1] >> 30)) + (uint32_t)k;
+    for (k = MT_N; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + key[j] + (uint32_t)j;
+        if (++i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (++j >= key_length)
+            j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
+        if (++i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+    rng->index = MT_N;
+}
+
 /* random.Random._randbelow(n) for 0 < n < 2**31: getrandbits(k) with
  * k = n.bit_length() is the top k bits of one word, redrawn while >= n. */
 static int randbelow(mt_state *rng, int n)
@@ -464,34 +536,95 @@ static void open_frame(fc_state *st, mt_state *rng)
     shuffle(rng, f->values, f->n_values);
 }
 
+/* Population variance of m line counts as features._population_variance
+ * computes it: an exact integer sum for the mean, then (x - mean) ** 2 added
+ * left to right from 0.0.  Python's float ** 2 calls libm pow, whose result
+ * can differ from x * x in the last bit; the volatile exponent keeps the
+ * compiler from rewriting pow(d, 2.0) as d * d. */
+static double line_variance(const int *xs, int m)
+{
+    static volatile double two = 2.0;
+    long long sum = 0;
+    double mean, acc = 0.0;
+    int i;
+    for (i = 0; i < m; i++)
+        sum += xs[i];
+    mean = (double)sum / m;
+    for (i = 0; i < m; i++)
+        acc += pow((double)xs[i] - mean, two);
+    return acc / m;
+}
+
+/* Write the feature row of features.snapshot at st->trace and advance it;
+ * the two must change together.  Every quotient of two integers is taken
+ * in double, as Python's int / int rounds it. */
+static void write_row(fc_state *st)
+{
+    int n = st->n, open = 0, min_dom = n + 1, k;
+    long long total = 0;
+    double *row = st->trace;
+    for (k = 0; k < st->n_holes; k++) {
+        int c = st->hole_cells[k];
+        if (st->symbol[c] == 0) {
+            int d = __builtin_popcountll(st->domain[c]);
+            open++;
+            total += d;
+            if (d < min_dom)
+                min_dom = d;
+        }
+    }
+    if (!open)
+        min_dom = 0;
+    row[0] = (double)st->backtracks;
+    row[1] = (double)st->depth;
+    row[2] = (double)st->max_depth;
+    row[3] = (double)(st->min_leaf_depth < 0 ? st->depth : st->min_leaf_depth);
+    row[4] = st->node_visits ? (double)st->node_depth_sum / (double)st->node_visits
+                             : (double)st->depth;
+    row[5] = open;
+    row[6] = open ? (double)total / open : 0.0;
+    row[7] = min_dom;
+    row[8] = (double)total;
+    k = 9;
+    if (st->pooled) {
+        row[k++] = line_variance(st->line_unassigned, 2 * n);
+    } else {
+        row[k++] = line_variance(st->line_unassigned, n);
+        row[k++] = line_variance(st->line_unassigned + n, n);
+    }
+    row[k++] = (double)open / n;
+    row[k++] = (double)st->forced_assignments;
+    row[k++] = (double)st->alldiff_prunings;
+    row[k++] = (double)st->contradictions;
+    st->trace += k;
+}
+
 /* Run the search of solver.SearchState.search on a root-propagated state
- * with open cells.  Returns an FC_* code; after FC_PAUSED and FC_TRACE the
- * next call resumes the search.  A call pauses once it has done `budget`
- * units of work: one per choice point, and one per open cell of each line
- * it filters, which bounds its time at either level and any order. */
+ * with open cells.  Returns an FC_* code; after FC_PAUSED the next call
+ * resumes the search.  Each of the first trace_left choice points writes its
+ * feature row after counting the node and before branching.  A call pauses
+ * once it has done `budget` units of work: one per choice point, and one per
+ * open cell of each line it filters, which bounds its time at either level
+ * and any order. */
 int fc_run(fc_state *st, mt_state *rng, long long budget)
 {
     st->budget = budget;
     for (;;) {
         fc_frame *f;
-        if (!st->at_branch) {
-            if (st->budget-- <= 0)
-                return FC_PAUSED;
-            if (st->new_node)
-                open_frame(st, rng);
-            if (st->cutoff >= 0 && st->choice_points >= st->cutoff)
-                return FC_CUTOFF;
-            st->choice_points++;
-            st->depth = st->n_frames - 1;
-            if (st->trace_left > 0) {
-                st->trace_left--;
-                st->node_visits++;
-                st->node_depth_sum += st->depth;
-                st->at_branch = 1;
-                return FC_TRACE;
-            }
+        if (st->budget-- <= 0)
+            return FC_PAUSED;
+        if (st->new_node)
+            open_frame(st, rng);
+        if (st->cutoff >= 0 && st->choice_points >= st->cutoff)
+            return FC_CUTOFF;
+        st->choice_points++;
+        st->depth = st->n_frames - 1;
+        if (st->trace_left > 0) {
+            st->trace_left--;
+            st->node_visits++;
+            st->node_depth_sum += st->depth;
+            write_row(st);
         }
-        st->at_branch = 0;
         if (st->n_frames > st->max_depth)
             st->max_depth = st->n_frames;
         f = &st->frames[st->n_frames - 1];
@@ -607,4 +740,104 @@ int lq_fill(mt_state *rng, lq_square *sq, long long steps)
         }
     }
     return 1;
+}
+
+/* ---- numpy's PCG64 stream ---- */
+
+typedef unsigned __int128 u128;
+
+/* A PCG64 bit generator's state dict: the 128-bit LCG state and increment,
+ * and the high half-word of the last output while it waits to be drawn. */
+typedef struct {
+    uint64_t state_hi;
+    uint64_t state_lo;
+    uint64_t inc_hi;
+    uint64_t inc_lo;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64_state;
+
+#define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+/* The XSL-RR output of an LCG state. */
+static uint64_t pcg_output(u128 s)
+{
+    uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    unsigned rot = (unsigned)(s >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+/* s advanced by `steps` LCG steps in O(log steps) (Brown, "Random Number
+ * Generation with Arbitrary Strides", 1994), numpy's pcg64_advance. */
+static u128 pcg_advance(u128 s, u128 inc, uint64_t steps)
+{
+    u128 mult = PCG_MULT, plus = inc, acc_mult = 1, acc_plus = 0;
+    for (; steps; steps >>= 1) {
+        if (steps & 1) {
+            acc_mult *= mult;
+            acc_plus = acc_plus * mult + plus;
+        }
+        plus *= mult + 1;
+        mult *= mult;
+    }
+    return acc_mult * s + acc_plus;
+}
+
+/* Advance st as numpy's Generator.integers(0, high, size=count) does for
+ * 2 <= high < 2**32: each draw takes 32-bit words, the buffered high half
+ * first, until Lemire's test accepts one, i.e. until the low half of
+ * word * high is at least (2**32 - high) % high.  When high divides 2**32
+ * every word is accepted and the LCG jumps ahead.  Otherwise two LCG chains,
+ * the even and the odd steps, are stepped together. */
+void pcg64_skip_bounded(pcg64_state *st, uint32_t high, long long count)
+{
+    u128 s = ((u128)st->state_hi << 64) | st->state_lo;
+    u128 inc = ((u128)st->inc_hi << 64) | st->inc_lo;
+    uint32_t threshold;
+    if (count <= 0 || high < 2) /* numpy draws nothing for a single value */
+        return;
+    threshold = (UINT32_MAX - (high - 1)) % high;
+    if (st->has_uint32) {
+        st->has_uint32 = 0;
+        if ((uint32_t)((uint64_t)st->uinteger * high) >= threshold && --count == 0)
+            return;
+    }
+    if (threshold == 0) {
+        s = pcg_advance(s, inc, (uint64_t)(count + 1) / 2);
+        st->has_uint32 = (int)(count & 1);
+        st->uinteger = (uint32_t)(pcg_output(s) >> 32);
+    } else {
+        u128 mult2 = PCG_MULT * PCG_MULT, inc2 = PCG_MULT * inc + inc;
+        u128 a = s * PCG_MULT + inc, b = a * PCG_MULT + inc;
+        for (;;) {
+            uint64_t x = pcg_output(a);
+            if ((uint32_t)((x & 0xffffffffU) * high) >= threshold && --count == 0) {
+                s = a;
+                st->has_uint32 = 1;
+                st->uinteger = (uint32_t)(x >> 32);
+                break;
+            }
+            if ((uint32_t)((x >> 32) * high) >= threshold && --count == 0) {
+                s = a;
+                st->uinteger = (uint32_t)(x >> 32);
+                break;
+            }
+            x = pcg_output(b);
+            if ((uint32_t)((x & 0xffffffffU) * high) >= threshold && --count == 0) {
+                s = b;
+                st->has_uint32 = 1;
+                st->uinteger = (uint32_t)(x >> 32);
+                break;
+            }
+            if ((uint32_t)((x >> 32) * high) >= threshold && --count == 0) {
+                s = b;
+                st->uinteger = (uint32_t)(x >> 32);
+                break;
+            }
+            a = a * mult2 + inc2;
+            b = b * mult2 + inc2;
+        }
+    }
+    st->state_hi = (uint64_t)(s >> 64);
+    st->state_lo = (uint64_t)s;
 }

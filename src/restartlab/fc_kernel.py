@@ -1,9 +1,13 @@
 """Build and load the C kernel (`_fc_kernel.c`) through cffi.
 
 The kernel runs the solver's whole search at both propagation levels (forward
-checking and Regin alldiff filtering) and the two seeded instance generators
-of `latin` (square fill and balanced hole pattern), all on a copy of a
-`random.Random` state (`mt_stream`).
+checking and Regin alldiff filtering), writing the traced feature rows
+itself, on a Mersenne Twister seeded as `random.Random(seed)` seeds it; and
+the two seeded instance generators of `latin` (square fill and balanced hole
+pattern) on a copy of a `random.Random` state (`mt_stream`).  For
+`policy.simulate_policy` it skips the draws of `Generator.integers` on a
+copy of numpy's PCG64 state (`pcg64_stream`), so a draw that would be
+discarded is never made.
 
 The kernel is compiled on first use, never at import: cffi emits the wrapper
 source and one `cc -O2 -shared -fPIC` call compiles it.  The module file is
@@ -35,10 +39,9 @@ SOURCE = Path(__file__).with_name("_fc_kernel.c")
 
 CDEF = """
 #define FC_PAUSED 0
-#define FC_TRACE 1
-#define FC_SOLVED 2
-#define FC_CUTOFF 3
-#define FC_EXHAUSTED 4
+#define FC_SOLVED 1
+#define FC_CUTOFF 2
+#define FC_EXHAUSTED 3
 
 typedef struct {
     int cell;
@@ -57,7 +60,7 @@ typedef struct {
     uint64_t *domain;
     int *symbol;
     int *line_unassigned;
-    const int *hole_cells;
+    int *hole_cells;
     int *trail_cell;
     uint64_t *trail_bits;
     int *queue;
@@ -68,7 +71,8 @@ typedef struct {
     fc_frame *frames;
     int n_frames;
     int new_node;
-    int at_branch;
+    int pooled;
+    double *trace;
     long long cutoff;
     long long trace_left;
     long long budget;
@@ -89,6 +93,8 @@ typedef struct {
     int index;
 } mt_state;
 
+void mt_seed(mt_state *rng, uint64_t seed);
+void fc_init(fc_state *st);
 int fc_propagate_root(fc_state *st);
 int fc_run(fc_state *st, mt_state *rng, long long budget);
 
@@ -105,6 +111,17 @@ typedef struct {
 
 int lq_hole_pattern(mt_state *rng, int n, int h, int retries, uint64_t *taken);
 int lq_fill(mt_state *rng, lq_square *sq, long long steps);
+
+typedef struct {
+    uint64_t state_hi;
+    uint64_t state_lo;
+    uint64_t inc_hi;
+    uint64_t inc_lo;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64_state;
+
+void pcg64_skip_bounded(pcg64_state *st, uint32_t high, long long count);
 """
 
 COMPILER = "cc"
@@ -112,6 +129,8 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 
 # Domains and line masks are 64-bit masks.
 MAX_ORDER = 64
+
+_MASK64 = (1 << 64) - 1
 
 
 class KernelUnavailable(Exception):
@@ -207,6 +226,24 @@ def mt_stream(ffi, rng: random.Random):
     state = ffi.new("mt_state *", {"mt": internal[:624], "index": internal[624]})
     yield state
     rng.setstate((version, tuple(ffi.unpack(state.mt, 624)) + (state.index,), gauss_next))
+
+
+@contextlib.contextmanager
+def pcg64_stream(ffi, bit_generator):
+    """A PCG64 bit generator's state as a kernel pcg64_state; afterwards the
+    generator continues from wherever the kernel left the stream."""
+    state = bit_generator.state
+    lcg = state["state"]
+    st = ffi.new("pcg64_state *", {
+        "state_hi": lcg["state"] >> 64, "state_lo": lcg["state"] & _MASK64,
+        "inc_hi": lcg["inc"] >> 64, "inc_lo": lcg["inc"] & _MASK64,
+        "has_uint32": state["has_uint32"], "uinteger": state["uinteger"],
+    })
+    yield st
+    lcg["state"] = st.state_hi << 64 | st.state_lo
+    state["has_uint32"] = st.has_uint32
+    state["uinteger"] = st.uinteger
+    bit_generator.state = state
 
 
 @functools.lru_cache(maxsize=None)

@@ -128,10 +128,10 @@ def _scaled_mask(registry: Tuple[FeatureSpec, ...]) -> np.ndarray:
 def snapshot(state, pooled_line_variance: bool = True) -> Tuple[float, ...]:
     """Read the base feature vector off a live search state.
 
-    Called by the solver once per choice point, after propagation and before
-    the branch assignment.  The state object must expose the solver's public
-    counters (see solver.SearchState); its line counts may be a cffi array,
-    which slices only with both bounds given.
+    Called by the Python solver (solver.SearchState) once per choice point,
+    after propagation and before the branch assignment; the state object must
+    expose its public counters.  The C kernel writes the same row, float for
+    float, in write_row of _fc_kernel.c, so the two must change together.
     """
     n = state.n
     symbol = state.symbol
@@ -175,8 +175,8 @@ def snapshot(state, pooled_line_variance: bool = True) -> Tuple[float, ...]:
     if pooled_line_variance:
         base.append(_population_variance(lu))
     else:
-        base.append(_population_variance(lu[0:n]))
-        base.append(_population_variance(lu[n:2 * n]))
+        base.append(_population_variance(lu[:n]))
+        base.append(_population_variance(lu[n:]))
     base.extend(
         [
             open_cells / n,
@@ -189,11 +189,20 @@ def snapshot(state, pooled_line_variance: bool = True) -> Tuple[float, ...]:
 
 
 def _population_variance(xs: Sequence[int]) -> float:
+    """Population variance of integer counts, the same float on every Python.
+
+    The squared deviations are added left to right from 0.0; sum() would
+    not do, since Python 3.12 sums floats with compensation.  The C kernel
+    computes the same steps (line_variance in _fc_kernel.c).
+    """
     m = len(xs)
     if m == 0:
         return 0.0
-    mean = sum(xs) / m
-    return sum((x - mean) ** 2 for x in xs) / m
+    mean = sum(xs) / m  # an exact integer sum
+    total = 0.0
+    for x in xs:
+        total += (x - mean) ** 2
+    return total / m
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fc_kernel
@@ -43,6 +44,16 @@ class Violation(NamedTuple):
     symbol: int
 
 
+# The types and values a row may hold to pass construction without the
+# per-cell loop (which also accepts int subclasses and words each error).
+_CELL_TYPES = frozenset((int, type(HOLE)))
+
+
+@lru_cache(maxsize=None)
+def _cell_values(n: int) -> frozenset:
+    return frozenset(range(1, n + 1)) | {HOLE}
+
+
 @dataclass(frozen=True)
 class PartialLatinSquare:
     """An order-n grid whose cells hold a symbol in 1..n or HOLE.
@@ -61,9 +72,12 @@ class PartialLatinSquare:
             raise StructureError(f"order must be a positive int, got {n!r}")
         if not isinstance(self.cells, tuple) or len(self.cells) != n:
             raise StructureError(f"expected {n} rows, got {len(self.cells)}")
+        values = _cell_values(n)
         for r, row in enumerate(self.cells):
             if not isinstance(row, tuple) or len(row) != n:
                 raise StructureError(f"row {r} has {len(row)} cells, expected {n}")
+            if _CELL_TYPES.issuperset(map(type, row)) and values.issuperset(row):
+                continue  # the common case, checked without a Python loop
             for c, v in enumerate(row):
                 if v is HOLE:
                     continue
@@ -99,6 +113,9 @@ def validate(square: PartialLatinSquare) -> List[Violation]:
     Holes are ignored.  Structural problems raise StructureError (via the
     PartialLatinSquare constructor) rather than being reported as violations.
     """
+    cells = square.cells
+    if all(map(_distinct, cells)) and all(map(_distinct, zip(*cells))):
+        return []
     n = square.order
     out: List[Violation] = []
     for r in range(n):
@@ -119,6 +136,12 @@ def validate(square: PartialLatinSquare) -> List[Violation]:
             if k > 1:
                 out.append(Violation("column", c, v))
     return out
+
+
+def _distinct(line: Tuple[Optional[int], ...]) -> bool:
+    """Whether the symbols of a line, holes aside, are pairwise distinct."""
+    holes = line.count(HOLE)
+    return len(set(line)) - (holes > 0) == len(line) - holes
 
 
 def _bits_to_symbols(mask: int) -> List[int]:

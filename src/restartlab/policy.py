@@ -23,6 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .seeds import derive_seed
+from . import fc_kernel
 from . import learn as _learn
 
 UNBOUNDED = math.inf
@@ -408,6 +409,10 @@ class RtdSource:
         idx = rng.integers(0, self.rtd.lengths.size, size=size)
         return self.rtd.lengths[idx], None
 
+    def skip(self, rng: np.random.Generator, size: int) -> None:
+        """Advance rng past what sample(rng, size) would draw."""
+        _skip_integers(rng, self.rtd.lengths.size, size)
+
 
 class DatasetSource:
     """Resamples (runtime, summary vector) rows from a labeled dataset."""
@@ -422,6 +427,37 @@ class DatasetSource:
             self.dataset.runtime[idx].astype(np.int64),
             self.dataset.X[idx],
         )
+
+    def skip(self, rng: np.random.Generator, size: int) -> None:
+        """Advance rng past what sample(rng, size) would draw."""
+        _skip_integers(rng, self.dataset.runtime.size, size)
+
+
+# Draws skipped per kernel call (about 40 ms at most), so that a long skip
+# returns to Python, and to Ctrl-C, many times a second.
+_SKIP_DRAWS = 1 << 24
+
+
+def _skip_kernel(rng: np.random.Generator):
+    """The C kernel where it can skip rng's draws (a PCG64 stream), else None."""
+    if type(rng.bit_generator) is not np.random.PCG64:
+        return None
+    return fc_kernel.load()[0]
+
+
+def _skip_integers(rng: np.random.Generator, high: int, count: int) -> None:
+    """Leave rng as rng.integers(0, high, size=count) would, in the kernel,
+    without making the draws; needs _skip_kernel(rng) and high < 2**32."""
+    if high == 1:  # numpy returns zeros without drawing
+        return
+    if not 2 <= high < 2**32:
+        raise ValueError(f"the kernel skips draws only for 2 <= high < 2**32, got {high}")
+    kernel = _skip_kernel(rng)
+    with fc_kernel.pcg64_stream(kernel.ffi, rng.bit_generator) as state:
+        while count > 0:
+            step = min(count, _SKIP_DRAWS)
+            kernel.lib.pcg64_skip_bounded(state, high, step)
+            count -= step
 
 
 # -- simulation ------------------------------------------------------------
@@ -480,11 +516,15 @@ def simulate_policy(
         shortest = run_source.rtd.min_length
         # A round whose cutoff is below the shortest run kills every run at
         # that cutoff, so it is priced once, in `shared`, for all active
-        # trials, and a trial adds it when it leaves; its lengths are still
-        # drawn to keep the RNG stream.  Cutoff costs are whole numbers, which
-        # float64 adds exactly up to 2**53, so this order of additions leaves
-        # every total bit-identical.
+        # trials, and a trial adds it when it leaves.  Its draws are still
+        # taken to keep the RNG stream: the kernel skips them in one go
+        # before the next priced round (`pending`); without it they are drawn
+        # round by round.  Cutoff costs are whole numbers, which float64 adds
+        # exactly up to 2**53, so this order of additions leaves every total
+        # bit-identical.
+        skips = _skip_kernel(rng) is not None
         shared = 0
+        pending = 0
         active = np.arange(trials)
         round_no = 0
         while active.size:
@@ -492,11 +532,18 @@ def simulate_policy(
             if round_no > run_budget:
                 unbounded = True
                 break
-            lengths, feats = run_source.sample(rng, active.size)
             cutoff = policy.round_cutoff(round_no)
             if cutoff is not None and cutoff < shortest:
                 shared += cutoff
+                if skips:
+                    pending += active.size
+                else:
+                    run_source.sample(rng, active.size)
                 continue
+            if pending:
+                run_source.skip(rng, pending)
+                pending = 0
+            lengths, feats = run_source.sample(rng, active.size)
             cost, success = policy.step(lengths, feats, round_no, rng)
             total_cost[active] += cost
             if success.any():

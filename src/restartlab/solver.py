@@ -19,10 +19,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import fc_kernel
-from .features import snapshot
+from .features import default_registry, snapshot
 from .latin import HOLE, PartialLatinSquare, StructureError, validate
 from .seeds import normalize_seed
 
@@ -276,16 +276,24 @@ def regin_filter(domains: Sequence[Iterable[int]]) -> Optional[List[Set[int]]]:
     return out
 
 
-class _RunState:
-    """What both search states share: the instance's cells and line counts,
-    and read-only helpers.
+def _solved_square(n: int, symbols: Sequence[int]) -> PartialLatinSquare:
+    """The completed square whose n*n symbols are listed row-major."""
+    return PartialLatinSquare(
+        order=n, cells=tuple(tuple(symbols[i:i + n]) for i in range(0, n * n, n))
+    )
 
-    A state also offers the run counters that features.snapshot reads,
-    unassigned_count, propagate_root (which counts a root contradiction) and
-    search; solve drives either state through these alone.
+
+class SearchState:
+    """Mutable constraint state for one run in Python: domains, trail, counters.
+
+    Runs the search where the C kernel is unavailable or the order exceeds
+    its 64; tests compare KernelState against it.  Both states offer
+    unassigned_count, propagate_root (which counts a root contradiction),
+    search, stats and extract_square (once solved); solve drives either
+    state through these alone.
     """
 
-    def __init__(self, instance: PartialLatinSquare):
+    def __init__(self, instance: PartialLatinSquare, config: Optional[SolverConfig] = None):
         n = instance.order
         self.n = n
         full = (1 << n) - 1
@@ -314,37 +322,7 @@ class _RunState:
             r, c = divmod(i, n)
             self.domain[i] = full & ~(row_used[r] | col_used[c])
         self.hole_cells = tuple(holes)
-
-    def stats(self) -> RunStats:
-        return RunStats(
-            backtracks=self.backtracks,
-            contradictions=self.contradictions,
-            forced_assignments=self.forced_assignments,
-            alldiff_prunings=self.alldiff_prunings,
-            max_depth=self.max_depth,
-        )
-
-    def extract_square(self) -> PartialLatinSquare:
-        n = self.n
-        sym = self.symbol
-        cells = tuple(
-            tuple(sym[r * n + c] if sym[r * n + c] else HOLE for c in range(n))
-            for r in range(n)
-        )
-        return PartialLatinSquare(order=n, cells=cells)
-
-
-class SearchState(_RunState):
-    """Mutable constraint state for one run in Python: domains, trail, counters.
-
-    Runs the search where the C kernel is unavailable or the order exceeds
-    its 64; tests compare KernelState against it.
-    """
-
-    def __init__(self, instance: PartialLatinSquare, config: Optional[SolverConfig] = None):
-        super().__init__(instance)
         config = config or SolverConfig()
-        n = self.n
         self.config = config
         self.regin = config.propagation == ALLDIFF_REGIN
         self.peers, self.line_cells = _tables(n)
@@ -363,6 +341,18 @@ class SearchState(_RunState):
         self.min_leaf_depth: Optional[int] = None
         self.node_visits = 0
         self.node_depth_sum = 0
+
+    def stats(self) -> RunStats:
+        return RunStats(
+            backtracks=self.backtracks,
+            contradictions=self.contradictions,
+            forced_assignments=self.forced_assignments,
+            alldiff_prunings=self.alldiff_prunings,
+            max_depth=self.max_depth,
+        )
+
+    def extract_square(self) -> PartialLatinSquare:
+        return _solved_square(self.n, self.symbol)
 
     # -- mutation ---------------------------------------------------------
 
@@ -561,11 +551,13 @@ class SearchState(_RunState):
         return ties2[rng.randrange(len(ties2))]
 
     def search(
-        self, rng: random.Random, config: SolverConfig, trace: Optional[List]
+        self, seed: int, config: SolverConfig, trace: Optional[List]
     ) -> Tuple[str, int, bool]:
         """Depth-first search from the root-propagated state, which has open
-        cells; returns (outcome, choice points, exhausted).  Appends one
-        snapshot per choice point to trace, if given, up to the horizon."""
+        cells, drawing from random.Random(seed); returns (outcome, choice
+        points, exhausted).  Appends one snapshot per choice point to trace,
+        if given, up to the horizon."""
+        rng = random.Random(seed)
         cutoff = config.cutoff
         horizon = config.horizon
         pooled = config.pooled_line_variance
@@ -614,43 +606,26 @@ class SearchState(_RunState):
             new_node = False
 
 
-def _kernel_field(name: str) -> property:
-    return property(lambda self: getattr(self._st, name))
-
-
-class KernelState(_RunState):
+class KernelState:
     """Search state held and mutated by the C kernel (fc_kernel), at either
-    propagation level; its fc_run executes the whole search.
-
-    domain, symbol and line_unassigned are cffi arrays the kernel writes in
-    place, and the run counters are fields of the kernel's fc_state, so
-    features.snapshot reads them as it reads SearchState's.  Every buffer is
-    allocated here and freed with this object.
+    propagation level: fc_init sets it up from the instance's symbols and
+    fc_run executes the whole search, writing the traced feature rows itself.
+    Every buffer is allocated here and freed with this object.
     """
 
-    backtracks = _kernel_field("backtracks")
-    contradictions = _kernel_field("contradictions")
-    forced_assignments = _kernel_field("forced_assignments")
-    alldiff_prunings = _kernel_field("alldiff_prunings")
-    depth = _kernel_field("depth")
-    max_depth = _kernel_field("max_depth")
-    node_visits = _kernel_field("node_visits")
-    node_depth_sum = _kernel_field("node_depth_sum")
-    unassigned_count = _kernel_field("unassigned_count")
-
     def __init__(self, instance: PartialLatinSquare, config: SolverConfig, kernel) -> None:
-        super().__init__(instance)
         ffi = self._ffi = kernel.ffi
         self._lib = kernel.lib
-        n = self.n
-        holes = len(self.hole_cells)
-        self.domain = ffi.new("uint64_t[]", self.domain)
-        self.symbol = ffi.new("int[]", self.symbol)
-        self.line_unassigned = ffi.new("int[]", self.line_unassigned)
+        n = self.n = instance.order
+        symbols = [0 if v is HOLE else v for row in instance.cells for v in row]
+        holes = symbols.count(0)
         # A live trail holds at most n prunings plus one assignment per hole.
         trail = holes * (n + 1)
         self._buffers = (
-            ffi.new("int[]", self.hole_cells),
+            ffi.new("int[]", symbols),
+            ffi.new("uint64_t[]", n * n),
+            ffi.new("int[]", 2 * n),
+            ffi.new("int[]", holes),
             ffi.new("int[]", trail),
             ffi.new("uint64_t[]", trail),
             ffi.new("int[]", holes + 1),
@@ -658,47 +633,67 @@ class KernelState(_RunState):
             ffi.new("int[]", 2 * n),
             ffi.new("fc_frame[]", holes),
         )
-        st = ffi.new("fc_state *")
+        st = self._st = ffi.new("fc_state *")
+        (st.symbol, st.domain, st.line_unassigned, st.hole_cells, st.trail_cell,
+         st.trail_bits, st.queue, st.dirty, st.dirty_flag, st.frames) = self._buffers
         st.n = n
-        st.n_holes = holes
         st.regin = config.propagation == ALLDIFF_REGIN
-        st.unassigned_count = holes
-        st.domain = self.domain
-        st.symbol = self.symbol
-        st.line_unassigned = self.line_unassigned
-        (st.hole_cells, st.trail_cell, st.trail_bits, st.queue,
-         st.dirty, st.dirty_flag, st.frames) = self._buffers
         st.min_leaf_depth = -1
-        self._st = st
+        self._lib.fc_init(st)
 
     @property
-    def min_leaf_depth(self) -> Optional[int]:
-        depth = self._st.min_leaf_depth
-        return None if depth < 0 else depth
+    def unassigned_count(self) -> int:
+        return self._st.unassigned_count
+
+    def stats(self) -> RunStats:
+        st = self._st
+        return RunStats(
+            backtracks=st.backtracks,
+            contradictions=st.contradictions,
+            forced_assignments=st.forced_assignments,
+            alldiff_prunings=st.alldiff_prunings,
+            max_depth=st.max_depth,
+        )
+
+    def extract_square(self) -> PartialLatinSquare:
+        return _solved_square(self.n, self._ffi.unpack(self._st.symbol, self.n * self.n))
 
     def propagate_root(self) -> bool:
         return bool(self._lib.fc_propagate_root(self._st))
 
     def search(
-        self, rng: random.Random, config: SolverConfig, trace: Optional[List]
+        self, seed: int, config: SolverConfig, trace: Optional[List]
     ) -> Tuple[str, int, bool]:
-        """SearchState.search in the kernel: fc_run returns at each traced
-        choice point for the snapshot, and after every _RUN_STEPS units of
-        work so that Ctrl-C is handled."""
+        """SearchState.search in the kernel, on a Mersenne Twister seeded as
+        random.Random(seed).  fc_run writes the traced rows into a buffer
+        that holds every row the horizon and the cutoff allow, and returns
+        after every _RUN_STEPS units of work so that Ctrl-C is handled."""
+        ffi = self._ffi
         lib = self._lib
         st = self._st
         st.cutoff = -1 if config.cutoff is None else config.cutoff
-        st.trace_left = config.horizon if trace is not None else 0
         st.new_node = 1
-        with fc_kernel.mt_stream(self._ffi, rng) as mt:
+        if trace is not None:
+            width = _TRACE_WIDTH[config.pooled_line_variance]
+            rows = config.horizon if config.cutoff is None else min(config.horizon, config.cutoff)
+            buffer = ffi.new("double[]", rows * width)
+            st.trace = buffer
+            st.trace_left = rows
+            st.pooled = config.pooled_line_variance
+        mt = ffi.new("mt_state *")
+        lib.mt_seed(mt, seed)
+        status = lib.fc_run(st, mt, _RUN_STEPS)
+        while status == lib.FC_PAUSED:
             status = lib.fc_run(st, mt, _RUN_STEPS)
-            while status in (lib.FC_PAUSED, lib.FC_TRACE):
-                if status == lib.FC_TRACE:
-                    trace.append(snapshot(self, config.pooled_line_variance))
-                status = lib.fc_run(st, mt, _RUN_STEPS)
+        if trace is not None:
+            flat = ffi.unpack(buffer, (rows - st.trace_left) * width)
+            trace.extend(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
         outcome = SOLVED if status == lib.FC_SOLVED else CUTOFF
         return outcome, st.choice_points, status == lib.FC_EXHAUSTED
 
+
+# Floats per traced row, by pooled_line_variance.
+_TRACE_WIDTH = {pooled: len(default_registry(pooled)) for pooled in (True, False)}
 
 # Work per fc_run call (choice points plus the open cells of filtered lines),
 # so that a long search returns to Python, and to Ctrl-C, several times a
@@ -706,7 +701,9 @@ class KernelState(_RunState):
 _RUN_STEPS = 1 << 16
 
 
-def _new_state(instance: PartialLatinSquare, config: SolverConfig) -> _RunState:
+def _new_state(
+    instance: PartialLatinSquare, config: SolverConfig
+) -> Union[KernelState, SearchState]:
     """The C kernel's state where it loads and serves the order, else Python's."""
     if instance.order <= fc_kernel.MAX_ORDER:
         kernel, _ = fc_kernel.load()
@@ -733,7 +730,6 @@ def solve(
     if validate(instance):
         raise StructureError("instance violates the Latin property")
     state = _new_state(instance, config)
-    rng = random.Random(normalize_seed(seed))
     trace: Optional[List[Tuple[float, ...]]] = [] if config.trace_enabled else None
     ok = state.propagate_root()
     post_prop = state.unassigned_count
@@ -742,7 +738,7 @@ def solve(
     elif post_prop == 0:
         outcome, choice_points, exhausted = SOLVED, 0, False
     else:
-        outcome, choice_points, exhausted = state.search(rng, config, trace)
+        outcome, choice_points, exhausted = state.search(normalize_seed(seed), config, trace)
     return RunRecord(
         seed=seed,
         outcome=outcome,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restartlab import fc_kernel, latin, solver
+from restartlab import fc_kernel, latin, policy, solver
 from restartlab.latin import (
     BALANCED,
     HOLE,
@@ -146,6 +146,28 @@ class TestIdentityWithPythonState:
             prunings += got.stats.alldiff_prunings
         assert prunings > 0
 
+    @pytest.mark.parametrize("propagation", [FORWARD_CHECK, ALLDIFF_REGIN])
+    def test_split_line_variance_rows(self, propagation):
+        # 15-wide rows: row and column variance apart
+        instance = desk_instance()
+        config = SolverConfig(cutoff=2000, propagation=propagation, horizon=50,
+                              trace_enabled=True, pooled_line_variance=False)
+        for i in range(20):
+            seed = derive_seed(81, "run", i)
+            got = solve(instance, config, seed)
+            assert got == python_solve(instance, config, seed), i
+            assert {len(row) for row in got.trace} == {15}
+
+    @pytest.mark.parametrize("pooled, mask, seed", [(True, 5, 1), (False, 1, 0)])
+    def test_line_variance_squares_with_pow(self, pooled, mask, seed):
+        # Python's float ** 2 calls libm pow; in these runs some deviation d
+        # has pow(d, 2.0) != d * d, so a kernel that multiplies writes a
+        # different traced row
+        instance = poke_holes(generate_complete(15, 1), HoleSpec.unbalanced(100), mask)
+        config = SolverConfig(cutoff=50, propagation=FORWARD_CHECK, horizon=50,
+                              trace_enabled=True, pooled_line_variance=pooled)
+        assert solve(instance, config, seed) == python_solve(instance, config, seed)
+
     def test_step_budget_of_one(self, monkeypatch):
         # the kernel returns to Python after every choice point and resumes
         monkeypatch.setattr(solver, "_RUN_STEPS", 1)
@@ -189,7 +211,7 @@ class TestStateChoice:
 BUILD_AND_SOLVE = textwrap.dedent("""
     import sys
     from pathlib import Path
-    from restartlab import fc_kernel, latin, solver
+    from restartlab import fc_kernel, latin, policy, solver
     from restartlab.latin import generate_complete, poke_holes, HoleSpec, BALANCED
     fc_kernel._cache_dirs = lambda: [Path(sys.argv[1])]
     kernel, reason = fc_kernel.load()
@@ -220,14 +242,26 @@ def test_concurrent_builds_share_one_cache(tmp_path):
     assert len(built) == 1 and built[0].startswith("_fc_")
 
 
+@needs_kernel
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 987654321012345])
+def test_mt_seed_is_random_seed(seed):
+    kernel, _ = fc_kernel.load()
+    state = kernel.ffi.new("mt_state *")
+    kernel.lib.mt_seed(state, seed)
+    internal = random.Random(seed).getstate()[1]
+    assert kernel.ffi.unpack(state.mt, 624) + [state.index] == list(internal)
+
+
 def test_cdef_declares_every_entry_point_called():
-    """A kernel function that latin or solver calls but CDEF leaves out would
-    only fail when the call runs; each must be declared and defined."""
+    """A kernel function that latin, solver or policy calls but CDEF leaves
+    out would only fail when the call runs; each must be declared and
+    defined."""
     declared = set(re.findall(r"(\w+)\(", fc_kernel.CDEF))
     called = set()
-    for module in (latin, solver):
+    for module in (latin, solver, policy):
         called |= set(re.findall(r"lib\.(\w+)\(", Path(module.__file__).read_text()))
-    assert {"fc_propagate_root", "fc_run", "lq_fill", "lq_hole_pattern"} <= called
+    assert {"fc_init", "fc_propagate_root", "fc_run", "lq_fill", "lq_hole_pattern",
+            "mt_seed", "pcg64_skip_bounded"} <= called
     assert called <= declared
     source = fc_kernel.SOURCE.read_text()
     for name in declared:

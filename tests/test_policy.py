@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restartlab import fc_kernel
+from restartlab import policy as policy_module
 from restartlab.learn import (
     Dataset,
     DecisionTreeModel,
@@ -27,6 +29,8 @@ from restartlab.policy import (
     PolicyStats,
     RtdSource,
     SyntheticPredictor,
+    _skip_integers,
+    _skip_kernel,
     dynamic_expected_run_length_ub,
     dynamic_expected_runs,
     dynamic_expected_total_ub,
@@ -572,3 +576,99 @@ def test_luby_steps_only_in_rounds_some_run_can_win(monkeypatch):
     assert asdict(got) == asdict(want)
     assert rounds == sorted(set(rounds))
     assert rounds and all(luby_term(r) >= 18 for r in rounds)
+
+
+needs_kernel = pytest.mark.skipif(
+    fc_kernel.load()[0] is None, reason=f"C kernel unavailable: {fc_kernel.load()[1]}"
+)
+
+# Bounds where numpy's rejection matters: 1 draws nothing, powers of two
+# reject nothing, 2**31+1 rejects about half the words.
+SKIP_BOUNDS = (1, 2, 3, 64, 5000, 2**31 + 1, 3 * 2**30, 2**32 - 1)
+
+
+def _same_stream(a, b):
+    """Equal PCG64 states (the buffered half-word only while it is pending)
+    and equal next draws."""
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    if not sa["has_uint32"]:
+        sa.pop("uinteger")
+        sb.pop("uinteger")
+    assert sa == sb
+    assert a.integers(0, 2**40, size=5).tolist() == b.integers(0, 2**40, size=5).tolist()
+
+
+def _without_kernel(fn):
+    """fn() with the kernel unavailable: every discarded draw is drawn."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fc_kernel, "load", lambda: (None, "the drawing reference"))
+        return fn()
+
+
+@needs_kernel
+class TestKernelSkip:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        high=st.sampled_from(SKIP_BOUNDS) | st.integers(1, 2**32 - 1),
+        count=st.integers(0, 5000),
+        predraw=st.integers(0, 2),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_skip_equals_drawing(self, high, count, predraw, seed):
+        skipped = np.random.default_rng(seed)
+        for _ in range(predraw):  # one 32-bit word each: both buffer states occur
+            skipped.integers(0, 2**32, dtype=np.uint32)
+        drawn = np.random.Generator(np.random.PCG64())
+        drawn.bit_generator.state = skipped.bit_generator.state
+        _skip_integers(skipped, high, count)
+        drawn.integers(0, high, size=count)
+        _same_stream(skipped, drawn)
+
+    @pytest.mark.parametrize("high", [3, 5001, 2**31 + 1, 2**32 - 1])
+    def test_rejection_boundary(self, high):
+        # a buffered word whose low product half sits just below and at
+        # numpy's threshold: rejected, then accepted
+        threshold = (2**32 - high) % high
+        for low_half in (threshold - 1, threshold):
+            skipped = np.random.default_rng(high)
+            state = skipped.bit_generator.state
+            state["has_uint32"] = 1
+            state["uinteger"] = low_half * pow(high, -1, 2**32) % 2**32
+            skipped.bit_generator.state = state
+            drawn = np.random.Generator(np.random.PCG64())
+            drawn.bit_generator.state = state
+            _skip_integers(skipped, high, 2)
+            drawn.integers(0, high, size=2)
+            _same_stream(skipped, drawn)
+
+    def test_only_pcg64_streams_are_skipped(self):
+        assert _skip_kernel(np.random.default_rng(1)) is not None
+        assert _skip_kernel(np.random.Generator(np.random.MT19937(1))) is None
+        assert _without_kernel(lambda: _skip_kernel(np.random.default_rng(1))) is None
+
+    @pytest.mark.parametrize("scale", [1, 3])
+    @pytest.mark.parametrize("lengths", [
+        [40],  # one length: numpy draws nothing
+        [18 + 7 * i for i in range(64)],  # a power of two: the LCG jumps ahead
+        [18, 19, 25, 40, 90, 400, 3000],
+    ])
+    def test_luby_equals_drawing_on_rtds(self, lengths, scale):
+        source = RtdSource(EmpiricalRTD(lengths))
+        policy = LubyPolicy(scale)
+        want = _without_kernel(lambda: simulate_policy(source, policy, 3000, 81))
+        assert asdict(simulate_policy(source, policy, 3000, 81)) == asdict(want)
+
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_luby_equals_drawing_on_a_dataset(self, scale):
+        ds = tiny_dataset([20, 35, 60, 61, 400, 2500])
+        ds.X[:, 0] = np.arange(ds.size)
+        source = DatasetSource(ds)
+        policy = LubyPolicy(scale)
+        want = _without_kernel(lambda: simulate_policy(source, policy, 2000, 7))
+        assert asdict(simulate_policy(source, policy, 2000, 7)) == asdict(want)
+
+    def test_one_draw_per_kernel_call(self, monkeypatch):
+        source = RtdSource(EmpiricalRTD([18, 19, 25, 40, 90, 400, 3000]))
+        want = simulate_policy(source, LubyPolicy(1), 500, 81)
+        monkeypatch.setattr(policy_module, "_SKIP_DRAWS", 1)
+        assert asdict(simulate_policy(source, LubyPolicy(1), 500, 81)) == asdict(want)
