@@ -65,6 +65,7 @@ typedef struct {
     int new_node;         /* the next choice point opens a frame */
     int pooled;           /* one line variance over all 2n lines, else two */
     double *trace;        /* where the next traced feature row goes */
+    double *trace_end;    /* end of the row buffer */
     long long cutoff;     /* choice points allowed, -1 for no limit */
     long long trace_left; /* leading choice points still to trace */
     long long budget;     /* work left in this fc_run call */
@@ -605,13 +606,14 @@ static void write_row(fc_state *st)
  * feature row after counting the node and before branching.  A call pauses
  * once it has done `budget` units of work: one per choice point, and one per
  * open cell of each line it filters, which bounds its time at either level
- * and any order. */
+ * and any order.  It also pauses when a row is due and the buffer is full,
+ * so that the caller can empty it and reset st->trace. */
 int fc_run(fc_state *st, mt_state *rng, long long budget)
 {
     st->budget = budget;
     for (;;) {
         fc_frame *f;
-        if (st->budget-- <= 0)
+        if (st->budget-- <= 0 || (st->trace_left > 0 && st->trace == st->trace_end))
             return FC_PAUSED;
         if (st->new_node)
             open_frame(st, rng);
@@ -767,32 +769,17 @@ static uint64_t pcg_output(u128 s)
     return (x >> rot) | (x << ((-rot) & 63));
 }
 
-/* s advanced by `steps` LCG steps in O(log steps) (Brown, "Random Number
- * Generation with Arbitrary Strides", 1994), numpy's pcg64_advance. */
-static u128 pcg_advance(u128 s, u128 inc, uint64_t steps)
-{
-    u128 mult = PCG_MULT, plus = inc, acc_mult = 1, acc_plus = 0;
-    for (; steps; steps >>= 1) {
-        if (steps & 1) {
-            acc_mult *= mult;
-            acc_plus = acc_plus * mult + plus;
-        }
-        plus *= mult + 1;
-        mult *= mult;
-    }
-    return acc_mult * s + acc_plus;
-}
-
 /* Advance st as numpy's Generator.integers(0, high, size=count) does for
  * 2 <= high < 2**32: each draw takes 32-bit words, the buffered high half
  * first, until Lemire's test accepts one, i.e. until the low half of
- * word * high is at least (2**32 - high) % high.  When high divides 2**32
- * every word is accepted and the LCG jumps ahead.  Otherwise two LCG chains,
- * the even and the odd steps, are stepped together. */
+ * word * high is at least (2**32 - high) % high.  Two LCG chains, the even
+ * and the odd steps, are stepped together. */
 void pcg64_skip_bounded(pcg64_state *st, uint32_t high, long long count)
 {
     u128 s = ((u128)st->state_hi << 64) | st->state_lo;
     u128 inc = ((u128)st->inc_hi << 64) | st->inc_lo;
+    u128 mult2 = PCG_MULT * PCG_MULT, inc2 = PCG_MULT * inc + inc;
+    u128 a = s * PCG_MULT + inc, b = a * PCG_MULT + inc;
     uint32_t threshold;
     if (count <= 0 || high < 2) /* numpy draws nothing for a single value */
         return;
@@ -802,41 +789,33 @@ void pcg64_skip_bounded(pcg64_state *st, uint32_t high, long long count)
         if ((uint32_t)((uint64_t)st->uinteger * high) >= threshold && --count == 0)
             return;
     }
-    if (threshold == 0) {
-        s = pcg_advance(s, inc, (uint64_t)(count + 1) / 2);
-        st->has_uint32 = (int)(count & 1);
-        st->uinteger = (uint32_t)(pcg_output(s) >> 32);
-    } else {
-        u128 mult2 = PCG_MULT * PCG_MULT, inc2 = PCG_MULT * inc + inc;
-        u128 a = s * PCG_MULT + inc, b = a * PCG_MULT + inc;
-        for (;;) {
-            uint64_t x = pcg_output(a);
-            if ((uint32_t)((x & 0xffffffffU) * high) >= threshold && --count == 0) {
-                s = a;
-                st->has_uint32 = 1;
-                st->uinteger = (uint32_t)(x >> 32);
-                break;
-            }
-            if ((uint32_t)((x >> 32) * high) >= threshold && --count == 0) {
-                s = a;
-                st->uinteger = (uint32_t)(x >> 32);
-                break;
-            }
-            x = pcg_output(b);
-            if ((uint32_t)((x & 0xffffffffU) * high) >= threshold && --count == 0) {
-                s = b;
-                st->has_uint32 = 1;
-                st->uinteger = (uint32_t)(x >> 32);
-                break;
-            }
-            if ((uint32_t)((x >> 32) * high) >= threshold && --count == 0) {
-                s = b;
-                st->uinteger = (uint32_t)(x >> 32);
-                break;
-            }
-            a = a * mult2 + inc2;
-            b = b * mult2 + inc2;
+    for (;;) {
+        uint64_t x = pcg_output(a);
+        if ((uint32_t)((x & 0xffffffffU) * high) >= threshold && --count == 0) {
+            s = a;
+            st->has_uint32 = 1;
+            st->uinteger = (uint32_t)(x >> 32);
+            break;
         }
+        if ((uint32_t)((x >> 32) * high) >= threshold && --count == 0) {
+            s = a;
+            st->uinteger = (uint32_t)(x >> 32);
+            break;
+        }
+        x = pcg_output(b);
+        if ((uint32_t)((x & 0xffffffffU) * high) >= threshold && --count == 0) {
+            s = b;
+            st->has_uint32 = 1;
+            st->uinteger = (uint32_t)(x >> 32);
+            break;
+        }
+        if ((uint32_t)((x >> 32) * high) >= threshold && --count == 0) {
+            s = b;
+            st->uinteger = (uint32_t)(x >> 32);
+            break;
+        }
+        a = a * mult2 + inc2;
+        b = b * mult2 + inc2;
     }
     st->state_hi = (uint64_t)(s >> 64);
     st->state_lo = (uint64_t)s;

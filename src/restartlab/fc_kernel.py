@@ -73,6 +73,7 @@ typedef struct {
     int new_node;
     int pooled;
     double *trace;
+    double *trace_end;
     long long cutoff;
     long long trace_left;
     long long budget;

@@ -522,7 +522,7 @@ def simulate_policy(
         # round by round.  Cutoff costs are whole numbers, which float64 adds
         # exactly up to 2**53, so this order of additions leaves every total
         # bit-identical.
-        skips = _skip_kernel(rng) is not None
+        skips = None  # whether the kernel skips; asked at the first dead round
         shared = 0
         pending = 0
         active = np.arange(trials)
@@ -535,6 +535,8 @@ def simulate_policy(
             cutoff = policy.round_cutoff(round_no)
             if cutoff is not None and cutoff < shortest:
                 shared += cutoff
+                if skips is None:
+                    skips = _skip_kernel(rng) is not None
                 if skips:
                     pending += active.size
                 else:

@@ -665,9 +665,10 @@ class KernelState:
         self, seed: int, config: SolverConfig, trace: Optional[List]
     ) -> Tuple[str, int, bool]:
         """SearchState.search in the kernel, on a Mersenne Twister seeded as
-        random.Random(seed).  fc_run writes the traced rows into a buffer
-        that holds every row the horizon and the cutoff allow, and returns
-        after every _RUN_STEPS units of work so that Ctrl-C is handled."""
+        random.Random(seed).  fc_run writes the traced rows into a buffer of
+        at most _TRACE_ROWS rows, which is emptied into trace whenever it
+        returns, and returns after every _RUN_STEPS units of work so that
+        Ctrl-C is handled."""
         ffi = self._ffi
         lib = self._lib
         st = self._st
@@ -675,25 +676,34 @@ class KernelState:
         st.new_node = 1
         if trace is not None:
             width = _TRACE_WIDTH[config.pooled_line_variance]
-            rows = config.horizon if config.cutoff is None else min(config.horizon, config.cutoff)
-            buffer = ffi.new("double[]", rows * width)
+            # Rows still to trace when the buffer was last emptied.
+            left = config.horizon if config.cutoff is None else min(config.horizon, config.cutoff)
+            buffer = ffi.new("double[]", min(left, _TRACE_ROWS) * width)
             st.trace = buffer
-            st.trace_left = rows
+            st.trace_end = buffer + len(buffer)
+            st.trace_left = left
             st.pooled = config.pooled_line_variance
         mt = ffi.new("mt_state *")
         lib.mt_seed(mt, seed)
-        status = lib.fc_run(st, mt, _RUN_STEPS)
-        while status == lib.FC_PAUSED:
+        while True:
             status = lib.fc_run(st, mt, _RUN_STEPS)
-        if trace is not None:
-            flat = ffi.unpack(buffer, (rows - st.trace_left) * width)
-            trace.extend(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
+            if trace is not None and st.trace_left < left:
+                flat = ffi.unpack(buffer, (left - st.trace_left) * width)
+                trace.extend(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
+                left = st.trace_left
+                st.trace = buffer
+            if status != lib.FC_PAUSED:
+                break
         outcome = SOLVED if status == lib.FC_SOLVED else CUTOFF
         return outcome, st.choice_points, status == lib.FC_EXHAUSTED
 
 
 # Floats per traced row, by pooled_line_variance.
 _TRACE_WIDTH = {pooled: len(default_registry(pooled)) for pooled in (True, False)}
+
+# Most traced rows held in C at a time: a run traced to a large horizon
+# allocates no more than this, however few choice points it reaches.
+_TRACE_ROWS = 1024
 
 # Work per fc_run call (choice points plus the open cells of filtered lines),
 # so that a long search returns to Python, and to Ctrl-C, several times a

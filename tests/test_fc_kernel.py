@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +182,50 @@ class TestIdentityWithPythonState:
                     seed = derive_seed(81, "run", i)
                     assert solve(instance, config, seed) == python_solve(instance, config, seed)
 
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_small_row_buffer(self, monkeypatch, rows):
+        # the kernel pauses whenever the row buffer fills, and Python empties it
+        monkeypatch.setattr(solver, "_TRACE_ROWS", rows)
+        desk = desk_instance()
+        multi = multi_alldiff_instances()[:4]
+        for propagation, cases in ((FORWARD_CHECK, [desk] * 4), (ALLDIFF_REGIN, [desk] + multi)):
+            for pooled in (True, False):
+                config = SolverConfig(cutoff=2000, propagation=propagation, horizon=50,
+                                      trace_enabled=True, pooled_line_variance=pooled)
+                for i, instance in enumerate(cases):
+                    seed = derive_seed(81, "run", i)
+                    assert solve(instance, config, seed) == python_solve(instance, config, seed)
+
+    def test_large_horizon_allocates_a_bounded_buffer(self):
+        # no cutoff and a horizon of ten million on a run solved in a few
+        # choice points: the buffer holds _TRACE_ROWS rows, not one per
+        # allowed choice point
+        kernel = fc_kernel.load()[0]
+
+        class RecordingFFI:
+            def __init__(self):
+                self.sizes = []
+
+            def new(self, *args):
+                obj = kernel.ffi.new(*args)
+                self.sizes.append(kernel.ffi.sizeof(obj))
+                return obj
+
+            def __getattr__(self, name):
+                return getattr(kernel.ffi, name)
+
+        instance = desk_instance()
+        config = SolverConfig(cutoff=None, horizon=10**7, trace_enabled=True,
+                              pooled_line_variance=False)
+        ffi = RecordingFFI()
+        state = KernelState(instance, config, SimpleNamespace(ffi=ffi, lib=kernel.lib))
+        assert state.propagate_root()
+        trace = []
+        state.search(derive_seed(81, "run", 1), config, trace)
+        assert 0 < len(trace) and max(ffi.sizes) <= solver._TRACE_ROWS * 15 * 8
+        seed = derive_seed(81, "run", 1)
+        assert solve(instance, config, seed) == python_solve(instance, config, seed)
 
 @needs_kernel
 class TestStateChoice:

@@ -649,7 +649,7 @@ class TestKernelSkip:
     @pytest.mark.parametrize("scale", [1, 3])
     @pytest.mark.parametrize("lengths", [
         [40],  # one length: numpy draws nothing
-        [18 + 7 * i for i in range(64)],  # a power of two: the LCG jumps ahead
+        [18 + 7 * i for i in range(64)],  # a power of two: no word is rejected
         [18, 19, 25, 40, 90, 400, 3000],
     ])
     def test_luby_equals_drawing_on_rtds(self, lengths, scale):
@@ -666,6 +666,17 @@ class TestKernelSkip:
         policy = LubyPolicy(scale)
         want = _without_kernel(lambda: simulate_policy(source, policy, 2000, 7))
         assert asdict(simulate_policy(source, policy, 2000, 7)) == asdict(want)
+
+    def test_no_dead_round_loads_no_kernel(self, monkeypatch):
+        # cutoffs never below the shortest run leave no draw to skip, so
+        # these policies never ask for the kernel
+        def load():
+            raise AssertionError("kernel loaded")
+
+        monkeypatch.setattr(fc_kernel, "load", load)
+        source = RtdSource(EmpiricalRTD([18, 19, 25, 40, 90, 400, 3000]))
+        for policy in (FixedPolicy(18), FixedPolicy(3000), LubyPolicy(18)):
+            simulate_policy(source, policy, 500, 81)
 
     def test_one_draw_per_kernel_call(self, monkeypatch):
         source = RtdSource(EmpiricalRTD([18, 19, 25, 40, 90, 400, 3000]))

@@ -12,9 +12,7 @@ training split at the largest kappa of the default grid.
 Policies, as the benchmark prices them: fixed:900, luby:1 and dynamic:50,3000
 with a synthetic predictor of accuracy 0.9, each over 100000 trials on the
 run-length file; and dynamic:50,3000 with the tree as predictor over 10000
-trials on the held-out split.  Master seed 81.  64 lengths is a power of two,
-where the kernel jumps the generator ahead, so luby:1 is also timed on the
-63 shortest lengths (`luby_63`), where it steps through every word.
+trials on the held-out split.  Master seed 81.
 
 Each policy is timed REPEATS (7) times, kernel and fallback alternating.  The
 JSON records, per policy and side, the trials, the run lengths drawn in
@@ -47,7 +45,6 @@ from restartlab.learn import DEFAULT_KAPPA_GRID, grow_tree
 from restartlab.policy import (
     DatasetSource,
     DynamicPolicy,
-    EmpiricalRTD,
     FixedPolicy,
     LubyPolicy,
     ModelPredictor,
@@ -135,7 +132,6 @@ def main(argv=None) -> int:
     runs = [
         ("fixed", RtdSource(rtd), FixedPolicy(900), TRIALS),
         ("luby", RtdSource(rtd), LubyPolicy(1), TRIALS),
-        ("luby_63", RtdSource(EmpiricalRTD(rtd.lengths[:-1])), LubyPolicy(1), TRIALS),
         ("dynamic_synthetic", RtdSource(rtd),
          DynamicPolicy(50, 3000, SyntheticPredictor(0.9)), TRIALS),
         ("dynamic_model", DatasetSource(test),
