@@ -14,9 +14,13 @@
  *
  * The search and the generators draw from an mt_state, a copy of a
  * random.Random's Mersenne Twister state (or one seeded here as
- * random.Random(seed) seeds it), through the same genrand_uint32,
- * _randbelow and shuffle steps as CPython, so they consume exactly the
- * stream the Python code would and make the same choices.
+ * random.Random(seed) seeds it).  Each entry point reads its words through
+ * one block reader (mt_open, mt_next, mt_close), which regenerates and
+ * tempers the 624-word state a block at a time, and takes _randbelow and
+ * shuffle steps as CPython does, so it consumes exactly the stream the
+ * Python code would and makes the same choices.  The balanced hole pattern
+ * rejects a shuffle at its first taken cell and only consumes the words of
+ * the steps left.
  *
  * pcg64_skip_bounded advances a copy of numpy's PCG64 state past the draws
  * of Generator.integers(0, high, size=count) without making them: the same
@@ -26,6 +30,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define MAX_N 64
 
@@ -407,32 +412,89 @@ typedef struct {
     int index; /* next word of mt to temper; MT_N means regenerate first */
 } mt_state;
 
-/* genrand_uint32 of CPython's Modules/_randommodule.c. */
-static uint32_t genrand_uint32(mt_state *rng)
+/* A reader hands out the tempered words of an mt_state, as CPython's
+ * genrand_uint32 does, a block at a time: out holds the tempered words of the
+ * current block from `next` on.  The twist regenerates the block and the
+ * tempering fills out in four-word vectors.  The state's index is only
+ * written back by mt_close, so every entry point that opens a reader closes
+ * it before it returns. */
+typedef struct {
+    mt_state *rng;
+    int next; /* next word of out; MT_N means regenerate first */
+    uint32_t out[MT_N];
+} mt_reader;
+
+typedef uint32_t v4u __attribute__((vector_size(16)));
+
+static v4u load4(const uint32_t *p)
 {
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t *mt = rng->mt;
-    uint32_t y;
-    if (rng->index >= MT_N) {
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        rng->index = 0;
+    v4u v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static void store4(uint32_t *p, v4u v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+/* Temper the words from `from` (rounded down to a vector) to the block's end. */
+static void mt_temper(mt_reader *rd, int from)
+{
+    const uint32_t *mt = rd->rng->mt;
+    int i;
+    for (i = from & ~3; i < MT_N; i += 4) {
+        v4u y = load4(mt + i);
+        y ^= y >> 11;
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        y ^= y >> 18;
+        store4(rd->out + i, y);
     }
-    y = mt[rng->index++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
+}
+
+/* One twist step: the word `far` ahead (or behind) mixed with the top bit of
+ * u and the low bits of v, without a branch on v's lowest bit. */
+#define MT_TWIST(far, u, v)                                                    \
+    ((far) ^ ((((u) & 0x80000000U) | ((v) & 0x7fffffffU)) >> 1) ^               \
+     (-((v) & 1U) & 0x9908b0dfU))
+
+/* Regenerate the block, as genrand_uint32 does when its index reaches MT_N,
+ * four words at a time where no word depends on another of the four. */
+static void mt_refill(mt_reader *rd)
+{
+    uint32_t *mt = rd->rng->mt;
+    int kk;
+    for (kk = 0; kk + 4 <= MT_N - MT_M; kk += 4)
+        store4(mt + kk, MT_TWIST(load4(mt + kk + MT_M), load4(mt + kk), load4(mt + kk + 1)));
+    for (; kk < MT_N - MT_M; kk++)
+        mt[kk] = MT_TWIST(mt[kk + MT_M], mt[kk], mt[kk + 1]);
+    for (; kk + 4 <= MT_N - 1; kk += 4)
+        store4(mt + kk, MT_TWIST(load4(mt + kk + (MT_M - MT_N)), load4(mt + kk), load4(mt + kk + 1)));
+    for (; kk < MT_N - 1; kk++)
+        mt[kk] = MT_TWIST(mt[kk + (MT_M - MT_N)], mt[kk], mt[kk + 1]);
+    mt[MT_N - 1] = MT_TWIST(mt[MT_M - 1], mt[MT_N - 1], mt[0]);
+    mt_temper(rd, 0);
+    rd->next = 0;
+}
+
+static void mt_open(mt_reader *rd, mt_state *rng)
+{
+    rd->rng = rng;
+    rd->next = rng->index;
+    mt_temper(rd, rng->index);
+}
+
+static inline uint32_t mt_next(mt_reader *rd)
+{
+    if (rd->next == MT_N)
+        mt_refill(rd);
+    return rd->out[rd->next++];
+}
+
+static void mt_close(mt_reader *rd)
+{
+    rd->rng->index = rd->next;
 }
 
 /* random.Random(seed) for 0 <= seed < 2**64: CPython's random_seed keys
@@ -468,22 +530,22 @@ void mt_seed(mt_state *rng, uint64_t seed)
 
 /* random.Random._randbelow(n) for 0 < n < 2**31: getrandbits(k) with
  * k = n.bit_length() is the top k bits of one word, redrawn while >= n. */
-static int randbelow(mt_state *rng, int n)
+static int randbelow(mt_reader *rd, int n)
 {
     int shift = __builtin_clz((unsigned)n);
     uint32_t r;
     do
-        r = genrand_uint32(rng) >> shift;
+        r = mt_next(rd) >> shift;
     while (r >= (uint32_t)n);
     return (int)r;
 }
 
 /* random.Random.shuffle. */
-static void shuffle(mt_state *rng, int *x, int len)
+static void shuffle(mt_reader *rd, int *x, int len)
 {
     int i;
     for (i = len - 1; i > 0; i--) {
-        int j = randbelow(rng, i + 1);
+        int j = randbelow(rd, i + 1);
         int t = x[i];
         x[i] = x[j];
         x[j] = t;
@@ -495,7 +557,7 @@ static void shuffle(mt_state *rng, int *x, int len)
 /* Open a frame on the Brelaz cell: smallest domain, then most open cells
  * sharing its lines, then a uniform draw among the remaining ties in hole
  * order.  Its values are listed ascending and shuffled. */
-static void open_frame(fc_state *st, mt_state *rng)
+static void open_frame(fc_state *st, mt_reader *rd)
 {
     int n = st->n;
     int ties[MAX_N * MAX_N];
@@ -528,13 +590,13 @@ static void open_frame(fc_state *st, mt_state *rng)
         }
         count = kept;
     }
-    cell = count > 1 ? ties[randbelow(rng, count)] : ties[0];
+    cell = count > 1 ? ties[randbelow(rd, count)] : ties[0];
     f->cell = cell;
     f->next = 0;
     f->n_values = 0;
     for (m = st->domain[cell]; m; m &= m - 1)
         f->values[f->n_values++] = __builtin_ctzll(m) + 1;
-    shuffle(rng, f->values, f->n_values);
+    shuffle(rd, f->values, f->n_values);
 }
 
 /* Population variance of m line counts as features._population_variance
@@ -607,16 +669,16 @@ static void write_row(fc_state *st)
  * once it has done `budget` units of work: one per choice point, and one per
  * open cell of each line it filters, which bounds its time at either level
  * and any order.  It also pauses when a row is due and the buffer is full,
- * so that the caller can empty it and reset st->trace. */
-int fc_run(fc_state *st, mt_state *rng, long long budget)
+ * so that the caller can empty it and reset st->trace.  fc_run sets the
+ * budget and draws from rng through a reader. */
+static int run(fc_state *st, mt_reader *rd)
 {
-    st->budget = budget;
     for (;;) {
         fc_frame *f;
         if (st->budget-- <= 0 || (st->trace_left > 0 && st->trace == st->trace_end))
             return FC_PAUSED;
         if (st->new_node)
-            open_frame(st, rng);
+            open_frame(st, rd);
         if (st->cutoff >= 0 && st->choice_points >= st->cutoff)
             return FC_CUTOFF;
         st->choice_points++;
@@ -658,34 +720,72 @@ int fc_run(fc_state *st, mt_state *rng, long long budget)
     }
 }
 
+int fc_run(fc_state *st, mt_state *rng, long long budget)
+{
+    mt_reader rd;
+    int status;
+    st->budget = budget;
+    mt_open(&rd, rng);
+    status = run(st, &rd);
+    mt_close(&rd);
+    return status;
+}
+
 /* ---- instance generation ---- */
+
+/* Consume the draws of randbelow(k), randbelow(k - 1), ..., randbelow(2),
+ * the remaining steps of a shuffle whose outcome is already known: a word is
+ * accepted when its top bits are below the bound, and each acceptance lowers
+ * the bound by one, without a branch on the word. */
+static void skip_shuffle_steps(mt_reader *rd, int k)
+{
+    while (k >= 2)
+        k -= (mt_next(rd) >> __builtin_clz((unsigned)k)) < (uint32_t)k;
+}
 
 /* One pass of latin._balanced_holes for 1 <= h <= n-2: h random permutations,
  * each redrawn (up to `retries` times) until it avoids every cell already
  * taken (bit c of taken[r] for cell (r, c)).  Returns 1 when all h fit, 0
- * when a slot ran out of draws and the caller must start a new pattern. */
+ * when a slot ran out of draws and the caller must start a new pattern.
+ *
+ * Each draw is random.Random.shuffle of 0..n-1, which finalizes position i at
+ * its step i and position 0 at the last one.  A draw is rejected at the first
+ * finalized position that is taken, and its remaining steps only consume
+ * their words, so the stream and the pattern are those of the Python loop. */
 int lq_hole_pattern(mt_state *rng, int n, int h, int retries, uint64_t *taken)
 {
-    int perm[64];
-    int slot, tries, r;
-    for (r = 0; r < n; r++)
+    int perm[MAX_N], identity[MAX_N];
+    int slot, tries, r, fits = 1;
+    mt_reader rd;
+    mt_open(&rd, rng);
+    for (r = 0; r < n; r++) {
         taken[r] = 0;
-    for (slot = 0; slot < h; slot++) {
+        identity[r] = r;
+    }
+    for (slot = 0; slot < h && fits; slot++) {
         for (tries = 0; tries < retries; tries++) {
-            for (r = 0; r < n; r++)
-                perm[r] = r;
-            shuffle(rng, perm, n);
-            for (r = 0; r < n && !(taken[r] >> perm[r] & 1); r++)
-                ;
-            if (r == n)
+            int i;
+            memcpy(perm, identity, sizeof(int) * n);
+            for (i = n - 1; i > 0; i--) {
+                int j = randbelow(&rd, i + 1), t = perm[i];
+                perm[i] = perm[j];
+                perm[j] = t;
+                if (taken[i] >> perm[i] & 1)
+                    break;
+            }
+            if (i > 0)
+                skip_shuffle_steps(&rd, i);
+            else if (!(taken[0] >> perm[0] & 1))
                 break;
         }
         if (tries == retries)
-            return 0;
-        for (r = 0; r < n; r++)
-            taken[r] |= (uint64_t)1 << perm[r];
+            fits = 0;
+        else
+            for (r = 0; r < n; r++)
+                taken[r] |= (uint64_t)1 << perm[r];
     }
-    return 1;
+    mt_close(&rd);
+    return fits;
 }
 
 /* latin.generate_complete's backtracking fill, kept in caller buffers so a
@@ -704,8 +804,9 @@ typedef struct {
 /* Advance the fill by at most `steps` placements or retreats.  A newly
  * reached cell lists its legal symbols in ascending order and shuffles
  * them.  Returns 1 when the square is complete, 0 when the steps ran out
- * (call again), -1 when the search retreated past the first cell. */
-int lq_fill(mt_state *rng, lq_square *sq, long long steps)
+ * (call again), -1 when the search retreated past the first cell.  lq_fill
+ * draws from rng through a reader. */
+static int fill(mt_reader *rd, lq_square *sq, long long steps)
 {
     int n = sq->n, size = n * n;
     uint64_t full = n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
@@ -720,7 +821,7 @@ int lq_fill(mt_state *rng, lq_square *sq, long long steps)
             int k = 0;
             for (; avail; avail &= avail - 1)
                 cs[k++] = __builtin_ctzll(avail) + 1;
-            shuffle(rng, cs, k);
+            shuffle(rd, cs, k);
             sq->n_cands[i] = k;
             sq->drawn++;
         }
@@ -742,6 +843,16 @@ int lq_fill(mt_state *rng, lq_square *sq, long long steps)
         }
     }
     return 1;
+}
+
+int lq_fill(mt_state *rng, lq_square *sq, long long steps)
+{
+    mt_reader rd;
+    int done;
+    mt_open(&rd, rng);
+    done = fill(&rd, sq, steps);
+    mt_close(&rd);
+    return done;
 }
 
 /* ---- numpy's PCG64 stream ---- */

@@ -21,6 +21,7 @@ file.  When cffi, the compiler or every cache directory is unavailable,
 
 from __future__ import annotations
 
+import array
 import contextlib
 import functools
 import hashlib
@@ -222,11 +223,15 @@ def _load():
 @contextlib.contextmanager
 def mt_stream(ffi, rng: random.Random):
     """rng's Mersenne Twister state as a kernel mt_state; afterwards rng
-    continues from wherever the kernel left the stream."""
+    continues from wherever the kernel left the stream.
+
+    The state tuple of getstate, 624 words and the index, is laid out as an
+    mt_state (a uint32_t[624] and an int, without padding), so it is copied
+    into one array of 32-bit words and read back from it whole."""
     version, internal, gauss_next = rng.getstate()
-    state = ffi.new("mt_state *", {"mt": internal[:624], "index": internal[624]})
-    yield state
-    rng.setstate((version, tuple(ffi.unpack(state.mt, 624)) + (state.index,), gauss_next))
+    words = array.array("I", internal)
+    yield ffi.cast("mt_state *", ffi.from_buffer(words))
+    rng.setstate((version, tuple(words), gauss_next))
 
 
 @contextlib.contextmanager

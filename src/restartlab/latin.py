@@ -104,7 +104,7 @@ class PartialLatinSquare:
         return sum(1 for _ in self.holes())
 
     def is_complete(self) -> bool:
-        return self.hole_count() == 0
+        return all(HOLE not in row for row in self.cells)
 
 
 def validate(square: PartialLatinSquare) -> List[Violation]:
@@ -232,7 +232,7 @@ def generate_complete(n: int, seed: int) -> PartialLatinSquare:
     if n < 1:
         raise StructureError(f"order must be >= 1, got {n}")
     flat = _fill_square(n, random.Random(normalize_seed(seed)))
-    cells = tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(n))
+    cells = tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
     return PartialLatinSquare(order=n, cells=cells)
 
 
@@ -266,8 +266,9 @@ class HoleSpec:
 _PATTERN_RETRIES = 1000
 
 
-def _balanced_holes(n: int, h: int, rng: random.Random) -> List[Tuple[int, int]]:
-    """Support of h pairwise-disjoint random permutation matrices.
+def _balanced_holes(n: int, h: int, rng: random.Random) -> List[int]:
+    """Row masks (bit c of mask r for cell (r, c)) of the support of h
+    pairwise-disjoint random permutation matrices.
 
     Each permutation is drawn by rejection against the cells already taken,
     with the whole pattern restarted after 1000 failed draws for one slot.
@@ -275,39 +276,35 @@ def _balanced_holes(n: int, h: int, rng: random.Random) -> List[Tuple[int, int]]
     one permutation), where rejection would almost never terminate, so those
     are drawn directly with the same distribution.
     """
+    full = (1 << n) - 1
     if h == 0:
-        return []
+        return [0] * n
     if h == n:
-        return [(r, c) for r in range(n) for c in range(n)]
+        return [full] * n
     if h == n - 1:
         keep = list(range(n))
         rng.shuffle(keep)
-        return [(r, c) for r in range(n) for c in range(n) if c != keep[r]]
+        return [full ^ 1 << c for c in keep]
     kernel = _kernel_for(n)
     if kernel is not None:
-        taken_bits = kernel.ffi.new("uint64_t[]", n)
+        taken = kernel.ffi.new("uint64_t[]", n)
         with fc_kernel.mt_stream(kernel.ffi, rng) as state:
-            while not kernel.lib.lq_hole_pattern(state, n, h, _PATTERN_RETRIES, taken_bits):
+            while not kernel.lib.lq_hole_pattern(state, n, h, _PATTERN_RETRIES, taken):
                 pass
-        return [(r, c) for r in range(n) for c in range(n) if taken_bits[r] >> c & 1]
+        return kernel.ffi.unpack(taken, n)
     while True:
-        taken: List[set] = [set() for _ in range(n)]
-        count = 0
-        restart = False
+        masks = [0] * n
         for _ in range(h):
             for _ in range(_PATTERN_RETRIES):
                 p = list(range(n))
                 rng.shuffle(p)
-                if all(p[r] not in taken[r] for r in range(n)):
-                    for r in range(n):
-                        taken[r].add(p[r])
-                    count += 1
+                if not any(m >> c & 1 for m, c in zip(masks, p)):
+                    masks = [m | 1 << c for m, c in zip(masks, p)]
                     break
             else:
-                restart = True
-                break
-        if not restart and count == h:
-            return [(r, c) for r in range(n) for c in sorted(taken[r])]
+                break  # this slot ran out of draws: start a new pattern
+        else:
+            return masks
 
 
 def poke_holes(square: PartialLatinSquare, spec: HoleSpec, seed: int) -> PartialLatinSquare:
@@ -325,18 +322,23 @@ def poke_holes(square: PartialLatinSquare, spec: HoleSpec, seed: int) -> Partial
         k = spec.total_holes
         if k > n * n:
             raise StructureError(f"total_holes {k} exceeds {n * n} cells")
-        positions = rng.sample(range(n * n), k)
-        holes = {divmod(p, n) for p in positions}
+        masks = [0] * n
+        for p in rng.sample(range(n * n), k):
+            masks[p // n] |= 1 << p % n
     else:
         h = spec.holes_per_line
         if h > n:
             raise StructureError(f"holes_per_line {h} exceeds order {n}")
-        holes = set(_balanced_holes(n, h, rng))
-    cells = tuple(
-        tuple(HOLE if (r, c) in holes else square.cells[r][c] for c in range(n))
-        for r in range(n)
-    )
-    return PartialLatinSquare(order=n, cells=cells)
+        masks = _balanced_holes(n, h, rng)
+    return PartialLatinSquare(order=n, cells=tuple(map(_erase, square.cells, masks)))
+
+
+def _erase(row: Tuple[Optional[int], ...], mask: int) -> Tuple[Optional[int], ...]:
+    """The row with a hole in each column whose bit is set in mask."""
+    cells = list(row)
+    for c in _bits_to_symbols(mask):
+        cells[c - 1] = HOLE
+    return tuple(cells)
 
 
 def iter_completions(instance: PartialLatinSquare) -> Iterator[PartialLatinSquare]:

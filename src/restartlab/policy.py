@@ -325,28 +325,38 @@ class SyntheticPredictor:
 
 
 class ModelPredictor:
-    """Applies a trained tree to each run's recorded feature vector."""
+    """Applies a trained tree to the dataset rows a DatasetSource draws.
+
+    The tree's call on a row depends on the row alone, so it is made once for
+    every row of a dataset and the drawn rows look theirs up."""
 
     def __init__(self, model: "_learn.DecisionTreeModel"):
         self.model = model
+        self._calls: Tuple[Optional["_learn.Dataset"], Optional[np.ndarray]] = (None, None)
+
+    def _short_rows(self, dataset: "_learn.Dataset") -> np.ndarray:
+        """Whether the tree calls each row of dataset SHORT."""
+        if self._calls[0] is not dataset:
+            self._calls = (dataset, _learn.predict_batch(self.model, dataset.X) > 0.5)
+        return self._calls[1]
 
     def predict_short(
         self,
         lengths: np.ndarray,
-        features: Optional[np.ndarray],
+        features: Optional["Rows"],
         limit: float,
         rng: np.random.Generator,
     ) -> np.ndarray:
         if features is None:
             raise ValueError("this run source provides no features to predict from")
-        return _learn.predict_batch(self.model, features) > 0.5
+        return self._short_rows(features.dataset)[features.index]
 
     def analytic(self, policy: "DynamicPolicy", run_source) -> Analytic:
         """Success probability over a dataset source's rows; nothing else."""
         ds = getattr(run_source, "dataset", None)
         if ds is None:
             return Analytic()
-        pred = _learn.predict_batch(self.model, ds.X) > 0.5
+        pred = self._short_rows(ds)
         ok = (ds.runtime <= policy.observe) | (pred & (ds.runtime <= policy.limit))
         return Analytic(float(ok.mean()))
 
@@ -414,8 +424,15 @@ class RtdSource:
         _skip_integers(rng, self.rtd.lengths.size, size)
 
 
+class Rows(NamedTuple):
+    """Rows of a dataset, by index: the features a DatasetSource draws."""
+
+    dataset: "_learn.Dataset"
+    index: np.ndarray
+
+
 class DatasetSource:
-    """Resamples (runtime, summary vector) rows from a labeled dataset."""
+    """Resamples rows, runtime and summary vector, from a labeled dataset."""
 
     def __init__(self, dataset: "_learn.Dataset"):
         self.dataset = dataset
@@ -423,10 +440,7 @@ class DatasetSource:
 
     def sample(self, rng: np.random.Generator, size: int):
         idx = rng.integers(0, self.dataset.runtime.size, size=size)
-        return (
-            self.dataset.runtime[idx].astype(np.int64),
-            self.dataset.X[idx],
-        )
+        return self.dataset.runtime[idx].astype(np.int64), Rows(self.dataset, idx)
 
     def skip(self, rng: np.random.Generator, size: int) -> None:
         """Advance rng past what sample(rng, size) would draw."""

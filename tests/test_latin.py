@@ -302,12 +302,15 @@ def on_python(fn, *args):
         return fn(*args)
 
 
-def both_paths(fn, n, seed, *args):
-    """fn(n, *args, rng) on the kernel and on Python, from random.Random(seed):
-    each path's output and the rng state it leaves."""
+def both_paths(fn, n, seed, *args, state=None):
+    """fn(n, *args, rng) on the kernel and on Python, from random.Random(seed)
+    or from the given getstate() tuple: each path's output and the rng state
+    it leaves."""
     out = []
     for run in (fn, lambda *a: on_python(fn, *a)):
         rng = random.Random(seed)
+        if state is not None:
+            rng.setstate(state)
         out.append((run(n, *args, rng), rng.getstate()))
     return out
 
@@ -348,6 +351,49 @@ class TestKernelGenerators:
         square = generate_complete(18, derive_seed(81, "instance"))
         assert square == on_python(generate_complete, 18, derive_seed(81, "instance"))
         kernel, python = both_paths(latin._balanced_holes, 18, derive_seed(81, "mask"), 7)
+        assert kernel == python
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 12), seed=st.integers(0, 2**64 - 1),
+           retries=st.integers(1, 3))
+    def test_hole_pattern_restarts_match_python(self, data, n, seed, retries):
+        # a slot that fails within 1-3 draws restarts the pattern, so the
+        # kernel is called again and reads its words from mid-block
+        h = data.draw(st.integers(1, min(3, n - 2)))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(latin, "_PATTERN_RETRIES", retries)
+            kernel, python = both_paths(latin._balanced_holes, n, seed, h)
+        assert kernel == python
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+    def test_fill_one_step_per_call_matches_python(self, n, seed):
+        # every lq_fill call reopens the reader wherever the last one stopped
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(latin, "_FILL_STEPS", 1)
+            kernel, python = both_paths(latin._fill_square, n, seed)
+        assert kernel == python
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), index=st.sampled_from([0, 1, 623, 624]),
+           seed=st.integers(0, 2**64 - 1))
+    def test_streams_entered_at_any_index_match_python(self, data, index, seed):
+        # the reader tempers the block from the state's index on: at its start,
+        # at its last word, or after it (regenerate first)
+        version, internal, gauss_next = random.Random(seed).getstate()
+        state = (version, internal[:624] + (index,), gauss_next)
+        n = data.draw(st.integers(3, 12))
+        h = data.draw(st.integers(1, min(n // 2, n - 2)))
+        kernel, python = both_paths(latin._balanced_holes, n, 0, h, state=state)
+        assert kernel == python
+        kernel, python = both_paths(latin._fill_square, n, 0, state=state)
+        assert kernel == python
+
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data(), n=st.integers(15, 24), seed=st.integers(0, 2**64 - 1))
+    def test_large_hole_patterns_match_python(self, data, n, seed):
+        h = data.draw(st.integers(1, 8))
+        kernel, python = both_paths(latin._balanced_holes, n, seed, h)
         assert kernel == python
 
 

@@ -27,6 +27,7 @@ from restartlab.policy import (
     LubyPolicy,
     ModelPredictor,
     PolicyStats,
+    Rows,
     RtdSource,
     SyntheticPredictor,
     _skip_integers,
@@ -298,10 +299,30 @@ class TestPolicyObjects:
         pred = ModelPredictor(model)
         with pytest.raises(ValueError):
             pred.predict_short(np.array([1]), None, 10, np.random.default_rng(0))
-        out = pred.predict_short(
-            np.array([1, 2]), np.zeros((2, 0)), 10, np.random.default_rng(0)
-        )
+        rows = Rows(tiny_dataset([1, 2], n_features=0), np.array([0, 1]))
+        out = pred.predict_short(np.array([1, 2]), rows, 10, np.random.default_rng(0))
         assert out.tolist() == [True, True]  # counts (5,0) predict SHORT
+
+    def test_model_predictor_calls_each_row_once(self, monkeypatch):
+        ds = tiny_dataset([10, 20, 30])
+        ds.X[:, 0] = [1.0, 2.0, 3.0]
+        model = DecisionTreeModel(
+            root=TreeNode(4, 4, feature=0, threshold=2.5,
+                          left=TreeNode(3, 0), right=TreeNode(0, 3)),
+            columns=ds.columns, kappa=1.0,
+        )
+        pred = ModelPredictor(model)
+        calls = []
+        real = policy_module._learn.predict_batch
+        monkeypatch.setattr(policy_module._learn, "predict_batch",
+                            lambda m, X: calls.append(len(X)) or real(m, X))
+        source = DatasetSource(ds)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            lengths, rows = source.sample(rng, 50)
+            out = pred.predict_short(lengths, rows, 100, rng)
+            assert out.tolist() == (real(model, ds.X[rows.index]) > 0.5).tolist()
+        assert calls == [3]
 
 
 def tiny_dataset(runtimes, n_features=2):
@@ -330,9 +351,9 @@ class TestRunSources:
         ds = tiny_dataset([10, 20, 30])
         ds.X[:, 0] = [1.0, 2.0, 3.0]
         src = DatasetSource(ds)
-        lengths, feats = src.sample(np.random.default_rng(2), 200)
-        assert feats.shape == (200, 2)
-        assert (feats[:, 0] * 10 == lengths).all()
+        lengths, rows = src.sample(np.random.default_rng(2), 200)
+        assert rows.dataset is ds and rows.index.shape == (200,)
+        assert (ds.X[rows.index, 0] * 10 == lengths).all()
         assert src.rtd.lengths.tolist() == [10, 20, 30]
 
 
