@@ -1,6 +1,8 @@
 /* C kernels for orders up to 64: the completion search of solver.py at both
  * propagation levels, the two seeded instance generators of latin.py, and
- * the skip over discarded draws of policy.simulate_policy.
+ * the skip over discarded draws of policy.simulate_policy.  Its constants,
+ * state structs and entry points are declared in _fc_kernel.h, which
+ * fc_kernel.py also hands to cffi.
  *
  * One fc_state holds a run's mutable state: bitmask domains (bit s-1 set
  * means symbol s is still possible), assigned symbols (0 = open), open-cell
@@ -9,7 +11,7 @@
  * traced feature rows.  Every buffer is owned by the caller.  The step order
  * (peer order, FIFO queues, dirty-line order, pruning order, trail layout)
  * mirrors the Python SearchState in solver.py exactly, so both give
- * identical counters and trajectories, and a traced row holds the floats
+ * identical counters and trajectories, and a traced row holds the 14 floats
  * features.snapshot computes.
  *
  * The search and the generators draw from an mt_state, a copy of a
@@ -32,60 +34,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define MAX_N 64
-
-/* fc_run results */
-#define FC_PAUSED 0    /* the step budget ran out: call again */
-#define FC_SOLVED 1
-#define FC_CUTOFF 2    /* the choice-point cutoff was reached */
-#define FC_EXHAUSTED 3 /* the whole search space was explored */
-
-typedef struct {
-    int cell;
-    int n_values;
-    int next;  /* index of the value being tried */
-    int mark;  /* trail length before the branch */
-    int values[MAX_N];
-} fc_frame;
-
-typedef struct {
-    int n;
-    int n_holes;
-    int regin; /* alldiff (Regin) filtering after forward checking */
-    int unassigned_count;
-    int trail_len;
-    uint64_t *domain;
-    int *symbol;
-    int *line_unassigned;
-    int *hole_cells;      /* open cells of the instance, row-major */
-    int *trail_cell;      /* pruned cell, or ~cell for an assignment */
-    uint64_t *trail_bits; /* pruned bit, or the domain before the assignment */
-    int *queue;           /* assigned cells to forward-check, n_holes slots */
-    int *dirty;           /* ring of lines to filter, 2n slots */
-    int *dirty_flag;      /* line is in the ring */
-    int dirty_head;
-    int dirty_len;
-    fc_frame *frames;     /* n_holes slots */
-    int n_frames;
-    int new_node;         /* the next choice point opens a frame */
-    int pooled;           /* one line variance over all 2n lines, else two */
-    double *trace;        /* where the next traced feature row goes */
-    double *trace_end;    /* end of the row buffer */
-    long long cutoff;     /* choice points allowed, -1 for no limit */
-    long long trace_left; /* leading choice points still to trace */
-    long long budget;     /* work left in this fc_run call */
-    long long choice_points;
-    /* counters of RunRecord.stats and the traced feature rows */
-    long long backtracks;
-    long long contradictions;
-    long long forced_assignments;
-    long long alldiff_prunings;
-    long long depth;
-    long long max_depth;
-    long long min_leaf_depth; /* -1 before the first dead end */
-    long long node_visits;
-    long long node_depth_sum;
-} fc_state;
+#include "_fc_kernel.h"
 
 static void mark_dirty(fc_state *st, int line)
 {
@@ -404,13 +353,7 @@ static void undo_to(fc_state *st, int mark)
 
 /* ---- CPython's Mersenne Twister stream ---- */
 
-#define MT_N 624
 #define MT_M 397
-
-typedef struct {
-    uint32_t mt[MT_N];
-    int index; /* next word of mt to temper; MT_N means regenerate first */
-} mt_state;
 
 /* A reader hands out the tempered words of an mt_state, as CPython's
  * genrand_uint32 does, a block at a time: out holds the tempered words of the
@@ -618,9 +561,9 @@ static double line_variance(const int *xs, int m)
     return acc / m;
 }
 
-/* Write the feature row of features.snapshot at st->trace and advance it;
- * the two must change together.  Every quotient of two integers is taken
- * in double, as Python's int / int rounds it. */
+/* Write the 14 floats of features.snapshot, in features.REGISTRY order, at
+ * st->trace and advance it; the two must change together.  Every quotient
+ * of two integers is taken in double, as Python's int / int rounds it. */
 static void write_row(fc_state *st)
 {
     int n = st->n, open = 0, min_dom = n + 1, k;
@@ -648,18 +591,12 @@ static void write_row(fc_state *st)
     row[6] = open ? (double)total / open : 0.0;
     row[7] = min_dom;
     row[8] = (double)total;
-    k = 9;
-    if (st->pooled) {
-        row[k++] = line_variance(st->line_unassigned, 2 * n);
-    } else {
-        row[k++] = line_variance(st->line_unassigned, n);
-        row[k++] = line_variance(st->line_unassigned + n, n);
-    }
-    row[k++] = (double)open / n;
-    row[k++] = (double)st->forced_assignments;
-    row[k++] = (double)st->alldiff_prunings;
-    row[k++] = (double)st->contradictions;
-    st->trace += k;
+    row[9] = line_variance(st->line_unassigned, 2 * n);
+    row[10] = (double)open / n;
+    row[11] = (double)st->forced_assignments;
+    row[12] = (double)st->alldiff_prunings;
+    row[13] = (double)st->contradictions;
+    st->trace += 14;
 }
 
 /* Run the search of solver.SearchState.search on a root-propagated state
@@ -788,19 +725,6 @@ int lq_hole_pattern(mt_state *rng, int n, int h, int retries, uint64_t *taken)
     return fits;
 }
 
-/* latin.generate_complete's backtracking fill, kept in caller buffers so a
- * long search can return to Python between calls. */
-typedef struct {
-    int n;
-    int filled;         /* cells 0..filled-1 hold their symbols */
-    int drawn;          /* cells whose candidates are drawn: filled or filled+1 */
-    int *flat;          /* symbol per cell, row-major */
-    int *cands;         /* n slots per cell: its shuffled candidates */
-    int *n_cands;       /* candidates per cell not yet tried (taken from the end) */
-    uint64_t *row_used; /* bit s-1: symbol s is placed in the row */
-    uint64_t *col_used;
-} lq_square;
-
 /* Advance the fill by at most `steps` placements or retreats.  A newly
  * reached cell lists its legal symbols in ascending order and shuffles
  * them.  Returns 1 when the square is complete, 0 when the steps ran out
@@ -858,17 +782,6 @@ int lq_fill(mt_state *rng, lq_square *sq, long long steps)
 /* ---- numpy's PCG64 stream ---- */
 
 typedef unsigned __int128 u128;
-
-/* A PCG64 bit generator's state dict: the 128-bit LCG state and increment,
- * and the high half-word of the last output while it waits to be drawn. */
-typedef struct {
-    uint64_t state_hi;
-    uint64_t state_lo;
-    uint64_t inc_hi;
-    uint64_t inc_lo;
-    int has_uint32;
-    uint32_t uinteger;
-} pcg64_state;
 
 #define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
 

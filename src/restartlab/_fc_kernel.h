@@ -1,0 +1,109 @@
+/* The interface of the C kernel (_fc_kernel.c): its constants, the state
+ * structs its callers allocate, and its seven entry points.  _fc_kernel.c
+ * includes this file, and fc_kernel.py hands it to cffi as the declarations
+ * Python sees, so it is the one place they are written.  It holds only what
+ * cffi's declaration parser reads: no #include (uint32_t and uint64_t come
+ * from <stdint.h>, included first by _fc_kernel.c), no include guard and
+ * #define only for integer constants. */
+
+#define MAX_N 64 /* domains and line masks are 64-bit masks */
+#define MT_N 624 /* words of Mersenne Twister state */
+
+/* fc_run results */
+#define FC_PAUSED 0    /* the step budget ran out: call again */
+#define FC_SOLVED 1
+#define FC_CUTOFF 2    /* the choice-point cutoff was reached */
+#define FC_EXHAUSTED 3 /* the whole search space was explored */
+
+/* ---- the search ---- */
+
+typedef struct {
+    int cell;
+    int n_values;
+    int next; /* index of the value being tried */
+    int mark; /* trail length before the branch */
+    int values[MAX_N];
+} fc_frame;
+
+typedef struct {
+    int n;
+    int n_holes;
+    int regin; /* alldiff (Regin) filtering after forward checking */
+    int unassigned_count;
+    int trail_len;
+    uint64_t *domain;
+    int *symbol;
+    int *line_unassigned;
+    int *hole_cells;      /* open cells of the instance, row-major */
+    int *trail_cell;      /* pruned cell, or ~cell for an assignment */
+    uint64_t *trail_bits; /* pruned bit, or the domain before the assignment */
+    int *queue;           /* assigned cells to forward-check, n_holes slots */
+    int *dirty;           /* ring of lines to filter, 2n slots */
+    int *dirty_flag;      /* line is in the ring */
+    int dirty_head;
+    int dirty_len;
+    fc_frame *frames;     /* n_holes slots */
+    int n_frames;
+    int new_node;         /* the next choice point opens a frame */
+    double *trace;        /* where the next traced feature row goes */
+    double *trace_end;    /* end of the row buffer */
+    long long cutoff;     /* choice points allowed, -1 for no limit */
+    long long trace_left; /* leading choice points still to trace */
+    long long budget;     /* work left in this fc_run call */
+    long long choice_points;
+    /* counters of RunRecord.stats and the traced feature rows */
+    long long backtracks;
+    long long contradictions;
+    long long forced_assignments;
+    long long alldiff_prunings;
+    long long depth;
+    long long max_depth;
+    long long min_leaf_depth; /* -1 before the first dead end */
+    long long node_visits;
+    long long node_depth_sum;
+} fc_state;
+
+/* ---- CPython's Mersenne Twister stream ---- */
+
+typedef struct {
+    uint32_t mt[MT_N];
+    int index; /* next word of mt to temper; MT_N means regenerate first */
+} mt_state;
+
+/* ---- instance generation ---- */
+
+/* latin.generate_complete's backtracking fill, kept in caller buffers so a
+ * long search can return to Python between calls. */
+typedef struct {
+    int n;
+    int filled;         /* cells 0..filled-1 hold their symbols */
+    int drawn;          /* cells whose candidates are drawn: filled or filled+1 */
+    int *flat;          /* symbol per cell, row-major */
+    int *cands;         /* n slots per cell: its shuffled candidates */
+    int *n_cands;       /* candidates per cell not yet tried (taken from the end) */
+    uint64_t *row_used; /* bit s-1: symbol s is placed in the row */
+    uint64_t *col_used;
+} lq_square;
+
+/* ---- numpy's PCG64 stream ---- */
+
+/* A PCG64 bit generator's state dict: the 128-bit LCG state and increment,
+ * and the high half-word of the last output while it waits to be drawn. */
+typedef struct {
+    uint64_t state_hi;
+    uint64_t state_lo;
+    uint64_t inc_hi;
+    uint64_t inc_lo;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64_state;
+
+/* ---- entry points, each described at its definition ---- */
+
+void mt_seed(mt_state *rng, uint64_t seed);
+void fc_init(fc_state *st);
+int fc_propagate_root(fc_state *st);
+int fc_run(fc_state *st, mt_state *rng, long long budget);
+int lq_hole_pattern(mt_state *rng, int n, int h, int retries, uint64_t *taken);
+int lq_fill(mt_state *rng, lq_square *sq, long long steps);
+void pcg64_skip_bounded(pcg64_state *st, uint32_t high, long long count);

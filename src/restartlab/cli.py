@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import io as rio
-from .features import default_registry, summary_columns
+from .features import summary_columns
 from .harness import (
     MULTI_INSTANCE,
     SINGLE_INSTANCE,
@@ -245,16 +245,9 @@ def _cmd_dataset(args) -> int:
     return EXIT_OK
 
 
-def _known_schemas() -> List[List[str]]:
-    return [
-        summary_columns(default_registry(True)),
-        summary_columns(default_registry(False)),
-    ]
-
-
 def _cmd_train(args) -> int:
     ds = rio.read_dataset(args.train)
-    if ds.columns not in _known_schemas():
+    if ds.columns != summary_columns():
         raise rio.DataFormatError(
             f"{args.train}: column schema does not match the feature registry"
         )
@@ -457,7 +450,10 @@ def _cmd_report(args) -> int:
         head = fh.read(512)
     if head.lstrip().startswith("{"):
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise rio.DataFormatError(f"{path}: invalid JSON: {exc}") from exc
         kind = obj.get("format", "unknown")
         print(f"{path}: {kind} (tool {obj.get('tool_version')})")
         body = obj.get("report", obj.get("tree"))

@@ -9,14 +9,18 @@ pattern) on a copy of a `random.Random` state (`mt_stream`).  For
 copy of numpy's PCG64 state (`pcg64_stream`), so a draw that would be
 discarded is never made.
 
-The kernel is compiled on first use, never at import: cffi emits the wrapper
-source and one `cc -O2 -shared -fPIC` call compiles it.  The module file is
-named by the SHA-256 of everything that goes into it and lives in the first
-usable cache directory ($XDG_CACHE_HOME/restartlab or ~/.cache/restartlab,
-then a per-user directory under the system temp dir).  A finished build is
-moved into place with os.replace, so concurrent builders never see a partial
-file.  When cffi, the compiler or every cache directory is unavailable,
-`load` reports why and the solver and the generators run in Python instead.
+Its constants, structs and entry points are declared once, in
+`_fc_kernel.h`: the C source includes that header, and cffi reads it as the
+declarations Python sees.  The kernel is compiled on first use, never at
+import: cffi emits the wrapper source and one `cc -O2 -shared -fPIC` call
+compiles it.  The module file is named by the SHA-256 of everything that
+goes into it (both files, the cffi version and the flags) and lives in the
+first usable cache directory ($XDG_CACHE_HOME/restartlab or
+~/.cache/restartlab, then a per-user directory under the system temp dir).
+A finished build is moved into place with os.replace, so concurrent
+builders never see a partial file.  When cffi, the compiler, either kernel
+file or every cache directory is unavailable, `load` reports why and the
+solver and the generators run in Python instead.
 """
 
 from __future__ import annotations
@@ -37,94 +41,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 SOURCE = Path(__file__).with_name("_fc_kernel.c")
-
-CDEF = """
-#define FC_PAUSED 0
-#define FC_SOLVED 1
-#define FC_CUTOFF 2
-#define FC_EXHAUSTED 3
-
-typedef struct {
-    int cell;
-    int n_values;
-    int next;
-    int mark;
-    int values[64];
-} fc_frame;
-
-typedef struct {
-    int n;
-    int n_holes;
-    int regin;
-    int unassigned_count;
-    int trail_len;
-    uint64_t *domain;
-    int *symbol;
-    int *line_unassigned;
-    int *hole_cells;
-    int *trail_cell;
-    uint64_t *trail_bits;
-    int *queue;
-    int *dirty;
-    int *dirty_flag;
-    int dirty_head;
-    int dirty_len;
-    fc_frame *frames;
-    int n_frames;
-    int new_node;
-    int pooled;
-    double *trace;
-    double *trace_end;
-    long long cutoff;
-    long long trace_left;
-    long long budget;
-    long long choice_points;
-    long long backtracks;
-    long long contradictions;
-    long long forced_assignments;
-    long long alldiff_prunings;
-    long long depth;
-    long long max_depth;
-    long long min_leaf_depth;
-    long long node_visits;
-    long long node_depth_sum;
-} fc_state;
-
-typedef struct {
-    uint32_t mt[624];
-    int index;
-} mt_state;
-
-void mt_seed(mt_state *rng, uint64_t seed);
-void fc_init(fc_state *st);
-int fc_propagate_root(fc_state *st);
-int fc_run(fc_state *st, mt_state *rng, long long budget);
-
-typedef struct {
-    int n;
-    int filled;
-    int drawn;
-    int *flat;
-    int *cands;
-    int *n_cands;
-    uint64_t *row_used;
-    uint64_t *col_used;
-} lq_square;
-
-int lq_hole_pattern(mt_state *rng, int n, int h, int retries, uint64_t *taken);
-int lq_fill(mt_state *rng, lq_square *sq, long long steps);
-
-typedef struct {
-    uint64_t state_hi;
-    uint64_t state_lo;
-    uint64_t inc_hi;
-    uint64_t inc_lo;
-    int has_uint32;
-    uint32_t uinteger;
-} pcg64_state;
-
-void pcg64_skip_bounded(pcg64_state *st, uint32_t high, long long count);
-"""
+HEADER = SOURCE.with_suffix(".h")
 
 COMPILER = "cc"
 CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -153,15 +70,15 @@ def _usable(d: Path) -> bool:
     return os.access(d, os.W_OK | os.X_OK) and d.stat().st_uid == os.getuid()
 
 
-def _module_name(source: str, backend_version: str) -> str:
+def _module_name(source: str, header: str, backend_version: str) -> str:
     h = hashlib.sha256()
-    for part in (source, CDEF, backend_version, " ".join(CFLAGS)):
+    for part in (source, header, backend_version, " ".join(CFLAGS)):
         h.update(part.encode("utf-8"))
         h.update(b"\0")
     return "_fc_" + h.hexdigest()
 
 
-def _build(name: str, source: str, target: Path) -> None:
+def _build(name: str, source: str, header: str, target: Path) -> None:
     try:
         import cffi
     except ImportError as exc:
@@ -170,7 +87,7 @@ def _build(name: str, source: str, target: Path) -> None:
     if cc is None:
         raise KernelUnavailable(f"no C compiler ({COMPILER}) on PATH")
     ffi = cffi.FFI()
-    ffi.cdef(CDEF)
+    ffi.cdef(header)
     ffi.set_source(name, source)
     with tempfile.TemporaryDirectory(dir=target.parent, prefix=".build-") as tmp:
         c_file = os.path.join(tmp, name + ".c")
@@ -180,7 +97,7 @@ def _build(name: str, source: str, target: Path) -> None:
         include = sysconfig.get_paths()["include"]
         try:
             proc = subprocess.run(
-                [cc, *CFLAGS, f"-I{include}", c_file, "-o", so_file],
+                [cc, *CFLAGS, f"-I{include}", f"-I{HEADER.parent}", c_file, "-o", so_file],
                 capture_output=True, text=True, timeout=300,
             )
         except subprocess.TimeoutExpired as exc:
@@ -198,9 +115,10 @@ def _load():
         raise KernelUnavailable(f"cffi is not installed ({exc})") from None
     try:
         source = SOURCE.read_text(encoding="utf-8")
+        header = HEADER.read_text(encoding="utf-8")
     except OSError as exc:
         raise KernelUnavailable(f"cannot read the kernel source ({exc})") from None
-    name = _module_name(source, _cffi_backend.__version__)
+    name = _module_name(source, header, _cffi_backend.__version__)
     filename = name + sysconfig.get_config_var("EXT_SUFFIX")
     cache = next((d for d in _cache_dirs() if _usable(d)), None)
     if cache is None:
@@ -208,7 +126,7 @@ def _load():
     target = cache / filename
     if not target.exists():
         try:
-            _build(name, source, target)
+            _build(name, source, header, target)
         except OSError as exc:
             raise KernelUnavailable(f"cannot build in {cache} ({exc})") from None
     spec = importlib.util.spec_from_file_location(name, target)

@@ -1,10 +1,12 @@
 """Search-state features and run summaries.
 
 The solver snapshots a fixed vector of run-time features at every choice
-point.  A finished (or horizon-truncated) trace is then compressed into
-summary statistics per feature: initial value, final value, mean, min, max,
-plus mean/min/max of the first differences and the number of strict sign
-alternations in those differences.  Summaries are what the learner consumes.
+point: the 14 base features of REGISTRY, read by `snapshot` in Python and
+written by write_row in _fc_kernel.c.  A finished (or horizon-truncated)
+trace is then compressed into summary statistics per feature: initial
+value, final value, mean, min, max, plus mean/min/max of the first
+differences and the number of strict sign alternations in those
+differences.  Summaries are what the learner consumes.
 """
 
 from __future__ import annotations
@@ -42,63 +44,38 @@ class FeatureSpec:
     doc: str
 
 
+# The base features, in the order of every traced row.
+REGISTRY: Tuple[FeatureSpec, ...] = (
+    FeatureSpec("backtracks", False, "branch assignments undone so far"),
+    FeatureSpec("depth", True, "branch assignments currently on the stack"),
+    FeatureSpec("max_depth", True, "deepest branch assignment reached so far"),
+    FeatureSpec(
+        "min_leaf_depth",
+        True,
+        "shallowest dead end seen so far; current depth before the first dead end",
+    ),
+    FeatureSpec("avg_node_depth", True, "mean depth over all choice points so far"),
+    FeatureSpec("open_cells", True, "unassigned cells"),
+    FeatureSpec("avg_domain", False, "mean domain size over open cells"),
+    FeatureSpec("min_domain", False, "smallest domain over open cells"),
+    FeatureSpec("domain_total", True, "summed domain sizes over open cells"),
+    FeatureSpec(
+        "line_var", True, "population variance of open-cell counts over all 2n lines"
+    ),
+    FeatureSpec("open_per_line", True, "open cells divided by the order"),
+    FeatureSpec("forced_assignments", True, "cells assigned by propagation so far"),
+    FeatureSpec("alldiff_prunings", True, "values removed by matching filtering so far"),
+    FeatureSpec("contradictions", False, "dead ends hit so far"),
+)
+
+
 def default_registry(pooled_line_variance: bool = True) -> Tuple[FeatureSpec, ...]:
-    """The ordered base-feature registry.
-
-    With pooled_line_variance (the default) the open-cell counts of all 2n
-    rows and columns feed a single variance feature; otherwise rows and
-    columns get separate variance features.
-    """
-    specs: List[FeatureSpec] = [
-        FeatureSpec("backtracks", False, "branch assignments undone so far"),
-        FeatureSpec("depth", True, "branch assignments currently on the stack"),
-        FeatureSpec("max_depth", True, "deepest branch assignment reached so far"),
-        FeatureSpec(
-            "min_leaf_depth",
-            True,
-            "shallowest dead end seen so far; current depth before the first dead end",
-        ),
-        FeatureSpec("avg_node_depth", True, "mean depth over all choice points so far"),
-        FeatureSpec("open_cells", True, "unassigned cells"),
-        FeatureSpec("avg_domain", False, "mean domain size over open cells"),
-        FeatureSpec("min_domain", False, "smallest domain over open cells"),
-        FeatureSpec("domain_total", True, "summed domain sizes over open cells"),
-    ]
-    if pooled_line_variance:
-        specs.append(
-            FeatureSpec(
-                "line_var",
-                True,
-                "population variance of open-cell counts over all 2n lines",
-            )
-        )
-    else:
-        specs.append(
-            FeatureSpec(
-                "row_var", True, "population variance of open-cell counts over rows"
-            )
-        )
-        specs.append(
-            FeatureSpec(
-                "col_var", True, "population variance of open-cell counts over columns"
-            )
-        )
-    specs.extend(
-        [
-            FeatureSpec("open_per_line", True, "open cells divided by the order"),
-            FeatureSpec(
-                "forced_assignments", True, "cells assigned by propagation so far"
-            ),
-            FeatureSpec(
-                "alldiff_prunings", True, "values removed by matching filtering so far"
-            ),
-            FeatureSpec("contradictions", False, "dead ends hit so far"),
-        ]
-    )
-    return tuple(specs)
-
-
-REGISTRY: Tuple[FeatureSpec, ...] = default_registry()
+    """REGISTRY, whose line_var pools the open-cell counts of all 2n rows and
+    columns.  pooled_line_variance=True names that registry; there is no
+    other, so False raises ValueError."""
+    if not pooled_line_variance:
+        raise ValueError("only the pooled line-variance registry exists")
+    return REGISTRY
 
 
 def registry_hash(registry: Sequence[FeatureSpec] = REGISTRY) -> str:
@@ -125,8 +102,8 @@ def _scaled_mask(registry: Tuple[FeatureSpec, ...]) -> np.ndarray:
     )
 
 
-def snapshot(state, pooled_line_variance: bool = True) -> Tuple[float, ...]:
-    """Read the base feature vector off a live search state.
+def snapshot(state) -> Tuple[float, ...]:
+    """Read the base feature vector, in REGISTRY order, off a live search state.
 
     Called by the Python solver (solver.SearchState) once per choice point,
     after propagation and before the branch assignment; the state object must
@@ -151,7 +128,6 @@ def snapshot(state, pooled_line_variance: bool = True) -> Tuple[float, ...]:
     else:
         avg_dom = 0.0
         min_dom = 0
-    lu = state.line_unassigned
     depth = state.depth
     if state.min_leaf_depth is None:
         min_leaf = depth
@@ -161,7 +137,7 @@ def snapshot(state, pooled_line_variance: bool = True) -> Tuple[float, ...]:
         avg_node_depth = state.node_depth_sum / state.node_visits
     else:
         avg_node_depth = float(depth)
-    base = [
+    return (
         float(state.backtracks),
         float(depth),
         float(state.max_depth),
@@ -171,21 +147,12 @@ def snapshot(state, pooled_line_variance: bool = True) -> Tuple[float, ...]:
         float(avg_dom),
         float(min_dom),
         float(total_dom),
-    ]
-    if pooled_line_variance:
-        base.append(_population_variance(lu))
-    else:
-        base.append(_population_variance(lu[:n]))
-        base.append(_population_variance(lu[n:]))
-    base.extend(
-        [
-            open_cells / n,
-            float(state.forced_assignments),
-            float(state.alldiff_prunings),
-            float(state.contradictions),
-        ]
+        _population_variance(state.line_unassigned),
+        open_cells / n,
+        float(state.forced_assignments),
+        float(state.alldiff_prunings),
+        float(state.contradictions),
     )
-    return tuple(base)
 
 
 def _population_variance(xs: Sequence[int]) -> float:

@@ -16,13 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fc_kernel
-from .features import (
-    default_registry,
-    normalize_for_multi,
-    registry_hash,
-    summarize,
-    summary_columns,
-)
+from .features import normalize_for_multi, registry_hash, summarize, summary_columns
 from .io import DataFormatError, write_dataset, write_rtd
 from .latin import HoleSpec, PartialLatinSquare, generate_complete, poke_holes
 from .learn import Dataset, label_by_median
@@ -48,7 +42,6 @@ class ExperimentSpec:
     cutoff: Optional[int] = None
     propagation: str = FORWARD_CHECK
     master_seed: int = 0
-    pooled_line_variance: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in (SINGLE_INSTANCE, MULTI_INSTANCE):
@@ -84,7 +77,6 @@ def _run_one(task: Tuple[int, int]) -> _RunRow:
     idx, seed = task
     spec: ExperimentSpec = _WORK["spec"]
     config: SolverConfig = _WORK["config"]
-    registry = _WORK["registry"]
     if spec.mode == SINGLE_INSTANCE:
         instance = _WORK["instance"]
     else:
@@ -97,9 +89,9 @@ def _run_one(task: Tuple[int, int]) -> _RunRow:
     runtime = rec.choice_points
     if solved and runtime < spec.horizon:
         return (idx, runtime, True, False, rec.post_propagation_size, None)
-    sv = summarize(rec.trace, spec.horizon, registry=registry, censored=not solved)
+    sv = summarize(rec.trace, spec.horizon, censored=not solved)
     if spec.mode == MULTI_INSTANCE:
-        sv = normalize_for_multi(sv, rec.post_propagation_size, registry=registry)
+        sv = normalize_for_multi(sv, rec.post_propagation_size)
     return (idx, runtime, solved, not solved, rec.post_propagation_size, sv.values)
 
 
@@ -109,9 +101,7 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
         propagation=spec.propagation,
         horizon=spec.horizon,
         trace_enabled=True,
-        pooled_line_variance=spec.pooled_line_variance,
     )
-    registry = default_registry(spec.pooled_line_variance)
     instance = spec.instance
     if spec.mode == SINGLE_INSTANCE and instance is None:
         square = generate_complete(spec.order, derive_seed(spec.master_seed, "instance"))
@@ -119,7 +109,6 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
     payload = {
         "spec": spec,
         "config": config,
-        "registry": registry,
         "instance": instance,
     }
     # Build the kernel here, once, so pool workers only ever load it.
@@ -210,8 +199,7 @@ def run_experiment(
     """
     total = spec.train_runs + spec.test_runs
     rows = _execute_runs(spec, total, threads)
-    registry = default_registry(spec.pooled_line_variance)
-    columns = summary_columns(registry)
+    columns = summary_columns()
     multi = spec.mode == MULTI_INSTANCE
     train_rows = rows[: spec.train_runs]
     test_rows = rows[spec.train_runs :]
@@ -228,7 +216,7 @@ def run_experiment(
         "mode": spec.mode,
         "horizon": spec.horizon,
         "cutoff": spec.cutoff,
-        "registry_hash": registry_hash(registry),
+        "registry_hash": registry_hash(),
         "median": median,
         "train": train_counts,
         "test": test_counts,

@@ -44,27 +44,36 @@ def _header_lines(kind: str, params: Optional[Dict], master_seed: Optional[int],
     return lines
 
 
-def _parse_header(lines: Sequence[str], kind: str) -> Dict:
-    """Parse leading '#' lines; unknown comment lines are ignored."""
+def _parse_header(lines: Sequence[str], kind: str, path: str) -> Dict:
+    """Parse leading '#' lines; unknown comment lines are ignored, and a
+    known line that does not parse is a DataFormatError naming path."""
     out: Dict = {"params": {}, "master_seed": None, "meta": {}}
     for raw in lines:
         body = raw[1:].strip()
-        if body.startswith("restartlab "):
-            parts = body.split()
-            if len(parts) >= 3:
-                if parts[1] != kind:
-                    raise DataFormatError(
-                        f"expected a {kind} file, found {parts[1]!r}"
-                    )
-                out["format_version"] = int(parts[2])
-        elif body.startswith("params "):
-            out["params"] = json.loads(body[len("params "):])
-        elif body.startswith("master_seed "):
-            tok = body[len("master_seed "):].strip()
-            out["master_seed"] = None if tok == "null" else int(tok)
-        elif body.startswith("meta "):
-            out["meta"] = json.loads(body[len("meta "):])
+        try:
+            if body.startswith("restartlab "):
+                parts = body.split()
+                if len(parts) >= 3:
+                    if parts[1] != kind:
+                        raise ValueError(f"expected a {kind} file, found {parts[1]!r}")
+                    out["format_version"] = int(parts[2])
+            elif body.startswith("params "):
+                out["params"] = _json_object(body[len("params "):])
+            elif body.startswith("master_seed "):
+                tok = body[len("master_seed "):].strip()
+                out["master_seed"] = None if tok == "null" else int(tok)
+            elif body.startswith("meta "):
+                out["meta"] = _json_object(body[len("meta "):])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: bad header line {raw!r}: {exc}") from exc
     return out
+
+
+def _json_object(text: str) -> Dict:
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    return obj
 
 
 def _split_comments(text: str) -> Tuple[List[str], List[str]]:
@@ -99,7 +108,7 @@ def write_instance(
 def read_instance(path: str) -> PartialLatinSquare:
     with open(path, "r", encoding="utf-8") as fh:
         comments, rest = _split_comments(fh.read())
-    _parse_header(comments, "instance")
+    _parse_header(comments, "instance", path)
     if not rest:
         raise DataFormatError(f"{path}: empty instance file")
     try:
@@ -163,7 +172,7 @@ def read_dataset(path: str) -> Dataset:
     """Read every recorded row back; callers filter on .censored for learning."""
     with open(path, "r", encoding="utf-8") as fh:
         comments, rest = _split_comments(fh.read())
-    head = _parse_header(comments, "dataset")
+    head = _parse_header(comments, "dataset", path)
     if not rest:
         raise DataFormatError(f"{path}: missing column header")
     reader = csv.reader(rest)
@@ -233,7 +242,7 @@ def write_rtd(
 def read_rtd(path: str) -> EmpiricalRTD:
     with open(path, "r", encoding="utf-8") as fh:
         comments, rest = _split_comments(fh.read())
-    _parse_header(comments, "rtd")
+    _parse_header(comments, "rtd", path)
     lengths = []
     for ln, line in enumerate(rest, start=1):
         tok = line.strip()
@@ -316,22 +325,22 @@ def read_model(path: str) -> DecisionTreeModel:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if obj.get("format") != "restartlab model":
+    if not isinstance(obj, dict) or obj.get("format") != "restartlab model":
         raise DataFormatError(f"{path}: not a model file")
-    columns = list(obj["columns"])
-    index = {name: j for j, name in enumerate(columns)}
     try:
+        columns = list(obj["columns"])
+        index = {name: j for j, name in enumerate(columns)}
         root = _node_from_obj(obj["tree"], index)
+        med = obj.get("training_median")
+        return DecisionTreeModel(
+            root=root,
+            columns=columns,
+            kappa=float(obj["kappa"]),
+            training_median=None if med is None else float(med),
+            registry_hash=obj.get("registry_hash"),
+        )
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed tree: {exc}") from exc
-    med = obj.get("training_median")
-    return DecisionTreeModel(
-        root=root,
-        columns=columns,
-        kappa=float(obj["kappa"]),
-        training_median=None if med is None else float(med),
-        registry_hash=obj.get("registry_hash"),
-    )
+        raise DataFormatError(f"{path}: malformed model: {exc!r}") from exc
 
 
 # -- report files ------------------------------------------------------------
@@ -380,6 +389,6 @@ def read_report(path: str) -> Dict:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if obj.get("format") != "restartlab report":
+    if not isinstance(obj, dict) or obj.get("format") != "restartlab report":
         raise DataFormatError(f"{path}: not a report file")
     return obj

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from . import fc_kernel
-from .features import default_registry, snapshot
+from .features import REGISTRY, snapshot
 from .latin import HOLE, PartialLatinSquare, StructureError, validate
 from .seeds import normalize_seed
 
@@ -48,7 +48,6 @@ class SolverConfig:
     propagation: str = ALLDIFF_REGIN
     horizon: int = 1000
     trace_enabled: bool = False
-    pooled_line_variance: bool = True
 
     def __post_init__(self) -> None:
         if self.cutoff is not None and self.cutoff < 0:
@@ -560,7 +559,6 @@ class SearchState:
         rng = random.Random(seed)
         cutoff = config.cutoff
         horizon = config.horizon
-        pooled = config.pooled_line_variance
         trail = self.trail
         choice_points = 0
         frames: List[List] = []  # [cell, shuffled values, value index, trail mark]
@@ -579,7 +577,7 @@ class SearchState:
             if trace is not None and len(trace) < horizon:
                 self.node_visits += 1
                 self.node_depth_sum += self.depth
-                trace.append(snapshot(self, pooled))
+                trace.append(snapshot(self))
             if len(frames) > self.max_depth:
                 self.max_depth = len(frames)
             f[3] = len(trail)
@@ -675,14 +673,13 @@ class KernelState:
         st.cutoff = -1 if config.cutoff is None else config.cutoff
         st.new_node = 1
         if trace is not None:
-            width = _TRACE_WIDTH[config.pooled_line_variance]
+            width = len(REGISTRY)
             # Rows still to trace when the buffer was last emptied.
             left = config.horizon if config.cutoff is None else min(config.horizon, config.cutoff)
             buffer = ffi.new("double[]", min(left, _TRACE_ROWS) * width)
             st.trace = buffer
             st.trace_end = buffer + len(buffer)
             st.trace_left = left
-            st.pooled = config.pooled_line_variance
         mt = ffi.new("mt_state *")
         lib.mt_seed(mt, seed)
         while True:
@@ -697,9 +694,6 @@ class KernelState:
         outcome = SOLVED if status == lib.FC_SOLVED else CUTOFF
         return outcome, st.choice_points, status == lib.FC_EXHAUSTED
 
-
-# Floats per traced row, by pooled_line_variance.
-_TRACE_WIDTH = {pooled: len(default_registry(pooled)) for pooled in (True, False)}
 
 # Most traced rows held in C at a time: a run traced to a large horizon
 # allocates no more than this, however few choice points it reaches.

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from restartlab.cli import EXIT_OK, main
-from restartlab.features import default_registry, summary_columns
 from restartlab.harness import find_heavy_tail_instance
 from restartlab.io import read_dataset, read_model, read_rtd
 from restartlab.latin import (
@@ -39,7 +38,6 @@ from restartlab.learn import (
 from restartlab.policy import (
     DynamicPolicy,
     EmpiricalRTD,
-    FixedPolicy,
     LubyPolicy,
     RtdSource,
     SyntheticPredictor,
@@ -52,7 +50,6 @@ from restartlab.policy import (
 )
 from restartlab.seeds import derive_seed
 from restartlab.solver import (
-    ALLDIFF_REGIN,
     FORWARD_CHECK,
     SOLVED,
     SolverConfig,

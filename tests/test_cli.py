@@ -220,6 +220,23 @@ class TestTrain:
         assert main(["train", str(path), "-o", str(tmp_path / "m.json")]) == EXIT_DATA
         capsys.readouterr()
 
+    def test_split_line_variance_schema_rejected(self, workdir, tmp_path, capsys):
+        # the removed layout: row and column variance in place of line_var
+        # (feature-major, so line_var's nine columns become eighteen)
+        ds = read_dataset(str(workdir / "small_train.csv"))
+        j = ds.columns.index("line_var__init")
+        block = ds.columns[j:j + 9]
+        columns = (ds.columns[:j]
+                   + [c.replace("line_var", f) for f in ("row_var", "col_var") for c in block]
+                   + ds.columns[j + 9:])
+        split = Dataset(columns=columns, X=np.hstack([ds.X[:, :j + 9], ds.X[:, j:]]),
+                        runtime=ds.runtime, is_short=ds.is_short, censored=ds.censored,
+                        divisor=ds.divisor, median=ds.median)
+        path = tmp_path / "split.csv"
+        write_dataset(str(path), split)
+        assert main(["train", str(path), "-o", str(tmp_path / "m.json")]) == EXIT_DATA
+        assert "column schema" in capsys.readouterr().err
+
 
 class TestEval:
     def test_prints_both_scores(self, workdir, capsys):
@@ -253,6 +270,14 @@ class TestEval:
         write_dataset(str(path), ds)
         assert main(["eval", str(workdir / "model.json"), str(path)]) == EXIT_DATA
         capsys.readouterr()
+
+    def test_model_without_columns_is_data_error(self, workdir, tmp_path, capsys):
+        obj = json.loads((workdir / "model.json").read_text())
+        del obj["columns"]
+        path = tmp_path / "no_columns.json"
+        path.write_text(json.dumps(obj))
+        assert main(["eval", str(path), str(workdir / "small_test.csv")]) == EXIT_DATA
+        assert str(path) in capsys.readouterr().err
 
     def test_runtime_past_int64_is_data_error(self, workdir, tmp_path, capsys):
         lines = (workdir / "small_test.csv").read_text().splitlines()
@@ -376,6 +401,14 @@ class TestPolicy:
         assert code == EXIT_DATA
         assert "2**53" in capsys.readouterr().err
 
+    def test_malformed_header_is_data_error(self, workdir, tmp_path, capsys):
+        text = (workdir / "small_rtd.txt").read_text()
+        path = tmp_path / "bad_params_rtd.txt"
+        path.write_text("# params {oops\n" + text)
+        code = main(["policy", str(path), "--policy", "fixed:5", "--trials", "10"])
+        assert code == EXIT_DATA
+        assert str(path) in capsys.readouterr().err
+
     def test_scan_limit(self, workdir, capsys):
         code = main(["policy", str(workdir / "small_rtd.txt"),
                      "--scan-limit", "20", "--accuracy", "0.9"])
@@ -407,6 +440,15 @@ class TestReport:
         for name, needle in cases.items():
             assert main(["report", str(workdir / name)]) == EXIT_OK
             assert needle in capsys.readouterr().out
+
+    def test_malformed_file_is_data_error(self, workdir, tmp_path, capsys):
+        lines = (workdir / "small_rtd.txt").read_text().splitlines()
+        lines[0] = "# restartlab rtd x"
+        (tmp_path / "bad_version_rtd.txt").write_text("\n".join(lines) + "\n")
+        (tmp_path / "bad.json").write_text('{"format": "restartlab model",\n')
+        for name in ("bad_version_rtd.txt", "bad.json"):
+            assert main(["report", str(tmp_path / name)]) == EXIT_DATA
+            assert str(tmp_path / name) in capsys.readouterr().err
 
     def test_unrecognized_file_is_data_error(self, tmp_path, capsys):
         junk = tmp_path / "junk.txt"

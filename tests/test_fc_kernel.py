@@ -5,6 +5,7 @@ into a shared cache."""
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -92,7 +93,6 @@ run_draws = given(
     seed=st.integers(0, 2**63),
     horizon=st.integers(1, 60),
     cutoff=st.one_of(st.none(), st.integers(0, 400)),
-    pooled=st.booleans(),
 )
 
 
@@ -102,25 +102,25 @@ class TestIdentityWithPythonState:
     the exhausted flag."""
 
     @staticmethod
-    def _same_run_record(instance, seed, propagation, traced, horizon, cutoff, pooled):
+    def _same_run_record(instance, seed, propagation, traced, horizon, cutoff):
         if cutoff is None and instance.order > 6:
             cutoff = 5000
         config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=horizon,
-                              trace_enabled=traced, pooled_line_variance=pooled)
+                              trace_enabled=traced)
         assert solve(instance, config, seed) == python_solve(instance, config, seed)
 
     @settings(max_examples=200, deadline=None)
     @run_draws
-    def test_same_run_record(self, instance, seed, horizon, cutoff, pooled):
-        self._same_run_record(instance, seed, FORWARD_CHECK, True, horizon, cutoff, pooled)
+    def test_same_run_record(self, instance, seed, horizon, cutoff):
+        self._same_run_record(instance, seed, FORWARD_CHECK, True, horizon, cutoff)
 
     @pytest.mark.parametrize("propagation, traced", [
         (FORWARD_CHECK, False), (ALLDIFF_REGIN, True), (ALLDIFF_REGIN, False)])
     @settings(max_examples=200, deadline=None)
     @run_draws
     def test_same_run_record_at_level(self, propagation, traced, instance, seed, horizon,
-                                      cutoff, pooled):
-        self._same_run_record(instance, seed, propagation, traced, horizon, cutoff, pooled)
+                                      cutoff):
+        self._same_run_record(instance, seed, propagation, traced, horizon, cutoff)
 
     def test_desk_runs(self):
         instance = desk_instance()
@@ -147,27 +147,14 @@ class TestIdentityWithPythonState:
             prunings += got.stats.alldiff_prunings
         assert prunings > 0
 
-    @pytest.mark.parametrize("propagation", [FORWARD_CHECK, ALLDIFF_REGIN])
-    def test_split_line_variance_rows(self, propagation):
-        # 15-wide rows: row and column variance apart
-        instance = desk_instance()
-        config = SolverConfig(cutoff=2000, propagation=propagation, horizon=50,
-                              trace_enabled=True, pooled_line_variance=False)
-        for i in range(20):
-            seed = derive_seed(81, "run", i)
-            got = solve(instance, config, seed)
-            assert got == python_solve(instance, config, seed), i
-            assert {len(row) for row in got.trace} == {15}
-
-    @pytest.mark.parametrize("pooled, mask, seed", [(True, 5, 1), (False, 1, 0)])
-    def test_line_variance_squares_with_pow(self, pooled, mask, seed):
-        # Python's float ** 2 calls libm pow; in these runs some deviation d
+    def test_line_variance_squares_with_pow(self):
+        # Python's float ** 2 calls libm pow; in this run some deviation d
         # has pow(d, 2.0) != d * d, so a kernel that multiplies writes a
         # different traced row
-        instance = poke_holes(generate_complete(15, 1), HoleSpec.unbalanced(100), mask)
+        instance = poke_holes(generate_complete(15, 1), HoleSpec.unbalanced(100), 5)
         config = SolverConfig(cutoff=50, propagation=FORWARD_CHECK, horizon=50,
-                              trace_enabled=True, pooled_line_variance=pooled)
-        assert solve(instance, config, seed) == python_solve(instance, config, seed)
+                              trace_enabled=True)
+        assert solve(instance, config, 1) == python_solve(instance, config, 1)
 
     def test_step_budget_of_one(self, monkeypatch):
         # the kernel returns to Python after every choice point and resumes
@@ -190,12 +177,11 @@ class TestIdentityWithPythonState:
         desk = desk_instance()
         multi = multi_alldiff_instances()[:4]
         for propagation, cases in ((FORWARD_CHECK, [desk] * 4), (ALLDIFF_REGIN, [desk] + multi)):
-            for pooled in (True, False):
-                config = SolverConfig(cutoff=2000, propagation=propagation, horizon=50,
-                                      trace_enabled=True, pooled_line_variance=pooled)
-                for i, instance in enumerate(cases):
-                    seed = derive_seed(81, "run", i)
-                    assert solve(instance, config, seed) == python_solve(instance, config, seed)
+            config = SolverConfig(cutoff=2000, propagation=propagation, horizon=50,
+                                  trace_enabled=True)
+            for i, instance in enumerate(cases):
+                seed = derive_seed(81, "run", i)
+                assert solve(instance, config, seed) == python_solve(instance, config, seed)
 
     def test_large_horizon_allocates_a_bounded_buffer(self):
         # no cutoff and a horizon of ten million on a run solved in a few
@@ -216,14 +202,13 @@ class TestIdentityWithPythonState:
                 return getattr(kernel.ffi, name)
 
         instance = desk_instance()
-        config = SolverConfig(cutoff=None, horizon=10**7, trace_enabled=True,
-                              pooled_line_variance=False)
+        config = SolverConfig(cutoff=None, horizon=10**7, trace_enabled=True)
         ffi = RecordingFFI()
         state = KernelState(instance, config, SimpleNamespace(ffi=ffi, lib=kernel.lib))
         assert state.propagate_root()
         trace = []
         state.search(derive_seed(81, "run", 1), config, trace)
-        assert 0 < len(trace) and max(ffi.sizes) <= solver._TRACE_ROWS * 15 * 8
+        assert 0 < len(trace) and max(ffi.sizes) <= solver._TRACE_ROWS * 14 * 8
         seed = derive_seed(81, "run", 1)
         assert solve(instance, config, seed) == python_solve(instance, config, seed)
 
@@ -298,10 +283,10 @@ def test_mt_seed_is_random_seed(seed):
 
 
 def test_cdef_declares_every_entry_point_called():
-    """A kernel function that latin, solver or policy calls but CDEF leaves
-    out would only fail when the call runs; each must be declared and
-    defined."""
-    declared = set(re.findall(r"(\w+)\(", fc_kernel.CDEF))
+    """A kernel function that latin, solver or policy calls but the header,
+    cffi's cdef, leaves out would only fail when the call runs; each must be
+    declared and defined."""
+    declared = set(re.findall(r"(\w+)\(", fc_kernel.HEADER.read_text()))
     called = set()
     for module in (latin, solver, policy):
         called |= set(re.findall(r"lib\.(\w+)\(", Path(module.__file__).read_text()))
@@ -311,3 +296,34 @@ def test_cdef_declares_every_entry_point_called():
     source = fc_kernel.SOURCE.read_text()
     for name in declared:
         assert re.search(rf"^(?!static)\w[\w ]*\b{name}\(", source, re.M), name
+
+
+def test_module_name_covers_the_header():
+    # a build made from an older header is never loaded
+    source = fc_kernel.SOURCE.read_text()
+    header = fc_kernel.HEADER.read_text()
+    name = fc_kernel._module_name(source, header, "2.0")
+    assert name == fc_kernel._module_name(source, header, "2.0")
+    assert name != fc_kernel._module_name(source, header + "\n", "2.0")
+
+
+MISSING_HEADER = textwrap.dedent("""
+    from restartlab import fc_kernel
+    kernel, reason = fc_kernel.load()
+    print(kernel is None, reason)
+""")
+
+
+def test_missing_header_is_a_reason(tmp_path):
+    # a package installed without the header runs in Python and says why
+    package = tmp_path / "restartlab"
+    shutil.copytree(SRC / "restartlab", package,
+                    ignore=shutil.ignore_patterns("_fc_kernel.h", "__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "-c", MISSING_HEADER],
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("True cannot read the kernel source")
+    assert "_fc_kernel.h" in proc.stdout

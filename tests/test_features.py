@@ -47,19 +47,14 @@ class TestRegistry:
         # feature-major: the first 9 columns belong to the first feature
         assert {c.split("__")[0] for c in cols[:9]} == {REGISTRY[0].name}
 
-    def test_split_variance_registry(self):
-        pooled = default_registry(pooled_line_variance=True)
-        split = default_registry(pooled_line_variance=False)
-        assert len(split) == len(pooled) + 1
-        names = {s.name for s in split}
-        assert "row_var" in names and "col_var" in names
-        assert "line_var" not in names
-
     def test_hash_stable_and_distinct(self):
-        assert registry_hash() == registry_hash(default_registry())
-        assert registry_hash(default_registry(True)) != registry_hash(
+        assert registry_hash() == registry_hash(default_registry(True))
+        assert registry_hash() != registry_hash(TWO)
+
+    def test_split_line_variance_refused(self):
+        assert default_registry() is REGISTRY
+        with pytest.raises(ValueError):
             default_registry(False)
-        )
 
 
 class TestSummarize:

@@ -4,7 +4,7 @@ split labeling, determinism across worker counts, and instance search."""
 import numpy as np
 import pytest
 
-from restartlab.features import default_registry, registry_hash, summary_columns
+from restartlab.features import REGISTRY, registry_hash, summary_columns
 from restartlab.harness import (
     MULTI_INSTANCE,
     SINGLE_INSTANCE,
@@ -139,10 +139,9 @@ class TestRunExperiment:
 
     def test_columns_match_registry(self, small_result):
         train, _, _, info = small_result
-        registry = default_registry(pooled_line_variance=True)
-        assert train.columns == summary_columns(registry)
+        assert train.columns == summary_columns(REGISTRY)
         assert train.X.shape == (len(train.runtime), 126)
-        assert info["registry_hash"] == registry_hash(registry)
+        assert info["registry_hash"] == registry_hash(REGISTRY)
 
     def test_single_instance_divisor_is_one(self, small_result):
         train, _, _, _ = small_result

@@ -19,9 +19,8 @@ from restartlab.io import (
     write_report,
     write_rtd,
 )
-from restartlab.latin import HOLE, HoleSpec, UNBALANCED, generate_complete, poke_holes
+from restartlab.latin import HoleSpec, UNBALANCED, generate_complete, poke_holes
 from restartlab.learn import Dataset, grow_tree, label_by_median, predict_batch
-from restartlab.policy import EmpiricalRTD
 
 
 def sample_dataset(n=12, features=3, seed=0, censor_every=None):
@@ -300,10 +299,11 @@ class TestModelFiles:
 
     def test_not_a_model_rejected(self, tmp_path):
         p = str(tmp_path / "m.json")
-        with open(p, "w") as fh:
-            json.dump({"format": "something else"}, fh)
-        with pytest.raises(DataFormatError):
-            read_model(p)
+        for obj in ({"format": "something else"}, ["restartlab model"]):
+            with open(p, "w") as fh:
+                json.dump(obj, fh)
+            with pytest.raises(DataFormatError):
+                read_model(p)
 
     def test_invalid_json_rejected(self, tmp_path):
         p = str(tmp_path / "m.json")
@@ -349,7 +349,8 @@ class TestReportFiles:
 
     def test_wrong_format_rejected(self, tmp_path):
         p = str(tmp_path / "rep.json")
-        with open(p, "w") as fh:
-            json.dump({"format": "restartlab model"}, fh)
-        with pytest.raises(DataFormatError):
-            read_report(p)
+        for obj in ({"format": "restartlab model"}, ["restartlab report"]):
+            with open(p, "w") as fh:
+                json.dump(obj, fh)
+            with pytest.raises(DataFormatError):
+                read_report(p)

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from restartlab.learn import (
     DEFAULT_KAPPA_GRID,
-    CascadeEntry,
     Dataset,
-    DecisionTreeModel,
     TreeNode,
     cascade_datasets,
     evaluate,
