@@ -15,9 +15,7 @@ from .latin import (
     PartialLatinSquare,
     StructureError,
     Violation,
-    count_completions,
     generate_complete,
-    iter_completions,
     poke_holes,
     validate,
 )
@@ -28,7 +26,6 @@ from .solver import (
     SOLVED,
     RunRecord,
     RunStats,
-    SearchState,
     SolverConfig,
     regin_filter,
     solve,

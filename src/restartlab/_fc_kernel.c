@@ -10,9 +10,9 @@
  * queues, the depth-first frame stack, the run counters and the buffer of
  * traced feature rows.  Every buffer is owned by the caller.  The step order
  * (peer order, FIFO queues, dirty-line order, pruning order, trail layout)
- * mirrors the Python SearchState in solver.py exactly, so both give
- * identical counters and trajectories, and a traced row holds the 14 floats
- * features.snapshot computes.
+ * mirrors the Python SearchState of tests/reference.py exactly, so both
+ * give identical counters and trajectories, and a traced row holds the 14
+ * floats its snapshot computes.
  *
  * The search and the generators draw from an mt_state, a copy of a
  * random.Random's Mersenne Twister state (or one seeded here as
@@ -272,8 +272,8 @@ static int propagate(fc_state *st, int tail)
 }
 
 /* Set up a run from the instance in st->symbol (row-major, 0 for a hole):
- * the hole list, the open cells per line and every domain, as
- * solver.SearchState does. */
+ * the hole list, the open cells per line and every domain, as SearchState
+ * in tests/reference.py does. */
 void fc_init(fc_state *st)
 {
     int n = st->n, k = 0, r, c;
@@ -542,11 +542,12 @@ static void open_frame(fc_state *st, mt_reader *rd)
     shuffle(rd, f->values, f->n_values);
 }
 
-/* Population variance of m line counts as features._population_variance
- * computes it: an exact integer sum for the mean, then (x - mean) ** 2 added
- * left to right from 0.0.  Python's float ** 2 calls libm pow, whose result
- * can differ from x * x in the last bit; the volatile exponent keeps the
- * compiler from rewriting pow(d, 2.0) as d * d. */
+/* Population variance of m line counts as _population_variance in
+ * tests/reference.py computes it: an exact integer sum for the mean, then
+ * (x - mean) ** 2 added left to right from 0.0.  Python's float ** 2 calls
+ * libm pow, whose result can differ from x * x in the last bit; the
+ * volatile exponent keeps the compiler from rewriting pow(d, 2.0) as
+ * d * d. */
 static double line_variance(const int *xs, int m)
 {
     static volatile double two = 2.0;
@@ -561,9 +562,10 @@ static double line_variance(const int *xs, int m)
     return acc / m;
 }
 
-/* Write the 14 floats of features.snapshot, in features.REGISTRY order, at
- * st->trace and advance it; the two must change together.  Every quotient
- * of two integers is taken in double, as Python's int / int rounds it. */
+/* Write the 14 floats of snapshot in tests/reference.py, in
+ * features.REGISTRY order, at st->trace and advance it; the two must change
+ * together.  Every quotient of two integers is taken in double, as Python's
+ * int / int rounds it. */
 static void write_row(fc_state *st)
 {
     int n = st->n, open = 0, min_dom = n + 1, k;
@@ -599,8 +601,8 @@ static void write_row(fc_state *st)
     st->trace += 14;
 }
 
-/* Run the search of solver.SearchState.search on a root-propagated state
- * with open cells.  Returns an FC_* code; after FC_PAUSED the next call
+/* Run the search of SearchState.search in tests/reference.py on a
+ * root-propagated state with open cells.  Returns an FC_* code; after FC_PAUSED the next call
  * resumes the search.  Each of the first trace_left choice points writes its
  * feature row after counting the node and before branching.  A call pauses
  * once it has done `budget` units of work: one per choice point, and one per

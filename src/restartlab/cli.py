@@ -2,7 +2,9 @@
 
 Verbs: generate, solve, dataset, train, eval, cascade, policy, report.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 a policy
-analysis concluded UNBOUNDED.
+analysis concluded UNBOUNDED, 4 the C kernel is unavailable (generate,
+solve and dataset always need it, policy only for a round whose cutoff is
+below the shortest run).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fc_kernel
 from . import io as rio
 from .features import summary_columns
 from .harness import (
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_UNBOUNDED = 3
+EXIT_KERNEL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -446,14 +449,9 @@ def _cmd_policy(args) -> int:
 
 def _cmd_report(args) -> int:
     path = args.file
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(512)
+    head = rio._read_text(path, 512)
     if head.lstrip().startswith("{"):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise rio.DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+        obj = rio._read_json(path)
         kind = obj.get("format", "unknown")
         print(f"{path}: {kind} (tool {obj.get('tool_version')})")
         body = obj.get("report", obj.get("tree"))
@@ -596,6 +594,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except fc_kernel.KernelUnavailable as exc:
+        print(f"error: the C kernel is unavailable: {exc}", file=sys.stderr)
+        return EXIT_KERNEL
 
 
 if __name__ == "__main__":

@@ -18,9 +18,13 @@ goes into it (both files, the cffi version and the flags) and lives in the
 first usable cache directory ($XDG_CACHE_HOME/restartlab or
 ~/.cache/restartlab, then a per-user directory under the system temp dir).
 A finished build is moved into place with os.replace, so concurrent
-builders never see a partial file.  When cffi, the compiler, either kernel
-file or every cache directory is unavailable, `load` reports why and the
-solver and the generators run in Python instead.
+builders never see a partial file.
+
+The kernel is required, as cffi is: the solver, the two generators and the
+skip have no other implementation (their Python oracles live in the test
+suite, in tests/reference.py).  When cffi, the compiler, either kernel file
+or every cache directory is unavailable, `load` raises KernelUnavailable
+saying why, and `for_order` also refuses orders above MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List
 
 SOURCE = Path(__file__).with_name("_fc_kernel.c")
 HEADER = SOURCE.with_suffix(".h")
@@ -171,10 +175,15 @@ def pcg64_stream(ffi, bit_generator):
 
 
 @functools.lru_cache(maxsize=None)
-def load() -> Tuple[Optional[object], str]:
-    """The compiled kernel module (with `.ffi` and `.lib`) and "", or None and
-    the reason it is unavailable.  Builds at most once per process."""
-    try:
-        return _load(), ""
-    except KernelUnavailable as exc:
-        return None, str(exc)
+def load():
+    """The compiled kernel module (with `.ffi` and `.lib`), built at most once
+    per process; KernelUnavailable says why there is none."""
+    return _load()
+
+
+def for_order(n: int):
+    """The kernel, for a square of order n: ValueError above MAX_ORDER, whose
+    domains and line masks no longer fit 64 bits, else load()."""
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the C kernel's maximum order {MAX_ORDER}")
+    return load()

@@ -1,8 +1,9 @@
 """Search-state features and run summaries.
 
 The solver snapshots a fixed vector of run-time features at every choice
-point: the 14 base features of REGISTRY, read by `snapshot` in Python and
-written by write_row in _fc_kernel.c.  A finished (or horizon-truncated)
+point: the 14 base features of REGISTRY, in that order, written by write_row
+in _fc_kernel.c (the test suite's `snapshot` in tests/reference.py reads the
+same row off its Python search state).  A finished (or horizon-truncated)
 trace is then compressed into summary statistics per feature: initial
 value, final value, mean, min, max, plus mean/min/max of the first
 differences and the number of strict sign alternations in those
@@ -100,76 +101,6 @@ def _scaled_mask(registry: Tuple[FeatureSpec, ...]) -> np.ndarray:
          for spec in registry for stat in STAT_NAMES],
         dtype=bool,
     )
-
-
-def snapshot(state) -> Tuple[float, ...]:
-    """Read the base feature vector, in REGISTRY order, off a live search state.
-
-    Called by the Python solver (solver.SearchState) once per choice point,
-    after propagation and before the branch assignment; the state object must
-    expose its public counters.  The C kernel writes the same row, float for
-    float, in write_row of _fc_kernel.c, so the two must change together.
-    """
-    n = state.n
-    symbol = state.symbol
-    domain = state.domain
-    open_cells = 0
-    total_dom = 0
-    min_dom = n + 1
-    for c in state.hole_cells:
-        if symbol[c] == 0:
-            d = domain[c].bit_count()
-            open_cells += 1
-            total_dom += d
-            if d < min_dom:
-                min_dom = d
-    if open_cells:
-        avg_dom = total_dom / open_cells
-    else:
-        avg_dom = 0.0
-        min_dom = 0
-    depth = state.depth
-    if state.min_leaf_depth is None:
-        min_leaf = depth
-    else:
-        min_leaf = state.min_leaf_depth
-    if state.node_visits:
-        avg_node_depth = state.node_depth_sum / state.node_visits
-    else:
-        avg_node_depth = float(depth)
-    return (
-        float(state.backtracks),
-        float(depth),
-        float(state.max_depth),
-        float(min_leaf),
-        float(avg_node_depth),
-        float(open_cells),
-        float(avg_dom),
-        float(min_dom),
-        float(total_dom),
-        _population_variance(state.line_unassigned),
-        open_cells / n,
-        float(state.forced_assignments),
-        float(state.alldiff_prunings),
-        float(state.contradictions),
-    )
-
-
-def _population_variance(xs: Sequence[int]) -> float:
-    """Population variance of integer counts, the same float on every Python.
-
-    The squared deviations are added left to right from 0.0; sum() would
-    not do, since Python 3.12 sums floats with compensation.  The C kernel
-    computes the same steps (line_variance in _fc_kernel.c).
-    """
-    m = len(xs)
-    if m == 0:
-        return 0.0
-    mean = sum(xs) / m  # an exact integer sum
-    total = 0.0
-    for x in xs:
-        total += (x - mean) ** 2
-    return total / m
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ records that are merged by run index before anything downstream happens.
 
 from __future__ import annotations
 
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -112,16 +111,7 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
         "instance": instance,
     }
     # Build the kernel here, once, so pool workers only ever load it.
-    kernel, reason = fc_kernel.load()
-    if kernel is None:
-        # the per-run work the C kernel would do
-        on_kernel = ["forward checking" if spec.propagation == FORWARD_CHECK
-                     else "alldiff filtering"]
-        if spec.mode == MULTI_INSTANCE:
-            on_kernel.append("instance generation")
-        verb = "runs" if len(on_kernel) == 1 else "run"
-        print(f"restartlab: {' and '.join(on_kernel)} {verb} in Python, slower:"
-              f" the C kernel is unavailable ({reason})", file=sys.stderr)
+    fc_kernel.for_order(spec.order if instance is None else instance.order)
     tasks = [(i, derive_seed(spec.master_seed, "run", i)) for i in range(total)]
     if threads <= 1:
         _init_worker(payload)

@@ -31,6 +31,16 @@ class DataFormatError(ValueError):
     """A file failed to parse or violated its format contract."""
 
 
+def _read_text(path: str, size: int = -1) -> str:
+    """The file's text (its first size characters, if size >= 0); a file
+    that is not UTF-8 is a DataFormatError naming path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read(size)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _header_lines(kind: str, params: Optional[Dict], master_seed: Optional[int],
                   meta: Optional[Dict] = None) -> List[str]:
     lines = [
@@ -88,6 +98,13 @@ def _split_comments(text: str) -> Tuple[List[str], List[str]]:
     return comments, rest
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
 # -- instance files ---------------------------------------------------------
 
 
@@ -106,8 +123,7 @@ def write_instance(
 
 
 def read_instance(path: str) -> PartialLatinSquare:
-    with open(path, "r", encoding="utf-8") as fh:
-        comments, rest = _split_comments(fh.read())
+    comments, rest = _split_comments(_read_text(path))
     _parse_header(comments, "instance", path)
     if not rest:
         raise DataFormatError(f"{path}: empty instance file")
@@ -170,8 +186,7 @@ def write_dataset(
 
 def read_dataset(path: str) -> Dataset:
     """Read every recorded row back; callers filter on .censored for learning."""
-    with open(path, "r", encoding="utf-8") as fh:
-        comments, rest = _split_comments(fh.read())
+    comments, rest = _split_comments(_read_text(path))
     head = _parse_header(comments, "dataset", path)
     if not rest:
         raise DataFormatError(f"{path}: missing column header")
@@ -240,8 +255,7 @@ def write_rtd(
 
 
 def read_rtd(path: str) -> EmpiricalRTD:
-    with open(path, "r", encoding="utf-8") as fh:
-        comments, rest = _split_comments(fh.read())
+    comments, rest = _split_comments(_read_text(path))
     _parse_header(comments, "rtd", path)
     lengths = []
     for ln, line in enumerate(rest, start=1):
@@ -320,11 +334,7 @@ def write_model(
 
 
 def read_model(path: str) -> DecisionTreeModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    obj = _read_json(path)
     if not isinstance(obj, dict) or obj.get("format") != "restartlab model":
         raise DataFormatError(f"{path}: not a model file")
     try:
@@ -384,11 +394,7 @@ def write_report(
 
 
 def read_report(path: str) -> Dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    obj = _read_json(path)
     if not isinstance(obj, dict) or obj.get("format") != "restartlab report":
         raise DataFormatError(f"{path}: not a report file")
     return obj

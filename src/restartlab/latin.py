@@ -6,11 +6,13 @@ construction.  Balanced erasure (the same number of holes in every row and
 every column) produces markedly harder search problems than unconstrained
 erasure at the same hole count.
 
-Both seeded generators run in the C kernel (see fc_kernel) for orders up to
-64 where it loads.  The kernel draws from a copy of the generator's
-random.Random state and hands the state back, so it consumes exactly the
-stream the Python loops below would, and returns the same squares and hole
-patterns; those loops are its reference and its fallback.
+Both seeded generators, the square fill and the balanced hole pattern, run
+in the C kernel (see fc_kernel) for orders up to 64.  The kernel draws from a
+copy of the generator's random.Random state and hands the state back, so the
+random.Random continues from wherever the kernel left the stream; the test
+suite's Python loops (tests/reference.py) are its reference.  Unbalanced
+holes, and balanced patterns of 0, n-1 or n holes per line, are drawn here
+in Python.
 """
 
 from __future__ import annotations
@@ -153,13 +155,6 @@ def _bits_to_symbols(mask: int) -> List[int]:
     return out
 
 
-def _kernel_for(n: int):
-    """The loaded C kernel when it serves order n, else None."""
-    if n > fc_kernel.MAX_ORDER:
-        return None
-    return fc_kernel.load()[0]
-
-
 # Placements and retreats per kernel call while filling a square, so that a
 # long search returns to Python, and to Ctrl-C, many times a second.
 _FILL_STEPS = 1 << 20
@@ -167,56 +162,23 @@ _FILL_STEPS = 1 << 20
 
 def _fill_square(n: int, rng: random.Random) -> List[int]:
     """Row-major symbols of a complete order-n Latin square drawn from rng."""
-    kernel = _kernel_for(n)
-    if kernel is not None:
-        ffi = kernel.ffi
-        buffers = {
-            "flat": ffi.new("int[]", n * n),
-            "cands": ffi.new("int[]", n * n * n),
-            "n_cands": ffi.new("int[]", n * n),
-            "row_used": ffi.new("uint64_t[]", n),
-            "col_used": ffi.new("uint64_t[]", n),
-        }
-        square = ffi.new("lq_square *", dict(buffers, n=n))
-        with fc_kernel.mt_stream(ffi, rng) as state:
-            done = 0
-            while done == 0:
-                done = kernel.lib.lq_fill(state, square, _FILL_STEPS)
-        if done < 0:
-            raise RuntimeError("backtracked past the first cell")
-        return ffi.unpack(buffers["flat"], n * n)
-    size = n * n
-    full = (1 << n) - 1
-    row_used = [0] * n
-    col_used = [0] * n
-    flat = [0] * size
-    stack: List[List[int]] = []  # remaining candidates per filled prefix cell
-    i = 0
-    while i < size:
-        r, c = divmod(i, n)
-        if len(stack) == i:
-            avail = full & ~(row_used[r] | col_used[c])
-            cands = _bits_to_symbols(avail)
-            rng.shuffle(cands)
-            stack.append(cands)
-        cands = stack[i]
-        if cands:
-            s = cands.pop()
-            flat[i] = s
-            bit = 1 << (s - 1)
-            row_used[r] |= bit
-            col_used[c] |= bit
-            i += 1
-        else:
-            stack.pop()
-            i -= 1
-            if i < 0:
-                raise RuntimeError("backtracked past the first cell")
-            r, c = divmod(i, n)
-            bit = 1 << (flat[i] - 1)
-            row_used[r] &= ~bit
-            col_used[c] &= ~bit
-    return flat
+    kernel = fc_kernel.for_order(n)
+    ffi = kernel.ffi
+    buffers = {
+        "flat": ffi.new("int[]", n * n),
+        "cands": ffi.new("int[]", n * n * n),
+        "n_cands": ffi.new("int[]", n * n),
+        "row_used": ffi.new("uint64_t[]", n),
+        "col_used": ffi.new("uint64_t[]", n),
+    }
+    square = ffi.new("lq_square *", dict(buffers, n=n))
+    with fc_kernel.mt_stream(ffi, rng) as state:
+        done = 0
+        while done == 0:
+            done = kernel.lib.lq_fill(state, square, _FILL_STEPS)
+    if done < 0:
+        raise RuntimeError("backtracked past the first cell")
+    return ffi.unpack(buffers["flat"], n * n)
 
 
 def generate_complete(n: int, seed: int) -> PartialLatinSquare:
@@ -285,26 +247,12 @@ def _balanced_holes(n: int, h: int, rng: random.Random) -> List[int]:
         keep = list(range(n))
         rng.shuffle(keep)
         return [full ^ 1 << c for c in keep]
-    kernel = _kernel_for(n)
-    if kernel is not None:
-        taken = kernel.ffi.new("uint64_t[]", n)
-        with fc_kernel.mt_stream(kernel.ffi, rng) as state:
-            while not kernel.lib.lq_hole_pattern(state, n, h, _PATTERN_RETRIES, taken):
-                pass
-        return kernel.ffi.unpack(taken, n)
-    while True:
-        masks = [0] * n
-        for _ in range(h):
-            for _ in range(_PATTERN_RETRIES):
-                p = list(range(n))
-                rng.shuffle(p)
-                if not any(m >> c & 1 for m, c in zip(masks, p)):
-                    masks = [m | 1 << c for m, c in zip(masks, p)]
-                    break
-            else:
-                break  # this slot ran out of draws: start a new pattern
-        else:
-            return masks
+    kernel = fc_kernel.for_order(n)
+    taken = kernel.ffi.new("uint64_t[]", n)
+    with fc_kernel.mt_stream(kernel.ffi, rng) as state:
+        while not kernel.lib.lq_hole_pattern(state, n, h, _PATTERN_RETRIES, taken):
+            pass
+    return kernel.ffi.unpack(taken, n)
 
 
 def poke_holes(square: PartialLatinSquare, spec: HoleSpec, seed: int) -> PartialLatinSquare:
@@ -339,79 +287,3 @@ def _erase(row: Tuple[Optional[int], ...], mask: int) -> Tuple[Optional[int], ..
     for c in _bits_to_symbols(mask):
         cells[c - 1] = HOLE
     return tuple(cells)
-
-
-def iter_completions(instance: PartialLatinSquare) -> Iterator[PartialLatinSquare]:
-    """Yield every completion of the instance, by exhaustive search.
-
-    Plain depth-first enumeration: holes in row-major order, symbols in
-    ascending order, row/column consistency checks only.  Intended as an
-    oracle for small orders, not as a solver.
-    """
-    if validate(instance):
-        raise StructureError("instance violates the Latin property")
-    n = instance.order
-    full = (1 << n) - 1
-    row_used = [0] * n
-    col_used = [0] * n
-    flat: List[int] = [0] * (n * n)
-    holes: List[Tuple[int, int]] = []
-    for r in range(n):
-        for c in range(n):
-            v = instance.cells[r][c]
-            if v is HOLE:
-                holes.append((r, c))
-            else:
-                flat[r * n + c] = v
-                bit = 1 << (v - 1)
-                row_used[r] |= bit
-                col_used[c] |= bit
-    m = len(holes)
-    if m == 0:
-        yield instance
-        return
-    # stack[d] = remaining candidate mask for hole d
-    stack: List[int] = [0] * m
-    d = 0
-    stack[0] = full & ~(row_used[holes[0][0]] | col_used[holes[0][1]])
-    placed: List[int] = [0] * m  # bit placed at depth d
-    while d >= 0:
-        r, c = holes[d]
-        if placed[d]:
-            bit = placed[d]
-            row_used[r] &= ~bit
-            col_used[c] &= ~bit
-            placed[d] = 0
-        mask = stack[d]
-        if mask == 0:
-            d -= 1
-            continue
-        bit = mask & -mask  # lowest symbol first
-        stack[d] = mask ^ bit
-        placed[d] = bit
-        row_used[r] |= bit
-        col_used[c] |= bit
-        flat[r * n + c] = bit.bit_length()
-        if d == m - 1:
-            yield PartialLatinSquare(
-                order=n,
-                cells=tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n)),
-            )
-            # undo happens at loop top on revisit
-        else:
-            d += 1
-            nr, nc = holes[d]
-            stack[d] = full & ~(row_used[nr] | col_used[nc])
-    return
-
-
-def count_completions(instance: PartialLatinSquare, cap: int = 1_000_000) -> int:
-    """Count completions of the instance, truncated at cap."""
-    if cap < 0:
-        raise StructureError(f"cap must be >= 0, got {cap}")
-    count = 0
-    for _ in iter_completions(instance):
-        count += 1
-        if count >= cap:
-            break
-    return count

@@ -452,21 +452,18 @@ class DatasetSource:
 _SKIP_DRAWS = 1 << 24
 
 
-def _skip_kernel(rng: np.random.Generator):
-    """The C kernel where it can skip rng's draws (a PCG64 stream), else None."""
-    if type(rng.bit_generator) is not np.random.PCG64:
-        return None
-    return fc_kernel.load()[0]
-
-
 def _skip_integers(rng: np.random.Generator, high: int, count: int) -> None:
     """Leave rng as rng.integers(0, high, size=count) would, in the kernel,
-    without making the draws; needs _skip_kernel(rng) and high < 2**32."""
+    without making the draws.  ValueError unless rng is a PCG64 stream and
+    high < 2**32."""
+    if type(rng.bit_generator) is not np.random.PCG64:
+        kind = type(rng.bit_generator).__name__
+        raise ValueError(f"the kernel skips draws only on a PCG64 stream, not {kind}")
     if high == 1:  # numpy returns zeros without drawing
         return
     if not 2 <= high < 2**32:
         raise ValueError(f"the kernel skips draws only for 2 <= high < 2**32, got {high}")
-    kernel = _skip_kernel(rng)
+    kernel = fc_kernel.load()
     with fc_kernel.pcg64_stream(kernel.ffi, rng.bit_generator) as state:
         while count > 0:
             step = min(count, _SKIP_DRAWS)
@@ -532,11 +529,9 @@ def simulate_policy(
         # that cutoff, so it is priced once, in `shared`, for all active
         # trials, and a trial adds it when it leaves.  Its draws are still
         # taken to keep the RNG stream: the kernel skips them in one go
-        # before the next priced round (`pending`); without it they are drawn
-        # round by round.  Cutoff costs are whole numbers, which float64 adds
-        # exactly up to 2**53, so this order of additions leaves every total
-        # bit-identical.
-        skips = None  # whether the kernel skips; asked at the first dead round
+        # before the next priced round (`pending`).  Cutoff costs are whole
+        # numbers, which float64 adds exactly up to 2**53, so this order of
+        # additions leaves every total bit-identical.
         shared = 0
         pending = 0
         active = np.arange(trials)
@@ -549,12 +544,7 @@ def simulate_policy(
             cutoff = policy.round_cutoff(round_no)
             if cutoff is not None and cutoff < shortest:
                 shared += cutoff
-                if skips is None:
-                    skips = _skip_kernel(rng) is not None
-                if skips:
-                    pending += active.size
-                else:
-                    run_source.sample(rng, active.size)
+                pending += active.size
                 continue
             if pending:
                 run_source.skip(rng, pending)

@@ -1,0 +1,628 @@
+"""Python references for the C kernel's jobs, which the tests compare it with.
+
+The package runs its solver search, its square fill, its balanced hole
+pattern and its PCG64 draw skip in the C kernel only (see
+restartlab.fc_kernel).  This module keeps a plain Python implementation of
+each of the first three, step for step, as the oracle of the identity
+tests: SearchState and solve (solver.solve on the Python state), snapshot
+and population_variance (the traced row the kernel's write_row must match),
+fill_square and balanced_holes (latin's two generators), and the exhaustive
+iter_completions and count_completions.  The skip's reference is drawing:
+tests/test_policy.py's _reference_simulate draws every round.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import deque
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from restartlab import latin
+from restartlab.latin import HOLE, PartialLatinSquare, StructureError, validate
+from restartlab.seeds import normalize_seed
+from restartlab.solver import (
+    ALLDIFF_REGIN,
+    CUTOFF,
+    SOLVED,
+    RunRecord,
+    RunStats,
+    SolverConfig,
+    _regin_masks,
+    _solved_square,
+)
+
+# -- the solver search ------------------------------------------------------
+
+_TABLE_CACHE: Dict[int, Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]] = {}
+
+
+def _tables(n: int):
+    """Per-order peer lists and line membership, cached."""
+    cached = _TABLE_CACHE.get(n)
+    if cached is not None:
+        return cached
+    peers = []
+    for c in range(n * n):
+        r, col = divmod(c, n)
+        row_mates = [r * n + j for j in range(n) if j != col]
+        col_mates = [i * n + col for i in range(n) if i != r]
+        peers.append(tuple(row_mates + col_mates))
+    line_cells = [tuple(r * n + j for j in range(n)) for r in range(n)]
+    line_cells += [tuple(i * n + col for i in range(n)) for col in range(n)]
+    out = (tuple(peers), tuple(line_cells))
+    _TABLE_CACHE[n] = out
+    return out
+
+
+class SearchState:
+    """Mutable constraint state for one run in Python: domains, trail, counters.
+
+    The reference for solver.KernelState: it offers the same
+    unassigned_count, propagate_root (which counts a root contradiction),
+    search, stats and extract_square (once solved), and solve below drives
+    it through these alone, as solver.solve drives the kernel's state.
+    """
+
+    def __init__(self, instance: PartialLatinSquare, config: Optional[SolverConfig] = None):
+        n = instance.order
+        self.n = n
+        full = (1 << n) - 1
+        size = n * n
+        self.domain = [full] * size
+        self.symbol = [0] * size
+        self.line_unassigned = [0] * (2 * n)
+        row_used = [0] * n
+        col_used = [0] * n
+        holes = []
+        for r in range(n):
+            for c in range(n):
+                v = instance.cells[r][c]
+                i = r * n + c
+                if v is HOLE:
+                    holes.append(i)
+                    self.line_unassigned[r] += 1
+                    self.line_unassigned[n + c] += 1
+                else:
+                    bit = 1 << (v - 1)
+                    self.symbol[i] = v
+                    self.domain[i] = bit
+                    row_used[r] |= bit
+                    col_used[c] |= bit
+        for i in holes:
+            r, c = divmod(i, n)
+            self.domain[i] = full & ~(row_used[r] | col_used[c])
+        self.hole_cells = tuple(holes)
+        config = config or SolverConfig()
+        self.config = config
+        self.regin = config.propagation == ALLDIFF_REGIN
+        self.peers, self.line_cells = _tables(n)
+        self.unassigned_count = len(self.hole_cells)
+        self.trail: List[int] = []  # flat (cell, bits) pairs; ~cell marks an assignment
+        self._fq: deque = deque()
+        self._dirty: deque = deque()
+        self._dirty_flag = [False] * (2 * n)
+        # run counters read by feature snapshots
+        self.backtracks = 0
+        self.contradictions = 0
+        self.forced_assignments = 0
+        self.alldiff_prunings = 0
+        self.depth = 0
+        self.max_depth = 0
+        self.min_leaf_depth: Optional[int] = None
+        self.node_visits = 0
+        self.node_depth_sum = 0
+
+    def stats(self) -> RunStats:
+        return RunStats(
+            backtracks=self.backtracks,
+            contradictions=self.contradictions,
+            forced_assignments=self.forced_assignments,
+            alldiff_prunings=self.alldiff_prunings,
+            max_depth=self.max_depth,
+        )
+
+    def extract_square(self) -> PartialLatinSquare:
+        return _solved_square(self.n, self.symbol)
+
+    # -- mutation ---------------------------------------------------------
+
+    def _mark_dirty(self, line: int) -> None:
+        if not self._dirty_flag[line]:
+            self._dirty_flag[line] = True
+            self._dirty.append(line)
+
+    def _clear_dirty(self) -> None:
+        flag = self._dirty_flag
+        while self._dirty:
+            flag[self._dirty.popleft()] = False
+
+    def _assign(self, c: int, s: int) -> None:
+        trail = self.trail
+        trail.append(~c)
+        trail.append(self.domain[c])
+        self.domain[c] = 1 << (s - 1)
+        self.symbol[c] = s
+        self.unassigned_count -= 1
+        n = self.n
+        r = c // n
+        col = n + c % n
+        lu = self.line_unassigned
+        lu[r] -= 1
+        lu[col] -= 1
+        if self.regin:
+            self._mark_dirty(r)
+            self._mark_dirty(col)
+
+    def branch(self, c: int, s: int) -> bool:
+        """Assign s to c and propagate to a fixpoint; False on contradiction."""
+        self._clear_dirty()
+        self._assign(c, s)
+        fq = self._fq
+        fq.clear()
+        fq.append(c)
+        return self._propagate(fq)
+
+    def undo_to(self, mark: int) -> None:
+        trail = self.trail
+        domain = self.domain
+        symbol = self.symbol
+        lu = self.line_unassigned
+        n = self.n
+        while len(trail) > mark:
+            bits = trail.pop()
+            c = trail.pop()
+            if c >= 0:
+                domain[c] |= bits
+            else:
+                c = ~c
+                symbol[c] = 0
+                domain[c] = bits
+                self.unassigned_count += 1
+                lu[c // n] += 1
+                lu[n + c % n] += 1
+
+    # -- propagation ------------------------------------------------------
+
+    def propagate_root(self) -> bool:
+        """Propagate the given cells to a fixpoint; on contradiction count it
+        and return False."""
+        fq = self._fq
+        fq.clear()
+        self._clear_dirty()
+        for c in self.hole_cells:
+            if self.symbol[c] == 0:
+                d = self.domain[c]
+                if d == 0:
+                    self.contradictions += 1
+                    return False
+                if d & (d - 1) == 0:
+                    self._assign(c, d.bit_length())
+                    self.forced_assignments += 1
+                    fq.append(c)
+        if self.regin:
+            for line in range(2 * self.n):
+                self._mark_dirty(line)
+        if self._propagate(fq):
+            return True
+        self.contradictions += 1
+        return False
+
+    def _propagate(self, fq: deque) -> bool:
+        """Forward-check queued assignments, then filter dirty lines, to fixpoint."""
+        domain = self.domain
+        symbol = self.symbol
+        peers = self.peers
+        trail = self.trail
+        regin = self.regin
+        while True:
+            while fq:
+                c = fq.popleft()
+                s = symbol[c]
+                bit = 1 << (s - 1)
+                for p in peers[c]:
+                    ps = symbol[p]
+                    if ps == s:
+                        return False
+                    if ps == 0:
+                        d = domain[p]
+                        if d & bit:
+                            d ^= bit
+                            domain[p] = d
+                            trail.append(p)
+                            trail.append(bit)
+                            if d == 0:
+                                return False
+                            if regin:
+                                n = self.n
+                                self._mark_dirty(p // n)
+                                self._mark_dirty(n + p % n)
+                            if d & (d - 1) == 0:
+                                self._assign(p, d.bit_length())
+                                self.forced_assignments += 1
+                                fq.append(p)
+            if not regin or not self._dirty:
+                return True
+            line = self._dirty.popleft()
+            self._dirty_flag[line] = False
+            if not self._filter_line(line, fq):
+                return False
+
+    def _filter_line(self, line: int, fq: deque) -> bool:
+        symbol = self.symbol
+        cells = [c for c in self.line_cells[line] if symbol[c] == 0]
+        if len(cells) <= 1:
+            return True
+        domain = self.domain
+        doms = [domain[c] for c in cells]
+        prunings = _regin_masks(doms)
+        if prunings is None:
+            return False
+        if not prunings:
+            return True
+        n = self.n
+        trail = self.trail
+        for pos, bit in prunings:
+            c = cells[pos]
+            d = domain[c] ^ bit
+            domain[c] = d
+            trail.append(c)
+            trail.append(bit)
+            self.alldiff_prunings += 1
+            other = n + c % n if line < n else c // n
+            self._mark_dirty(other)
+            if d & (d - 1) == 0:
+                self._assign(c, d.bit_length())
+                self.forced_assignments += 1
+                fq.append(c)
+        return True
+
+    # -- branching --------------------------------------------------------
+
+    def domain_values(self, c: int) -> List[int]:
+        out = []
+        m = self.domain[c]
+        while m:
+            b = m & -m
+            m ^= b
+            out.append(b.bit_length())
+        return out
+
+    def select_cell(self, rng: random.Random) -> int:
+        """Brelaz cell choice: min domain, then max degree, then random."""
+        symbol = self.symbol
+        domain = self.domain
+        best = self.n + 2
+        ties: List[int] = []
+        for c in self.hole_cells:
+            if symbol[c] == 0:
+                d = domain[c].bit_count()
+                if d < best:
+                    best = d
+                    ties = [c]
+                elif d == best:
+                    ties.append(c)
+        if not ties:
+            raise RuntimeError("select_cell called with no open cells")
+        if len(ties) == 1:
+            return ties[0]
+        n = self.n
+        lu = self.line_unassigned
+        bestdeg = -1
+        ties2: List[int] = []
+        for c in ties:
+            deg = lu[c // n] + lu[n + c % n] - 2
+            if deg > bestdeg:
+                bestdeg = deg
+                ties2 = [c]
+            elif deg == bestdeg:
+                ties2.append(c)
+        if len(ties2) == 1:
+            return ties2[0]
+        return ties2[rng.randrange(len(ties2))]
+
+    def search(
+        self, seed: int, config: SolverConfig, trace: Optional[List]
+    ) -> Tuple[str, int, bool]:
+        """Depth-first search from the root-propagated state, which has open
+        cells, drawing from random.Random(seed); returns (outcome, choice
+        points, exhausted).  Appends one snapshot per choice point to trace,
+        if given, up to the horizon."""
+        rng = random.Random(seed)
+        cutoff = config.cutoff
+        horizon = config.horizon
+        trail = self.trail
+        choice_points = 0
+        frames: List[List] = []  # [cell, shuffled values, value index, trail mark]
+        new_node = True
+        while True:
+            if new_node:
+                cell = self.select_cell(rng)
+                values = self.domain_values(cell)
+                rng.shuffle(values)
+                frames.append([cell, values, 0, 0])
+            f = frames[-1]
+            if cutoff is not None and choice_points >= cutoff:
+                return CUTOFF, choice_points, False
+            choice_points += 1
+            self.depth = len(frames) - 1
+            if trace is not None and len(trace) < horizon:
+                self.node_visits += 1
+                self.node_depth_sum += self.depth
+                trace.append(snapshot(self))
+            if len(frames) > self.max_depth:
+                self.max_depth = len(frames)
+            f[3] = len(trail)
+            if self.branch(f[0], f[1][f[2]]):
+                if self.unassigned_count == 0:
+                    return SOLVED, choice_points, False
+                new_node = True
+                continue
+            self.contradictions += 1
+            leaf_depth = len(frames)
+            if self.min_leaf_depth is None or leaf_depth < self.min_leaf_depth:
+                self.min_leaf_depth = leaf_depth
+            self.undo_to(f[3])
+            self.backtracks += 1
+            f[2] += 1
+            while f[2] >= len(f[1]):
+                frames.pop()
+                if not frames:
+                    return CUTOFF, choice_points, True
+                f = frames[-1]
+                self.undo_to(f[3])
+                self.backtracks += 1
+                f[2] += 1
+            new_node = False
+
+
+def solve(
+    instance: PartialLatinSquare,
+    config: Optional[SolverConfig] = None,
+    seed: int = 0,
+) -> RunRecord:
+    """solver.solve with the search on SearchState, for any order."""
+    if config is None:
+        config = SolverConfig()
+    if validate(instance):
+        raise StructureError("instance violates the Latin property")
+    state = SearchState(instance, config)
+    trace: Optional[List[Tuple[float, ...]]] = [] if config.trace_enabled else None
+    ok = state.propagate_root()
+    post_prop = state.unassigned_count
+    if not ok:
+        outcome, choice_points, exhausted = CUTOFF, 0, True
+    elif post_prop == 0:
+        outcome, choice_points, exhausted = SOLVED, 0, False
+    else:
+        outcome, choice_points, exhausted = state.search(normalize_seed(seed), config, trace)
+    return RunRecord(
+        seed=seed,
+        outcome=outcome,
+        choice_points=choice_points,
+        assignment=state.extract_square() if outcome == SOLVED else None,
+        trace=trace,
+        post_propagation_size=post_prop,
+        exhausted=exhausted,
+        stats=state.stats(),
+    )
+
+
+# -- the traced feature row -------------------------------------------------
+
+
+def snapshot(state) -> Tuple[float, ...]:
+    """The base feature vector, in features.REGISTRY order, off a live state.
+
+    Called by SearchState once per choice point, after propagation and
+    before the branch assignment; the state object must expose its public
+    counters.  The C kernel writes the same row, float for float, in
+    write_row of _fc_kernel.c, so the two must change together.
+    """
+    n = state.n
+    symbol = state.symbol
+    domain = state.domain
+    open_cells = 0
+    total_dom = 0
+    min_dom = n + 1
+    for c in state.hole_cells:
+        if symbol[c] == 0:
+            d = domain[c].bit_count()
+            open_cells += 1
+            total_dom += d
+            if d < min_dom:
+                min_dom = d
+    if open_cells:
+        avg_dom = total_dom / open_cells
+    else:
+        avg_dom = 0.0
+        min_dom = 0
+    depth = state.depth
+    if state.min_leaf_depth is None:
+        min_leaf = depth
+    else:
+        min_leaf = state.min_leaf_depth
+    if state.node_visits:
+        avg_node_depth = state.node_depth_sum / state.node_visits
+    else:
+        avg_node_depth = float(depth)
+    return (
+        float(state.backtracks),
+        float(depth),
+        float(state.max_depth),
+        float(min_leaf),
+        float(avg_node_depth),
+        float(open_cells),
+        float(avg_dom),
+        float(min_dom),
+        float(total_dom),
+        population_variance(state.line_unassigned),
+        open_cells / n,
+        float(state.forced_assignments),
+        float(state.alldiff_prunings),
+        float(state.contradictions),
+    )
+
+
+def population_variance(xs: Sequence[int]) -> float:
+    """Population variance of integer counts, the same float on every Python.
+
+    The squared deviations are added left to right from 0.0; sum() would
+    not do, since Python 3.12 sums floats with compensation.  The C kernel
+    computes the same steps (line_variance in _fc_kernel.c).
+    """
+    m = len(xs)
+    if m == 0:
+        return 0.0
+    mean = sum(xs) / m  # an exact integer sum
+    total = 0.0
+    for x in xs:
+        total += (x - mean) ** 2
+    return total / m
+
+
+# -- the instance generators ------------------------------------------------
+
+
+def fill_square(n: int, rng: random.Random) -> List[int]:
+    """latin._fill_square in Python: row-major symbols of a complete order-n
+    Latin square drawn from rng."""
+    size = n * n
+    full = (1 << n) - 1
+    row_used = [0] * n
+    col_used = [0] * n
+    flat = [0] * size
+    stack: List[List[int]] = []  # remaining candidates per filled prefix cell
+    i = 0
+    while i < size:
+        r, c = divmod(i, n)
+        if len(stack) == i:
+            avail = full & ~(row_used[r] | col_used[c])
+            cands = latin._bits_to_symbols(avail)
+            rng.shuffle(cands)
+            stack.append(cands)
+        cands = stack[i]
+        if cands:
+            s = cands.pop()
+            flat[i] = s
+            bit = 1 << (s - 1)
+            row_used[r] |= bit
+            col_used[c] |= bit
+            i += 1
+        else:
+            stack.pop()
+            i -= 1
+            if i < 0:
+                raise RuntimeError("backtracked past the first cell")
+            r, c = divmod(i, n)
+            bit = 1 << (flat[i] - 1)
+            row_used[r] &= ~bit
+            col_used[c] &= ~bit
+    return flat
+
+
+def balanced_holes(n: int, h: int, rng: random.Random) -> List[int]:
+    """latin._balanced_holes in Python: row masks of h pairwise-disjoint
+    random permutation matrices, each drawn by rejection, the pattern
+    restarted after latin._PATTERN_RETRIES failed draws for one slot (h of
+    0, n-1 and n drawn directly)."""
+    full = (1 << n) - 1
+    if h == 0:
+        return [0] * n
+    if h == n:
+        return [full] * n
+    if h == n - 1:
+        keep = list(range(n))
+        rng.shuffle(keep)
+        return [full ^ 1 << c for c in keep]
+    while True:
+        masks = [0] * n
+        for _ in range(h):
+            for _ in range(latin._PATTERN_RETRIES):
+                p = list(range(n))
+                rng.shuffle(p)
+                if not any(m >> c & 1 for m, c in zip(masks, p)):
+                    masks = [m | 1 << c for m, c in zip(masks, p)]
+                    break
+            else:
+                break  # this slot ran out of draws: start a new pattern
+        else:
+            return masks
+
+
+# -- completions ------------------------------------------------------------
+
+
+def iter_completions(instance: PartialLatinSquare) -> Iterator[PartialLatinSquare]:
+    """Yield every completion of the instance, by exhaustive search.
+
+    Plain depth-first enumeration: holes in row-major order, symbols in
+    ascending order, row/column consistency checks only.  Intended as an
+    oracle for small orders, not as a solver.
+    """
+    if validate(instance):
+        raise StructureError("instance violates the Latin property")
+    n = instance.order
+    full = (1 << n) - 1
+    row_used = [0] * n
+    col_used = [0] * n
+    flat: List[int] = [0] * (n * n)
+    holes: List[Tuple[int, int]] = []
+    for r in range(n):
+        for c in range(n):
+            v = instance.cells[r][c]
+            if v is HOLE:
+                holes.append((r, c))
+            else:
+                flat[r * n + c] = v
+                bit = 1 << (v - 1)
+                row_used[r] |= bit
+                col_used[c] |= bit
+    m = len(holes)
+    if m == 0:
+        yield instance
+        return
+    # stack[d] = remaining candidate mask for hole d
+    stack: List[int] = [0] * m
+    d = 0
+    stack[0] = full & ~(row_used[holes[0][0]] | col_used[holes[0][1]])
+    placed: List[int] = [0] * m  # bit placed at depth d
+    while d >= 0:
+        r, c = holes[d]
+        if placed[d]:
+            bit = placed[d]
+            row_used[r] &= ~bit
+            col_used[c] &= ~bit
+            placed[d] = 0
+        mask = stack[d]
+        if mask == 0:
+            d -= 1
+            continue
+        bit = mask & -mask  # lowest symbol first
+        stack[d] = mask ^ bit
+        placed[d] = bit
+        row_used[r] |= bit
+        col_used[c] |= bit
+        flat[r * n + c] = bit.bit_length()
+        if d == m - 1:
+            yield PartialLatinSquare(
+                order=n,
+                cells=tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n)),
+            )
+            # undo happens at loop top on revisit
+        else:
+            d += 1
+            nr, nc = holes[d]
+            stack[d] = full & ~(row_used[nr] | col_used[nc])
+    return
+
+
+def count_completions(instance: PartialLatinSquare, cap: int = 1_000_000) -> int:
+    """Count completions of the instance, truncated at cap."""
+    if cap < 0:
+        raise StructureError(f"cap must be >= 0, got {cap}")
+    count = 0
+    for _ in iter_completions(instance):
+        count += 1
+        if count >= cap:
+            break
+    return count

@@ -23,9 +23,7 @@ from restartlab.latin import (
     HoleSpec,
     PartialLatinSquare,
     UNBALANCED,
-    count_completions,
     generate_complete,
-    iter_completions,
     poke_holes,
     validate,
 )
@@ -56,6 +54,8 @@ from restartlab.solver import (
     regin_filter,
     solve,
 )
+
+from reference import count_completions, iter_completions
 
 # Desk-scale study configuration: a fixed hard instance family and the
 # observation settings the trained predictor is exercised at.

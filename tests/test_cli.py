@@ -10,8 +10,16 @@ import numpy as np
 import pytest
 
 from restartlab import fc_kernel
-from restartlab.cli import EXIT_DATA, EXIT_OK, EXIT_UNBOUNDED, EXIT_USAGE, main
-from restartlab.io import read_dataset, read_instance, read_model, write_dataset, write_rtd
+from restartlab.cli import EXIT_DATA, EXIT_KERNEL, EXIT_OK, EXIT_UNBOUNDED, EXIT_USAGE, main
+from restartlab.io import (
+    read_dataset,
+    read_instance,
+    read_model,
+    write_dataset,
+    write_instance,
+    write_rtd,
+)
+from restartlab.latin import HOLE, PartialLatinSquare
 from restartlab.learn import Dataset, label_by_median
 
 DATASET_ARGS = [
@@ -25,6 +33,12 @@ DATASET_ARGS = [
     "--cutoff", "3000",
     "--seed", "3",
 ]
+
+
+def not_utf8(source, path):
+    """A copy of source at path behind the bytes ff fe, which are not UTF-8."""
+    path.write_bytes(b"\xff\xfe" + source.read_bytes())
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +82,12 @@ class TestGenerate:
             blobs.append((d / "x.txt").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_order_above_64_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "big.txt"
+        assert main(["generate", "--order", "65", "-o", str(out)]) == EXIT_USAGE
+        assert "maximum order 64" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_reports_outcome(self, workdir, capsys):
@@ -99,6 +119,16 @@ class TestSolve:
         bad.write_text("1 1\n2 2\n")
         assert main(["solve", str(bad)]) == EXIT_DATA
         capsys.readouterr()
+
+    def test_order_above_64_is_refused(self, tmp_path, capsys):
+        n = 65
+        rows = [[(r + c) % n + 1 for c in range(n)] for r in range(n)]
+        rows[0][0] = HOLE
+        path = tmp_path / "big.txt"
+        write_instance(str(path), PartialLatinSquare.from_rows(rows))
+        assert main(["solve", str(path), "-o", str(tmp_path / "run.json")]) == EXIT_USAGE
+        assert "maximum order 64" in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
 
 
 class TestDataset:
@@ -290,6 +320,14 @@ class TestEval:
         assert main(["eval", str(workdir / "model.json"), str(path)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_non_utf8_files_are_data_errors(self, workdir, tmp_path, capsys):
+        model = not_utf8(workdir / "model.json", tmp_path / "model.json")
+        test = not_utf8(workdir / "small_test.csv", tmp_path / "test.csv")
+        for argv, bad in (([model, str(workdir / "small_test.csv")], model),
+                          ([str(workdir / "model.json"), test], test)):
+            assert main(["eval", *argv]) == EXIT_DATA
+            assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8")
+
 
 class TestCascade:
     def test_runs_and_reports(self, workdir, tmp_path, capsys):
@@ -409,6 +447,11 @@ class TestPolicy:
         assert code == EXIT_DATA
         assert str(path) in capsys.readouterr().err
 
+    def test_non_utf8_file_is_data_error(self, workdir, tmp_path, capsys):
+        path = not_utf8(workdir / "small_rtd.txt", tmp_path / "rtd.txt")
+        assert main(["policy", path, "--policy", "fixed:5", "--trials", "10"]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8")
+
     def test_scan_limit(self, workdir, capsys):
         code = main(["policy", str(workdir / "small_rtd.txt"),
                      "--scan-limit", "20", "--accuracy", "0.9"])
@@ -449,6 +492,12 @@ class TestReport:
         for name in ("bad_version_rtd.txt", "bad.json"):
             assert main(["report", str(tmp_path / name)]) == EXIT_DATA
             assert str(tmp_path / name) in capsys.readouterr().err
+
+    def test_non_utf8_file_is_data_error(self, workdir, tmp_path, capsys):
+        for name in ("small_rtd.txt", "small_train.csv", "model.json", "inst.txt"):
+            path = not_utf8(workdir / name, tmp_path / name)
+            assert main(["report", path]) == EXIT_DATA
+            assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8")
 
     def test_unrecognized_file_is_data_error(self, tmp_path, capsys):
         junk = tmp_path / "junk.txt"
@@ -549,18 +598,48 @@ class TestGoldenBytes:
         }
         assert got == GOLDEN_SHA256
 
-    def test_pipeline_artifacts_pinned_without_kernel(self, tmp_path, monkeypatch, capsys):
+
+# Verbs run with no C compiler and an empty kernel cache, from the directory of
+# the golden pipeline: those that need the kernel, and those that never do.
+NEEDS_KERNEL = [
+    ["generate", "--order", "10", "--holes", "70", "--balanced", "-o", "k_inst.txt"],
+    ["solve", "inst.txt", "--seed", "5", "-o", "k_solve.json"],
+    GOLDEN_STEPS[0][:-1] + ["k"],
+    ["policy", "g_rtd.txt", "--policy", "luby:1", "--trials", "100", "-o", "k_policy.json"],
+]
+NEEDS_NO_KERNEL = [
+    ["train", "g_train.csv", "--kappa-grid", "0.5,0.05", "-o", "k_model.json"],
+    ["eval", "model.json", "g_test.csv", "-o", "k_eval.json"],
+    ["cascade", "g_train.csv", "g_test.csv", "--thresholds", "20,40", "--min-rows", "10",
+     "--kappa-grid", "0.5,0.05", "-o", "k_cascade.json"],
+    ["report", "g_rtd.txt"],
+    ["report", "model.json"],
+    ["policy", "g_rtd.txt", "--policy", "fixed:900", "--trials", "100", "-o", "k_fixed.json"],
+]
+
+
+class TestKernelUnavailable:
+    def test_kernel_verbs_exit_4_and_the_rest_run(self, tmp_path, monkeypatch, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        TestGoldenBytes().test_pipeline_artifacts_pinned(work, monkeypatch)
+        assert main(["generate", "--order", "10", "--holes", "70", "--balanced",
+                     "-o", "inst.txt"]) == EXIT_OK
+        capsys.readouterr()
         monkeypatch.setattr(fc_kernel, "_cache_dirs", lambda: [tmp_path / "cache"])
         monkeypatch.setattr(fc_kernel, "COMPILER", "restartlab-missing-cc")
         fc_kernel.load.cache_clear()
         try:
-            self.test_pipeline_artifacts_pinned(tmp_path, monkeypatch)
+            for argv in NEEDS_KERNEL:
+                before = sorted(work.iterdir())
+                assert main(argv) == EXIT_KERNEL, argv
+                assert capsys.readouterr().err == (
+                    "error: the C kernel is unavailable:"
+                    " no C compiler (restartlab-missing-cc) on PATH\n"), argv
+                assert sorted(work.iterdir()) == before, argv
+            for argv in NEEDS_NO_KERNEL:
+                assert main(argv) == EXIT_OK, argv
+                assert capsys.readouterr().err == "", argv
         finally:
             fc_kernel.load.cache_clear()
-        err = capsys.readouterr().err
-        # one line per dataset: the FC dataset's runs, the multi alldiff one's
-        # filtering and instances
-        assert err.count("C kernel is unavailable (no C compiler") == 2
-        assert err.count("restartlab: forward checking runs in Python") == 1
-        assert err.count(
-            "restartlab: alldiff filtering and instance generation run in Python") == 1
+        assert list((tmp_path / "cache").iterdir()) == []

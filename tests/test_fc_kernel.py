@@ -1,6 +1,6 @@
-"""The C kernel's search: identity with the Python search state at both
-propagation levels, the choice between the two, and building the kernel once
-into a shared cache."""
+"""The C kernel's search: identity with the Python reference state
+(tests/reference.py) at both propagation levels, the orders and builds it
+refuses, and building the kernel once into a shared cache."""
 
 import os
 import random
@@ -31,23 +31,13 @@ from restartlab.solver import (
     CUTOFF,
     FORWARD_CHECK,
     KernelState,
-    SearchState,
     SolverConfig,
     solve,
 )
 
+import reference
+
 SRC = Path(solver.__file__).resolve().parent.parent
-
-needs_kernel = pytest.mark.skipif(
-    fc_kernel.load()[0] is None, reason=f"C kernel unavailable: {fc_kernel.load()[1]}"
-)
-
-
-def python_solve(instance, config, seed):
-    """solve() on the Python SearchState, the reference the kernel must match."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(fc_kernel, "load", lambda: (None, "the Python reference"))
-        return solve(instance, config, seed)
 
 
 def desk_instance():
@@ -96,7 +86,6 @@ run_draws = given(
 )
 
 
-@needs_kernel
 class TestIdentityWithPythonState:
     """Equal RunRecords: outcome, choice points, assignment, trace, stats and
     the exhausted flag."""
@@ -107,7 +96,7 @@ class TestIdentityWithPythonState:
             cutoff = 5000
         config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=horizon,
                               trace_enabled=traced)
-        assert solve(instance, config, seed) == python_solve(instance, config, seed)
+        assert solve(instance, config, seed) == reference.solve(instance, config, seed)
 
     @settings(max_examples=200, deadline=None)
     @run_draws
@@ -131,7 +120,7 @@ class TestIdentityWithPythonState:
             for i in range(50):
                 seed = derive_seed(81, "run", i)
                 got = solve(instance, config, seed)
-                assert got == python_solve(instance, config, seed), (propagation, i)
+                assert got == reference.solve(instance, config, seed), (propagation, i)
                 outcomes.add(got.outcome)
             if propagation == FORWARD_CHECK:
                 assert CUTOFF in outcomes and len(outcomes) == 2
@@ -143,7 +132,7 @@ class TestIdentityWithPythonState:
         for i, instance in enumerate(multi_alldiff_instances()):
             seed = derive_seed(81, "run", i)
             got = solve(instance, config, seed)
-            assert got == python_solve(instance, config, seed), i
+            assert got == reference.solve(instance, config, seed), i
             prunings += got.stats.alldiff_prunings
         assert prunings > 0
 
@@ -154,7 +143,7 @@ class TestIdentityWithPythonState:
         instance = poke_holes(generate_complete(15, 1), HoleSpec.unbalanced(100), 5)
         config = SolverConfig(cutoff=50, propagation=FORWARD_CHECK, horizon=50,
                               trace_enabled=True)
-        assert solve(instance, config, 1) == python_solve(instance, config, 1)
+        assert solve(instance, config, 1) == reference.solve(instance, config, 1)
 
     def test_step_budget_of_one(self, monkeypatch):
         # the kernel returns to Python after every choice point and resumes
@@ -167,7 +156,7 @@ class TestIdentityWithPythonState:
                                       trace_enabled=traced)
                 for i, instance in enumerate(cases):
                     seed = derive_seed(81, "run", i)
-                    assert solve(instance, config, seed) == python_solve(instance, config, seed)
+                    assert solve(instance, config, seed) == reference.solve(instance, config, seed)
 
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -181,13 +170,13 @@ class TestIdentityWithPythonState:
                                   trace_enabled=True)
             for i, instance in enumerate(cases):
                 seed = derive_seed(81, "run", i)
-                assert solve(instance, config, seed) == python_solve(instance, config, seed)
+                assert solve(instance, config, seed) == reference.solve(instance, config, seed)
 
     def test_large_horizon_allocates_a_bounded_buffer(self):
         # no cutoff and a horizon of ten million on a run solved in a few
         # choice points: the buffer holds _TRACE_ROWS rows, not one per
         # allowed choice point
-        kernel = fc_kernel.load()[0]
+        kernel = fc_kernel.load()
 
         class RecordingFFI:
             def __init__(self):
@@ -210,32 +199,50 @@ class TestIdentityWithPythonState:
         state.search(derive_seed(81, "run", 1), config, trace)
         assert 0 < len(trace) and max(ffi.sizes) <= solver._TRACE_ROWS * 14 * 8
         seed = derive_seed(81, "run", 1)
-        assert solve(instance, config, seed) == python_solve(instance, config, seed)
+        assert solve(instance, config, seed) == reference.solve(instance, config, seed)
 
-@needs_kernel
 class TestStateChoice:
-    def test_forward_check_runs_on_the_kernel(self):
-        state = solver._new_state(desk_instance(), SolverConfig(propagation=FORWARD_CHECK))
-        assert isinstance(state, KernelState)
+    @staticmethod
+    def _states(monkeypatch, propagation):
+        """The KernelStates one solve() builds."""
+        made = []
 
-    def test_alldiff_runs_on_the_kernel(self):
-        state = solver._new_state(desk_instance(), SolverConfig(propagation=ALLDIFF_REGIN))
-        assert isinstance(state, KernelState)
+        class Recording(KernelState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
 
-    def test_alldiff_runs_in_python(self):
-        # above order 64, where domains no longer fit the kernel's 64-bit masks
+        monkeypatch.setattr(solver, "KernelState", Recording)
+        solve(desk_instance(), SolverConfig(cutoff=100, propagation=propagation), 1)
+        return made
+
+    def test_forward_check_runs_on_the_kernel(self, monkeypatch):
+        assert len(self._states(monkeypatch, FORWARD_CHECK)) == 1
+
+    def test_alldiff_runs_on_the_kernel(self, monkeypatch):
+        assert len(self._states(monkeypatch, ALLDIFF_REGIN)) == 1
+
+    def test_orders_above_64_are_refused(self):
+        # domains no longer fit the kernel's 64-bit masks; the Python
+        # reference, which has no such limit, solves the instance
         n = fc_kernel.MAX_ORDER + 1
         cyclic = [[(r + c) % n + 1 for c in range(n)] for r in range(n)]
         cyclic[0][0] = HOLE
         instance = PartialLatinSquare.from_rows(cyclic)
-        state = solver._new_state(instance, SolverConfig(propagation=ALLDIFF_REGIN))
-        assert isinstance(state, SearchState)
-        assert solve(instance, SolverConfig(propagation=ALLDIFF_REGIN)).choice_points == 0
+        with pytest.raises(ValueError, match="maximum order 64"):
+            solve(instance, SolverConfig(propagation=ALLDIFF_REGIN))
+        with pytest.raises(ValueError, match="maximum order 64"):
+            fc_kernel.for_order(n)
+        assert fc_kernel.for_order(fc_kernel.MAX_ORDER) is fc_kernel.load()
+        assert reference.solve(instance, SolverConfig(propagation=ALLDIFF_REGIN)).choice_points == 0
 
-    def test_python_when_the_kernel_is_unavailable(self, monkeypatch):
-        monkeypatch.setattr(fc_kernel, "load", lambda: (None, "unavailable"))
-        state = solver._new_state(desk_instance(), SolverConfig(propagation=FORWARD_CHECK))
-        assert isinstance(state, SearchState)
+    def test_unavailable_kernel_raises(self, monkeypatch):
+        def load():
+            raise fc_kernel.KernelUnavailable("no C compiler (cc) on PATH")
+
+        monkeypatch.setattr(fc_kernel, "load", load)
+        with pytest.raises(fc_kernel.KernelUnavailable, match="no C compiler"):
+            solve(desk_instance(), SolverConfig(propagation=FORWARD_CHECK))
 
 
 BUILD_AND_SOLVE = textwrap.dedent("""
@@ -244,16 +251,12 @@ BUILD_AND_SOLVE = textwrap.dedent("""
     from restartlab import fc_kernel, latin, policy, solver
     from restartlab.latin import generate_complete, poke_holes, HoleSpec, BALANCED
     fc_kernel._cache_dirs = lambda: [Path(sys.argv[1])]
-    kernel, reason = fc_kernel.load()
-    assert kernel is not None, reason
     inst = poke_holes(generate_complete(8, 1), HoleSpec(mode=BALANCED, holes_per_line=4), 2)
     config = solver.SolverConfig(propagation=solver.FORWARD_CHECK)
-    assert isinstance(solver._new_state(inst, config), solver.KernelState)
     print(solver.solve(inst, config, 3).outcome)
 """)
 
 
-@needs_kernel
 def test_concurrent_builds_share_one_cache(tmp_path):
     cache = tmp_path / "cache"
     procs = [
@@ -272,10 +275,9 @@ def test_concurrent_builds_share_one_cache(tmp_path):
     assert len(built) == 1 and built[0].startswith("_fc_")
 
 
-@needs_kernel
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 987654321012345])
 def test_mt_seed_is_random_seed(seed):
-    kernel, _ = fc_kernel.load()
+    kernel = fc_kernel.load()
     state = kernel.ffi.new("mt_state *")
     kernel.lib.mt_seed(state, seed)
     internal = random.Random(seed).getstate()[1]
@@ -309,13 +311,15 @@ def test_module_name_covers_the_header():
 
 MISSING_HEADER = textwrap.dedent("""
     from restartlab import fc_kernel
-    kernel, reason = fc_kernel.load()
-    print(kernel is None, reason)
+    try:
+        fc_kernel.load()
+    except fc_kernel.KernelUnavailable as exc:
+        print("KernelUnavailable", exc)
 """)
 
 
 def test_missing_header_is_a_reason(tmp_path):
-    # a package installed without the header runs in Python and says why
+    # a package installed without the header cannot build its kernel and says why
     package = tmp_path / "restartlab"
     shutil.copytree(SRC / "restartlab", package,
                     ignore=shutil.ignore_patterns("_fc_kernel.h", "__pycache__"))
@@ -325,5 +329,5 @@ def test_missing_header_is_a_reason(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("True cannot read the kernel source")
+    assert proc.stdout.startswith("KernelUnavailable cannot read the kernel source")
     assert "_fc_kernel.h" in proc.stdout

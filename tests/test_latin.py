@@ -15,13 +15,14 @@ from restartlab.latin import (
     HoleSpec,
     PartialLatinSquare,
     StructureError,
-    count_completions,
     generate_complete,
-    iter_completions,
     poke_holes,
     validate,
 )
 from restartlab.seeds import derive_seed
+
+import reference
+from reference import count_completions, iter_completions
 
 
 def brute_force_completions(instance):
@@ -290,24 +291,17 @@ def test_balanced_poke_always_balanced(n, h, seed):
 
 # -- the C kernel's generators against the Python loops ----------------------
 
-needs_kernel = pytest.mark.skipif(
-    fc_kernel.load()[0] is None, reason=f"C kernel unavailable: {fc_kernel.load()[1]}"
-)
-
-
-def on_python(fn, *args):
-    """fn(*args) with the C kernel reported unavailable, so on the Python loops."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(fc_kernel, "load", lambda: (None, "the Python reference"))
-        return fn(*args)
+# Each kernel generator's Python loop in tests/reference.py.
+REFERENCE = {latin._fill_square: reference.fill_square,
+             latin._balanced_holes: reference.balanced_holes}
 
 
 def both_paths(fn, n, seed, *args, state=None):
-    """fn(n, *args, rng) on the kernel and on Python, from random.Random(seed)
-    or from the given getstate() tuple: each path's output and the rng state
-    it leaves."""
+    """fn(n, *args, rng) on the kernel and on its Python reference, from
+    random.Random(seed) or from the given getstate() tuple: each path's
+    output and the rng state it leaves."""
     out = []
-    for run in (fn, lambda *a: on_python(fn, *a)):
+    for run in (fn, REFERENCE[fn]):
         rng = random.Random(seed)
         if state is not None:
             rng.setstate(state)
@@ -315,7 +309,6 @@ def both_paths(fn, n, seed, *args, state=None):
     return out
 
 
-@needs_kernel
 class TestKernelGenerators:
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 16), seed=st.integers(0, 2**64 - 1))
@@ -332,10 +325,11 @@ class TestKernelGenerators:
 
     def test_continues_a_stream_python_has_advanced(self):
         results = []
-        for path in (lambda fn, *args: fn(*args), on_python):
+        for holes, fill in ((latin._balanced_holes, latin._fill_square),
+                            (reference.balanced_holes, reference.fill_square)):
             rng = random.Random(5)
             rng.random()
-            out = (path(latin._balanced_holes, 9, 3, rng), path(latin._fill_square, 9, rng))
+            out = (holes(9, 3, rng), fill(9, rng))
             results.append((out, rng.getstate()))
         assert results[0] == results[1]
 
@@ -348,8 +342,8 @@ class TestKernelGenerators:
             assert kernel == python, i
 
     def test_desk_instance(self):
-        square = generate_complete(18, derive_seed(81, "instance"))
-        assert square == on_python(generate_complete, 18, derive_seed(81, "instance"))
+        kernel, python = both_paths(latin._fill_square, 18, derive_seed(81, "instance"))
+        assert kernel == python
         kernel, python = both_paths(latin._balanced_holes, 18, derive_seed(81, "mask"), 7)
         assert kernel == python
 
@@ -405,27 +399,36 @@ class _NoKernel:
 
 
 class TestGeneratorFallbacks:
-    def test_orders_above_64_stay_in_python(self, monkeypatch):
-        expected = on_python(latin._balanced_holes, 65, 2, random.Random(3))
-        monkeypatch.setattr(fc_kernel, "load", lambda: (_NoKernel(), ""))
-        assert latin._kernel_for(65) is None
-        assert latin._balanced_holes(65, 2, random.Random(3)) == expected
+    """Where the generators go without the kernel: the patterns drawn in
+    Python never touch it, and everything else is refused."""
 
-    def test_unavailable_kernel_runs_python(self, monkeypatch):
-        expected = poke_holes(generate_complete(9, 4), HoleSpec(mode=BALANCED, holes_per_line=3), 5)
-        monkeypatch.setattr(fc_kernel, "load", lambda: (None, "unavailable"))
-        assert latin._kernel_for(9) is None
+    def test_orders_above_64_are_refused(self, monkeypatch):
+        monkeypatch.setattr(fc_kernel, "load", lambda: _NoKernel())
+        with pytest.raises(ValueError, match="maximum order 64"):
+            generate_complete(65, 1)
+        with pytest.raises(ValueError, match="maximum order 64"):
+            latin._balanced_holes(65, 2, random.Random(3))
+
+    def test_unavailable_kernel_raises(self, monkeypatch):
         square = generate_complete(9, 4)
-        assert poke_holes(square, HoleSpec(mode=BALANCED, holes_per_line=3), 5) == expected
+
+        def load():
+            raise fc_kernel.KernelUnavailable("no C compiler (cc) on PATH")
+
+        monkeypatch.setattr(fc_kernel, "load", load)
+        with pytest.raises(fc_kernel.KernelUnavailable):
+            generate_complete(9, 4)
+        with pytest.raises(fc_kernel.KernelUnavailable):
+            poke_holes(square, HoleSpec(mode=BALANCED, holes_per_line=3), 5)
 
     @pytest.mark.parametrize("h", [0, 6, 7])
     def test_direct_patterns_stay_in_python(self, monkeypatch, h):
-        expected = on_python(latin._balanced_holes, 7, h, random.Random(1))
-        monkeypatch.setattr(fc_kernel, "load", lambda: (_NoKernel(), ""))
+        expected = reference.balanced_holes(7, h, random.Random(1))
+        monkeypatch.setattr(fc_kernel, "load", lambda: _NoKernel())
         assert latin._balanced_holes(7, h, random.Random(1)) == expected
 
     def test_unbalanced_stays_in_python(self, monkeypatch):
         square = generate_complete(6, 2)
         expected = poke_holes(square, HoleSpec(mode=UNBALANCED, total_holes=11), 3)
-        monkeypatch.setattr(fc_kernel, "load", lambda: (_NoKernel(), ""))
+        monkeypatch.setattr(fc_kernel, "load", lambda: _NoKernel())
         assert poke_holes(square, HoleSpec(mode=UNBALANCED, total_holes=11), 3) == expected

@@ -31,7 +31,6 @@ from restartlab.policy import (
     RtdSource,
     SyntheticPredictor,
     _skip_integers,
-    _skip_kernel,
     dynamic_expected_run_length_ub,
     dynamic_expected_runs,
     dynamic_expected_total_ub,
@@ -491,8 +490,9 @@ def _reference_simulate(
     run_source, policy, trials, master_seed, run_budget=1_000_000,
     percentiles=(50, 90, 99),
 ):
-    """simulate_policy as a plain round loop: every round gathers, caps and
-    scatter-adds over every active trial, then compacts the active set."""
+    """simulate_policy as a plain round loop: every round draws its run
+    lengths (no draw is skipped), gathers, caps and scatter-adds over every
+    active trial, then compacts the active set."""
     rng = np.random.default_rng(derive_seed(master_seed, "policy", policy.describe()))
     analytic = policy.analytic(run_source)
     unbounded = analytic.success_probability == 0.0
@@ -599,10 +599,6 @@ def test_luby_steps_only_in_rounds_some_run_can_win(monkeypatch):
     assert rounds and all(luby_term(r) >= 18 for r in rounds)
 
 
-needs_kernel = pytest.mark.skipif(
-    fc_kernel.load()[0] is None, reason=f"C kernel unavailable: {fc_kernel.load()[1]}"
-)
-
 # Bounds where numpy's rejection matters: 1 draws nothing, powers of two
 # reject nothing, 2**31+1 rejects about half the words.
 SKIP_BOUNDS = (1, 2, 3, 64, 5000, 2**31 + 1, 3 * 2**30, 2**32 - 1)
@@ -619,14 +615,6 @@ def _same_stream(a, b):
     assert a.integers(0, 2**40, size=5).tolist() == b.integers(0, 2**40, size=5).tolist()
 
 
-def _without_kernel(fn):
-    """fn() with the kernel unavailable: every discarded draw is drawn."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(fc_kernel, "load", lambda: (None, "the drawing reference"))
-        return fn()
-
-
-@needs_kernel
 class TestKernelSkip:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -663,9 +651,11 @@ class TestKernelSkip:
             _same_stream(skipped, drawn)
 
     def test_only_pcg64_streams_are_skipped(self):
-        assert _skip_kernel(np.random.default_rng(1)) is not None
-        assert _skip_kernel(np.random.Generator(np.random.MT19937(1))) is None
-        assert _without_kernel(lambda: _skip_kernel(np.random.default_rng(1))) is None
+        mt = np.random.Generator(np.random.MT19937(1))
+        with pytest.raises(ValueError, match="only on a PCG64 stream, not MT19937"):
+            _skip_integers(mt, 5, 3)
+        with pytest.raises(ValueError, match="PCG64"):
+            RtdSource(EmpiricalRTD([3, 4])).skip(mt, 3)
 
     @pytest.mark.parametrize("scale", [1, 3])
     @pytest.mark.parametrize("lengths", [
@@ -676,7 +666,7 @@ class TestKernelSkip:
     def test_luby_equals_drawing_on_rtds(self, lengths, scale):
         source = RtdSource(EmpiricalRTD(lengths))
         policy = LubyPolicy(scale)
-        want = _without_kernel(lambda: simulate_policy(source, policy, 3000, 81))
+        want = _reference_simulate(source, policy, 3000, 81)
         assert asdict(simulate_policy(source, policy, 3000, 81)) == asdict(want)
 
     @pytest.mark.parametrize("scale", [1, 3])
@@ -685,7 +675,7 @@ class TestKernelSkip:
         ds.X[:, 0] = np.arange(ds.size)
         source = DatasetSource(ds)
         policy = LubyPolicy(scale)
-        want = _without_kernel(lambda: simulate_policy(source, policy, 2000, 7))
+        want = _reference_simulate(source, policy, 2000, 7)
         assert asdict(simulate_policy(source, policy, 2000, 7)) == asdict(want)
 
     def test_no_dead_round_loads_no_kernel(self, monkeypatch):

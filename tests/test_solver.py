@@ -15,7 +15,6 @@ from restartlab.latin import (
     PartialLatinSquare,
     StructureError,
     generate_complete,
-    iter_completions,
     poke_holes,
     validate,
 )
@@ -29,6 +28,8 @@ from restartlab.solver import (
     regin_filter,
     solve,
 )
+
+from reference import iter_completions
 
 
 def qwh(n, holes, seed, balanced=False):

@@ -11,7 +11,6 @@ Cases:
                  and derive_seed(81, "mask", i); one figure is all 48
   order 34       generate_complete(34, s) and poke_holes with 9, 10 and 11
                  holes per line and seed s, for s = 1..5 (1..3 at 11 holes)
-  python         the first three multi-alldiff instances on the Python loops
 
 poke_holes at order 34 erases cells of the cyclic square (r + c) mod 34: the
 hole pattern depends only on the order, the holes per line and the seed, and
@@ -23,6 +22,8 @@ Each figure is the median, quartiles and range of REPEATS (7) timings, or
 of one timing when the first took longer than LONG (10 s).  Next to it are
 the deterministic work (instances, and hole-pattern attempts: the passes
 that drew h permutations or gave up on one), nproc and the Python version.
+That the kernel draws the squares and patterns of the Python reference is
+the identity tests' job (tests/test_latin.py).
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ class _CountingKernel:
 @contextlib.contextmanager
 def counting():
     """The kernel, with its hole-pattern passes counted, for the block."""
-    kernel = _CountingKernel(fc_kernel.load()[0])
+    kernel = _CountingKernel(fc_kernel.load())
     saved = fc_kernel.load
-    fc_kernel.load = lambda: (kernel, "")
+    fc_kernel.load = lambda: kernel
     try:
         yield kernel.lib
     finally:
@@ -105,7 +106,7 @@ def cyclic(n: int) -> PartialLatinSquare:
     return PartialLatinSquare.from_rows([[(r + c) % n + 1 for c in range(n)] for r in range(n)])
 
 
-def instances(pairs, order, holes, on_python=False):
+def instances(pairs, order, holes):
     """Timings of generate_complete and poke_holes over (square, mask) seeds."""
     spec = HoleSpec.balanced(holes)
     squares = [generate_complete(order, s) for s, _ in pairs]
@@ -119,21 +120,11 @@ def instances(pairs, order, holes, on_python=False):
             poke_holes(square, spec, m)
 
     case = {"order": order, "holes_per_line": holes, "instances": len(pairs),
-            "side": "python" if on_python else "kernel"}
-    if on_python:
-        saved = fc_kernel.load
-        fc_kernel.load = lambda: (None, "timing the Python loops")
-        try:
-            case["generate_complete_ms"] = spread(timings(generate))
-            case["poke_holes_ms"] = spread(timings(poke))
-        finally:
-            fc_kernel.load = saved
-    else:
-        case["generate_complete_ms"] = spread(timings(generate))
-        with counting() as lib:
-            ms = timings(poke)
-        case["poke_holes_ms"] = spread(ms)
-        case["pattern_attempts"] = lib.patterns // len(ms)
+            "generate_complete_ms": spread(timings(generate))}
+    with counting() as lib:
+        ms = timings(poke)
+    case["poke_holes_ms"] = spread(ms)
+    case["pattern_attempts"] = lib.patterns // len(ms)
     return case
 
 
@@ -149,7 +140,7 @@ def one(kind: str, seed: int, holes: int) -> dict:
 
 
 def order_34(kind: str, seed: int, holes: int) -> dict:
-    case = {"order": 34, "seed": seed, "side": "kernel", "timeout_s": TIMEOUT}
+    case = {"order": 34, "seed": seed, "timeout_s": TIMEOUT}
     if kind == "poke_holes":
         case["holes_per_line"] = holes
     argv = [sys.executable, __file__, "--one", kind, str(seed), str(holes)]
@@ -188,9 +179,10 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="BENCH_generation.json")
     ap.add_argument("--one", nargs=3, metavar=("KIND", "SEED", "HOLES"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    kernel, reason = fc_kernel.load()
-    if kernel is None:
-        print(f"the C kernel is unavailable: {reason}", file=sys.stderr)
+    try:
+        fc_kernel.load()
+    except fc_kernel.KernelUnavailable as exc:
+        print(f"the C kernel is unavailable: {exc}", file=sys.stderr)
         return 1
     if args.one:
         kind, seed, holes = args.one
@@ -201,8 +193,6 @@ def main(argv=None) -> int:
     for name, case in [
         ("desk", lambda: instances([(derive_seed(SEED, "instance"), derive_seed(SEED, "mask"))], 18, 7)),
         ("multi-alldiff", lambda: instances(multi, 20, 8)),
-        ("multi-alldiff[:3] python", lambda: instances(multi[:3], 20, 8, on_python=True)),
-        ("multi-alldiff[:3] kernel", lambda: instances(multi[:3], 20, 8)),
     ]:
         case = dict(case=name, **case())
         cases.append(case)

@@ -1,5 +1,5 @@
 """Restart-policy simulation throughput: simulate_policy trials per second for
-each policy, with the C kernel skipping discarded draws and without it.
+each policy, with the C kernel skipping discarded draws.
 
     PYTHONPATH=src python tools/bench_policy.py [--out BENCH_policy.json]
 
@@ -14,13 +14,13 @@ with a synthetic predictor of accuracy 0.9, each over 100000 trials on the
 run-length file; and dynamic:50,3000 with the tree as predictor over 10000
 trials on the held-out split.  Master seed 81.
 
-Each policy is timed REPEATS (7) times, kernel and fallback alternating.  The
-JSON records, per policy and side, the trials, the run lengths drawn in
-priced rounds (live) and in rounds whose cutoff is below the shortest run
-(dead, the draws the kernel skips), and the median, quartiles and range of
-the seconds and of the trials per second, with nproc and the Python version.
-Every repeat must give the same PolicyStats, and the kernel the same as the
-fallback, or the script exits 1.
+Each policy is timed REPEATS (7) times.  The JSON records, per policy, the
+trials, the run lengths drawn in priced rounds (live) and in rounds whose
+cutoff is below the shortest run (dead, the draws the kernel skips), and the
+median, quartiles and range of the seconds and of the trials per second,
+with nproc and the Python version.  Every repeat must give the same
+PolicyStats, or the script exits 1.  That skipping gives the PolicyStats of
+drawing every round is the tests' job (tests/test_policy.py).
 """
 
 from __future__ import annotations
@@ -99,20 +99,6 @@ class CountingSource:
         self.source.skip(rng, size)
 
 
-@contextlib.contextmanager
-def on_side(side: str):
-    """Simulate with the kernel or, with load reporting no kernel, without it."""
-    if side == "kernel":
-        yield
-        return
-    saved = fc_kernel.load
-    fc_kernel.load = lambda: (None, "timing the fallback")
-    try:
-        yield
-    finally:
-        fc_kernel.load = saved
-
-
 def spread(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "min": min(xs), "max": max(xs)}
@@ -122,9 +108,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="BENCH_policy.json")
     args = ap.parse_args(argv)
-    kernel, reason = fc_kernel.load()
-    if kernel is None:
-        print(f"the C kernel is unavailable: {reason}", file=sys.stderr)
+    try:
+        fc_kernel.load()
+    except fc_kernel.KernelUnavailable as exc:
+        print(f"the C kernel is unavailable: {exc}", file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as tmp:
         rtd, train, test = desk_dataset(Path(tmp))
@@ -141,33 +128,29 @@ def main(argv=None) -> int:
     for name, source, policy, trials in runs:
         counting = CountingSource(source)
         reference = asdict(simulate_policy(counting, policy, trials, SEED))
-        seconds = {"kernel": [], "fallback": []}
-        for rep in range(REPEATS):
-            for side in ("kernel", "fallback") if rep % 2 == 0 else ("fallback", "kernel"):
-                with on_side(side):
-                    t0 = time.perf_counter()
-                    stats = simulate_policy(source, policy, trials, SEED)
-                    seconds[side].append(time.perf_counter() - t0)
-                if asdict(stats) != reference:
-                    print(f"{name} {side}: PolicyStats differ", file=sys.stderr)
-                    return 1
-        for side in ("kernel", "fallback"):
-            case = {
-                "policy": policy.describe(),
-                "key": name,
-                "side": side,
-                "trials": trials,
-                "run_lengths": source.rtd.size,
-                "live_draws": counting.live,
-                "dead_draws": counting.dead,
-                "seconds": spread(seconds[side]),
-                "trials_per_s": spread([trials / s for s in seconds[side]]),
-            }
-            cases.append(case)
-            print(f"{name:18} {side:8} {trials:6d} trials"
-                  f" {case['trials_per_s']['median']:12.0f} trials/s"
-                  f" (q1 {case['trials_per_s']['q1']:.0f},"
-                  f" q3 {case['trials_per_s']['q3']:.0f})", flush=True)
+        seconds = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            stats = simulate_policy(source, policy, trials, SEED)
+            seconds.append(time.perf_counter() - t0)
+            if asdict(stats) != reference:
+                print(f"{name}: PolicyStats differ", file=sys.stderr)
+                return 1
+        case = {
+            "policy": policy.describe(),
+            "key": name,
+            "trials": trials,
+            "run_lengths": source.rtd.size,
+            "live_draws": counting.live,
+            "dead_draws": counting.dead,
+            "seconds": spread(seconds),
+            "trials_per_s": spread([trials / s for s in seconds]),
+        }
+        cases.append(case)
+        print(f"{name:18} {trials:6d} trials"
+              f" {case['trials_per_s']['median']:12.0f} trials/s"
+              f" (q1 {case['trials_per_s']['q1']:.0f},"
+              f" q3 {case['trials_per_s']['q3']:.0f})", flush=True)
     result = {
         "benchmark": "simulate_policy trials per second",
         "command": "PYTHONPATH=src python tools/bench_policy.py",

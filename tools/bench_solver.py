@@ -1,5 +1,5 @@
-"""Solver throughput: choice points per second for each propagation level,
-on the C kernel and in Python, traced and untraced.
+"""Solver throughput: choice points per second of the C kernel for each
+propagation level, traced and untraced.
 
     PYTHONPATH=src python tools/bench_solver.py [--out BENCH_solver.json]
 
@@ -12,18 +12,17 @@ Cases:
   --holes 160 --balanced --seed 81` (each drawn before timing), one run
   each, horizon 10, cutoff 20000, alldiff filtering.
 
-Each case is timed REPEATS (7) times (kernel and Python alternating) over
-all its runs, solver calls only.  The JSON records, per case, the
-deterministic work (runs, choice points) and the median, quartiles and range
-of the seconds and of the choice points per second, with nproc and the
-Python version.  Every repeat must return the same run records, and the
-kernel the same as Python, or the script exits 1.
+Each case is timed REPEATS (7) times over all its runs, solver calls only.
+The JSON records, per case, the deterministic work (runs, choice points) and
+the median, quartiles and range of the seconds and of the choice points per
+second, with nproc and the Python version.  Every repeat must return the
+same run records, or the script exits 1.  That the kernel's records equal
+the Python reference's is the identity tests' job (tests/test_fc_kernel.py).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import platform
@@ -56,25 +55,10 @@ def multi_runs():
     return out
 
 
-@contextlib.contextmanager
-def on_state(state: str):
-    """Run solve on the kernel or, with load reporting no kernel, in Python."""
-    if state == "kernel":
-        yield
-        return
-    saved = fc_kernel.load
-    fc_kernel.load = lambda: (None, "timing the Python state")
-    try:
-        yield
-    finally:
-        fc_kernel.load = saved
-
-
-def time_case(runs, config, state):
-    with on_state(state):
-        t0 = time.perf_counter()
-        records = [solve(instance, config, seed) for instance, seed in runs]
-        return time.perf_counter() - t0, records
+def time_case(runs, config):
+    t0 = time.perf_counter()
+    records = [solve(instance, config, seed) for instance, seed in runs]
+    return time.perf_counter() - t0, records
 
 
 def spread(xs):
@@ -86,9 +70,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="BENCH_solver.json")
     args = ap.parse_args(argv)
-    kernel, reason = fc_kernel.load()
-    if kernel is None:
-        print(f"the C kernel is unavailable: {reason}", file=sys.stderr)
+    try:
+        fc_kernel.load()
+    except fc_kernel.KernelUnavailable as exc:
+        print(f"the C kernel is unavailable: {exc}", file=sys.stderr)
         return 1
     workloads = {
         "desk": (desk_runs(), 50, 100_000, (FORWARD_CHECK, ALLDIFF_REGIN)),
@@ -100,40 +85,34 @@ def main(argv=None) -> int:
             for traced in (False, True):
                 config = SolverConfig(cutoff=cutoff, propagation=propagation,
                                       horizon=horizon, trace_enabled=traced)
-                seconds = {"kernel": [], "python": []}
+                seconds = []
                 reference = None
-                for rep in range(REPEATS):
-                    order = ("kernel", "python") if rep % 2 == 0 else ("python", "kernel")
-                    for state in order:
-                        dt, records = time_case(runs, config, state)
-                        if reference is None:
-                            reference = records
-                        elif records != reference:
-                            print(f"{name} {propagation} {state}: records differ",
-                                  file=sys.stderr)
-                            return 1
-                        seconds[state].append(dt)
+                for _ in range(REPEATS):
+                    dt, records = time_case(runs, config)
+                    if reference is None:
+                        reference = records
+                    elif records != reference:
+                        print(f"{name} {propagation}: records differ", file=sys.stderr)
+                        return 1
+                    seconds.append(dt)
                 choice_points = sum(r.choice_points for r in reference)
-                for state in ("kernel", "python"):
-                    case = {
-                        "workload": name,
-                        "propagation": propagation,
-                        "state": state,
-                        "traced": traced,
-                        "horizon": horizon,
-                        "cutoff": cutoff,
-                        "runs": len(runs),
-                        "choice_points": choice_points,
-                        "seconds": spread(seconds[state]),
-                        "choice_points_per_s": spread(
-                            [choice_points / s for s in seconds[state]]),
-                    }
-                    cases.append(case)
-                    print(f"{name:14} {propagation:14} {state:6} traced={int(traced)}"
-                          f" {choice_points:7d} cp"
-                          f" {case['choice_points_per_s']['median']:12.0f} cp/s"
-                          f" (q1 {case['choice_points_per_s']['q1']:.0f},"
-                          f" q3 {case['choice_points_per_s']['q3']:.0f})", flush=True)
+                case = {
+                    "workload": name,
+                    "propagation": propagation,
+                    "traced": traced,
+                    "horizon": horizon,
+                    "cutoff": cutoff,
+                    "runs": len(runs),
+                    "choice_points": choice_points,
+                    "seconds": spread(seconds),
+                    "choice_points_per_s": spread([choice_points / s for s in seconds]),
+                }
+                cases.append(case)
+                print(f"{name:14} {propagation:14} traced={int(traced)}"
+                      f" {choice_points:7d} cp"
+                      f" {case['choice_points_per_s']['median']:12.0f} cp/s"
+                      f" (q1 {case['choice_points_per_s']['q1']:.0f},"
+                      f" q3 {case['choice_points_per_s']['q3']:.0f})", flush=True)
     result = {
         "benchmark": "solver choice points per second",
         "command": "PYTHONPATH=src python tools/bench_solver.py",
