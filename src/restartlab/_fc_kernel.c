@@ -1,5 +1,6 @@
 /* C kernels for orders up to 64: the completion search of solver.py at both
- * propagation levels, the two seeded instance generators of latin.py, and
+ * propagation levels, its Regin line filter on its own (fc_regin_filter, for
+ * solver.regin_filter), the two seeded instance generators of latin.py, and
  * the skip over discarded draws of policy.simulate_policy.  Its constants,
  * state structs and entry points are declared in _fc_kernel.h, which
  * fc_kernel.py also hands to cffi.
@@ -845,4 +846,17 @@ void pcg64_skip_bounded(pcg64_state *st, uint32_t high, long long count)
     }
     st->state_hi = (uint64_t)(s >> 64);
     st->state_lo = (uint64_t)s;
+}
+
+/* regin_prunings on one line given by its caller (solver.regin_filter): k <= 64
+ * cells, values 0..63.  flatten inlines the filter into this function, so
+ * filter_line stays its only other caller and still inlines it.  Defined last
+ * and hidden from the dynamic symbol table (cffi's wrapper, in this module,
+ * calls it directly), it leaves the machine code and the address of every
+ * other function as they were without it; the search's speed moves with the
+ * placement of its code. */
+__attribute__((flatten, visibility("hidden")))
+int fc_regin_filter(const uint64_t *doms, int k, uint64_t *prune)
+{
+    return regin_prunings(doms, k, prune);
 }

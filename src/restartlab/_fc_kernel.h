@@ -1,5 +1,5 @@
 /* The interface of the C kernel (_fc_kernel.c): its constants, the state
- * structs its callers allocate, and its seven entry points.  _fc_kernel.c
+ * structs its callers allocate, and its eight entry points.  _fc_kernel.c
  * includes this file, and fc_kernel.py hands it to cffi as the declarations
  * Python sees, so it is the one place they are written.  It holds only what
  * cffi's declaration parser reads: no #include (uint32_t and uint64_t come
@@ -104,6 +104,7 @@ void mt_seed(mt_state *rng, uint64_t seed);
 void fc_init(fc_state *st);
 int fc_propagate_root(fc_state *st);
 int fc_run(fc_state *st, mt_state *rng, long long budget);
+int fc_regin_filter(const uint64_t *doms, int k, uint64_t *prune);
 int lq_hole_pattern(mt_state *rng, int n, int h, int retries, uint64_t *taken);
 int lq_fill(mt_state *rng, lq_square *sq, long long steps);
 void pcg64_skip_bounded(pcg64_state *st, uint32_t high, long long count);

@@ -30,6 +30,7 @@ from .harness import (
 )
 from .latin import HoleSpec, StructureError, generate_complete, poke_holes, validate
 from .learn import (
+    DEFAULT_KAPPA_GRID,
     DecisionTreeModel,
     cascade_datasets,
     evaluate,
@@ -147,12 +148,7 @@ def _cmd_solve(args) -> int:
     instance = rio.read_instance(args.instance)
     if validate(instance):
         raise rio.DataFormatError(f"{args.instance}: rows/columns repeat a symbol")
-    config = SolverConfig(
-        cutoff=args.cutoff,
-        propagation=args.propagation,
-        horizon=args.horizon,
-        trace_enabled=False,
-    )
+    config = SolverConfig(cutoff=args.cutoff, propagation=args.propagation)
     rec = solve(instance, config, seed=args.seed)
     print(
         f"{rec.outcome} choice_points={rec.choice_points}"
@@ -199,7 +195,6 @@ def _cmd_dataset(args) -> int:
             ratio=args.tail_ratio,
             cutoff=args.cutoff or 30000,
             propagation=args.propagation,
-            horizon=args.horizon,
         )
         if instance is None:
             raise rio.DataFormatError(
@@ -506,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--propagation", choices=[FORWARD_CHECK, ALLDIFF_REGIN], default=ALLDIFF_REGIN
     )
-    s.add_argument("--horizon", type=_positive_int, default=1000)
     s.add_argument("-o", "--output", default=None, help="write a run report")
     s.set_defaults(func=_cmd_solve)
 
@@ -534,8 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="tune and fit the run-length classifier")
     t.add_argument("train")
-    t.add_argument("--kappa-grid", type=_float_list,
-                   default=[10.0 ** -k for k in range(1, 9)])
+    t.add_argument("--kappa-grid", type=_float_list, default=DEFAULT_KAPPA_GRID)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("-o", "--output", required=True)
     t.add_argument("--report", default=None)
@@ -551,8 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("train")
     c.add_argument("test")
     c.add_argument("--thresholds", type=_float_list, required=True)
-    c.add_argument("--kappa-grid", type=_float_list,
-                   default=[10.0 ** -k for k in range(1, 9)])
+    c.add_argument("--kappa-grid", type=_float_list, default=DEFAULT_KAPPA_GRID)
     c.add_argument("--min-rows", type=_positive_int, default=50)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("-o", "--output", default=None)

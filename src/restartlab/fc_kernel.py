@@ -18,7 +18,10 @@ goes into it (both files, the cffi version and the flags) and lives in the
 first usable cache directory ($XDG_CACHE_HOME/restartlab or
 ~/.cache/restartlab, then a per-user directory under the system temp dir).
 A finished build is moved into place with os.replace, so concurrent
-builders never see a partial file.
+builders never see a partial file.  The cache keeps every build that some
+process has loaded within the last week (each load refreshes its build's
+mtime), so checkouts of different revisions sharing one cache do not
+rebuild each other's module; a new build removes the other, older ones.
 
 The kernel is required, as cffi is: the solver, the two generators and the
 skip have no other implementation (their Python oracles live in the test
@@ -41,6 +44,7 @@ import shutil
 import subprocess
 import sysconfig
 import tempfile
+import time
 from pathlib import Path
 from typing import List
 
@@ -52,6 +56,9 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 
 # Domains and line masks are 64-bit masks.
 MAX_ORDER = 64
+
+# A superseded build that has not been loaded for this long is removed.
+_STALE_SECONDS = 7 * 24 * 3600
 
 _MASK64 = (1 << 64) - 1
 
@@ -128,18 +135,41 @@ def _load():
     if cache is None:
         raise KernelUnavailable("no writable cache directory")
     target = cache / filename
-    if not target.exists():
+    # Load first and build only when that fails, so a build that another
+    # process removes at any moment is rebuilt rather than a failure.
+    try:
+        module = _import(name, target)
+    except (ImportError, OSError):
         try:
             _build(name, source, header, target)
         except OSError as exc:
             raise KernelUnavailable(f"cannot build in {cache} ({exc})") from None
-    spec = importlib.util.spec_from_file_location(name, target)
-    try:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except ImportError as exc:
-        raise KernelUnavailable(f"cannot load {target} ({exc})") from None
+        _remove_stale(target)
+        try:
+            module = _import(name, target)
+        except (ImportError, OSError) as exc:
+            raise KernelUnavailable(f"cannot load {target} ({exc})") from None
+    with contextlib.suppress(OSError):
+        os.utime(target)  # marks the build as in use
     return module
+
+
+def _import(name: str, target: Path):
+    spec = importlib.util.spec_from_file_location(name, target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _remove_stale(target: Path) -> None:
+    """Delete the other builds of target's EXT_SUFFIX in its directory that
+    no process has loaded for _STALE_SECONDS (every load refreshes its build's
+    mtime), ignoring errors: another process may be removing one too."""
+    cutoff = time.time() - _STALE_SECONDS
+    for path in target.parent.glob("_fc_*" + sysconfig.get_config_var("EXT_SUFFIX")):
+        with contextlib.suppress(OSError):
+            if path != target and path.stat().st_mtime < cutoff:
+                path.unlink()
 
 
 @contextlib.contextmanager

@@ -61,7 +61,7 @@ class ExperimentSpec:
 
 # One record per launched run; summary is None for runs that finished before
 # the horizon (their traces are too short to summarize).
-_RunRow = Tuple[int, int, bool, bool, int, Optional[np.ndarray]]
+_RunRow = Tuple[int, int, bool, int, Optional[np.ndarray]]
 
 _WORK: Dict[str, object] = {}
 
@@ -71,7 +71,7 @@ def _init_worker(payload: Dict) -> None:
 
 
 def _run_one(task: Tuple[int, int]) -> _RunRow:
-    """Execute one seeded run; returns (index, runtime, solved, censored_long,
+    """Execute one seeded run; returns (index, runtime, solved,
     post_propagation_size, summary values or None)."""
     idx, seed = task
     spec: ExperimentSpec = _WORK["spec"]
@@ -87,11 +87,11 @@ def _run_one(task: Tuple[int, int]) -> _RunRow:
         raise DataFormatError("instance admits no completion; cannot measure run lengths")
     runtime = rec.choice_points
     if solved and runtime < spec.horizon:
-        return (idx, runtime, True, False, rec.post_propagation_size, None)
+        return (idx, runtime, True, rec.post_propagation_size, None)
     sv = summarize(rec.trace, spec.horizon, censored=not solved)
     if spec.mode == MULTI_INSTANCE:
         sv = normalize_for_multi(sv, rec.post_propagation_size)
-    return (idx, runtime, solved, not solved, rec.post_propagation_size, sv.values)
+    return (idx, runtime, solved, rec.post_propagation_size, sv.values)
 
 
 def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRow]:
@@ -138,17 +138,17 @@ def _build_split(
     returned); cutoff-hit runs are kept as censored rows labeled LONG.  The
     median is computed from the uncensored rows' scaled runtimes when not
     supplied (training), else applied as given (test)."""
-    kept = [r for r in rows if r[5] is not None]
+    kept = [r for r in rows if r[4] is not None]
     under = len(rows) - len(kept)
-    if not any(not r[3] for r in kept):
+    if not any(r[2] for r in kept):
         raise DataFormatError(
             "zero surviving rows after censoring; raise run counts or lower the horizon"
         )
-    X = np.asarray([r[5] for r in kept], dtype=float)
+    X = np.asarray([r[4] for r in kept], dtype=float)
     runtime = np.asarray([r[1] for r in kept], dtype=np.int64)
-    censored = np.asarray([r[3] for r in kept], dtype=bool)
+    censored = np.asarray([not r[2] for r in kept], dtype=bool)
     divisor = np.asarray(
-        [float(r[4]) if multi else 1.0 for r in kept], dtype=float
+        [float(r[3]) if multi else 1.0 for r in kept], dtype=float
     )
     scaled = runtime / divisor
     if median is None:
@@ -242,7 +242,6 @@ def find_heavy_tail_instance(
     max_candidates: int = 20,
     cutoff: int = 30000,
     propagation: str = FORWARD_CHECK,
-    horizon: int = 200,
 ) -> Tuple[Optional[PartialLatinSquare], Dict]:
     """Search seeded candidate instances for a heavy-tailed one.
 
@@ -252,7 +251,7 @@ def find_heavy_tail_instance(
     Returns (instance, info) with info recording every candidate's numbers;
     instance is None if no candidate qualifies.
     """
-    config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=horizon)
+    config = SolverConfig(cutoff=cutoff, propagation=propagation)
     trials = []
     for cand in range(max_candidates):
         square = generate_complete(order, derive_seed(master_seed, "peak", cand, "square"))

@@ -10,14 +10,15 @@ makes the choice-point count the unit of measured run time.
 Domains are bitmasks (bit s-1 set means symbol s is still possible), and all
 search-state mutation goes through a trail so backtracking is O(undone work).
 The whole search runs in the C kernel (see fc_kernel) at either propagation
-level (KernelState), for orders up to 64; the test suite's Python
-SearchState (tests/reference.py) is its reference.
+level (KernelState), for orders up to 64, and so does regin_filter; the test
+suite's Python SearchState and _regin_masks (tests/reference.py) are their
+references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import fc_kernel
 from .features import REGISTRY
@@ -91,158 +92,39 @@ class RunRecord:
     stats: RunStats = RunStats()
 
 
-def _regin_masks(doms: List[int]) -> Optional[List[Tuple[int, int]]]:
-    """Alldiff filtering for one line, on bitmask domains.
-
-    Returns None when no system of distinct values exists, otherwise the list
-    of (cell position, value bit) pairs supported by no maximum matching.
-    A value survives iff its edge is in the matching, lies on an alternating
-    path from an unmatched value, or lies on an alternating cycle (same
-    strongly connected component).
-    """
-    k = len(doms)
-    cell_of_val: Dict[int, int] = {}
-    match_val = [-1] * k
-
-    def augment(u: int, visited: Set[int]) -> bool:
-        m = doms[u]
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            if v in visited:
-                continue
-            visited.add(v)
-            w = cell_of_val.get(v)
-            if w is None or augment(w, visited):
-                match_val[u] = v
-                cell_of_val[v] = u
-                return True
-        return False
-
-    for u in range(k):
-        if not augment(u, set()):
-            return None
-
-    val_cells: Dict[int, List[int]] = {}
-    for u in range(k):
-        m = doms[u]
-        while m:
-            b = m & -m
-            m ^= b
-            val_cells.setdefault(b.bit_length() - 1, []).append(u)
-
-    # Every node reachable from an unmatched value lies on an alternating path.
-    reach_val: Set[int] = set(v for v in val_cells if v not in cell_of_val)
-    stack = list(reach_val)
-    seen_cell = [False] * k
-    while stack:
-        v = stack.pop()
-        for u in val_cells[v]:
-            if match_val[u] != v and not seen_cell[u]:
-                seen_cell[u] = True
-                mv = match_val[u]
-                if mv not in reach_val:
-                    reach_val.add(mv)
-                    stack.append(mv)
-
-    candidates: List[Tuple[int, int, int]] = []  # (cell, value, bit)
-    for u in range(k):
-        m = doms[u]
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            if v != match_val[u] and v not in reach_val:
-                candidates.append((u, v, b))
-    if not candidates:
-        return []
-
-    # Tarjan SCC over the value graph: matched edges cell->value, others
-    # value->cell.  Node ids: cells 0..k-1, value v as k+v.
-    succs: Dict[int, Tuple[int, ...]] = {}
-    for u in range(k):
-        succs[u] = (k + match_val[u],)
-    for v, us in val_cells.items():
-        succs[k + v] = tuple(u for u in us if match_val[u] != v)
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on: Set[int] = set()
-    order: List[int] = []
-    comp: Dict[int, int] = {}
-    counter = 0
-    ncomp = 0
-    for root in succs:
-        if root in index:
-            continue
-        work: List[List[int]] = [[root, 0]]
-        while work:
-            frame = work[-1]
-            node, pi = frame
-            if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                order.append(node)
-                on.add(node)
-            descended = False
-            sl = succs[node]
-            for i in range(pi, len(sl)):
-                w = sl[i]
-                if w not in index:
-                    frame[1] = i + 1
-                    work.append([w, 0])
-                    descended = True
-                    break
-                if w in on and index[w] < low[node]:
-                    low[node] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                while True:
-                    w = order.pop()
-                    on.discard(w)
-                    comp[w] = ncomp
-                    if w == node:
-                        break
-                ncomp += 1
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-
-    return [
-        (u, b) for (u, v, b) in candidates if comp[u] != comp[k + v]
-    ]
-
-
 def regin_filter(domains: Sequence[Iterable[int]]) -> Optional[List[Set[int]]]:
     """Filter the domains of one all-different line to arc consistency.
 
-    Takes per-cell iterables of candidate symbols (positive ints) and returns
-    the filtered domains as sets, or None when the cells cannot take pairwise
-    distinct values.  Pure function; the kernel's search filters its lines
-    by the same rule.
+    Takes per-cell iterables of candidate symbols (ints 1..64) for at most 64
+    cells and returns the filtered domains as sets, or None when the cells
+    cannot take pairwise distinct values.  Pure function; it runs the
+    kernel's filter (fc_regin_filter), the one the alldiff search applies to
+    its lines, so a kernel that cannot be built raises
+    fc_kernel.KernelUnavailable.
     """
+    if len(domains) > fc_kernel.MAX_ORDER:
+        raise ValueError(f"at most {fc_kernel.MAX_ORDER} cells, got {len(domains)}")
     doms: List[int] = []
     for d in domains:
         m = 0
         for v in d:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"domain values must be positive ints, got {v!r}")
+            if (not isinstance(v, int) or isinstance(v, bool)
+                    or not 1 <= v <= fc_kernel.MAX_ORDER):
+                raise ValueError(
+                    f"domain values must be ints 1..{fc_kernel.MAX_ORDER}, got {v!r}")
             m |= 1 << (v - 1)
         if m == 0:
             return None
         doms.append(m)
     if not doms:
         return []
-    prunings = _regin_masks(doms)
-    if prunings is None:
+    kernel = fc_kernel.load()
+    prunings = kernel.ffi.new("uint64_t[]", len(doms))
+    if not kernel.lib.fc_regin_filter(doms, len(doms), prunings):
         return None
-    for u, b in prunings:
-        doms[u] ^= b
     out: List[Set[int]] = []
-    for m in doms:
+    for m, p in zip(doms, prunings):
+        m ^= p
         s: Set[int] = set()
         while m:
             b = m & -m

@@ -1,11 +1,13 @@
 """Python references for the C kernel's jobs, which the tests compare it with.
 
-The package runs its solver search, its square fill, its balanced hole
-pattern and its PCG64 draw skip in the C kernel only (see
-restartlab.fc_kernel).  This module keeps a plain Python implementation of
-each of the first three, step for step, as the oracle of the identity
-tests: SearchState and solve (solver.solve on the Python state), snapshot
-and population_variance (the traced row the kernel's write_row must match),
+The package runs its solver search, its Regin line filter, its square
+fill, its balanced hole pattern and its PCG64 draw skip in the C kernel only
+(see restartlab.fc_kernel).  This module keeps a plain Python
+implementation of each of the first four, step for step, as the oracle of
+the identity tests: SearchState and solve (solver.solve on the Python
+state), _regin_masks (the Regin oracle: the kernel's regin_prunings, which
+solver.regin_filter and every alldiff line filtering run), snapshot and
+population_variance (the traced row the kernel's write_row must match),
 fill_square and balanced_holes (latin's two generators), and the exhaustive
 iter_completions and count_completions.  The skip's reference is drawing:
 tests/test_policy.py's _reference_simulate draws every round.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from restartlab import latin
 from restartlab.latin import HOLE, PartialLatinSquare, StructureError, validate
@@ -27,7 +29,6 @@ from restartlab.solver import (
     RunRecord,
     RunStats,
     SolverConfig,
-    _regin_masks,
     _solved_square,
 )
 
@@ -52,6 +53,131 @@ def _tables(n: int):
     out = (tuple(peers), tuple(line_cells))
     _TABLE_CACHE[n] = out
     return out
+
+
+def _regin_masks(doms: List[int]) -> Optional[List[Tuple[int, int]]]:
+    """Alldiff filtering for one line, on bitmask domains.
+
+    Returns None when no system of distinct values exists, otherwise the list
+    of (cell position, value bit) pairs supported by no maximum matching.
+    A value survives iff its edge is in the matching, lies on an alternating
+    path from an unmatched value, or lies on an alternating cycle (same
+    strongly connected component).
+    """
+    k = len(doms)
+    cell_of_val: Dict[int, int] = {}
+    match_val = [-1] * k
+
+    def augment(u: int, visited: Set[int]) -> bool:
+        m = doms[u]
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            if v in visited:
+                continue
+            visited.add(v)
+            w = cell_of_val.get(v)
+            if w is None or augment(w, visited):
+                match_val[u] = v
+                cell_of_val[v] = u
+                return True
+        return False
+
+    for u in range(k):
+        if not augment(u, set()):
+            return None
+
+    val_cells: Dict[int, List[int]] = {}
+    for u in range(k):
+        m = doms[u]
+        while m:
+            b = m & -m
+            m ^= b
+            val_cells.setdefault(b.bit_length() - 1, []).append(u)
+
+    # Every node reachable from an unmatched value lies on an alternating path.
+    reach_val: Set[int] = set(v for v in val_cells if v not in cell_of_val)
+    stack = list(reach_val)
+    seen_cell = [False] * k
+    while stack:
+        v = stack.pop()
+        for u in val_cells[v]:
+            if match_val[u] != v and not seen_cell[u]:
+                seen_cell[u] = True
+                mv = match_val[u]
+                if mv not in reach_val:
+                    reach_val.add(mv)
+                    stack.append(mv)
+
+    candidates: List[Tuple[int, int, int]] = []  # (cell, value, bit)
+    for u in range(k):
+        m = doms[u]
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            if v != match_val[u] and v not in reach_val:
+                candidates.append((u, v, b))
+    if not candidates:
+        return []
+
+    # Tarjan SCC over the value graph: matched edges cell->value, others
+    # value->cell.  Node ids: cells 0..k-1, value v as k+v.
+    succs: Dict[int, Tuple[int, ...]] = {}
+    for u in range(k):
+        succs[u] = (k + match_val[u],)
+    for v, us in val_cells.items():
+        succs[k + v] = tuple(u for u in us if match_val[u] != v)
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    on: Set[int] = set()
+    order: List[int] = []
+    comp: Dict[int, int] = {}
+    counter = 0
+    ncomp = 0
+    for root in succs:
+        if root in index:
+            continue
+        work: List[List[int]] = [[root, 0]]
+        while work:
+            frame = work[-1]
+            node, pi = frame
+            if pi == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                order.append(node)
+                on.add(node)
+            descended = False
+            sl = succs[node]
+            for i in range(pi, len(sl)):
+                w = sl[i]
+                if w not in index:
+                    frame[1] = i + 1
+                    work.append([w, 0])
+                    descended = True
+                    break
+                if w in on and index[w] < low[node]:
+                    low[node] = index[w]
+            if descended:
+                continue
+            work.pop()
+            if low[node] == index[node]:
+                while True:
+                    w = order.pop()
+                    on.discard(w)
+                    comp[w] = ncomp
+                    if w == node:
+                        break
+                ncomp += 1
+            if work:
+                parent = work[-1][0]
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
+
+    return [
+        (u, b) for (u, v, b) in candidates if comp[u] != comp[k + v]
+    ]
 
 
 class SearchState:

@@ -109,6 +109,14 @@ class TestSolve:
         capsys.readouterr()
         obj = json.loads(out.read_text())
         assert obj["report"]["outcome"] in ("SOLVED", "CUTOFF")
+        assert set(obj["params"]) == {"command", "instance", "seed", "propagation", "output"}
+
+    def test_horizon_is_not_an_option(self, workdir, capsys):
+        # an untraced run reads no horizon
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(workdir / "inst.txt"), "--horizon", "5"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--horizon" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.txt")]) == EXIT_DATA

@@ -8,7 +8,9 @@ import re
 import shutil
 import subprocess
 import sys
+import sysconfig
 import textwrap
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restartlab import fc_kernel, latin, policy, solver
+from restartlab.io import read_instance
 from restartlab.latin import (
     BALANCED,
     HOLE,
@@ -275,6 +278,86 @@ def test_concurrent_builds_share_one_cache(tmp_path):
     assert len(built) == 1 and built[0].startswith("_fc_")
 
 
+# Loads the kernel from the cache directory argv[1] and writes an instance to
+# argv[2] through the CLI, then prints the exit code and the number of builds.
+# With argv[3] == "vanish" the build is deleted just before its first load, as
+# another process sharing the cache may do.
+LOAD_AND_GENERATE = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+    from restartlab import cli, fc_kernel
+    cache, out, vanish = Path(sys.argv[1]), sys.argv[2], sys.argv[3] == "vanish"
+    fc_kernel._cache_dirs = lambda: [cache]
+    builds = []
+    build, load = fc_kernel._build, fc_kernel._import
+    def counted_build(*args):
+        builds.append(args)
+        build(*args)
+    def deleting_load(name, target):
+        if vanish and not builds:
+            target.unlink()
+        return load(name, target)
+    fc_kernel._build, fc_kernel._import = counted_build, deleting_load
+    code = cli.main(["generate", "--order", "8", "--holes", "32", "--balanced", "-o", out])
+    print(code, len(builds))
+""")
+
+
+def load_and_generate(cache, out, mode="keep"):
+    """(exit code, builds) of one LOAD_AND_GENERATE process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LOAD_AND_GENERATE, str(cache), str(out), mode],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, builds = proc.stdout.split()[-2:]
+    return int(code), int(builds)
+
+
+def set_age(path, days):
+    stamp = time.time() - days * 24 * 3600
+    os.utime(path, (stamp, stamp))
+
+
+def test_a_build_removes_old_builds_and_keeps_recent_ones(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    old, recent = cache / f"_fc_old{suffix}", cache / f"_fc_recent{suffix}"
+    other_abi = cache / "_fc_old.abi3.so"
+    for path, days in ((old, 8), (recent, 6), (other_abi, 8)):
+        path.write_bytes(b"")
+        set_age(path, days)
+    assert load_and_generate(cache, tmp_path / "a.txt") == (0, 1)
+    built = set(cache.iterdir()) - {recent, other_abi}
+    assert not old.exists() and len(built) == 1
+    # a build in use stays: each load refreshes its mtime, and builds nothing
+    (target,) = built
+    set_age(target, 8)
+    assert load_and_generate(cache, tmp_path / "b.txt") == (0, 0)
+    assert time.time() - target.stat().st_mtime < 3600
+    assert set(cache.iterdir()) == {target, recent, other_abi}
+
+
+def test_a_build_deleted_before_its_load_is_rebuilt(tmp_path):
+    cache = tmp_path / "cache"
+    assert load_and_generate(cache, tmp_path / "a.txt") == (0, 1)
+    # exit 0 after one rebuild, not exit 4 (the kernel is unavailable)
+    assert load_and_generate(cache, tmp_path / "b.txt", "vanish") == (0, 1)
+    assert read_instance(str(tmp_path / "a.txt")) == read_instance(str(tmp_path / "b.txt"))
+    assert len(list(cache.iterdir())) == 1
+
+
+@pytest.mark.skipif(shutil.which(fc_kernel.COMPILER) is None, reason="no C compiler")
+def test_kernel_compiles_without_warnings():
+    proc = subprocess.run(
+        [fc_kernel.COMPILER, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         f"-I{fc_kernel.HEADER.parent}", str(fc_kernel.SOURCE)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 987654321012345])
 def test_mt_seed_is_random_seed(seed):
     kernel = fc_kernel.load()
@@ -292,8 +375,8 @@ def test_cdef_declares_every_entry_point_called():
     called = set()
     for module in (latin, solver, policy):
         called |= set(re.findall(r"lib\.(\w+)\(", Path(module.__file__).read_text()))
-    assert {"fc_init", "fc_propagate_root", "fc_run", "lq_fill", "lq_hole_pattern",
-            "mt_seed", "pcg64_skip_bounded"} <= called
+    assert {"fc_init", "fc_propagate_root", "fc_regin_filter", "fc_run", "lq_fill",
+            "lq_hole_pattern", "mt_seed", "pcg64_skip_bounded"} <= called
     assert called <= declared
     source = fc_kernel.SOURCE.read_text()
     for name in declared:

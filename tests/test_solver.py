@@ -24,12 +24,11 @@ from restartlab.solver import (
     FORWARD_CHECK,
     SOLVED,
     SolverConfig,
-    _regin_masks,
     regin_filter,
     solve,
 )
 
-from reference import iter_completions
+from reference import _regin_masks, iter_completions
 
 
 def qwh(n, holes, seed, balanced=False):
@@ -178,6 +177,41 @@ class TestSoundnessSweep:
             assert_solves(inst, rec)
 
 
+def _symbols(mask):
+    return {v + 1 for v in range(64) if mask >> v & 1}
+
+
+@st.composite
+def line_domains(draw):
+    """Bitmask domains of 1-64 cells over 1-64 values.  Random lines at any
+    density are mostly infeasible or unpruned.  Planted lines hold a system of
+    distinct values and are cut into blocks of cells; a tight block keeps its
+    domains within its block's planted values, while the other blocks also
+    get scattered extra values, which the filter must prune where they fall
+    on a tight block's values."""
+    k = draw(st.integers(1, 64))
+    planted = draw(st.booleans())
+    values = draw(st.integers(k if planted else 1, 64))
+    density = draw(st.floats(0.0, 1.0))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if not planted:
+        doms = [sum(1 << v for v in range(values) if rng.random() < density)
+                for _ in range(k)]
+        return [d or 1 << rng.randrange(values) for d in doms]
+    system = rng.sample(range(values), k)
+    extra = draw(st.floats(0.0, 0.5))
+    doms = []
+    while len(doms) < k:
+        block = system[len(doms):len(doms) + rng.randint(1, k - len(doms))]
+        tight = rng.random() < 0.5
+        for v in block:
+            d = 1 << v | sum(1 << w for w in block if rng.random() < density)
+            if not tight:
+                d |= sum(1 << w for w in range(values) if rng.random() < extra)
+            doms.append(d)
+    return doms
+
+
 class TestReginFilter:
     def test_empty_line(self):
         assert regin_filter([]) == []
@@ -202,6 +236,26 @@ class TestReginFilter:
             regin_filter([{0, 1}])
         with pytest.raises(ValueError):
             regin_filter([{1, "a"}])
+
+    def test_rejects_lines_past_the_kernel_masks(self):
+        # domains are 64-bit masks and a line has at most 64 cells
+        with pytest.raises(ValueError, match="1..64, got 65"):
+            regin_filter([{1, 65}])
+        with pytest.raises(ValueError, match="at most 64 cells, got 65"):
+            regin_filter([{1}] * 65)
+        assert regin_filter([{64}, {63, 64}]) == [{64}, {63}]
+        full = set(range(1, 65))
+        assert regin_filter([full] * 64) == [full] * 64
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_domains())
+    def test_kernel_filter_matches_reference(self, doms):
+        prunings = _regin_masks(doms)
+        filtered = list(doms)
+        for u, b in prunings or ():
+            filtered[u] ^= b
+        out = regin_filter([_symbols(d) for d in doms])
+        assert out == (None if prunings is None else [_symbols(d) for d in filtered])
 
     def test_exact_against_enumeration(self):
         # a value survives iff some system of pairwise-distinct choices uses it
