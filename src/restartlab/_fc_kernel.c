@@ -10,10 +10,19 @@
  * counts per line (rows 0..n-1, then columns), the trail, the propagation
  * queues, the depth-first frame stack, the run counters and the buffer of
  * traced feature rows.  Every buffer is owned by the caller.  The step order
- * (peer order, FIFO queues, dirty-line order, pruning order, trail layout)
- * mirrors the Python SearchState of tests/reference.py exactly, so both
- * give identical counters and trajectories, and a traced row holds the 14
- * floats its snapshot computes.
+ * (peer order, FIFO queues, dirty-line order, pruning order) mirrors the
+ * Python SearchState of tests/reference.py exactly, so both give identical
+ * counters and trajectories, and a traced row holds the 14 floats its
+ * snapshot computes.
+ *
+ * Two more views of the domains, channelled as in Dotu, del Val and
+ * Cebrian, "Redundant Modeling for the QuasiGroup Completion Problem" (CP
+ * 2003), let a choice point touch only the cells it changes: per line and
+ * symbol, the mask of the line's cells whose domain holds the symbol, which
+ * forward checking walks instead of the line; and per domain size, the open
+ * cells of that size row by row, whose smallest non-empty bucket lists the
+ * Brelaz candidates.  Every domain change updates both and the trail
+ * restores them, so undo_to keeps them exact too.
  *
  * The search and the generators draw from an mt_state, a copy of a
  * random.Random's Mersenne Twister state (or one seeded here as
@@ -55,51 +64,85 @@ static void clear_dirty(fc_state *st)
     }
 }
 
-static void assign(fc_state *st, int c, int s)
+/* A cell as the trail and the queue hold it, row << 6 | column (orders up to
+ * 64), so that undo_to and propagate find both its lines without dividing. */
+#define PLACE(r, col) ((r) << 6 | (col))
+#define PLACE_ROW(x) ((x) >> 6)
+#define PLACE_COL(x) ((x) & 63)
+
+/* Flip cell (r, col) in the line-symbol masks of its row and its column for
+ * each value in m. */
+static void flip_values(fc_state *st, uint64_t m, int r, int col)
 {
     int n = st->n;
-    int t = st->trail_len++;
-    st->trail_cell[t] = ~c;
-    st->trail_bits[t] = st->domain[c];
-    st->domain[c] = (uint64_t)1 << (s - 1);
-    st->symbol[c] = s;
-    st->unassigned_count--;
-    st->line_unassigned[c / n]--;
-    st->line_unassigned[n + c % n]--;
-    if (st->regin) {
-        mark_dirty(st, c / n);
-        mark_dirty(st, n + c % n);
+    for (; m; m &= m - 1) {
+        uint64_t *ls = st->line_symbol + __builtin_ctzll(m) * 2 * n;
+        ls[r] ^= (uint64_t)1 << col;
+        ls[n + col] ^= (uint64_t)1 << r;
     }
 }
 
-/* Remove symbol s (bit) from open peer p; 0 on contradiction. */
-static int prune(fc_state *st, int p, int s, uint64_t bit, int *tail)
+/* Flip open cell (r, col) in the bucket of domain size k. */
+static void flip_size(fc_state *st, int k, int r, int col)
 {
-    int ps = st->symbol[p];
-    uint64_t d;
-    int t;
-    if (ps == s)
-        return 0;
-    if (ps != 0)
-        return 1;
-    d = st->domain[p];
-    if (!(d & bit))
-        return 1;
-    d ^= bit;
-    st->domain[p] = d;
-    t = st->trail_len++;
-    st->trail_cell[t] = p;
+    st->size_rows[k * st->n + r] ^= (uint64_t)1 << col;
+}
+
+static void assign(fc_state *st, int c, int r, int col, int s)
+{
+    int n = st->n;
+    int t = st->trail_len++;
+    uint64_t bit = (uint64_t)1 << (s - 1);
+    st->trail_cell[t] = ~PLACE(r, col);
+    st->trail_bits[t] = st->domain[c];
+    flip_values(st, st->domain[c] ^ bit, r, col);
+    flip_size(st, st->domain_size[c], r, col);
+    st->domain[c] = bit;
+    st->symbol[c] = s;
+    st->unassigned_count--;
+    st->line_unassigned[r]--;
+    st->line_unassigned[n + col]--;
+    if (st->regin) {
+        mark_dirty(st, r);
+        mark_dirty(st, n + col);
+    }
+}
+
+/* Remove value v (symbol v + 1), which it holds, from open cell c = (r, col),
+ * on the trail and in both views; returns the domain left. */
+static uint64_t remove_value(fc_state *st, int c, int r, int col, int v)
+{
+    int k = st->domain_size[c]--;
+    int t = st->trail_len++;
+    uint64_t bit = (uint64_t)1 << v;
+    st->domain[c] ^= bit;
+    st->trail_cell[t] = PLACE(r, col);
     st->trail_bits[t] = bit;
+    flip_values(st, bit, r, col);
+    flip_size(st, k, r, col);
+    flip_size(st, k - 1, r, col);
+    return st->domain[c];
+}
+
+/* Remove value v from peer (r, col), whose domain holds it; 0 on
+ * contradiction: the peer is assigned v + 1, or its domain empties. */
+static int prune(fc_state *st, int r, int col, int v, int *tail)
+{
+    int c = r * st->n + col;
+    uint64_t d;
+    if (st->symbol[c] != 0)
+        return 0;
+    d = remove_value(st, c, r, col, v);
     if (d == 0)
         return 0;
     if (st->regin) {
-        mark_dirty(st, p / st->n);
-        mark_dirty(st, st->n + p % st->n);
+        mark_dirty(st, r);
+        mark_dirty(st, st->n + col);
     }
     if ((d & (d - 1)) == 0) {
-        assign(st, p, __builtin_ctzll(d) + 1);
+        assign(st, c, r, col, __builtin_ctzll(d) + 1);
         st->forced_assignments++;
-        st->queue[(*tail)++] = p;
+        st->queue[(*tail)++] = PLACE(r, col);
     }
     return 1;
 }
@@ -206,12 +249,13 @@ static int regin_prunings(const uint64_t *doms, int k, uint64_t *prune)
  * both ascending; 0 on contradiction. */
 static int filter_line(fc_state *st, int line, int *tail)
 {
-    int n = st->n, cells[MAX_N], k = 0, i;
+    int n = st->n, places[MAX_N], k = 0, i;
     uint64_t doms[MAX_N], prunings[MAX_N];
     for (i = 0; i < n; i++) {
-        int c = line < n ? line * n + i : i * n + (line - n);
+        int x = line < n ? PLACE(line, i) : PLACE(i, line - n);
+        int c = PLACE_ROW(x) * n + PLACE_COL(x);
         if (st->symbol[c] == 0) {
-            cells[k] = c;
+            places[k] = x;
             doms[k++] = st->domain[c];
         }
     }
@@ -221,20 +265,16 @@ static int filter_line(fc_state *st, int line, int *tail)
     if (!regin_prunings(doms, k, prunings))
         return 0;
     for (i = 0; i < k; i++) {
-        int c = cells[i];
+        int r = PLACE_ROW(places[i]), col = PLACE_COL(places[i]), c = r * n + col;
         uint64_t m;
         for (m = prunings[i]; m; m &= m - 1) {
-            uint64_t bit = m & -m, d = st->domain[c] ^ bit;
-            int t = st->trail_len++;
-            st->domain[c] = d;
-            st->trail_cell[t] = c;
-            st->trail_bits[t] = bit;
+            uint64_t d = remove_value(st, c, r, col, __builtin_ctzll(m));
             st->alldiff_prunings++;
-            mark_dirty(st, line < n ? n + c % n : c / n);
+            mark_dirty(st, line < n ? n + col : r);
             if ((d & (d - 1)) == 0) {
-                assign(st, c, __builtin_ctzll(d) + 1);
+                assign(st, c, r, col, __builtin_ctzll(d) + 1);
                 st->forced_assignments++;
-                st->queue[(*tail)++] = c;
+                st->queue[(*tail)++] = places[i];
             }
         }
     }
@@ -242,7 +282,11 @@ static int filter_line(fc_state *st, int line, int *tail)
 }
 
 /* Forward-check the queued assignments, then filter one dirty line (alldiff
- * only), until both queues are empty; 0 on contradiction. */
+ * only), until both queues are empty; 0 on contradiction.  An assigned cell
+ * visits the peers whose domains hold its symbol, its row's in column order
+ * and then its column's in row order: the peers a scan of the whole line in
+ * that order would change, in the same order.  An assigned peer among them
+ * holds the symbol itself, the contradiction. */
 static int propagate(fc_state *st, int tail)
 {
     int n = st->n;
@@ -250,15 +294,16 @@ static int propagate(fc_state *st, int tail)
     for (;;) {
         int line;
         while (head < tail) {
-            int c = st->queue[head++];
-            int s = st->symbol[c];
-            uint64_t bit = (uint64_t)1 << (s - 1);
-            int r = c / n, col = c % n, i;
-            for (i = 0; i < n; i++)
-                if (i != col && !prune(st, r * n + i, s, bit, &tail))
+            int x = st->queue[head++];
+            int r = PLACE_ROW(x), col = PLACE_COL(x);
+            int v = st->symbol[r * n + col] - 1;
+            const uint64_t *ls = st->line_symbol + v * 2 * n;
+            uint64_t m;
+            for (m = ls[r] & ~((uint64_t)1 << col); m; m &= m - 1)
+                if (!prune(st, r, __builtin_ctzll(m), v, &tail))
                     return 0;
-            for (i = 0; i < n; i++)
-                if (i != r && !prune(st, i * n + col, s, bit, &tail))
+            for (m = ls[n + col] & ~((uint64_t)1 << r); m; m &= m - 1)
+                if (!prune(st, __builtin_ctzll(m), col, v, &tail))
                     return 0;
         }
         if (st->dirty_len == 0)
@@ -274,12 +319,14 @@ static int propagate(fc_state *st, int tail)
 
 /* Set up a run from the instance in st->symbol (row-major, 0 for a hole):
  * the hole list, the open cells per line and every domain, as SearchState
- * in tests/reference.py does. */
+ * in tests/reference.py does, then the two views of the domains. */
 void fc_init(fc_state *st)
 {
     int n = st->n, k = 0, r, c;
     uint64_t full = n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
     uint64_t row_used[MAX_N] = {0}, col_used[MAX_N] = {0};
+    memset(st->line_symbol, 0, sizeof(uint64_t) * 2 * n * n);
+    memset(st->size_rows, 0, sizeof(uint64_t) * (n + 1) * n);
     for (r = 0; r < 2 * n; r++)
         st->line_unassigned[r] = 0;
     for (r = 0; r < n; r++)
@@ -301,6 +348,17 @@ void fc_init(fc_state *st)
         st->domain[i] = full & ~(row_used[i / n] | col_used[i % n]);
     }
     st->n_holes = st->unassigned_count = k;
+    for (r = 0; r < n; r++)
+        for (c = 0; c < n; c++) {
+            int i = r * n + c, size = 0;
+            uint64_t m;
+            for (m = st->domain[i]; m; m &= m - 1)
+                size++;
+            st->domain_size[i] = size;
+            flip_values(st, st->domain[i], r, c);
+            if (st->symbol[i] == 0)
+                flip_size(st, size, r, c);
+        }
 }
 
 /* Propagate the given cells to a fixpoint; a contradiction counts as one. */
@@ -319,9 +377,10 @@ int fc_propagate_root(fc_state *st)
             return 0;
         }
         if ((d & (d - 1)) == 0) {
-            assign(st, c, __builtin_ctzll(d) + 1);
+            int r = c / st->n, col = c % st->n;
+            assign(st, c, r, col, __builtin_ctzll(d) + 1);
             st->forced_assignments++;
-            st->queue[tail++] = c;
+            st->queue[tail++] = PLACE(r, col);
         }
     }
     if (st->regin)
@@ -333,21 +392,29 @@ int fc_propagate_root(fc_state *st)
     return 0;
 }
 
+/* Undo the trail back to its first `mark` entries, the views included. */
 static void undo_to(fc_state *st, int mark)
 {
     int n = st->n;
     while (st->trail_len > mark) {
         int t = --st->trail_len;
-        int c = st->trail_cell[t];
-        if (c >= 0) {
-            st->domain[c] |= st->trail_bits[t];
+        int x = st->trail_cell[t], place = x >= 0 ? x : ~x;
+        int r = PLACE_ROW(place), col = PLACE_COL(place), c = r * n + col;
+        uint64_t bits = st->trail_bits[t];
+        if (x >= 0) {
+            int k = ++st->domain_size[c];
+            st->domain[c] |= bits;
+            flip_values(st, bits, r, col);
+            flip_size(st, k - 1, r, col);
+            flip_size(st, k, r, col);
         } else {
-            c = ~c;
+            flip_values(st, bits ^ st->domain[c], r, col);
+            flip_size(st, st->domain_size[c], r, col);
             st->symbol[c] = 0;
-            st->domain[c] = st->trail_bits[t];
+            st->domain[c] = bits;
             st->unassigned_count++;
-            st->line_unassigned[c / n]++;
-            st->line_unassigned[n + c % n]++;
+            st->line_unassigned[r]++;
+            st->line_unassigned[n + col]++;
         }
     }
 }
@@ -500,40 +567,27 @@ static void shuffle(mt_reader *rd, int *x, int len)
 
 /* Open a frame on the Brelaz cell: smallest domain, then most open cells
  * sharing its lines, then a uniform draw among the remaining ties in hole
- * order.  Its values are listed ascending and shuffled. */
+ * order.  The smallest non-empty size bucket lists the first ties in that
+ * order, row by row.  Its values are listed ascending and shuffled. */
 static void open_frame(fc_state *st, mt_reader *rd)
 {
     int n = st->n;
     int ties[MAX_N * MAX_N];
-    int best = n + 2, count = 0, bestdeg = -1, kept = 0, k, cell;
+    int count = 0, bestdeg = -1, k, r, cell;
     fc_frame *f = &st->frames[st->n_frames++];
     uint64_t m;
-    for (k = 0; k < st->n_holes; k++) {
-        int c = st->hole_cells[k];
-        int d;
-        if (st->symbol[c] != 0)
-            continue;
-        d = __builtin_popcountll(st->domain[c]);
-        if (d < best) {
-            best = d;
-            count = 0;
-        }
-        if (d == best)
-            ties[count++] = c;
-    }
-    if (count > 1) {
-        for (k = 0; k < count; k++) {
-            int c = ties[k];
-            int deg = st->line_unassigned[c / n] + st->line_unassigned[n + c % n] - 2;
-            if (deg > bestdeg) {
-                bestdeg = deg;
-                kept = 0;
+    for (k = 1; k <= n && count == 0; k++)
+        for (r = 0; r < n; r++)
+            for (m = st->size_rows[k * n + r]; m; m &= m - 1) {
+                int col = __builtin_ctzll(m);
+                int deg = st->line_unassigned[r] + st->line_unassigned[n + col];
+                if (deg > bestdeg) {
+                    bestdeg = deg;
+                    count = 0;
+                }
+                if (deg == bestdeg)
+                    ties[count++] = r * n + col;
             }
-            if (deg == bestdeg)
-                ties[kept++] = c;
-        }
-        count = kept;
-    }
     cell = count > 1 ? ties[randbelow(rd, count)] : ties[0];
     f->cell = cell;
     f->next = 0;
@@ -575,7 +629,7 @@ static void write_row(fc_state *st)
     for (k = 0; k < st->n_holes; k++) {
         int c = st->hole_cells[k];
         if (st->symbol[c] == 0) {
-            int d = __builtin_popcountll(st->domain[c]);
+            int d = st->domain_size[c];
             open++;
             total += d;
             if (d < min_dom)
@@ -615,6 +669,7 @@ static int run(fc_state *st, mt_reader *rd)
 {
     for (;;) {
         fc_frame *f;
+        int r, col;
         if (st->budget-- <= 0 || (st->trace_left > 0 && st->trace == st->trace_end))
             return FC_PAUSED;
         if (st->new_node)
@@ -634,8 +689,10 @@ static int run(fc_state *st, mt_reader *rd)
         f = &st->frames[st->n_frames - 1];
         f->mark = st->trail_len;
         clear_dirty(st);
-        assign(st, f->cell, f->values[f->next]);
-        st->queue[0] = f->cell;
+        r = f->cell / st->n;
+        col = f->cell % st->n;
+        assign(st, f->cell, r, col, f->values[f->next]);
+        st->queue[0] = PLACE(r, col);
         if (propagate(st, 1)) {
             if (st->unassigned_count == 0)
                 return FC_SOLVED;

@@ -35,9 +35,21 @@ typedef struct {
     int *symbol;
     int *line_unassigned;
     int *hole_cells;      /* open cells of the instance, row-major */
-    int *trail_cell;      /* pruned cell, or ~cell for an assignment */
+    /* Two views of the domains, kept exact by every change and its undo.
+     * Lines are rows 0..n-1, then columns; cell i of a row is in column i,
+     * cell i of a column in row i. */
+    uint64_t *line_symbol; /* n symbols x 2n lines: bit i of
+                              [(s - 1) * 2n + line] when the line's cell i
+                              has s in its domain, assigned cells included */
+    uint64_t *size_rows;   /* n + 1 sizes x n rows: bit c of [k * n + r]
+                              when cell (r, c) is open with k values */
+    int *domain_size;      /* values per cell; an assigned cell keeps the
+                              count it had when it was assigned */
+    int *trail_cell;      /* pruned cell as row << 6 | column, or ~ that for
+                             an assignment */
     uint64_t *trail_bits; /* pruned bit, or the domain before the assignment */
-    int *queue;           /* assigned cells to forward-check, n_holes slots */
+    int *queue;           /* assigned cells to forward-check, n_holes slots,
+                             as row << 6 | column */
     int *dirty;           /* ring of lines to filter, 2n slots */
     int *dirty_flag;      /* line is in the ring */
     int dirty_head;

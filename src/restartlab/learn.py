@@ -112,23 +112,27 @@ def tree_score(root: TreeNode, kappa: float) -> float:
     return total + n_leaves * math.log(kappa)
 
 
-def _best_split(
+def _best_splits(
     X: np.ndarray,
     y: np.ndarray,
     rows: np.ndarray,
-    ln_kappa: float,
+    ln_kappas: Sequence[float],
     log_fact: np.ndarray,
-) -> Optional[Tuple[float, int, float]]:
-    """Best (gain, feature, threshold) for one leaf, or None.
+) -> List[Optional[Tuple[float, int, float]]]:
+    """Best (gain, feature, threshold) of one leaf for each ln kappa, or None
+    where no split has a positive gain.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     values, thinned to at most MAX_SPLIT_CANDIDATES by rank spacing.  Ties
     are broken toward the lowest feature index, then the lowest threshold.
+    The candidates and their kappa-free gains, (left + right) - base, are
+    computed once; a kappa's gain adds ln kappa to that float.
     """
     ns_total = int(y[rows].sum())
     nl_total = rows.size - ns_total
     base = _leaf_log_marginals(log_fact, ns_total, nl_total)
-    best: Optional[Tuple[float, int, float]] = None
+    raw = np.full((X.shape[1], MAX_SPLIT_CANDIDATES), -np.inf)
+    thresholds = np.zeros_like(raw)
     for j in range(X.shape[1]):
         v = X[rows, j]
         order = np.argsort(v, kind="stable")
@@ -144,26 +148,97 @@ def _best_split(
                 ).astype(int)
             )
             boundaries = boundaries[pick]
-        thresholds = (sv[boundaries] + sv[boundaries + 1]) / 2.0
+        thresholds[j, :boundaries.size] = (sv[boundaries] + sv[boundaries + 1]) / 2.0
         cum_short = np.cumsum(sy)
         left_n = boundaries + 1
         left_s = cum_short[boundaries]
         left_l = left_n - left_s
         right_s = ns_total - left_s
         right_l = nl_total - left_l
-        gains = (
+        raw[j, :boundaries.size] = (
             _leaf_log_marginals(log_fact, left_s, left_l)
             + _leaf_log_marginals(log_fact, right_s, right_l)
             - base
-            + ln_kappa
         )
-        i = int(np.argmax(gains))  # first max: lowest threshold wins ties
+    out: List[Optional[Tuple[float, int, float]]] = []
+    for ln_kappa in ln_kappas:
+        if not raw.size:  # no feature to split on
+            out.append(None)
+            continue
+        gains = (raw + ln_kappa).ravel()
+        i = int(np.argmax(gains))  # first max: lowest feature, then lowest threshold
         g = float(gains[i])
-        if best is None or g > best[0]:
-            best = (g, j, float(thresholds[i]))
-    if best is None or best[0] <= 0:
-        return None
-    return best
+        out.append((g, i // MAX_SPLIT_CANDIDATES, float(thresholds.flat[i])) if g > 0 else None)
+    return out
+
+
+def _grow_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    kappas: Sequence[float],
+    columns: Optional[Sequence[str]] = None,
+) -> List[DecisionTreeModel]:
+    """grow_tree for each kappa on the same rows.  The trees share most of
+    their leaves, so each distinct leaf's best splits are found once, for
+    every kappa together."""
+    if any(kappa <= 0 for kappa in kappas):
+        raise ValueError("kappa must be positive")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=bool)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be (rows, features) aligned with y")
+    if columns is None:
+        columns = [f"f{j}" for j in range(X.shape[1])]
+    columns = list(columns)
+    if len(columns) != X.shape[1]:
+        raise ValueError("column names must match feature count")
+    ln_kappas = [math.log(kappa) for kappa in kappas]
+    log_fact = _log_factorials(X.shape[0] + 1)
+    splits: Dict[bytes, List[Optional[Tuple[float, int, float]]]] = {}
+
+    def best_splits(rows: np.ndarray) -> List[Optional[Tuple[float, int, float]]]:
+        key = rows.tobytes()  # a leaf's rows, ascending
+        if key not in splits:
+            splits[key] = _best_splits(X, y, rows, ln_kappas, log_fact)
+        return splits[key]
+
+    all_rows = np.arange(X.shape[0])
+    models = []
+    for k, kappa in enumerate(kappas):
+        root = TreeNode(n_short=int(y.sum()), n_long=int(X.shape[0] - y.sum()))
+        # leaf work list: (node, rows, best split or None)
+        leaves: List[List] = [[root, all_rows, best_splits(all_rows)[k]]]
+        while True:
+            best_i = -1
+            best_gain = 0.0
+            best_entry = None
+            for i, entry in enumerate(leaves):
+                cand = entry[2]
+                if cand is None:
+                    continue
+                gain, j, theta = cand
+                better = gain > best_gain
+                if not better and best_entry is not None and gain == best_gain:
+                    bj, btheta = best_entry[1], best_entry[2]
+                    better = (j, theta) < (bj, btheta)
+                if better:
+                    best_i = i
+                    best_gain = gain
+                    best_entry = cand
+            if best_i < 0:
+                break
+            node, rows, (_, j, theta) = leaves[best_i][0], leaves[best_i][1], best_entry
+            mask = X[rows, j] <= theta
+            lrows = rows[mask]
+            rrows = rows[~mask]
+            node.feature = j
+            node.threshold = theta
+            node.left = TreeNode(n_short=int(y[lrows].sum()), n_long=int(lrows.size - y[lrows].sum()))
+            node.right = TreeNode(n_short=int(y[rrows].sum()), n_long=int(rrows.size - y[rrows].sum()))
+            leaves[best_i] = [node.left, lrows, best_splits(lrows)[k]]
+            leaves.append([node.right, rrows, best_splits(rrows)[k]])
+        models.append(DecisionTreeModel(root=root, columns=list(columns), kappa=kappa))
+    return models
 
 
 def grow_tree(
@@ -179,53 +254,7 @@ def grow_tree(
     fixed tie-break order the grown tree for a smaller kappa is always a
     prefix of the tree for a larger one.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=bool)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (rows, features) aligned with y")
-    if columns is None:
-        columns = [f"f{j}" for j in range(X.shape[1])]
-    columns = list(columns)
-    if len(columns) != X.shape[1]:
-        raise ValueError("column names must match feature count")
-    ln_kappa = math.log(kappa)
-    log_fact = _log_factorials(X.shape[0] + 1)
-    all_rows = np.arange(X.shape[0])
-    root = TreeNode(n_short=int(y.sum()), n_long=int(X.shape[0] - y.sum()))
-    # leaf work list: (node, rows, cached best split or None)
-    leaves: List[List] = [[root, all_rows, _best_split(X, y, all_rows, ln_kappa, log_fact)]]
-    while True:
-        best_i = -1
-        best_gain = 0.0
-        best_entry = None
-        for i, entry in enumerate(leaves):
-            cand = entry[2]
-            if cand is None:
-                continue
-            gain, j, theta = cand
-            better = gain > best_gain
-            if not better and best_entry is not None and gain == best_gain:
-                bj, btheta = best_entry[1], best_entry[2]
-                better = (j, theta) < (bj, btheta)
-            if better:
-                best_i = i
-                best_gain = gain
-                best_entry = cand
-        if best_i < 0:
-            break
-        node, rows, (_, j, theta) = leaves[best_i][0], leaves[best_i][1], best_entry
-        mask = X[rows, j] <= theta
-        lrows = rows[mask]
-        rrows = rows[~mask]
-        node.feature = j
-        node.threshold = theta
-        node.left = TreeNode(n_short=int(y[lrows].sum()), n_long=int(lrows.size - y[lrows].sum()))
-        node.right = TreeNode(n_short=int(y[rrows].sum()), n_long=int(rrows.size - y[rrows].sum()))
-        leaves[best_i] = [node.left, lrows, _best_split(X, y, lrows, ln_kappa, log_fact)]
-        leaves.append([node.right, rrows, _best_split(X, y, rrows, ln_kappa, log_fact)])
-    return DecisionTreeModel(root=root, columns=columns, kappa=kappa)
+    return _grow_trees(X, y, (kappa,), columns)[0]
 
 
 def marginal_model(y: Sequence[bool], columns: Optional[Sequence[str]] = None) -> DecisionTreeModel:
@@ -350,8 +379,7 @@ def tune_kappa(
     best_kappa = None
     best_score = -math.inf
     best_acc = 0.0
-    for kappa in grid:
-        m = grow_tree(X[fit_rows], y[fit_rows], kappa, columns=columns)
+    for kappa, m in zip(grid, _grow_trees(X[fit_rows], y[fit_rows], grid, columns)):
         rep = evaluate(m, X[held_rows], y[held_rows])
         holdout_scores[kappa] = rep.avg_log_score
         if rep.avg_log_score > best_score:

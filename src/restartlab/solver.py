@@ -161,6 +161,9 @@ class KernelState:
             ffi.new("uint64_t[]", n * n),
             ffi.new("int[]", 2 * n),
             ffi.new("int[]", holes),
+            ffi.new("uint64_t[]", 2 * n * n),
+            ffi.new("uint64_t[]", (n + 1) * n),
+            ffi.new("int[]", n * n),
             ffi.new("int[]", trail),
             ffi.new("uint64_t[]", trail),
             ffi.new("int[]", holes + 1),
@@ -169,8 +172,9 @@ class KernelState:
             ffi.new("fc_frame[]", holes),
         )
         st = self._st = ffi.new("fc_state *")
-        (st.symbol, st.domain, st.line_unassigned, st.hole_cells, st.trail_cell,
-         st.trail_bits, st.queue, st.dirty, st.dirty_flag, st.frames) = self._buffers
+        (st.symbol, st.domain, st.line_unassigned, st.hole_cells, st.line_symbol,
+         st.size_rows, st.domain_size, st.trail_cell, st.trail_bits, st.queue, st.dirty,
+         st.dirty_flag, st.frames) = self._buffers
         st.n = n
         st.regin = config.propagation == ALLDIFF_REGIN
         st.min_leaf_depth = -1

@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,10 +60,11 @@ def multi_alldiff_instances():
 
 
 @st.composite
-def instances(draw):
-    """Orders 3-10: holes poked into a complete square (always completable),
-    or symbols scattered without a Latin conflict (often not completable)."""
-    n = draw(st.integers(3, 10))
+def instances(draw, min_order=3, max_order=10):
+    """Orders 3-10 by default: holes poked into a complete square (always
+    completable), or symbols scattered without a Latin conflict (often not
+    completable)."""
+    n = draw(st.integers(min_order, max_order))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         cells = [list(row) for row in generate_complete(n, rng.randrange(2**32)).cells]
@@ -203,6 +205,104 @@ class TestIdentityWithPythonState:
         assert 0 < len(trace) and max(ffi.sizes) <= solver._TRACE_ROWS * 14 * 8
         seed = derive_seed(81, "run", 1)
         assert solve(instance, config, seed) == reference.solve(instance, config, seed)
+
+
+def recomputed_views(n, domain, symbol):
+    """The line-symbol masks, size buckets and open cells' domain sizes that
+    _fc_kernel.h defines, computed from the domains and symbols alone."""
+    bits = (np.asarray(domain, dtype=np.uint64)[:, None] >> np.arange(n, dtype=np.uint64)) & 1
+    by_cell = bits.reshape(n, n, n)  # row, column, value
+    weights = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    rows = (by_cell * weights[None, :, None]).sum(axis=1, dtype=np.uint64)  # row, value
+    cols = (by_cell * weights[:, None, None]).sum(axis=0, dtype=np.uint64)  # column, value
+    line_symbol = np.concatenate([rows, cols]).T.ravel()  # value, line
+    sizes = bits.sum(axis=1)
+    size_rows = np.zeros((n + 1, n), dtype=np.uint64)
+    for c in np.flatnonzero(np.asarray(symbol) == 0):
+        size_rows[sizes[c], c // n] |= np.uint64(1) << np.uint64(c % n)
+    return line_symbol.tolist(), size_rows.ravel().tolist(), sizes.tolist()
+
+
+class ViewCheckingLib:
+    """A kernel's lib whose fc_init, fc_propagate_root and fc_run check,
+    after they return, that the state's two views and its open cells'
+    domain sizes equal their recomputation from its domains and symbols."""
+
+    def __init__(self, kernel):
+        self._kernel = kernel
+        self.checks = 0
+
+    def __getattr__(self, name):
+        return getattr(self._kernel.lib, name)
+
+    def _check(self, st):
+        ffi, n = self._kernel.ffi, st.n
+        symbol = ffi.unpack(st.symbol, n * n)
+        line_symbol, size_rows, sizes = recomputed_views(n, ffi.unpack(st.domain, n * n), symbol)
+        assert ffi.unpack(st.line_symbol, 2 * n * n) == line_symbol
+        assert ffi.unpack(st.size_rows, (n + 1) * n) == size_rows
+        kept = ffi.unpack(st.domain_size, n * n)
+        assert [k for k, s in zip(kept, symbol) if s == 0] == [
+            k for k, s in zip(sizes, symbol) if s == 0]
+        self.checks += 1
+
+    def fc_init(self, st):
+        self._kernel.lib.fc_init(st)
+        self._check(st)
+
+    def fc_propagate_root(self, st):
+        ok = self._kernel.lib.fc_propagate_root(st)
+        self._check(st)
+        return ok
+
+    def fc_run(self, st, rng, budget):
+        status = self._kernel.lib.fc_run(st, rng, budget)
+        self._check(st)
+        return status
+
+
+class TestChannelledViews:
+    """The kernel's line-symbol masks and domain-size buckets stay exact
+    through every assignment, pruning, filtering and undo: the kernel
+    returns after every choice point and each return is checked."""
+
+    @staticmethod
+    def _solve_checking_views(cases, propagation, cutoff):
+        libs = []
+
+        class Checking(KernelState):
+            def __init__(self, instance, config, kernel):
+                libs.append(ViewCheckingLib(kernel))
+                super().__init__(instance, config, SimpleNamespace(ffi=kernel.ffi, lib=libs[-1]))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_RUN_STEPS", 1)
+            mp.setattr(solver, "KernelState", Checking)
+            for traced in (False, True):
+                config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=10,
+                                      trace_enabled=traced)
+                for instance, seed in cases:
+                    solve(instance, config, seed)
+        return sum(lib.checks for lib in libs)
+
+    def test_desk_and_multi_runs(self):
+        desk = desk_instance()
+        multi = multi_alldiff_instances()[:4]
+        seeds = [derive_seed(81, "run", i) for i in range(5)]
+        for propagation, cases in ((FORWARD_CHECK, [desk] * 3), (ALLDIFF_REGIN, [desk] + multi)):
+            checks = self._solve_checking_views(list(zip(cases, seeds)), propagation, 300)
+            # each solve checks after fc_init and fc_propagate_root, then
+            # after each of its choice points
+            solves = 2 * len(cases)
+            assert checks > solves * (2 + (100 if propagation == FORWARD_CHECK else 1))
+
+    @pytest.mark.parametrize("propagation", [FORWARD_CHECK, ALLDIFF_REGIN])
+    @settings(max_examples=200, deadline=None)
+    @given(instance=instances(5, 12), seed=st.integers(0, 2**63),
+           cutoff=st.integers(0, 300))
+    def test_drawn_instances(self, propagation, instance, seed, cutoff):
+        self._solve_checking_views([(instance, seed)], propagation, cutoff)
+
 
 class TestStateChoice:
     @staticmethod

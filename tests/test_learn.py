@@ -327,6 +327,39 @@ class TestTuneKappa:
         result = tune_kappa(X, y, seed=0)
         assert result.kappa in DEFAULT_KAPPA_GRID
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(4, 120),
+        features=st.integers(0, 4),
+        levels=st.integers(1, 4),
+        noise=st.floats(0.0, 2.0),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 50),
+    )
+    def test_equals_one_growth_per_kappa(self, rows, features, levels, noise, data_seed,
+                                         seed):
+        # tie-heavy integer features: many splits share a gain, so the
+        # tie-breaks of the shared split search must match grow_tree's; the
+        # labels follow the features, so the trees split
+        rng = np.random.default_rng(data_seed)
+        X = rng.integers(0, levels, size=(rows, features)).astype(float)
+        score = X @ rng.normal(size=features) + noise * rng.normal(size=rows)
+        y = score < np.median(score)
+        try:
+            result = tune_kappa(X, y, seed=seed)
+        except ValueError as exc:
+            assert "two-class tuning split" in str(exc)
+            return
+        perm = np.random.default_rng(result.split_seed).permutation(rows)
+        fit, held = perm[:int(round(rows * 0.7))], perm[int(round(rows * 0.7)):]
+        scores = {}
+        for kappa in DEFAULT_KAPPA_GRID:
+            model = grow_tree(X[fit], y[fit], kappa)
+            scores[kappa] = evaluate(model, X[held], y[held]).avg_log_score
+        assert result.holdout_scores == scores
+        assert result.kappa == max(DEFAULT_KAPPA_GRID, key=scores.__getitem__)
+        assert result.model.root == grow_tree(X, y, result.kappa).root
+
 
 def toy_dataset(runtimes, censored=None, divisor=None):
     runtimes = np.asarray(runtimes, dtype=np.int64)
