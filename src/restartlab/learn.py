@@ -5,8 +5,8 @@ median, LONG otherwise; runs that finished before the observation horizon
 carry no usable trace and are excluded upstream.  Trees are scored by exact
 Bayesian marginal likelihood with a uniform prior over each leaf's class
 rate, plus a structure prior of kappa per free parameter (one per leaf), and
-grown greedily: at every step the single split with the best positive score
-gain anywhere in the tree is applied.  Predictions are posterior-mean
+grown greedily: every leaf takes its best split while that split raises the
+score.  Predictions are posterior-mean
 (Laplace) estimates, so they never reach 0 or 1.
 """
 
@@ -112,21 +112,21 @@ def tree_score(root: TreeNode, kappa: float) -> float:
     return total + n_leaves * math.log(kappa)
 
 
-def _best_splits(
+def _best_split(
     X: np.ndarray,
     y: np.ndarray,
     rows: np.ndarray,
-    ln_kappas: Sequence[float],
     log_fact: np.ndarray,
-) -> List[Optional[Tuple[float, int, float]]]:
-    """Best (gain, feature, threshold) of one leaf for each ln kappa, or None
-    where no split has a positive gain.
+) -> Tuple[float, int, float]:
+    """Best (gain, feature, threshold) of one leaf.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values, thinned to at most MAX_SPLIT_CANDIDATES by rank spacing.  Ties
-    are broken toward the lowest feature index, then the lowest threshold.
-    The candidates and their kappa-free gains, (left + right) - base, are
-    computed once; a kappa's gain adds ln kappa to that float.
+    gain is the kappa-free (left + right) - base; the split raises a tree's
+    score under kappa when gain + ln kappa > 0, so the best split is the
+    same for every kappa.  Candidate thresholds are midpoints between
+    consecutive distinct sorted values, thinned to at most
+    MAX_SPLIT_CANDIDATES by rank spacing.  Ties are broken toward the lowest
+    feature index, then the lowest threshold.  A leaf with no candidate
+    (no feature, or every feature constant on its rows) has gain -inf.
     """
     ns_total = int(y[rows].sum())
     nl_total = rows.size - ns_total
@@ -160,28 +160,21 @@ def _best_splits(
             + _leaf_log_marginals(log_fact, right_s, right_l)
             - base
         )
-    out: List[Optional[Tuple[float, int, float]]] = []
-    for ln_kappa in ln_kappas:
-        if not raw.size:  # no feature to split on
-            out.append(None)
-            continue
-        gains = (raw + ln_kappa).ravel()
-        i = int(np.argmax(gains))  # first max: lowest feature, then lowest threshold
-        g = float(gains[i])
-        out.append((g, i // MAX_SPLIT_CANDIDATES, float(thresholds.flat[i])) if g > 0 else None)
-    return out
+    if not raw.size:
+        return -math.inf, 0, 0.0
+    i = int(np.argmax(raw))  # first max: lowest feature, then lowest threshold
+    return float(raw.flat[i]), i // MAX_SPLIT_CANDIDATES, float(thresholds.flat[i])
 
 
-def _grow_trees(
+def _grow(
     X: np.ndarray,
     y: np.ndarray,
-    kappas: Sequence[float],
+    kappa: float,
     columns: Optional[Sequence[str]] = None,
-) -> List[DecisionTreeModel]:
-    """grow_tree for each kappa on the same rows.  The trees share most of
-    their leaves, so each distinct leaf's best splits are found once, for
-    every kappa together."""
-    if any(kappa <= 0 for kappa in kappas):
+) -> Tuple[DecisionTreeModel, Dict[int, float]]:
+    """grow_tree, also returning the kappa-free gain of each applied split,
+    keyed by the id of the node it split."""
+    if kappa <= 0:
         raise ValueError("kappa must be positive")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=bool)
@@ -192,53 +185,27 @@ def _grow_trees(
     columns = list(columns)
     if len(columns) != X.shape[1]:
         raise ValueError("column names must match feature count")
-    ln_kappas = [math.log(kappa) for kappa in kappas]
+    ln_kappa = math.log(kappa)
     log_fact = _log_factorials(X.shape[0] + 1)
-    splits: Dict[bytes, List[Optional[Tuple[float, int, float]]]] = {}
-
-    def best_splits(rows: np.ndarray) -> List[Optional[Tuple[float, int, float]]]:
-        key = rows.tobytes()  # a leaf's rows, ascending
-        if key not in splits:
-            splits[key] = _best_splits(X, y, rows, ln_kappas, log_fact)
-        return splits[key]
-
-    all_rows = np.arange(X.shape[0])
-    models = []
-    for k, kappa in enumerate(kappas):
-        root = TreeNode(n_short=int(y.sum()), n_long=int(X.shape[0] - y.sum()))
-        # leaf work list: (node, rows, best split or None)
-        leaves: List[List] = [[root, all_rows, best_splits(all_rows)[k]]]
-        while True:
-            best_i = -1
-            best_gain = 0.0
-            best_entry = None
-            for i, entry in enumerate(leaves):
-                cand = entry[2]
-                if cand is None:
-                    continue
-                gain, j, theta = cand
-                better = gain > best_gain
-                if not better and best_entry is not None and gain == best_gain:
-                    bj, btheta = best_entry[1], best_entry[2]
-                    better = (j, theta) < (bj, btheta)
-                if better:
-                    best_i = i
-                    best_gain = gain
-                    best_entry = cand
-            if best_i < 0:
-                break
-            node, rows, (_, j, theta) = leaves[best_i][0], leaves[best_i][1], best_entry
-            mask = X[rows, j] <= theta
-            lrows = rows[mask]
-            rrows = rows[~mask]
-            node.feature = j
-            node.threshold = theta
-            node.left = TreeNode(n_short=int(y[lrows].sum()), n_long=int(lrows.size - y[lrows].sum()))
-            node.right = TreeNode(n_short=int(y[rrows].sum()), n_long=int(rrows.size - y[rrows].sum()))
-            leaves[best_i] = [node.left, lrows, best_splits(lrows)[k]]
-            leaves.append([node.right, rrows, best_splits(rrows)[k]])
-        models.append(DecisionTreeModel(root=root, columns=list(columns), kappa=kappa))
-    return models
+    root = TreeNode(n_short=int(y.sum()), n_long=int(X.shape[0] - y.sum()))
+    gains: Dict[int, float] = {}
+    # (leaf, its rows) still to split or keep
+    todo = [(root, np.arange(X.shape[0]))]
+    while todo:
+        node, rows = todo.pop()
+        gain, j, theta = _best_split(X, y, rows, log_fact)
+        if not gain + ln_kappa > 0:
+            continue
+        mask = X[rows, j] <= theta
+        lrows = rows[mask]
+        rrows = rows[~mask]
+        node.feature = j
+        node.threshold = theta
+        node.left = TreeNode(n_short=int(y[lrows].sum()), n_long=int(lrows.size - y[lrows].sum()))
+        node.right = TreeNode(n_short=int(y[rrows].sum()), n_long=int(rrows.size - y[rrows].sum()))
+        gains[id(node)] = gain
+        todo += [(node.left, lrows), (node.right, rrows)]
+    return DecisionTreeModel(root=root, columns=columns, kappa=kappa), gains
 
 
 def grow_tree(
@@ -247,14 +214,28 @@ def grow_tree(
     kappa: float,
     columns: Optional[Sequence[str]] = None,
 ) -> DecisionTreeModel:
-    """Greedy global-best growth from a single leaf.
+    """Greedy growth from a single leaf.
 
-    Repeatedly applies, anywhere in the tree, the split with the largest
-    positive score gain; stops when no split improves the score.  With a
-    fixed tie-break order the grown tree for a smaller kappa is always a
-    prefix of the tree for a larger one.
+    Every leaf whose best split (ties toward the lowest feature, then the
+    lowest threshold) improves the score is split, until none does.  A
+    leaf's split and gain depend only on its own rows, so this is the tree
+    that applying the globally best split at every step reaches, in any
+    order.  ln kappa shifts every gain by the same amount, so the tree for
+    a smaller kappa is a prefix of the tree for a larger one by
+    construction: the same splits, cut where gain + ln kappa is not
+    positive.
     """
-    return _grow_trees(X, y, (kappa,), columns)[0]
+    return _grow(X, y, kappa, columns)[0]
+
+
+def _cut(node: TreeNode, gains: Dict[int, float], ln_kappa: float) -> TreeNode:
+    """Copy of a tree that _grow returned with these gains, as _grow grows
+    it at kappa: a split stays where gain + ln kappa is positive and every
+    split above it stays."""
+    if not gains.get(id(node), -math.inf) + ln_kappa > 0:
+        return TreeNode(n_short=node.n_short, n_long=node.n_long)
+    return TreeNode(node.n_short, node.n_long, node.feature, node.threshold,
+                    _cut(node.left, gains, ln_kappa), _cut(node.right, gains, ln_kappa))
 
 
 def marginal_model(y: Sequence[bool], columns: Optional[Sequence[str]] = None) -> DecisionTreeModel:
@@ -351,14 +332,19 @@ def tune_kappa(
 ) -> TuningResult:
     """Pick kappa by holdout log-likelihood on a seeded 70/30 split.
 
-    The winning kappa (first in grid order on ties) is then used to regrow
-    the tree on the full training set.  A split that leaves the 70% side
+    One tree is grown on the 70% side at the largest kappa of the grid,
+    and each kappa's model is that tree cut where a split's gain plus
+    ln kappa is not positive, which is grow_tree's tree at that kappa.  The
+    winning kappa (first in grid order on ties) is then used to regrow the
+    tree on the full training set.  A split that leaves the 70% side
     single-class is degenerate and is redrawn with the next seed.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=bool)
     if not len(grid):
         raise ValueError("kappa grid is empty")
+    if min(grid) <= 0:
+        raise ValueError("kappa must be positive")
     n = y.size
     if n < 4:
         raise ValueError("too few rows to tune on")
@@ -379,8 +365,10 @@ def tune_kappa(
     best_kappa = None
     best_score = -math.inf
     best_acc = 0.0
-    for kappa, m in zip(grid, _grow_trees(X[fit_rows], y[fit_rows], grid, columns)):
-        rep = evaluate(m, X[held_rows], y[held_rows])
+    tree, gains = _grow(X[fit_rows], y[fit_rows], max(grid), columns)
+    for kappa in grid:
+        root = _cut(tree.root, gains, math.log(kappa))
+        rep = evaluate(DecisionTreeModel(root, tree.columns, kappa), X[held_rows], y[held_rows])
         holdout_scores[kappa] = rep.avg_log_score
         if rep.avg_log_score > best_score:
             best_score = rep.avg_log_score

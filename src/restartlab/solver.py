@@ -203,16 +203,19 @@ class KernelState:
     def search(
         self, seed: int, config: SolverConfig, trace: Optional[List]
     ) -> Tuple[str, int, bool]:
-        """Depth-first search from the root-propagated state, which has open
-        cells, on a Mersenne Twister seeded as random.Random(seed); returns
-        (outcome, choice points, exhausted) and appends one feature row per
-        choice point to trace, if given, up to the horizon.  fc_run writes
-        the traced rows into a buffer of at most _TRACE_ROWS rows, which is
-        emptied into trace whenever it returns, and returns after every
-        _RUN_STEPS units of work so that Ctrl-C is handled."""
+        """Depth-first search from the root-propagated state on a Mersenne
+        Twister seeded as random.Random(seed); returns (outcome, choice
+        points, exhausted) and appends one feature row per choice point to
+        trace, if given, up to the horizon.  A state with no open cell is
+        SOLVED at once.  fc_run writes the traced rows into a buffer of at
+        most _TRACE_ROWS rows, which is emptied into trace whenever it
+        returns, and returns after every _RUN_STEPS units of work so that
+        Ctrl-C is handled."""
         ffi = self._ffi
         lib = self._lib
         st = self._st
+        if st.unassigned_count == 0:  # fc_run needs an open cell to branch on
+            return SOLVED, st.choice_points, False
         st.cutoff = -1 if config.cutoff is None else config.cutoff
         st.new_node = 1
         if trace is not None:
@@ -273,8 +276,6 @@ def solve(
     post_prop = state.unassigned_count
     if not ok:
         outcome, choice_points, exhausted = CUTOFF, 0, True
-    elif post_prop == 0:
-        outcome, choice_points, exhausted = SOLVED, 0, False
     else:
         outcome, choice_points, exhausted = state.search(normalize_seed(seed), config, trace)
     return RunRecord(

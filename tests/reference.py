@@ -11,16 +11,31 @@ population_variance (the traced row the kernel's write_row must match),
 fill_square and balanced_holes (latin's two generators), and the exhaustive
 iter_completions and count_completions.  The skip's reference is drawing:
 tests/test_policy.py's _reference_simulate draws every round.
+
+It also keeps the learner's per-kappa growth, _grow_trees with its
+_best_splits: one tree per kappa, each leaf's split chosen by the float
+gain plus ln kappa.  restartlab.learn grows one tree and cuts each kappa's
+tree from it by split gain, which must give the same trees.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from restartlab import latin
 from restartlab.latin import HOLE, PartialLatinSquare, StructureError, validate
+from restartlab.learn import (
+    MAX_SPLIT_CANDIDATES,
+    DecisionTreeModel,
+    TreeNode,
+    _leaf_log_marginals,
+    _log_factorials,
+)
 from restartlab.seeds import normalize_seed
 from restartlab.solver import (
     ALLDIFF_REGIN,
@@ -752,3 +767,135 @@ def count_completions(instance: PartialLatinSquare, cap: int = 1_000_000) -> int
         if count >= cap:
             break
     return count
+
+
+# -- the per-kappa tree growth --------------------------------------------
+
+
+def _best_splits(
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    ln_kappas: Sequence[float],
+    log_fact: np.ndarray,
+) -> List[Optional[Tuple[float, int, float]]]:
+    """Best (gain, feature, threshold) of one leaf for each ln kappa, or None
+    where no split has a positive gain.
+
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values, thinned to at most MAX_SPLIT_CANDIDATES by rank spacing.  Ties
+    are broken toward the lowest feature index, then the lowest threshold.
+    The candidates and their kappa-free gains, (left + right) - base, are
+    computed once; a kappa's gain adds ln kappa to that float.
+    """
+    ns_total = int(y[rows].sum())
+    nl_total = rows.size - ns_total
+    base = _leaf_log_marginals(log_fact, ns_total, nl_total)
+    raw = np.full((X.shape[1], MAX_SPLIT_CANDIDATES), -np.inf)
+    thresholds = np.zeros_like(raw)
+    for j in range(X.shape[1]):
+        v = X[rows, j]
+        order = np.argsort(v, kind="stable")
+        sv = v[order]
+        sy = y[rows][order]
+        boundaries = np.nonzero(sv[1:] != sv[:-1])[0]
+        if boundaries.size == 0:
+            continue
+        if boundaries.size > MAX_SPLIT_CANDIDATES:
+            pick = np.unique(
+                np.round(
+                    np.linspace(0, boundaries.size - 1, MAX_SPLIT_CANDIDATES)
+                ).astype(int)
+            )
+            boundaries = boundaries[pick]
+        thresholds[j, :boundaries.size] = (sv[boundaries] + sv[boundaries + 1]) / 2.0
+        cum_short = np.cumsum(sy)
+        left_n = boundaries + 1
+        left_s = cum_short[boundaries]
+        left_l = left_n - left_s
+        right_s = ns_total - left_s
+        right_l = nl_total - left_l
+        raw[j, :boundaries.size] = (
+            _leaf_log_marginals(log_fact, left_s, left_l)
+            + _leaf_log_marginals(log_fact, right_s, right_l)
+            - base
+        )
+    out: List[Optional[Tuple[float, int, float]]] = []
+    for ln_kappa in ln_kappas:
+        if not raw.size:  # no feature to split on
+            out.append(None)
+            continue
+        gains = (raw + ln_kappa).ravel()
+        i = int(np.argmax(gains))  # first max: lowest feature, then lowest threshold
+        g = float(gains[i])
+        out.append((g, i // MAX_SPLIT_CANDIDATES, float(thresholds.flat[i])) if g > 0 else None)
+    return out
+
+
+def _grow_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    kappas: Sequence[float],
+    columns: Optional[Sequence[str]] = None,
+) -> List[DecisionTreeModel]:
+    """grow_tree for each kappa on the same rows.  The trees share most of
+    their leaves, so each distinct leaf's best splits are found once, for
+    every kappa together."""
+    if any(kappa <= 0 for kappa in kappas):
+        raise ValueError("kappa must be positive")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=bool)
+    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be (rows, features) aligned with y")
+    if columns is None:
+        columns = [f"f{j}" for j in range(X.shape[1])]
+    columns = list(columns)
+    if len(columns) != X.shape[1]:
+        raise ValueError("column names must match feature count")
+    ln_kappas = [math.log(kappa) for kappa in kappas]
+    log_fact = _log_factorials(X.shape[0] + 1)
+    splits: Dict[bytes, List[Optional[Tuple[float, int, float]]]] = {}
+
+    def best_splits(rows: np.ndarray) -> List[Optional[Tuple[float, int, float]]]:
+        key = rows.tobytes()  # a leaf's rows, ascending
+        if key not in splits:
+            splits[key] = _best_splits(X, y, rows, ln_kappas, log_fact)
+        return splits[key]
+
+    all_rows = np.arange(X.shape[0])
+    models = []
+    for k, kappa in enumerate(kappas):
+        root = TreeNode(n_short=int(y.sum()), n_long=int(X.shape[0] - y.sum()))
+        # leaf work list: (node, rows, best split or None)
+        leaves: List[List] = [[root, all_rows, best_splits(all_rows)[k]]]
+        while True:
+            best_i = -1
+            best_gain = 0.0
+            best_entry = None
+            for i, entry in enumerate(leaves):
+                cand = entry[2]
+                if cand is None:
+                    continue
+                gain, j, theta = cand
+                better = gain > best_gain
+                if not better and best_entry is not None and gain == best_gain:
+                    bj, btheta = best_entry[1], best_entry[2]
+                    better = (j, theta) < (bj, btheta)
+                if better:
+                    best_i = i
+                    best_gain = gain
+                    best_entry = cand
+            if best_i < 0:
+                break
+            node, rows, (_, j, theta) = leaves[best_i][0], leaves[best_i][1], best_entry
+            mask = X[rows, j] <= theta
+            lrows = rows[mask]
+            rrows = rows[~mask]
+            node.feature = j
+            node.threshold = theta
+            node.left = TreeNode(n_short=int(y[lrows].sum()), n_long=int(lrows.size - y[lrows].sum()))
+            node.right = TreeNode(n_short=int(y[rrows].sum()), n_long=int(rrows.size - y[rrows].sum()))
+            leaves[best_i] = [node.left, lrows, best_splits(lrows)[k]]
+            leaves.append([node.right, rrows, best_splits(rrows)[k]])
+        models.append(DecisionTreeModel(root=root, columns=list(columns), kappa=kappa))
+    return models

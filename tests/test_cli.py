@@ -243,6 +243,12 @@ class TestTrain:
         capsys.readouterr()
         assert blobs[0] == blobs[1]
 
+    def test_nonpositive_kappa_in_grid_rejected(self, workdir, tmp_path, capsys):
+        assert main(["train", str(workdir / "small_train.csv"), "--kappa-grid", "0.1,0",
+                     "-o", str(tmp_path / "m.json")]) == EXIT_USAGE
+        assert "kappa must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_foreign_schema_rejected(self, tmp_path, capsys):
         ds = Dataset(
             columns=["a", "b"],

@@ -207,6 +207,35 @@ class TestIdentityWithPythonState:
         assert solve(instance, config, seed) == reference.solve(instance, config, seed)
 
 
+# Searches an order-6 square with one hole after root propagation has
+# filled it, at both levels and traced; prints each (outcome, choice points,
+# exhausted, trace rows) tuple.
+SEARCH_SOLVED_STATE = textwrap.dedent("""
+    from restartlab import fc_kernel, solver
+    from restartlab.latin import HOLE, PartialLatinSquare
+    rows = [[(r + c) % 6 + 1 for c in range(6)] for r in range(6)]
+    rows[2][3] = HOLE
+    instance = PartialLatinSquare.from_rows(rows)
+    for level in (solver.FORWARD_CHECK, solver.ALLDIFF_REGIN):
+        config = solver.SolverConfig(propagation=level, trace_enabled=True)
+        state = solver.KernelState(instance, config, fc_kernel.load())
+        assert state.propagate_root() and state.unassigned_count == 0
+        trace = []
+        print(*state.search(5, config, trace), len(trace))
+""")
+
+
+def test_search_on_a_solved_state():
+    # in a child process, so that a crash in the kernel fails this test
+    # instead of ending the test run
+    proc = subprocess.run(
+        [sys.executable, "-c", SEARCH_SOLVED_STATE],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert proc.stdout.splitlines() == ["SOLVED 0 False 0"] * 2
+
+
 def recomputed_views(n, domain, symbol):
     """The line-symbol masks, size buckets and open cells' domain sizes that
     _fc_kernel.h defines, computed from the domains and symbols alone."""

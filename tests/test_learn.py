@@ -22,6 +22,8 @@ from restartlab.learn import (
     tune_kappa,
 )
 
+import reference
+
 
 class TestLabelByMedian:
     def test_even_count(self):
@@ -315,9 +317,18 @@ class TestTuneKappa:
         with pytest.raises(ValueError):
             tune_kappa(np.zeros((3, 1)), np.array([True, False, True]))
 
-    def test_empty_grid(self):
-        with pytest.raises(ValueError):
-            tune_kappa(np.zeros((10, 1)), np.ones(10, dtype=bool), grid=[])
+    @pytest.mark.parametrize("grid, message", [
+        ([], "kappa grid is empty"),
+        ([0.1, 0.0], "kappa must be positive"),
+        ([-1.0], "kappa must be positive"),
+    ], ids=["empty", "zero", "negative"])
+    def test_bad_grid(self, grid, message):
+        # every kappa of the grid is checked, not only the largest, which
+        # the tuning tree is grown at
+        X = np.arange(10, dtype=float).reshape(-1, 1)
+        y = np.arange(10) % 2 == 0
+        with pytest.raises(ValueError, match=message):
+            tune_kappa(X, y, grid=grid)
 
     def test_skewed_labels_still_tune(self):
         rng = np.random.default_rng(10)
@@ -339,12 +350,16 @@ class TestTuneKappa:
     def test_equals_one_growth_per_kappa(self, rows, features, levels, noise, data_seed,
                                          seed):
         # tie-heavy integer features: many splits share a gain, so the
-        # tie-breaks of the shared split search must match grow_tree's; the
-        # labels follow the features, so the trees split
+        # tie-breaks of the one kappa-free growth must match one growth per
+        # kappa (the reference oracle) and tune_kappa's cut trees must match
+        # grow_tree's; the labels follow the features, so the trees split
         rng = np.random.default_rng(data_seed)
         X = rng.integers(0, levels, size=(rows, features)).astype(float)
         score = X @ rng.normal(size=features) + noise * rng.normal(size=rows)
         y = score < np.median(score)
+        kappas = DEFAULT_KAPPA_GRID + (0.5, 0.9, 1.5)
+        for kappa, oracle in zip(kappas, reference._grow_trees(X, y, kappas)):
+            assert grow_tree(X, y, kappa).root == oracle.root
         try:
             result = tune_kappa(X, y, seed=seed)
         except ValueError as exc:
