@@ -1,9 +1,9 @@
 /* C kernels for orders up to 64: the completion search of solver.py at both
  * propagation levels, its Regin line filter on its own (fc_regin_filter, for
  * solver.regin_filter), the two seeded instance generators of latin.py, and
- * the skip over discarded draws of policy.simulate_policy.  Its constants,
- * state structs and entry points are declared in _fc_kernel.h, which
- * fc_kernel.py also hands to cffi.
+ * the round loop of policy.simulate_policy.  Its constants, state structs
+ * and entry points are declared in _fc_kernel.h, which fc_kernel.py also
+ * hands to cffi.
  *
  * One fc_state holds a run's mutable state: bitmask domains (bit s-1 set
  * means symbol s is still possible), assigned symbols (0 = open), open-cell
@@ -34,10 +34,13 @@
  * rejects a shuffle at its first taken cell and only consumes the words of
  * the steps left.
  *
- * pcg64_skip_bounded advances a copy of numpy's PCG64 state past the draws
- * of Generator.integers(0, high, size=count) without making them: the same
+ * pcg64_price_rounds runs every trial of a restart-policy simulation to its
+ * first win, round by round, on a copy of numpy's PCG64 state: the same
  * 128-bit LCG and XSL-RR output, the same buffered 32-bit half-words and the
- * same Lemire rejection as numpy's random_bounded_uint64_fill.
+ * same Lemire rejection as numpy's Generator.integers, and the same doubles
+ * as its Generator.random, so it draws exactly what the numpy round loop of
+ * tests/reference.py draws.  A round that no run can win only advances the
+ * stream past its draws without making them.
  */
 
 #include <math.h>
@@ -845,6 +848,33 @@ typedef unsigned __int128 u128;
 
 #define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
 
+/* A pcg64_state while an entry point draws from it, its LCG state and
+ * increment as 128-bit numbers; pcg_close writes it back. */
+typedef struct {
+    pcg64_state *rng;
+    u128 s;
+    u128 inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg_reader;
+
+static void pcg_open(pcg_reader *rd, pcg64_state *rng)
+{
+    rd->rng = rng;
+    rd->s = ((u128)rng->state_hi << 64) | rng->state_lo;
+    rd->inc = ((u128)rng->inc_hi << 64) | rng->inc_lo;
+    rd->has_uint32 = rng->has_uint32;
+    rd->uinteger = rng->uinteger;
+}
+
+static void pcg_close(pcg_reader *rd)
+{
+    rd->rng->state_hi = (uint64_t)(rd->s >> 64);
+    rd->rng->state_lo = (uint64_t)rd->s;
+    rd->rng->has_uint32 = rd->has_uint32;
+    rd->rng->uinteger = rd->uinteger;
+}
+
 /* The XSL-RR output of an LCG state. */
 static uint64_t pcg_output(u128 s)
 {
@@ -853,56 +883,216 @@ static uint64_t pcg_output(u128 s)
     return (x >> rot) | (x << ((-rot) & 63));
 }
 
-/* Advance st as numpy's Generator.integers(0, high, size=count) does for
- * 2 <= high < 2**32: each draw takes 32-bit words, the buffered high half
- * first, until Lemire's test accepts one, i.e. until the low half of
- * word * high is at least (2**32 - high) % high.  Two LCG chains, the even
- * and the odd steps, are stepped together. */
-void pcg64_skip_bounded(pcg64_state *st, uint32_t high, long long count)
+/* numpy's pcg64_next64: step the LCG, then output its state. */
+static inline uint64_t pcg_next64(pcg_reader *rd)
 {
-    u128 s = ((u128)st->state_hi << 64) | st->state_lo;
-    u128 inc = ((u128)st->inc_hi << 64) | st->inc_lo;
+    rd->s = rd->s * PCG_MULT + rd->inc;
+    return pcg_output(rd->s);
+}
+
+/* numpy's pcg64_next32: the buffered high half-word if there is one, else
+ * the low half of a new output, buffering its high half. */
+static inline uint32_t pcg_next32(pcg_reader *rd)
+{
+    uint64_t x;
+    if (rd->has_uint32) {
+        rd->has_uint32 = 0;
+        return rd->uinteger;
+    }
+    x = pcg_next64(rd);
+    rd->has_uint32 = 1;
+    rd->uinteger = (uint32_t)(x >> 32);
+    return (uint32_t)x;
+}
+
+/* One draw of Generator.integers(0, high) for 1 <= high < 2**32, as
+ * numpy's random_bounded_uint64_fill makes it: none for a single value, else
+ * Lemire's method on 32-bit words, taking the high half of word * high for
+ * the first word whose low half is at least threshold = (2**32 - high) %
+ * high. */
+static inline uint32_t pcg_bounded(pcg_reader *rd, uint32_t high, uint32_t threshold)
+{
+    uint64_t m;
+    if (high == 1)
+        return 0;
+    do
+        m = (uint64_t)pcg_next32(rd) * high;
+    while ((uint32_t)m < threshold);
+    return (uint32_t)(m >> 32);
+}
+
+/* Generator.random(): the top 53 bits of a 64-bit output. */
+static inline double pcg_double(pcg_reader *rd)
+{
+    return (double)(pcg_next64(rd) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Advance rd past count draws of pcg_bounded without making them: each
+ * word's acceptance is all that is tested.  Two LCG chains, the even and the
+ * odd steps, are stepped together. */
+static void pcg_skip_bounded(pcg_reader *rd, uint32_t high, uint32_t threshold,
+                             long long count)
+{
+    u128 inc = rd->inc;
     u128 mult2 = PCG_MULT * PCG_MULT, inc2 = PCG_MULT * inc + inc;
-    u128 a = s * PCG_MULT + inc, b = a * PCG_MULT + inc;
-    uint32_t threshold;
+    u128 a = rd->s * PCG_MULT + inc, b = a * PCG_MULT + inc;
     if (count <= 0 || high < 2) /* numpy draws nothing for a single value */
         return;
-    threshold = (UINT32_MAX - (high - 1)) % high;
-    if (st->has_uint32) {
-        st->has_uint32 = 0;
-        if ((uint32_t)((uint64_t)st->uinteger * high) >= threshold && --count == 0)
+    if (rd->has_uint32) {
+        rd->has_uint32 = 0;
+        if ((uint32_t)((uint64_t)rd->uinteger * high) >= threshold && --count == 0)
             return;
     }
     for (;;) {
         uint64_t x = pcg_output(a);
         if ((uint32_t)((x & 0xffffffffU) * high) >= threshold && --count == 0) {
-            s = a;
-            st->has_uint32 = 1;
-            st->uinteger = (uint32_t)(x >> 32);
-            break;
+            rd->s = a;
+            rd->has_uint32 = 1;
+            rd->uinteger = (uint32_t)(x >> 32);
+            return;
         }
         if ((uint32_t)((x >> 32) * high) >= threshold && --count == 0) {
-            s = a;
-            st->uinteger = (uint32_t)(x >> 32);
-            break;
+            rd->s = a;
+            rd->uinteger = (uint32_t)(x >> 32);
+            return;
         }
         x = pcg_output(b);
         if ((uint32_t)((x & 0xffffffffU) * high) >= threshold && --count == 0) {
-            s = b;
-            st->has_uint32 = 1;
-            st->uinteger = (uint32_t)(x >> 32);
-            break;
+            rd->s = b;
+            rd->has_uint32 = 1;
+            rd->uinteger = (uint32_t)(x >> 32);
+            return;
         }
         if ((uint32_t)((x >> 32) * high) >= threshold && --count == 0) {
-            s = b;
-            st->uinteger = (uint32_t)(x >> 32);
-            break;
+            rd->s = b;
+            rd->uinteger = (uint32_t)(x >> 32);
+            return;
         }
         a = a * mult2 + inc2;
         b = b * mult2 + inc2;
     }
-    st->state_hi = (uint64_t)(s >> 64);
-    st->state_lo = (uint64_t)s;
+}
+
+/* ---- policy.simulate_policy's rounds ---- */
+
+/* policy.luby_term for 1 <= i < 2**63. */
+static long long luby_term(unsigned long long i)
+{
+    for (;;) {
+        int k = 64 - __builtin_clzll(i);
+        if (i == (1ULL << k) - 1)
+            return (long long)(1ULL << (k - 1));
+        i -= (1ULL << (k - 1)) - 1;
+    }
+}
+
+/* How a round's runs are called SHORT: never (cutoff policies), by the row
+ * (short_rows) or by the synthetic predictor. */
+#define CALL_NEVER 0
+#define CALL_ROWS 1
+#define CALL_SYNTHETIC 2
+
+/* Price one round of st's active trials at cutoff cut, drawing from rd;
+ * `calls` is a constant, so each caller gets its own loop.  Whether a run
+ * wins is a coin toss, so the loop does not branch on it: a run goes on to
+ * lim, the limit when it is called SHORT and cut otherwise (cut < limit),
+ * and wins when t <= lim at cost min(t, lim); a loser adds 0 of the shared
+ * cost and stays in active, and its round is rewritten when it wins. */
+static inline __attribute__((always_inline)) void
+price_round(rounds_state *st, pcg_reader *rd, uint32_t high, uint32_t threshold,
+            long long cut, long long round, int calls)
+{
+    const long long *lengths = st->lengths;
+    const uint8_t *short_rows = st->short_rows;
+    long long *active = st->active;
+    uint32_t *drawn = st->drawn;
+    double *total_cost = st->total_cost;
+    long long *total_runs = st->total_runs;
+    double limit = st->limit, accuracy = st->accuracy;
+    double lims[2] = {(double)cut, limit}, shared[2] = {0.0, (double)st->shared};
+    long long i, n = st->n_active, kept = 0;
+    pcg_reader r = *rd;
+    if (calls == CALL_SYNTHETIC)
+        for (i = 0; i < n; i++)
+            drawn[i] = pcg_bounded(&r, high, threshold);
+    for (i = 0; i < n; i++) {
+        long long trial = active[i];
+        uint32_t row = calls == CALL_SYNTHETIC ? drawn[i] : pcg_bounded(&r, high, threshold);
+        double t = (double)lengths[row];
+        int call = calls == CALL_SYNTHETIC ? (t <= limit) ^ (pcg_double(&r) >= accuracy)
+                   : calls == CALL_ROWS ? short_rows[row] : 0;
+        double lim = lims[call];
+        int win = t <= lim;
+        total_cost[trial] = total_cost[trial] + (t < lim ? t : lim) + shared[win];
+        total_runs[trial] = round;
+        active[kept] = trial;
+        kept += !win;
+    }
+    *rd = r;
+    st->n_active = kept;
+}
+
+/* Price st's rounds until every trial has won, a round past run_budget would
+ * begin (the trials left stay in active) or about `draws` draws are made;
+ * returns 1 in the last case (call again), else 0.
+ *
+ * A round draws a row for each active trial, in order, as
+ * Generator.integers(0, rows, size=n_active) does, and for the synthetic
+ * predictor then a double for each, as Generator.random(n_active) does.  A
+ * run of length t <= cut, the round's cutoff, wins at cost t; else a run
+ * called SHORT costs min(t, limit) and wins when t <= limit, and any other
+ * run costs cut.  Each trial adds its cost, and when its run wins the shared
+ * cost of the dead rounds so far; the losers stay in active, in order.
+ *
+ * A cutoff policy's round whose cutoff is below the shortest run is dead: it
+ * kills every run at its cutoff, which is added to shared, and its draws are
+ * skipped rather than made (pending).  Costs are whole numbers, added in the
+ * order numpy adds them, so every total is bit-identical. */
+int pcg64_price_rounds(rounds_state *st, pcg64_state *rng, long long draws)
+{
+    pcg_reader rd;
+    uint32_t high = st->rows;
+    uint32_t threshold = (UINT32_MAX - (high - 1)) % high;
+    int calls = st->synthetic ? CALL_SYNTHETIC : st->short_rows ? CALL_ROWS : CALL_NEVER;
+    int more = 1;
+    pcg_open(&rd, rng);
+    for (;;) {
+        long long n = st->n_active, round, cut = st->cutoff;
+        if (st->pending) {
+            long long k = st->pending < draws ? st->pending : draws;
+            pcg_skip_bounded(&rd, high, threshold, k);
+            st->pending -= k;
+            if ((draws -= k) <= 0)
+                break;
+        }
+        if (n == 0 || st->round_no >= st->run_budget) {
+            more = 0;
+            break;
+        }
+        round = ++st->round_no;
+        if (st->luby && __builtin_mul_overflow(cut, luby_term(round), &cut))
+            cut = INT64_MAX;
+        if (calls == CALL_NEVER && cut < st->shortest) {
+            st->shared += cut;
+            if (high > 1) {
+                st->pending += n;
+                st->dead_draws += n;
+            }
+            continue;
+        }
+        if (calls == CALL_SYNTHETIC)
+            price_round(st, &rd, high, threshold, cut, round, CALL_SYNTHETIC);
+        else if (calls == CALL_ROWS)
+            price_round(st, &rd, high, threshold, cut, round, CALL_ROWS);
+        else
+            price_round(st, &rd, high, threshold, cut, round, CALL_NEVER);
+        if (high > 1)
+            st->live_draws += n;
+        if ((draws -= calls == CALL_SYNTHETIC ? 2 * n : n) <= 0)
+            break;
+    }
+    pcg_close(&rd);
+    return more;
 }
 
 /* regin_prunings on one line given by its caller (solver.regin_filter): k <= 64

@@ -2,7 +2,7 @@
  * structs its callers allocate, and its eight entry points.  _fc_kernel.c
  * includes this file, and fc_kernel.py hands it to cffi as the declarations
  * Python sees, so it is the one place they are written.  It holds only what
- * cffi's declaration parser reads: no #include (uint32_t and uint64_t come
+ * cffi's declaration parser reads: no #include (uint8_t to uint64_t come
  * from <stdint.h>, included first by _fc_kernel.c), no include guard and
  * #define only for integer constants. */
 
@@ -110,6 +110,39 @@ typedef struct {
     uint32_t uinteger;
 } pcg64_state;
 
+/* ---- policy.simulate_policy's trials ---- */
+
+/* Every trial of a policy simulation, priced a round at a time.  A trial runs
+ * one run per round until a run wins; a run is cut at `cutoff` (times the
+ * round's Luby term when luby is set) unless the policy calls it SHORT, when
+ * it goes on to `limit`.  Cutoff policies call nothing SHORT; the dynamic
+ * policy's predictor is synthetic (the truth t <= limit, flipped when a
+ * uniform draw is at least accuracy) or the SHORT call of each row
+ * (short_rows).  Every buffer is owned by the caller. */
+typedef struct {
+    const long long *lengths; /* run length of each row */
+    uint32_t rows;            /* 1 <= rows < 2**32 */
+    long long shortest;       /* the shortest length */
+    long long cutoff;         /* fixed cutoff, Luby scale or observation point */
+    int luby;
+    double limit;             /* may be inf */
+    int synthetic;
+    double accuracy;
+    const uint8_t *short_rows; /* NULL unless the predictor is a model */
+    long long *active;        /* the unfinished trials, in order */
+    long long n_active;
+    uint32_t *drawn;          /* synthetic: n_active slots for the round's rows */
+    double *total_cost;       /* per trial: the steps it spent */
+    long long *total_runs;    /* per trial: the round its run won (while it
+                                 runs, the last round priced) */
+    long long round_no;       /* rounds begun */
+    long long run_budget;     /* rounds allowed */
+    long long shared;         /* the cutoffs of the dead rounds so far */
+    long long pending;        /* draws of dead rounds not yet skipped */
+    long long live_draws;     /* rows drawn in priced rounds */
+    long long dead_draws;     /* rows skipped for dead rounds */
+} rounds_state;
+
 /* ---- entry points, each described at its definition ---- */
 
 void mt_seed(mt_state *rng, uint64_t seed);
@@ -119,4 +152,4 @@ int fc_run(fc_state *st, mt_state *rng, long long budget);
 int fc_regin_filter(const uint64_t *doms, int k, uint64_t *prune);
 int lq_hole_pattern(mt_state *rng, int n, int h, int retries, uint64_t *taken);
 int lq_fill(mt_state *rng, lq_square *sq, long long steps);
-void pcg64_skip_bounded(pcg64_state *st, uint32_t high, long long count);
+int pcg64_price_rounds(rounds_state *st, pcg64_state *rng, long long draws);

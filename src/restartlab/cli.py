@@ -3,8 +3,7 @@
 Verbs: generate, solve, dataset, train, eval, cascade, policy, report.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 a policy
 analysis concluded UNBOUNDED, 4 the C kernel is unavailable (generate,
-solve and dataset always need it, policy only for a round whose cutoff is
-below the shortest run).
+solve and dataset always need it, policy whenever it simulates a policy).
 """
 
 from __future__ import annotations
@@ -389,9 +388,11 @@ def _cmd_policy(args) -> int:
     print(f"optimal fixed cutoff {c_star} -> expected {c_cost:.1f} steps")
     model = rio.read_model(args.model) if args.model else None
     dataset = None
+    meta: Dict = {}
     if args.dataset:
         ds = rio.read_dataset(args.dataset)
         dataset = ds.subset(~ds.censored)
+        meta = ds.provenance.get("meta", {})
     if args.scan_limit is not None:
         if model is not None:
             raise ValueError("--scan-limit uses the synthetic predictor; drop --model")
@@ -412,6 +413,18 @@ def _cmd_policy(args) -> int:
                 if model.columns and model.columns != dataset.columns:
                     raise rio.DataFormatError(
                         "model and dataset disagree on feature columns"
+                    )
+                # the model decides where its features were measured, on
+                # runs it was not trained on
+                horizon = meta.get("horizon")
+                if horizon is not None and policy.observe != horizon:
+                    raise ValueError(
+                        f"a model policy observes at the dataset's horizon {horizon},"
+                        f" not {policy.observe}"
+                    )
+                if meta.get("split") == "train":
+                    raise ValueError(
+                        "a model policy is scored on held-out runs, not the training split"
                     )
                 policy = DynamicPolicy(
                     observe=policy.observe,

@@ -5,9 +5,10 @@ checking and Regin alldiff filtering), writing the traced feature rows
 itself, on a Mersenne Twister seeded as `random.Random(seed)` seeds it; and
 the two seeded instance generators of `latin` (square fill and balanced hole
 pattern) on a copy of a `random.Random` state (`mt_stream`).  For
-`policy.simulate_policy` it skips the draws of `Generator.integers` on a
-copy of numpy's PCG64 state (`pcg64_stream`), so a draw that would be
-discarded is never made.
+`policy.simulate_policy` it prices every round of every trial on a copy of
+numpy's PCG64 state (`pcg64_stream`): it draws what the numpy round loop
+draws, `Generator.integers` rows and `Generator.random` flips, and only
+skips the draws of a round that no run can win.
 
 Its constants, structs and entry points are declared once, in
 `_fc_kernel.h`: the C source includes that header, and cffi reads it as the
@@ -24,10 +25,11 @@ mtime), so checkouts of different revisions sharing one cache do not
 rebuild each other's module; a new build removes the other, older ones.
 
 The kernel is required, as cffi is: the solver, the two generators and the
-skip have no other implementation (their Python oracles live in the test
-suite, in tests/reference.py).  When cffi, the compiler, either kernel file
-or every cache directory is unavailable, `load` raises KernelUnavailable
-saying why, and `for_order` also refuses orders above MAX_ORDER.
+policy rounds have no other implementation (their Python oracles live in
+the test suite, in tests/reference.py).  When cffi, the compiler, either
+kernel file or every cache directory is unavailable, `load` raises
+KernelUnavailable saying why, and `for_order` also refuses orders above
+MAX_ORDER.
 """
 
 from __future__ import annotations

@@ -213,12 +213,9 @@ def scan_dynamic_limits(
 
 # -- policies --------------------------------------------------------------
 #
-# Every policy offers the same three methods:
-#   round_cutoff(round_no) -> the step count every run of that round is killed
-#     at, or None when the policy decides run by run;
-#   step(lengths, features, round_no, rng) -> (cost, success) prices one round
-#     of runs, one per still-active trial;
-#   analytic(run_source) -> Analytic gives what is known in closed form.
+# Every policy offers describe(), analytic(run_source) -> Analytic, what is
+# known in closed form, and _rounds(run_source), the fields of the kernel's
+# rounds_state that price its rounds (see simulate_policy).
 
 
 class Analytic(NamedTuple):
@@ -234,16 +231,8 @@ class Analytic(NamedTuple):
     expected_steps: Optional[float] = None
 
 
-class _CutoffPolicy:
-    """Kills every run of a round at round_cutoff(round_no) steps."""
-
-    def step(self, lengths, features, round_no, rng):
-        cutoff = self.round_cutoff(round_no)
-        return np.minimum(lengths, cutoff), lengths <= cutoff
-
-
 @dataclass(frozen=True)
-class FixedPolicy(_CutoffPolicy):
+class FixedPolicy:
     """Restart unconditionally after cutoff steps."""
 
     cutoff: int
@@ -255,8 +244,8 @@ class FixedPolicy(_CutoffPolicy):
     def describe(self) -> str:
         return f"fixed:{self.cutoff}"
 
-    def round_cutoff(self, round_no: int) -> int:
-        return self.cutoff
+    def _rounds(self, run_source) -> Dict:
+        return {"cutoff": self.cutoff}
 
     def analytic(self, run_source) -> Analytic:
         rtd = getattr(run_source, "rtd", None)
@@ -269,7 +258,7 @@ class FixedPolicy(_CutoffPolicy):
 
 
 @dataclass(frozen=True)
-class LubyPolicy(_CutoffPolicy):
+class LubyPolicy:
     """Restart after scale * luby_term(i) steps on the i-th run."""
 
     scale: int = 1
@@ -281,8 +270,8 @@ class LubyPolicy(_CutoffPolicy):
     def describe(self) -> str:
         return f"luby:{self.scale}"
 
-    def round_cutoff(self, round_no: int) -> int:
-        return self.scale * luby_term(round_no)
+    def _rounds(self, run_source) -> Dict:
+        return {"cutoff": self.scale, "luby": 1}
 
     def analytic(self, run_source) -> Analytic:
         # Luby cutoffs grow without bound, so any finite run length is reachable.
@@ -296,16 +285,9 @@ class SyntheticPredictor:
         _check_prob(accuracy, "accuracy")
         self.accuracy = accuracy
 
-    def predict_short(
-        self,
-        lengths: np.ndarray,
-        features: Optional[np.ndarray],
-        limit: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        truth = lengths <= limit
-        flip = rng.random(lengths.size) >= self.accuracy
-        return truth ^ flip
+    def _rounds(self, run_source) -> Dict:
+        # the true label, flipped where Generator.random() >= accuracy
+        return {"synthetic": 1, "accuracy": self.accuracy}
 
     def analytic(self, policy: "DynamicPolicy", run_source) -> Analytic:
         rtd = getattr(run_source, "rtd", None)
@@ -340,16 +322,11 @@ class ModelPredictor:
             self._calls = (dataset, _learn.predict_batch(self.model, dataset.X) > 0.5)
         return self._calls[1]
 
-    def predict_short(
-        self,
-        lengths: np.ndarray,
-        features: Optional["Rows"],
-        limit: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if features is None:
+    def _rounds(self, run_source) -> Dict:
+        ds = getattr(run_source, "dataset", None)
+        if ds is None:
             raise ValueError("this run source provides no features to predict from")
-        return self._short_rows(features.dataset)[features.index]
+        return {"short_rows": self._short_rows(ds).view(np.uint8)}
 
     def analytic(self, policy: "DynamicPolicy", run_source) -> Analytic:
         """Success probability over a dataset source's rows; nothing else."""
@@ -384,20 +361,9 @@ class DynamicPolicy:
         pred = self.predictor.describe() if self.predictor is not None else "none"
         return f"dynamic:O={self.observe},L={lim},{pred}"
 
-    def round_cutoff(self, round_no: int) -> None:
-        return None
-
-    def step(self, lengths, features, round_no, rng):
-        done_early = lengths <= self.observe
-        pred_short = self.predictor.predict_short(lengths, features, self.limit, rng)
-        go_on = done_early | pred_short
-        capped = (
-            lengths.astype(float)
-            if math.isinf(self.limit)
-            else np.minimum(lengths, self.limit)
-        )
-        cost = np.where(go_on, capped, float(self.observe))
-        return cost, done_early | (pred_short & (lengths <= self.limit))
+    def _rounds(self, run_source) -> Dict:
+        return {"cutoff": self.observe, "limit": float(self.limit),
+                **self.predictor._rounds(run_source)}
 
     def analytic(self, run_source) -> Analytic:
         return self.predictor.analytic(self, run_source)
@@ -407,6 +373,9 @@ Policy = Union[FixedPolicy, LubyPolicy, DynamicPolicy]
 
 
 # -- run sources -----------------------------------------------------------
+#
+# A trial's run is a uniform draw of a source's rows (Generator.integers over
+# their count); `lengths` holds each row's run length in row order.
 
 
 class RtdSource:
@@ -414,21 +383,7 @@ class RtdSource:
 
     def __init__(self, rtd: EmpiricalRTD):
         self.rtd = rtd
-
-    def sample(self, rng: np.random.Generator, size: int):
-        idx = rng.integers(0, self.rtd.lengths.size, size=size)
-        return self.rtd.lengths[idx], None
-
-    def skip(self, rng: np.random.Generator, size: int) -> None:
-        """Advance rng past what sample(rng, size) would draw."""
-        _skip_integers(rng, self.rtd.lengths.size, size)
-
-
-class Rows(NamedTuple):
-    """Rows of a dataset, by index: the features a DatasetSource draws."""
-
-    dataset: "_learn.Dataset"
-    index: np.ndarray
+        self.lengths = rtd.lengths
 
 
 class DatasetSource:
@@ -437,38 +392,7 @@ class DatasetSource:
     def __init__(self, dataset: "_learn.Dataset"):
         self.dataset = dataset
         self.rtd = EmpiricalRTD(dataset.runtime)
-
-    def sample(self, rng: np.random.Generator, size: int):
-        idx = rng.integers(0, self.dataset.runtime.size, size=size)
-        return self.dataset.runtime[idx].astype(np.int64), Rows(self.dataset, idx)
-
-    def skip(self, rng: np.random.Generator, size: int) -> None:
-        """Advance rng past what sample(rng, size) would draw."""
-        _skip_integers(rng, self.dataset.runtime.size, size)
-
-
-# Draws skipped per kernel call (about 40 ms at most), so that a long skip
-# returns to Python, and to Ctrl-C, many times a second.
-_SKIP_DRAWS = 1 << 24
-
-
-def _skip_integers(rng: np.random.Generator, high: int, count: int) -> None:
-    """Leave rng as rng.integers(0, high, size=count) would, in the kernel,
-    without making the draws.  ValueError unless rng is a PCG64 stream and
-    high < 2**32."""
-    if type(rng.bit_generator) is not np.random.PCG64:
-        kind = type(rng.bit_generator).__name__
-        raise ValueError(f"the kernel skips draws only on a PCG64 stream, not {kind}")
-    if high == 1:  # numpy returns zeros without drawing
-        return
-    if not 2 <= high < 2**32:
-        raise ValueError(f"the kernel skips draws only for 2 <= high < 2**32, got {high}")
-    kernel = fc_kernel.load()
-    with fc_kernel.pcg64_stream(kernel.ffi, rng.bit_generator) as state:
-        while count > 0:
-            step = min(count, _SKIP_DRAWS)
-            kernel.lib.pcg64_skip_bounded(state, high, step)
-            count -= step
+        self.lengths = np.ascontiguousarray(dataset.runtime, dtype=np.int64)
 
 
 # -- simulation ------------------------------------------------------------
@@ -524,40 +448,8 @@ def simulate_policy(
     total_cost = np.zeros(trials, dtype=float)
     total_runs = np.zeros(trials, dtype=np.int64)
     if not unbounded:
-        shortest = run_source.rtd.min_length
-        # A round whose cutoff is below the shortest run kills every run at
-        # that cutoff, so it is priced once, in `shared`, for all active
-        # trials, and a trial adds it when it leaves.  Its draws are still
-        # taken to keep the RNG stream: the kernel skips them in one go
-        # before the next priced round (`pending`).  Cutoff costs are whole
-        # numbers, which float64 adds exactly up to 2**53, so this order of
-        # additions leaves every total bit-identical.
-        shared = 0
-        pending = 0
-        active = np.arange(trials)
-        round_no = 0
-        while active.size:
-            round_no += 1
-            if round_no > run_budget:
-                unbounded = True
-                break
-            cutoff = policy.round_cutoff(round_no)
-            if cutoff is not None and cutoff < shortest:
-                shared += cutoff
-                pending += active.size
-                continue
-            if pending:
-                run_source.skip(rng, pending)
-                pending = 0
-            lengths, feats = run_source.sample(rng, active.size)
-            cost, success = policy.step(lengths, feats, round_no, rng)
-            total_cost[active] += cost
-            if success.any():
-                done = active[success]
-                if shared:
-                    total_cost[done] += shared
-                total_runs[done] = round_no
-                active = active[~success]
+        rounds = _price_rounds(run_source, policy, rng, total_cost, total_runs, run_budget)
+        unbounded = rounds.n_active > 0
 
     if unbounded:
         mc_mean = UNBOUNDED
@@ -572,9 +464,8 @@ def simulate_policy(
         se_runs = (
             float(total_runs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         )
-        pct = {
-            f"p{p}": float(np.percentile(total_cost, p)) for p in percentiles
-        }
+        values = np.percentile(total_cost, list(percentiles))
+        pct = {f"p{p}": float(v) for p, v in zip(percentiles, values)}
 
     return PolicyStats(
         policy=policy.describe(),
@@ -588,3 +479,46 @@ def simulate_policy(
         percentiles=pct,
         unbounded=unbounded,
     )
+
+
+# Draws per kernel call (about 40 ms at most), so that a long simulation
+# returns to Python, and to Ctrl-C, many times a second.
+_CALL_DRAWS = 1 << 24
+
+
+def _price_rounds(run_source, policy, rng, total_cost, total_runs, run_budget):
+    """Run every trial to its first win in the kernel (pcg64_price_rounds),
+    adding its steps to total_cost and the round it won in to total_runs,
+    and advance rng past the draws of the numpy round loop.  Returns the
+    kernel's rounds_state: n_active trials were still running after
+    run_budget rounds; live_draws and dead_draws count the rows drawn in
+    priced rounds and skipped for rounds that no run can win."""
+    kernel = fc_kernel.load()
+    ffi, lib = kernel.ffi, kernel.lib
+    trials = total_cost.size
+    fields = policy._rounds(run_source)
+    short_rows = fields.pop("short_rows", None)
+    buffers = [
+        ("lengths", "long long[]", run_source.lengths),
+        ("active", "long long[]", np.arange(trials, dtype=np.int64)),
+        ("drawn", "uint32_t[]", np.empty(trials if fields.get("synthetic") else 0, np.uint32)),
+        ("total_cost", "double[]", total_cost),
+        ("total_runs", "long long[]", total_runs),
+    ]
+    if short_rows is not None:
+        buffers.append(("short_rows", "uint8_t[]", short_rows))
+    views = {name: ffi.from_buffer(ctype, arr) for name, ctype, arr in buffers}
+    # A cutoff, scale or observation point past MAX_LENGTH prices as
+    # MAX_LENGTH + 1 does, and no trial outlives 2**62 rounds.
+    state = ffi.new("rounds_state *", {
+        **fields, **views,
+        "cutoff": min(fields["cutoff"], MAX_LENGTH + 1),
+        "rows": run_source.lengths.size,
+        "shortest": run_source.rtd.min_length,
+        "n_active": trials,
+        "run_budget": min(run_budget, 2**62),
+    })
+    with fc_kernel.pcg64_stream(ffi, rng.bit_generator) as stream:
+        while lib.pcg64_price_rounds(state, stream, _CALL_DRAWS):
+            pass
+    return state

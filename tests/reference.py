@@ -1,16 +1,17 @@
 """Python references for the C kernel's jobs, which the tests compare it with.
 
 The package runs its solver search, its Regin line filter, its square
-fill, its balanced hole pattern and its PCG64 draw skip in the C kernel only
-(see restartlab.fc_kernel).  This module keeps a plain Python
-implementation of each of the first four, step for step, as the oracle of
-the identity tests: SearchState and solve (solver.solve on the Python
-state), _regin_masks (the Regin oracle: the kernel's regin_prunings, which
-solver.regin_filter and every alldiff line filtering run), snapshot and
-population_variance (the traced row the kernel's write_row must match),
-fill_square and balanced_holes (latin's two generators), and the exhaustive
-iter_completions and count_completions.  The skip's reference is drawing:
-tests/test_policy.py's _reference_simulate draws every round.
+fill, its balanced hole pattern and the rounds of its policy simulation in
+the C kernel only (see restartlab.fc_kernel).  This module keeps a plain
+Python implementation of each, step for step, as the oracle of the identity
+tests: SearchState and solve (solver.solve on the Python state), _regin_masks
+(the Regin oracle: the kernel's regin_prunings, which solver.regin_filter and
+every alldiff line filtering run), snapshot and population_variance (the
+traced row the kernel's write_row must match), fill_square and
+balanced_holes (latin's two generators), the exhaustive iter_completions and
+count_completions, and simulate (policy.simulate_policy as a numpy round
+loop that draws every round, where the kernel skips the draws of rounds no
+run can win).
 
 It also keeps the learner's per-kappa growth, _grow_trees with its
 _best_splits: one tree per kappa, each leaf's split chosen by the float
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -31,12 +32,25 @@ from restartlab import latin
 from restartlab.latin import HOLE, PartialLatinSquare, StructureError, validate
 from restartlab.learn import (
     MAX_SPLIT_CANDIDATES,
+    Dataset,
     DecisionTreeModel,
     TreeNode,
     _leaf_log_marginals,
     _log_factorials,
+    predict_batch,
 )
-from restartlab.seeds import normalize_seed
+from restartlab.policy import (
+    UNBOUNDED,
+    DatasetSource,
+    DynamicPolicy,
+    FixedPolicy,
+    LubyPolicy,
+    ModelPredictor,
+    PolicyStats,
+    SyntheticPredictor,
+    luby_term,
+)
+from restartlab.seeds import derive_seed, normalize_seed
 from restartlab.solver import (
     ALLDIFF_REGIN,
     CUTOFF,
@@ -899,3 +913,114 @@ def _grow_trees(
             leaves.append([node.right, rrows, best_splits(rrows)[k]])
         models.append(DecisionTreeModel(root=root, columns=list(columns), kappa=kappa))
     return models
+
+
+# -- the policy rounds -------------------------------------------------------
+
+
+class Rows(NamedTuple):
+    """Rows of a dataset, by index: the features a DatasetSource draws."""
+
+    dataset: Dataset
+    index: np.ndarray
+
+
+def sample(source, rng: np.random.Generator, size: int):
+    """One run per active trial: the drawn run lengths, and the drawn Rows
+    of a DatasetSource (None for an RtdSource)."""
+    if isinstance(source, DatasetSource):
+        idx = rng.integers(0, source.dataset.runtime.size, size=size)
+        return source.dataset.runtime[idx].astype(np.int64), Rows(source.dataset, idx)
+    idx = rng.integers(0, source.rtd.lengths.size, size=size)
+    return source.rtd.lengths[idx], None
+
+
+def round_cutoff(policy, round_no: int) -> Optional[int]:
+    """The step count every run of the round is killed at, or None when the
+    policy decides run by run."""
+    if isinstance(policy, FixedPolicy):
+        return policy.cutoff
+    if isinstance(policy, LubyPolicy):
+        return policy.scale * luby_term(round_no)
+    return None
+
+
+def predict_short(predictor, lengths: np.ndarray, rows: Optional[Rows], limit: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The predictor's SHORT call on each drawn run."""
+    if isinstance(predictor, SyntheticPredictor):
+        truth = lengths <= limit
+        flip = rng.random(lengths.size) >= predictor.accuracy
+        return truth ^ flip
+    assert isinstance(predictor, ModelPredictor)
+    if rows is None:
+        raise ValueError("this run source provides no features to predict from")
+    return predict_batch(predictor.model, rows.dataset.X[rows.index]) > 0.5
+
+
+def step(policy, lengths: np.ndarray, rows: Optional[Rows], round_no: int,
+         rng: np.random.Generator):
+    """(cost, success) of one round of runs, one per active trial."""
+    if not isinstance(policy, DynamicPolicy):
+        cutoff = round_cutoff(policy, round_no)
+        return np.minimum(lengths, cutoff), lengths <= cutoff
+    done_early = lengths <= policy.observe
+    pred_short = predict_short(policy.predictor, lengths, rows, policy.limit, rng)
+    go_on = done_early | pred_short
+    capped = (
+        lengths.astype(float)
+        if math.isinf(policy.limit)
+        else np.minimum(lengths, policy.limit)
+    )
+    cost = np.where(go_on, capped, float(policy.observe))
+    return cost, done_early | (pred_short & (lengths <= policy.limit))
+
+
+def price_rounds(source, policy, rng: np.random.Generator, trials: int,
+                 run_budget: int = 1_000_000, rounds: Optional[List] = None):
+    """(total_cost, total_runs, unbounded) of the plain round loop: every
+    round draws its runs, gathers, caps and scatter-adds over every active
+    trial, then compacts the active set.  rounds, when given, receives the
+    (round number, active trials) of every round."""
+    total_cost = np.zeros(trials, dtype=float)
+    total_runs = np.zeros(trials, dtype=np.int64)
+    active = np.arange(trials)
+    round_no = 0
+    while active.size:
+        round_no += 1
+        if round_no > run_budget:
+            return total_cost, total_runs, True
+        if rounds is not None:
+            rounds.append((round_no, active.size))
+        lengths, rows = sample(source, rng, active.size)
+        cost, success = step(policy, lengths, rows, round_no, rng)
+        total_cost[active] += cost
+        total_runs[active] += 1
+        active = active[~success]
+    return total_cost, total_runs, False
+
+
+def simulate(source, policy, trials: int, master_seed: int, run_budget: int = 1_000_000,
+             percentiles: Sequence[int] = (50, 90, 99), rounds: Optional[List] = None):
+    """simulate_policy on price_rounds, one percentile at a time."""
+    rng = np.random.default_rng(derive_seed(master_seed, "policy", policy.describe()))
+    analytic = policy.analytic(source)
+    unbounded = analytic.success_probability == 0.0
+    if not unbounded:
+        total_cost, total_runs, unbounded = price_rounds(
+            source, policy, rng, trials, run_budget, rounds)
+    if unbounded:
+        mc_mean = mc_se = mean_runs = se_runs = UNBOUNDED
+        pct = {f"p{p}": UNBOUNDED for p in percentiles}
+    else:
+        mc_mean = float(total_cost.mean())
+        mc_se = float(total_cost.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        mean_runs = float(total_runs.mean())
+        se_runs = float(total_runs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        pct = {f"p{p}": float(np.percentile(total_cost, p)) for p in percentiles}
+    return PolicyStats(
+        policy=policy.describe(), trials=trials,
+        expected_runs=analytic.expected_runs, expected_steps=analytic.expected_steps,
+        mc_mean_cost=mc_mean, mc_se_cost=mc_se, mc_mean_runs=mean_runs,
+        mc_se_runs=se_runs, percentiles=pct, unbounded=unbounded,
+    )

@@ -421,13 +421,40 @@ class TestPolicy:
     def test_dynamic_model_predictor(self, workdir, capsys):
         code = main([
             "policy", str(workdir / "small_rtd.txt"),
-            "--policy", "dynamic:60,3000",
+            "--policy", "dynamic:20,3000",
             "--model", str(workdir / "model.json"),
-            "--dataset", str(workdir / "small_train.csv"),
+            "--dataset", str(workdir / "small_test.csv"),
             "--trials", "2000", "--seed", "2",
         ])
         assert code in (EXIT_OK, EXIT_UNBOUNDED)
         capsys.readouterr()
+
+    def test_model_policy_off_the_horizon_rejected(self, workdir, tmp_path, capsys):
+        # the features were measured at the horizon, 20: the model cannot
+        # decide at 60 (or at 10, before they exist)
+        for observe in (60, 10):
+            out = tmp_path / f"pol{observe}.json"
+            code = main([
+                "policy", str(workdir / "small_rtd.txt"),
+                "--policy", f"dynamic:{observe},3000",
+                "--model", str(workdir / "model.json"),
+                "--dataset", str(workdir / "small_test.csv"), "-o", str(out),
+            ])
+            assert code == EXIT_USAGE
+            assert f"horizon 20, not {observe}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_model_policy_on_the_training_split_rejected(self, workdir, tmp_path, capsys):
+        out = tmp_path / "pol.json"
+        code = main([
+            "policy", str(workdir / "small_rtd.txt"),
+            "--policy", "dynamic:20,3000",
+            "--model", str(workdir / "model.json"),
+            "--dataset", str(workdir / "small_train.csv"), "-o", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert "held-out runs, not the training split" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_without_dataset_rejected(self, workdir, capsys):
         code = main([
@@ -620,6 +647,7 @@ NEEDS_KERNEL = [
     ["solve", "inst.txt", "--seed", "5", "-o", "k_solve.json"],
     GOLDEN_STEPS[0][:-1] + ["k"],
     ["policy", "g_rtd.txt", "--policy", "luby:1", "--trials", "100", "-o", "k_policy.json"],
+    ["policy", "g_rtd.txt", "--policy", "fixed:900", "--trials", "100", "-o", "k_fixed.json"],
 ]
 NEEDS_NO_KERNEL = [
     ["train", "g_train.csv", "--kappa-grid", "0.5,0.05", "-o", "k_model.json"],
@@ -628,7 +656,7 @@ NEEDS_NO_KERNEL = [
      "--kappa-grid", "0.5,0.05", "-o", "k_cascade.json"],
     ["report", "g_rtd.txt"],
     ["report", "model.json"],
-    ["policy", "g_rtd.txt", "--policy", "fixed:900", "--trials", "100", "-o", "k_fixed.json"],
+    ["policy", "g_rtd.txt", "--scan-limit", "20", "-o", "k_scan.json"],
 ]
 
 

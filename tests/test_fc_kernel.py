@@ -505,7 +505,7 @@ def test_cdef_declares_every_entry_point_called():
     for module in (latin, solver, policy):
         called |= set(re.findall(r"lib\.(\w+)\(", Path(module.__file__).read_text()))
     assert {"fc_init", "fc_propagate_root", "fc_regin_filter", "fc_run", "lq_fill",
-            "lq_hole_pattern", "mt_seed", "pcg64_skip_bounded"} <= called
+            "lq_hole_pattern", "mt_seed", "pcg64_price_rounds"} <= called
     assert called <= declared
     source = fc_kernel.SOURCE.read_text()
     for name in declared:

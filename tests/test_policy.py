@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from restartlab import fc_kernel
 from restartlab import policy as policy_module
+from restartlab.cli import EXIT_KERNEL, main
+from restartlab.io import write_rtd
 from restartlab.learn import (
     Dataset,
     DecisionTreeModel,
@@ -19,18 +22,15 @@ from restartlab.learn import (
 )
 from restartlab.policy import (
     MAX_LENGTH,
-    UNBOUNDED,
     DatasetSource,
     DynamicPolicy,
     EmpiricalRTD,
     FixedPolicy,
     LubyPolicy,
     ModelPredictor,
-    PolicyStats,
-    Rows,
     RtdSource,
     SyntheticPredictor,
-    _skip_integers,
+    _price_rounds,
     dynamic_expected_run_length_ub,
     dynamic_expected_runs,
     dynamic_expected_total_ub,
@@ -284,23 +284,32 @@ class TestPolicyObjects:
             DynamicPolicy(observe=5, limit=5)
 
     def test_synthetic_predictor_extremes(self):
-        lengths = np.array([1, 10, 3, 50])
-        rng = np.random.default_rng(0)
-        exact = SyntheticPredictor(1.0).predict_short(lengths, None, 5, rng)
-        assert exact.tolist() == [True, False, True, False]
-        inverted = SyntheticPredictor(0.0).predict_short(lengths, None, 5, rng)
-        assert inverted.tolist() == [False, True, False, True]
+        # observe 2, limit 5 on lengths 1, 3, 10, 50: a run of 1 wins early;
+        # accuracy 1 calls 3 SHORT (it wins) and 10, 50 LONG (cut at 2);
+        # accuracy 0 calls 3 LONG (cut at 2) and 10, 50 SHORT (cut at 5)
+        source = RtdSource(EmpiricalRTD([1, 10, 3, 50]))
+        for accuracy in (1.0, 0.0):
+            policy = DynamicPolicy(2, 5, SyntheticPredictor(accuracy))
+            cost, runs = np.zeros(400), np.zeros(400, dtype=np.int64)
+            state = _price_rounds(source, policy, np.random.default_rng(0), cost, runs, 10**6)
+            assert state.n_active == 0 and runs.max() > 1
+            lost = runs - 1
+            if accuracy:
+                assert set((cost - 2 * lost).tolist()) == {1.0, 3.0}
+            else:
+                extra = cost - 1 - 2 * lost  # 3 for each run cut at 5
+                assert (extra % 3 == 0).all() and (extra <= 3 * lost).all() and extra.max() > 0
         with pytest.raises(ValueError):
             SyntheticPredictor(1.5)
 
     def test_model_predictor_needs_features(self):
         model = marginal_model(np.array([True] * 5))
         pred = ModelPredictor(model)
-        with pytest.raises(ValueError):
-            pred.predict_short(np.array([1]), None, 10, np.random.default_rng(0))
-        rows = Rows(tiny_dataset([1, 2], n_features=0), np.array([0, 1]))
-        out = pred.predict_short(np.array([1, 2]), rows, 10, np.random.default_rng(0))
-        assert out.tolist() == [True, True]  # counts (5,0) predict SHORT
+        policy = DynamicPolicy(observe=1, limit=10, predictor=pred)
+        with pytest.raises(ValueError, match="no features"):
+            simulate_policy(RtdSource(EmpiricalRTD([1, 2])), policy, 10, master_seed=0)
+        rows = pred._rounds(DatasetSource(tiny_dataset([1, 2], n_features=0)))["short_rows"]
+        assert rows.tolist() == [1, 1]  # counts (5,0) predict SHORT
 
     def test_model_predictor_calls_each_row_once(self, monkeypatch):
         ds = tiny_dataset([10, 20, 30])
@@ -310,17 +319,15 @@ class TestPolicyObjects:
                           left=TreeNode(3, 0), right=TreeNode(0, 3)),
             columns=ds.columns, kappa=1.0,
         )
-        pred = ModelPredictor(model)
+        source = DatasetSource(ds)
+        want = asdict(reference.simulate(source, DynamicPolicy(5, 100, ModelPredictor(model)), 50, 4))
+        policy = DynamicPolicy(5, 100, ModelPredictor(model))
         calls = []
         real = policy_module._learn.predict_batch
         monkeypatch.setattr(policy_module._learn, "predict_batch",
                             lambda m, X: calls.append(len(X)) or real(m, X))
-        source = DatasetSource(ds)
-        rng = np.random.default_rng(4)
         for _ in range(3):
-            lengths, rows = source.sample(rng, 50)
-            out = pred.predict_short(lengths, rows, 100, rng)
-            assert out.tolist() == (real(model, ds.X[rows.index]) > 0.5).tolist()
+            assert asdict(simulate_policy(source, policy, 50, 4)) == want
         assert calls == [3]
 
 
@@ -341,19 +348,29 @@ def tiny_dataset(runtimes, n_features=2):
 
 class TestRunSources:
     def test_rtd_source_resamples_support(self):
-        src = RtdSource(EmpiricalRTD([4, 9]))
-        lengths, feats = src.sample(np.random.default_rng(1), 100)
-        assert feats is None
-        assert set(np.unique(lengths)) <= {4, 9}
+        src = RtdSource(EmpiricalRTD([9, 4]))
+        assert src.lengths.tolist() == [4, 9]
+        cost, runs = np.zeros(100), np.zeros(100, dtype=np.int64)
+        _price_rounds(src, FixedPolicy(9), np.random.default_rng(1), cost, runs, 10)
+        assert set(cost.tolist()) == {4.0, 9.0} and (runs == 1).all()
 
     def test_dataset_source_aligned_rows(self):
-        ds = tiny_dataset([10, 20, 30])
+        # rows in file order, not sorted: only row 2 (length 20) is called
+        # SHORT, so every trial ends on a run of 20 after runs cut at 5
+        ds = tiny_dataset([30, 10, 20])
         ds.X[:, 0] = [1.0, 2.0, 3.0]
+        model = DecisionTreeModel(
+            root=TreeNode(4, 4, feature=0, threshold=2.5,
+                          left=TreeNode(0, 3), right=TreeNode(3, 0)),
+            columns=ds.columns, kappa=1.0,
+        )
         src = DatasetSource(ds)
-        lengths, rows = src.sample(np.random.default_rng(2), 200)
-        assert rows.dataset is ds and rows.index.shape == (200,)
-        assert (ds.X[rows.index, 0] * 10 == lengths).all()
+        assert src.lengths.tolist() == [30, 10, 20]
         assert src.rtd.lengths.tolist() == [10, 20, 30]
+        cost, runs = np.zeros(200), np.zeros(200, dtype=np.int64)
+        policy = DynamicPolicy(5, 100, ModelPredictor(model))
+        _price_rounds(src, policy, np.random.default_rng(2), cost, runs, 10**6)
+        assert (cost == 5 * (runs - 1) + 20).all() and runs.max() > 1
 
 
 class TestSimulatePolicy:
@@ -486,54 +503,13 @@ def test_optimal_cutoff_is_global_minimum(lengths):
         assert cost_star <= expected_time_fixed(rtd, c) + 1e-9
 
 
-def _reference_simulate(
-    run_source, policy, trials, master_seed, run_budget=1_000_000,
-    percentiles=(50, 90, 99),
-):
-    """simulate_policy as a plain round loop: every round draws its run
-    lengths (no draw is skipped), gathers, caps and scatter-adds over every
-    active trial, then compacts the active set."""
-    rng = np.random.default_rng(derive_seed(master_seed, "policy", policy.describe()))
-    analytic = policy.analytic(run_source)
-    unbounded = analytic.success_probability == 0.0
-    total_cost = np.zeros(trials, dtype=float)
-    total_runs = np.zeros(trials, dtype=np.int64)
-    if not unbounded:
-        active = np.arange(trials)
-        round_no = 0
-        while active.size:
-            round_no += 1
-            if round_no > run_budget:
-                unbounded = True
-                break
-            lengths, feats = run_source.sample(rng, active.size)
-            cost, success = policy.step(lengths, feats, round_no, rng)
-            total_cost[active] += cost
-            total_runs[active] += 1
-            active = active[~success]
-    if unbounded:
-        mc_mean = mc_se = mean_runs = se_runs = UNBOUNDED
-        pct = {f"p{p}": UNBOUNDED for p in percentiles}
-    else:
-        mc_mean = float(total_cost.mean())
-        mc_se = float(total_cost.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        mean_runs = float(total_runs.mean())
-        se_runs = float(total_runs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        pct = {f"p{p}": float(np.percentile(total_cost, p)) for p in percentiles}
-    return PolicyStats(
-        policy=policy.describe(), trials=trials,
-        expected_runs=analytic.expected_runs, expected_steps=analytic.expected_steps,
-        mc_mean_cost=mc_mean, mc_se_cost=mc_se, mc_mean_runs=mean_runs,
-        mc_se_runs=se_runs, percentiles=pct, unbounded=unbounded,
-    )
-
-
 @st.composite
 def _policy_case(draw):
     """A run source, a policy on it, and a run budget that may trip."""
-    # shortest run 0, 1, or past the first Luby cutoffs
+    # shortest run 0, 1, or past the first Luby cutoffs; one row or several
     shortest = draw(st.sampled_from([0, 1]) | st.integers(2, 70))
-    lengths = [shortest + d for d in draw(st.lists(st.integers(0, 400), min_size=1, max_size=40))]
+    rows = draw(st.just(1) | st.integers(1, 40))
+    lengths = [shortest + d for d in draw(st.lists(st.integers(0, 400), min_size=rows, max_size=rows))]
     kind = draw(st.sampled_from(["fixed", "luby", "synthetic", "model"]))
     if kind == "fixed":
         policy = FixedPolicy(draw(st.integers(1, max(lengths) + 5)))
@@ -563,12 +539,28 @@ def _policy_case(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_policy_case(), trials=st.integers(1, 300), seed=st.integers(0, 2**32))
-def test_simulation_equals_reference_loop(case, trials, seed):
+@given(case=_policy_case(), trials=st.integers(1, 300), seed=st.integers(0, 2**32),
+       buffered=st.booleans())
+def test_simulation_equals_reference_loop(case, trials, seed, buffered):
     source, policy, budget = case
-    want = _reference_simulate(source, policy, trials, seed, run_budget=budget)
+    want = reference.simulate(source, policy, trials, seed, run_budget=budget)
     got = simulate_policy(source, policy, trials, seed, run_budget=budget)
     assert asdict(got) == asdict(want)
+    if want.unbounded:
+        return
+    # the same rounds from a stream whose first 32-bit word is already
+    # taken, so the first round (synthetic too) begins on a buffered half-word
+    rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+    for rng in rngs:
+        rng.integers(0, 2**32, size=int(buffered), dtype=np.uint32)
+    cost, runs, unbounded = reference.price_rounds(source, policy, rngs[0], trials, budget)
+    got_cost, got_runs = np.zeros(trials), np.zeros(trials, dtype=np.int64)
+    state = _price_rounds(source, policy, rngs[1], got_cost, got_runs, budget)
+    assert (state.n_active > 0) == unbounded
+    if not unbounded:
+        assert got_cost.tolist() == cost.tolist()
+        assert got_runs.tolist() == runs.tolist()
+        _same_stream(rngs[1], rngs[0])
 
 
 def test_budget_trips_inside_rounds_no_run_can_win():
@@ -576,27 +568,27 @@ def test_budget_trips_inside_rounds_no_run_can_win():
     # budgets under 63 trip while no run can win yet
     source = RtdSource(EmpiricalRTD([18, 40, 700]))
     for budget in (1, 14, 31, 62, 63, 200, 10**6):
-        want = _reference_simulate(source, LubyPolicy(1), 50, 3, run_budget=budget)
+        want = reference.simulate(source, LubyPolicy(1), 50, 3, run_budget=budget)
         got = simulate_policy(source, LubyPolicy(1), 50, 3, run_budget=budget)
         assert asdict(got) == asdict(want)
         assert got.unbounded or budget >= 63
 
 
-def test_luby_steps_only_in_rounds_some_run_can_win(monkeypatch):
+def test_luby_steps_only_in_rounds_some_run_can_win():
+    # the kernel draws the rows of the rounds whose cutoff reaches the
+    # shortest run, 18, and skips the rest
     source = RtdSource(EmpiricalRTD([18, 19, 25, 40, 90, 400, 3000]))
-    want = _reference_simulate(source, LubyPolicy(1), 2000, 81)
     rounds = []
-    real_step = LubyPolicy.step
-
-    def spy(self, lengths, features, round_no, rng):
-        rounds.append(round_no)
-        return real_step(self, lengths, features, round_no, rng)
-
-    monkeypatch.setattr(LubyPolicy, "step", spy)
+    want = reference.simulate(source, LubyPolicy(1), 2000, 81, rounds=rounds)
     got = simulate_policy(source, LubyPolicy(1), 2000, 81)
     assert asdict(got) == asdict(want)
-    assert rounds == sorted(set(rounds))
-    assert rounds and all(luby_term(r) >= 18 for r in rounds)
+    live = sum(n for r, n in rounds if luby_term(r) >= 18)
+    dead = sum(n for r, n in rounds if luby_term(r) < 18)
+    cost, runs = np.zeros(2000), np.zeros(2000, dtype=np.int64)
+    rng = np.random.default_rng(derive_seed(81, "policy", "luby:1"))
+    state = _price_rounds(source, LubyPolicy(1), rng, cost, runs, 10**6)
+    assert live > 0 and dead > live
+    assert (state.live_draws, state.dead_draws) == (live, dead)
 
 
 # Bounds where numpy's rejection matters: 1 draws nothing, powers of two
@@ -615,6 +607,49 @@ def _same_stream(a, b):
     assert a.integers(0, 2**40, size=5).tolist() == b.integers(0, 2**40, size=5).tolist()
 
 
+def _kernel_skip(rng, high, count):
+    """Advance rng as the kernel skips the draws of dead rounds: a
+    rounds_state with count draws pending and no trial left."""
+    kernel = fc_kernel.load()
+    state = kernel.ffi.new("rounds_state *", {"rows": high, "pending": count})
+    with fc_kernel.pcg64_stream(kernel.ffi, rng.bit_generator) as stream:
+        assert kernel.lib.pcg64_price_rounds(state, stream, count + 1) == 0
+    assert state.pending == 0
+
+
+def _kernel_draws(rng, high, count):
+    """The rows the kernel draws for count trials in one priced round: a
+    fixed cutoff that every run of lengths 0..high-1 meets costs each trial
+    its row."""
+    cost, runs = np.zeros(count), np.zeros(count, dtype=np.int64)
+    source = RtdSource(EmpiricalRTD(range(high)))
+    _price_rounds(source, FixedPolicy(high), rng, cost, runs, 1)
+    assert (runs == 1).all()
+    return cost.astype(np.int64).tolist()
+
+
+def _stream(state):
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
+def _check_draws(rng, high, count):
+    """From rng's state, the kernel's skip of count draws below high, and
+    (for high up to 5001) its drawing of them, leave the stream as
+    Generator.integers(0, high, size=count) leaves it, with the same values."""
+    state = rng.bit_generator.state
+    drawn = _stream(state)
+    want = drawn.integers(0, high, size=count).tolist()
+    _kernel_skip(rng, high, count)
+    _same_stream(rng, drawn)
+    if high <= 5001:
+        kernel, drawn = _stream(state), _stream(state)
+        assert _kernel_draws(kernel, high, count) == want
+        drawn.integers(0, high, size=count)
+        _same_stream(kernel, drawn)
+
+
 class TestKernelSkip:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -627,11 +662,7 @@ class TestKernelSkip:
         skipped = np.random.default_rng(seed)
         for _ in range(predraw):  # one 32-bit word each: both buffer states occur
             skipped.integers(0, 2**32, dtype=np.uint32)
-        drawn = np.random.Generator(np.random.PCG64())
-        drawn.bit_generator.state = skipped.bit_generator.state
-        _skip_integers(skipped, high, count)
-        drawn.integers(0, high, size=count)
-        _same_stream(skipped, drawn)
+        _check_draws(skipped, high, count)
 
     @pytest.mark.parametrize("high", [3, 5001, 2**31 + 1, 2**32 - 1])
     def test_rejection_boundary(self, high):
@@ -644,18 +675,7 @@ class TestKernelSkip:
             state["has_uint32"] = 1
             state["uinteger"] = low_half * pow(high, -1, 2**32) % 2**32
             skipped.bit_generator.state = state
-            drawn = np.random.Generator(np.random.PCG64())
-            drawn.bit_generator.state = state
-            _skip_integers(skipped, high, 2)
-            drawn.integers(0, high, size=2)
-            _same_stream(skipped, drawn)
-
-    def test_only_pcg64_streams_are_skipped(self):
-        mt = np.random.Generator(np.random.MT19937(1))
-        with pytest.raises(ValueError, match="only on a PCG64 stream, not MT19937"):
-            _skip_integers(mt, 5, 3)
-        with pytest.raises(ValueError, match="PCG64"):
-            RtdSource(EmpiricalRTD([3, 4])).skip(mt, 3)
+            _check_draws(skipped, high, 2)
 
     @pytest.mark.parametrize("scale", [1, 3])
     @pytest.mark.parametrize("lengths", [
@@ -666,7 +686,7 @@ class TestKernelSkip:
     def test_luby_equals_drawing_on_rtds(self, lengths, scale):
         source = RtdSource(EmpiricalRTD(lengths))
         policy = LubyPolicy(scale)
-        want = _reference_simulate(source, policy, 3000, 81)
+        want = reference.simulate(source, policy, 3000, 81)
         assert asdict(simulate_policy(source, policy, 3000, 81)) == asdict(want)
 
     @pytest.mark.parametrize("scale", [1, 3])
@@ -675,22 +695,33 @@ class TestKernelSkip:
         ds.X[:, 0] = np.arange(ds.size)
         source = DatasetSource(ds)
         policy = LubyPolicy(scale)
-        want = _reference_simulate(source, policy, 2000, 7)
+        want = reference.simulate(source, policy, 2000, 7)
         assert asdict(simulate_policy(source, policy, 2000, 7)) == asdict(want)
 
-    def test_no_dead_round_loads_no_kernel(self, monkeypatch):
-        # cutoffs never below the shortest run leave no draw to skip, so
-        # these policies never ask for the kernel
-        def load():
-            raise AssertionError("kernel loaded")
-
-        monkeypatch.setattr(fc_kernel, "load", load)
-        source = RtdSource(EmpiricalRTD([18, 19, 25, 40, 90, 400, 3000]))
-        for policy in (FixedPolicy(18), FixedPolicy(3000), LubyPolicy(18)):
-            simulate_policy(source, policy, 500, 81)
+    def test_policy_without_the_kernel_exits_4(self, tmp_path, monkeypatch, capsys):
+        # every simulated policy needs the kernel; the closed forms do not
+        rtd_path = tmp_path / "rtd.txt"
+        write_rtd(str(rtd_path), [18, 19, 25, 40, 90, 400, 3000])
+        monkeypatch.setattr(fc_kernel, "_cache_dirs", lambda: [tmp_path / "cache"])
+        monkeypatch.setattr(fc_kernel, "COMPILER", "restartlab-missing-cc")
+        fc_kernel.load.cache_clear()
+        try:
+            for spec in ("fixed:3000", "luby:18", "dynamic:20,100"):
+                argv = ["policy", str(rtd_path), "--policy", spec, "--trials", "10"]
+                assert main(argv) == EXIT_KERNEL, spec
+                assert capsys.readouterr().err == (
+                    "error: the C kernel is unavailable:"
+                    " no C compiler (restartlab-missing-cc) on PATH\n"), spec
+            assert main(["policy", str(rtd_path), "--scan-limit", "20"]) == 0
+            assert main(["policy", str(rtd_path), "--policy", "fixed:17"]) == 3
+        finally:
+            fc_kernel.load.cache_clear()
 
     def test_one_draw_per_kernel_call(self, monkeypatch):
         source = RtdSource(EmpiricalRTD([18, 19, 25, 40, 90, 400, 3000]))
-        want = simulate_policy(source, LubyPolicy(1), 500, 81)
-        monkeypatch.setattr(policy_module, "_SKIP_DRAWS", 1)
-        assert asdict(simulate_policy(source, LubyPolicy(1), 500, 81)) == asdict(want)
+        policies = [LubyPolicy(1), FixedPolicy(40),
+                    DynamicPolicy(20, 100, SyntheticPredictor(0.7))]
+        want = [simulate_policy(source, policy, 500, 81) for policy in policies]
+        monkeypatch.setattr(policy_module, "_CALL_DRAWS", 1)
+        for policy, stats in zip(policies, want):
+            assert asdict(simulate_policy(source, policy, 500, 81)) == asdict(stats)

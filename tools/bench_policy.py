@@ -1,5 +1,5 @@
 """Restart-policy simulation throughput: simulate_policy trials per second for
-each policy, with the C kernel skipping discarded draws.
+each policy, every round priced in the C kernel.
 
     PYTHONPATH=src python tools/bench_policy.py [--out BENCH_policy.json]
 
@@ -14,13 +14,15 @@ with a synthetic predictor of accuracy 0.9, each over 100000 trials on the
 run-length file; and dynamic:50,3000 with the tree as predictor over 10000
 trials on the held-out split.  Master seed 81.
 
-Each policy is timed REPEATS (7) times.  The JSON records, per policy, the
-trials, the run lengths drawn in priced rounds (live) and in rounds whose
-cutoff is below the shortest run (dead, the draws the kernel skips), and the
-median, quartiles and range of the seconds and of the trials per second,
-with nproc and the Python version.  Every repeat must give the same
-PolicyStats, or the script exits 1.  That skipping gives the PolicyStats of
-drawing every round is the tests' job (tests/test_policy.py).
+Each policy is timed REPEATS (7) times, alternating with a kernel call that
+only skips the policy's dead draws, the floor of its time.  The JSON
+records, per policy, the trials, the run lengths drawn in priced rounds
+(live) and in rounds whose cutoff is below the shortest run (dead, the draws
+the kernel skips), and the median, quartiles and range of the seconds, of
+the trials per second and of the seconds the skip alone takes, with nproc
+and the Python version.  Every repeat must give the same PolicyStats, or
+the script exits 1.  That the kernel gives the PolicyStats of drawing every
+round is the tests' job (tests/test_policy.py).
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from restartlab import cli, fc_kernel
 from restartlab import io as rio
 from restartlab.latin import HoleSpec, generate_complete, poke_holes
@@ -50,6 +54,7 @@ from restartlab.policy import (
     ModelPredictor,
     RtdSource,
     SyntheticPredictor,
+    _price_rounds,
     simulate_policy,
 )
 from restartlab.seeds import derive_seed
@@ -80,23 +85,21 @@ def desk_dataset(directory: Path):
     return rio.read_rtd(f"{prefix}_rtd.txt"), train.subset(~train.censored), test.subset(~test.censored)
 
 
-class CountingSource:
-    """A run source that counts the lengths drawn (live) and skipped (dead)."""
+def draw_counts(source, policy, trials):
+    """The rows simulate_policy draws (live) and skips (dead)."""
+    rng = np.random.default_rng(derive_seed(SEED, "policy", policy.describe()))
+    cost, runs = np.zeros(trials), np.zeros(trials, dtype=np.int64)
+    state = _price_rounds(source, policy, rng, cost, runs, 1_000_000)
+    return state.live_draws, state.dead_draws
 
-    def __init__(self, source):
-        self.source = source
-        self.live = self.dead = 0
 
-    def __getattr__(self, name):
-        return getattr(self.source, name)
-
-    def sample(self, rng, size):
-        self.live += size
-        return self.source.sample(rng, size)
-
-    def skip(self, rng, size):
-        self.dead += size
-        self.source.skip(rng, size)
+def skip_seconds(kernel, rows, count):
+    """Seconds the kernel takes to skip count draws below rows, alone."""
+    state = kernel.ffi.new("rounds_state *", {"rows": rows, "pending": count})
+    stream = kernel.ffi.new("pcg64_state *", {"state_lo": SEED, "inc_lo": 2 * SEED + 1})
+    t0 = time.perf_counter()
+    kernel.lib.pcg64_price_rounds(state, stream, count + 1)
+    return time.perf_counter() - t0
 
 
 def spread(xs):
@@ -109,7 +112,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="BENCH_policy.json")
     args = ap.parse_args(argv)
     try:
-        fc_kernel.load()
+        kernel = fc_kernel.load()
     except fc_kernel.KernelUnavailable as exc:
         print(f"the C kernel is unavailable: {exc}", file=sys.stderr)
         return 1
@@ -126,13 +129,14 @@ def main(argv=None) -> int:
     ]
     cases = []
     for name, source, policy, trials in runs:
-        counting = CountingSource(source)
-        reference = asdict(simulate_policy(counting, policy, trials, SEED))
-        seconds = []
+        live, dead = draw_counts(source, policy, trials)
+        reference = asdict(simulate_policy(source, policy, trials, SEED))
+        seconds, skips = [], []
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             stats = simulate_policy(source, policy, trials, SEED)
             seconds.append(time.perf_counter() - t0)
+            skips.append(skip_seconds(kernel, source.lengths.size, dead))
             if asdict(stats) != reference:
                 print(f"{name}: PolicyStats differ", file=sys.stderr)
                 return 1
@@ -141,16 +145,18 @@ def main(argv=None) -> int:
             "key": name,
             "trials": trials,
             "run_lengths": source.rtd.size,
-            "live_draws": counting.live,
-            "dead_draws": counting.dead,
+            "live_draws": live,
+            "dead_draws": dead,
             "seconds": spread(seconds),
             "trials_per_s": spread([trials / s for s in seconds]),
+            "skip_seconds": spread(skips),
         }
         cases.append(case)
         print(f"{name:18} {trials:6d} trials"
               f" {case['trials_per_s']['median']:12.0f} trials/s"
               f" (q1 {case['trials_per_s']['q1']:.0f},"
-              f" q3 {case['trials_per_s']['q3']:.0f})", flush=True)
+              f" q3 {case['trials_per_s']['q3']:.0f}),"
+              f" skip alone {case['skip_seconds']['median'] * 1e3:.1f} ms", flush=True)
     result = {
         "benchmark": "simulate_policy trials per second",
         "command": "PYTHONPATH=src python tools/bench_policy.py",
