@@ -9,10 +9,12 @@ solve and dataset always need it, policy whenever it simulates a policy).
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -44,6 +46,7 @@ from .policy import (
     RtdSource,
     DatasetSource,
     SyntheticPredictor,
+    _check_window,
     optimal_fixed_cutoff,
     scan_dynamic_limits,
     simulate_policy,
@@ -79,17 +82,36 @@ def _float_list(text: str) -> List[float]:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
 
 
+def _default(func, name: str):
+    """The default of func's parameter name, for the flag that feeds it."""
+    return inspect.signature(func).parameters[name].default
+
+
+@dataclass(frozen=True)
+class _DynamicSpec:
+    """dynamic:O,L as given; --model or --accuracy chooses its predictor."""
+
+    observe: int
+    limit: float
+
+    def describe(self) -> str:
+        # file headers echo the spec, which names no predictor
+        lim = "inf" if math.isinf(self.limit) else int(self.limit)
+        return f"dynamic:O={self.observe},L={lim},none"
+
+
 def _parse_policy(text: str):
     kind, _, rest = text.partition(":")
     try:
         if kind == "fixed":
             return FixedPolicy(cutoff=int(rest))
         if kind == "luby":
-            return LubyPolicy(scale=int(rest) if rest else 1)
+            return LubyPolicy(scale=int(rest)) if rest else LubyPolicy()
         if kind == "dynamic":
             o_str, _, l_str = rest.partition(",")
             limit = math.inf if l_str.strip() in ("inf", "") else float(int(l_str))
-            return DynamicPolicy(observe=int(o_str), limit=limit)
+            _check_window(int(o_str), limit)
+            return _DynamicSpec(int(o_str), limit)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad policy spec {text!r}: {exc}") from exc
     raise argparse.ArgumentTypeError(
@@ -100,6 +122,11 @@ def _parse_policy(text: str):
 def _hole_spec(args) -> Optional[HoleSpec]:
     if args.holes is None:
         return None
+    cells = args.order * args.order
+    if not 0 <= args.holes <= cells:
+        raise ValueError(
+            f"--holes must lie between 0 and {cells} at order {args.order}, got {args.holes}"
+        )
     if args.balanced:
         if args.holes % args.order:
             raise ValueError(
@@ -134,8 +161,8 @@ def _echo(args: Dict) -> Dict:
 
 
 def _cmd_generate(args) -> int:
-    square = generate_complete(args.order, seed=args.seed)
     spec = _hole_spec(args)
+    square = generate_complete(args.order, seed=args.seed)
     if spec is not None and (spec.total_holes or spec.holes_per_line):
         square = poke_holes(square, spec, seed=derive_seed(args.seed, "mask"))
     rio.write_instance(args.output, square, params=_echo(vars(args)), master_seed=args.seed)
@@ -182,18 +209,19 @@ def _cmd_dataset(args) -> int:
     if args.instance:
         instance = rio.read_instance(args.instance)
         holes = None
-    mode = MULTI_INSTANCE if args.mode == "multi" else SINGLE_INSTANCE
     if args.peak_search:
         if holes is None:
             raise ValueError("--peak-search needs --order/--holes, not a fixed instance file")
+        # with no --cutoff the probes keep find_heavy_tail_instance's own
+        probe_cutoff = {} if args.cutoff is None else {"cutoff": args.cutoff}
         instance, info = find_heavy_tail_instance(
             args.order,
             holes,
             master_seed=args.seed,
             probe_runs=args.probe_runs,
             ratio=args.tail_ratio,
-            cutoff=args.cutoff or 30000,
             propagation=args.propagation,
+            **probe_cutoff,
         )
         if instance is None:
             raise rio.DataFormatError(
@@ -205,7 +233,7 @@ def _cmd_dataset(args) -> int:
             f"median {info['median']:.0f}, max/median {info['ratio']:.1f}"
         )
     spec = ExperimentSpec(
-        mode=mode,
+        mode=_MODES[args.mode],
         order=args.order,
         holes=holes if instance is None else None,
         instance=instance,
@@ -406,7 +434,8 @@ def _cmd_policy(args) -> int:
     results = []
     hit_unbounded = False
     for policy in args.policies or []:
-        if isinstance(policy, DynamicPolicy):
+        source = RtdSource(rtd)
+        if isinstance(policy, _DynamicSpec):
             if model is not None:
                 if dataset is None:
                     raise ValueError("a model predictor needs --dataset for features")
@@ -426,21 +455,12 @@ def _cmd_policy(args) -> int:
                     raise ValueError(
                         "a model policy is scored on held-out runs, not the training split"
                     )
-                policy = DynamicPolicy(
-                    observe=policy.observe,
-                    limit=policy.limit,
-                    predictor=ModelPredictor(model),
-                )
+                policy = DynamicPolicy(policy.observe, policy.limit, ModelPredictor(model))
                 source = DatasetSource(dataset)
             else:
                 policy = DynamicPolicy(
-                    observe=policy.observe,
-                    limit=policy.limit,
-                    predictor=SyntheticPredictor(args.accuracy),
+                    policy.observe, policy.limit, SyntheticPredictor(args.accuracy)
                 )
-                source = RtdSource(rtd)
-        else:
-            source = RtdSource(rtd)
         stats = simulate_policy(
             source, policy, trials=args.trials, master_seed=args.seed,
             run_budget=args.run_budget,
@@ -492,6 +512,10 @@ def _cmd_report(args) -> int:
 
 
 # -- parser ------------------------------------------------------------------
+#
+# A flag that feeds a library parameter takes that parameter's default.
+
+_MODES = {"single": SINGLE_INSTANCE, "multi": MULTI_INSTANCE}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,40 +533,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="run the randomized solver once")
     s.add_argument("instance")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--cutoff", type=_positive_int, default=None)
+    s.add_argument("--seed", type=int, default=_default(solve, "seed"))
+    s.add_argument("--cutoff", type=_positive_int, default=SolverConfig.cutoff)
     s.add_argument(
-        "--propagation", choices=[FORWARD_CHECK, ALLDIFF_REGIN], default=ALLDIFF_REGIN
+        "--propagation", choices=[FORWARD_CHECK, ALLDIFF_REGIN],
+        default=SolverConfig.propagation,
     )
     s.add_argument("-o", "--output", default=None, help="write a run report")
     s.set_defaults(func=_cmd_solve)
 
     d = sub.add_parser("dataset", help="generate labeled train/test datasets")
-    d.add_argument("--mode", choices=["single", "multi"], default="single")
-    d.add_argument("--order", type=_positive_int, default=18)
+    d.add_argument("--mode", choices=list(_MODES),
+                   default={v: k for k, v in _MODES.items()}[ExperimentSpec.mode])
+    d.add_argument("--order", type=_positive_int, default=ExperimentSpec.order)
     d.add_argument("--holes", type=int, default=None, help="total holes (default 126 balanced)")
     d.add_argument("--balanced", action="store_true")
     d.add_argument("--instance", default=None, help="fixed instance file (single mode)")
-    d.add_argument("--runs", type=_positive_int, default=1000)
-    d.add_argument("--test-runs", type=int, default=300)
-    d.add_argument("--horizon", type=_positive_int, default=200)
-    d.add_argument("--cutoff", type=_positive_int, default=None, help="safety cap per run")
+    d.add_argument("--runs", type=_positive_int, default=ExperimentSpec.train_runs)
+    d.add_argument("--test-runs", type=int, default=ExperimentSpec.test_runs)
+    d.add_argument("--horizon", type=_positive_int, default=ExperimentSpec.horizon)
+    d.add_argument("--cutoff", type=_positive_int, default=ExperimentSpec.cutoff,
+                   help="safety cap per run")
     d.add_argument(
-        "--propagation", choices=[FORWARD_CHECK, ALLDIFF_REGIN], default=FORWARD_CHECK
+        "--propagation", choices=[FORWARD_CHECK, ALLDIFF_REGIN],
+        default=ExperimentSpec.propagation,
     )
-    d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--threads", type=_positive_int, default=1)
+    d.add_argument("--seed", type=int, default=ExperimentSpec.master_seed)
+    d.add_argument("--threads", type=_positive_int,
+                   default=_default(run_experiment, "threads"))
     d.add_argument("--peak-search", action="store_true",
                    help="scan candidate instances for a heavy-tailed one first")
-    d.add_argument("--probe-runs", type=_positive_int, default=60)
-    d.add_argument("--tail-ratio", type=float, default=10.0)
+    d.add_argument("--probe-runs", type=_positive_int,
+                   default=_default(find_heavy_tail_instance, "probe_runs"))
+    d.add_argument("--tail-ratio", type=float,
+                   default=_default(find_heavy_tail_instance, "ratio"))
     d.add_argument("--out-prefix", required=True)
     d.set_defaults(func=_cmd_dataset)
 
     t = sub.add_parser("train", help="tune and fit the run-length classifier")
     t.add_argument("train")
     t.add_argument("--kappa-grid", type=_float_list, default=DEFAULT_KAPPA_GRID)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=int, default=_default(tune_kappa, "seed"))
     t.add_argument("-o", "--output", required=True)
     t.add_argument("--report", default=None)
     t.set_defaults(func=_cmd_train)
@@ -558,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("test")
     c.add_argument("--thresholds", type=_float_list, required=True)
     c.add_argument("--kappa-grid", type=_float_list, default=DEFAULT_KAPPA_GRID)
-    c.add_argument("--min-rows", type=_positive_int, default=50)
+    c.add_argument("--min-rows", type=_positive_int,
+                   default=_default(cascade_datasets, "min_rows"))
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("-o", "--output", default=None)
     c.set_defaults(func=_cmd_cascade)
@@ -570,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--accuracy", type=float, default=1.0,
                     help="synthetic predictor accuracy for dynamic policies")
     po.add_argument("--trials", type=_positive_int, default=100_000)
-    po.add_argument("--run-budget", type=_positive_int, default=1_000_000)
+    po.add_argument("--run-budget", type=_positive_int,
+                    default=_default(simulate_policy, "run_budget"))
     po.add_argument("--seed", type=int, default=0)
     po.add_argument("--model", default=None, help="model file for a trained predictor")
     po.add_argument("--dataset", default=None, help="dataset supplying predictor features")
@@ -585,9 +618,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built on the first call, not at import, and reused by every later one.
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (rio.DataFormatError, StructureError) as exc:

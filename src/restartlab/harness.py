@@ -21,7 +21,7 @@ from .latin import HoleSpec, PartialLatinSquare, generate_complete, poke_holes
 from .learn import Dataset, label_by_median
 from .policy import EmpiricalRTD
 from .seeds import derive_seed
-from .solver import FORWARD_CHECK, SOLVED, SolverConfig, solve
+from .solver import SOLVED, SolverConfig, solve
 
 SINGLE_INSTANCE = "SINGLE_INSTANCE"
 MULTI_INSTANCE = "MULTI_INSTANCE"
@@ -37,9 +37,9 @@ class ExperimentSpec:
     instance: Optional[PartialLatinSquare] = None
     train_runs: int = 1000
     test_runs: int = 300
-    horizon: int = 200
-    cutoff: Optional[int] = None
-    propagation: str = FORWARD_CHECK
+    horizon: int = SolverConfig.horizon
+    cutoff: Optional[int] = SolverConfig.cutoff
+    propagation: str = SolverConfig.propagation
     master_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -241,7 +241,7 @@ def find_heavy_tail_instance(
     ratio: float = 10.0,
     max_candidates: int = 20,
     cutoff: int = 30000,
-    propagation: str = FORWARD_CHECK,
+    propagation: str = SolverConfig.propagation,
 ) -> Tuple[Optional[PartialLatinSquare], Dict]:
     """Search seeded candidate instances for a heavy-tailed one.
 

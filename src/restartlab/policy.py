@@ -178,20 +178,30 @@ def _check_prob(x: float, name: str) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {x}")
 
 
+def _check_window(observe: int, limit: float) -> None:
+    """A dynamic policy observes for at least one step and gives up later."""
+    if observe < 1:
+        raise ValueError(f"observe must be >= 1, got {observe}")
+    if not observe < limit:
+        raise ValueError("need observe < limit")
+
+
+# The run-length quantiles scan_dynamic_limits tries as give-up points.
+LIMIT_QUANTILES = (0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99, 1.0)
+
+
 def scan_dynamic_limits(
-    rtd: EmpiricalRTD,
-    observe: int,
-    accuracy: float,
-    quantiles: Sequence[float] = (0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99, 1.0),
+    rtd: EmpiricalRTD, observe: int, accuracy: float
 ) -> List[Dict[str, float]]:
-    """Analytic grid scan of the give-up point L over distinct quantile values.
+    """Analytic grid scan of the give-up point L over the distinct values of
+    LIMIT_QUANTILES.
 
     Returns one entry per candidate L > observe with the exact expected run
     count and the upper bound on expected total cost, sorted by the bound.
     """
     if observe < 1:
         raise ValueError(f"observe must be >= 1, got {observe}")
-    cand = np.unique(np.quantile(rtd.lengths, quantiles).astype(np.int64))
+    cand = np.unique(np.quantile(rtd.lengths, LIMIT_QUANTILES).astype(np.int64))
     p_obs = rtd.cdf(observe)
     out = []
     for limit in cand:
@@ -248,9 +258,7 @@ class FixedPolicy:
         return {"cutoff": self.cutoff}
 
     def analytic(self, run_source) -> Analytic:
-        rtd = getattr(run_source, "rtd", None)
-        if rtd is None:
-            return Analytic()
+        rtd = run_source.rtd
         p = rtd.cdf(self.cutoff)
         return Analytic(
             p, UNBOUNDED if p == 0 else 1.0 / p, expected_time_fixed(rtd, self.cutoff)
@@ -290,9 +298,7 @@ class SyntheticPredictor:
         return {"synthetic": 1, "accuracy": self.accuracy}
 
     def analytic(self, policy: "DynamicPolicy", run_source) -> Analytic:
-        rtd = getattr(run_source, "rtd", None)
-        if rtd is None:
-            return Analytic()
+        rtd = run_source.rtd
         a = self.accuracy
         p_o = rtd.cdf(policy.observe)
         p_l = 1.0 if math.isinf(policy.limit) else rtd.cdf(policy.limit)
@@ -348,18 +354,14 @@ class DynamicPolicy:
 
     observe: int
     limit: float  # may be math.inf
-    predictor: object = None  # SyntheticPredictor or ModelPredictor
+    predictor: Union[SyntheticPredictor, ModelPredictor]
 
     def __post_init__(self) -> None:
-        if self.observe < 1:
-            raise ValueError(f"observe must be >= 1, got {self.observe}")
-        if not self.observe < self.limit:
-            raise ValueError("need observe < limit")
+        _check_window(self.observe, self.limit)
 
     def describe(self) -> str:
         lim = "inf" if math.isinf(self.limit) else int(self.limit)
-        pred = self.predictor.describe() if self.predictor is not None else "none"
-        return f"dynamic:O={self.observe},L={lim},{pred}"
+        return f"dynamic:O={self.observe},L={lim},{self.predictor.describe()}"
 
     def _rounds(self, run_source) -> Dict:
         return {"cutoff": self.observe, "limit": float(self.limit),
@@ -420,13 +422,16 @@ class PolicyStats:
     unbounded: bool = False
 
 
+# The percentiles of the total cost over trials that PolicyStats reports.
+PERCENTILES = (50, 90, 99)
+
+
 def simulate_policy(
     run_source,
     policy: Policy,
     trials: int,
     master_seed: int,
     run_budget: int = 1_000_000,
-    percentiles: Sequence[int] = (50, 90, 99),
 ) -> PolicyStats:
     """Monte Carlo the policy to completion over independent trials.
 
@@ -456,7 +461,7 @@ def simulate_policy(
         mc_se = UNBOUNDED
         mean_runs = UNBOUNDED
         se_runs = UNBOUNDED
-        pct = {f"p{p}": UNBOUNDED for p in percentiles}
+        pct = {f"p{p}": UNBOUNDED for p in PERCENTILES}
     else:
         mc_mean = float(total_cost.mean())
         mc_se = float(total_cost.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -464,8 +469,8 @@ def simulate_policy(
         se_runs = (
             float(total_runs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         )
-        values = np.percentile(total_cost, list(percentiles))
-        pct = {f"p{p}": float(v) for p, v in zip(percentiles, values)}
+        values = np.percentile(total_cost, PERCENTILES)
+        pct = {f"p{p}": float(v) for p, v in zip(PERCENTILES, values)}
 
     return PolicyStats(
         policy=policy.describe(),

@@ -41,11 +41,14 @@ class SolverConfig:
     propagation: FORWARD_CHECK or ALLDIFF_REGIN.
     horizon: number of leading choice points recorded when tracing.
     trace_enabled: record one feature vector per choice point up to horizon.
+
+    ExperimentSpec, find_heavy_tail_instance and the CLI take their
+    defaults for these knobs from here.
     """
 
     cutoff: Optional[int] = None
-    propagation: str = ALLDIFF_REGIN
-    horizon: int = 1000
+    propagation: str = FORWARD_CHECK
+    horizon: int = 200
     trace_enabled: bool = False
 
     def __post_init__(self) -> None:

@@ -48,6 +48,7 @@ from restartlab.policy import (
 )
 from restartlab.seeds import derive_seed
 from restartlab.solver import (
+    ALLDIFF_REGIN,
     FORWARD_CHECK,
     SOLVED,
     SolverConfig,
@@ -156,7 +157,7 @@ class TestCriterion2:
             spec = HoleSpec(mode=BALANCED, holes_per_line=max(1, order - 2))
             inst = poke_holes(square, spec, seed=2000 + k)
             for s in range(20):
-                rec = solve(inst, SolverConfig(), seed=s)
+                rec = solve(inst, SolverConfig(propagation=ALLDIFF_REGIN), seed=s)
                 good = (
                     rec.outcome == SOLVED
                     and rec.assignment is not None

@@ -2,15 +2,29 @@
 round trips, and byte-level determinism of produced artifacts."""
 
 import hashlib
+import inspect
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import restartlab
 from restartlab import fc_kernel
-from restartlab.cli import EXIT_DATA, EXIT_KERNEL, EXIT_OK, EXIT_UNBOUNDED, EXIT_USAGE, main
+from restartlab.cli import (
+    EXIT_DATA,
+    EXIT_KERNEL,
+    EXIT_OK,
+    EXIT_UNBOUNDED,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
+from restartlab.harness import ExperimentSpec, find_heavy_tail_instance
 from restartlab.io import (
     read_dataset,
     read_instance,
@@ -19,8 +33,10 @@ from restartlab.io import (
     write_instance,
     write_rtd,
 )
-from restartlab.latin import HOLE, PartialLatinSquare
+from restartlab.latin import HOLE, HoleSpec, PartialLatinSquare, generate_complete, poke_holes
 from restartlab.learn import Dataset, label_by_median
+from restartlab.seeds import derive_seed
+from restartlab.solver import FORWARD_CHECK, SolverConfig, solve
 
 DATASET_ARGS = [
     "dataset",
@@ -68,6 +84,20 @@ class TestGenerate:
         code = main(["generate", "--order", "10", "--holes", "73", "--balanced",
                      "-o", str(tmp_path / "x.txt")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("verb", [
+        ["generate", "-o", "x.txt"],
+        ["dataset", "--runs", "2", "--out-prefix", "x"],
+    ], ids=["generate", "dataset"])
+    @pytest.mark.parametrize("holes", [["-3"], ["30"], ["30", "--balanced"]],
+                             ids=["negative", "past_the_cells", "past_the_cells_balanced"])
+    def test_holes_the_order_cannot_hold_are_usage_errors(
+        self, tmp_path, monkeypatch, capsys, verb, holes
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([*verb, "--order", "5", "--holes", *holes]) == EXIT_USAGE
+        assert "--holes must lie between 0 and 25 at order 5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_output(self, tmp_path, monkeypatch):
         # headers echo the invocation, so identical flags need identical paths
@@ -217,6 +247,53 @@ class TestDataset:
         ])
         assert code == EXIT_OK
         capsys.readouterr()
+
+    def test_desk_default_then_a_fixed_instance(self, workdir, tmp_path, monkeypatch, capsys):
+        # with no --holes the desk default sets args.holes and args.balanced;
+        # a fixed-instance run after it in one process writes what a fresh
+        # process writes
+        fixed = ["dataset", "--instance", "inst.txt", "--order", "10", "--runs", "4",
+                 "--test-runs", "0", "--horizon", "2", "--cutoff", "2000", "--seed", "6",
+                 "--out-prefix", "fx"]
+        for name in ("fresh", "reused"):
+            (tmp_path / name).mkdir()
+            shutil.copy(workdir / "inst.txt", tmp_path / name / "inst.txt")
+        monkeypatch.chdir(tmp_path / "reused")
+        assert main(["dataset", "--runs", "2", "--test-runs", "0", "--out-prefix", "d"]) == EXIT_OK
+        params = read_dataset("d_train.csv").provenance["params"]
+        assert (params["order"], params["holes"], params["balanced"]) == (18, 126, True)
+        assert main(fixed) == EXIT_OK
+        capsys.readouterr()
+        src = Path(restartlab.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-m", "restartlab.cli", *fixed],
+                              cwd=tmp_path / "fresh", env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        for kind in ("train.csv", "rtd.txt"):
+            fresh = (tmp_path / "fresh" / f"fx_{kind}").read_bytes()
+            assert (tmp_path / "reused" / f"fx_{kind}").read_bytes() == fresh
+        params = read_dataset("fx_train.csv").provenance["params"]
+        assert "holes" not in params and params["balanced"] is False
+
+    PEAK_SEARCH = ["dataset", "--peak-search", "--order", "8", "--holes", "40", "--balanced",
+                   "--probe-runs", "5", "--cutoff", "500", "--horizon", "2"]
+
+    def test_peak_search_builds_a_dataset(self, tmp_path, capsys):
+        code = main(self.PEAK_SEARCH + ["--tail-ratio", "1.5",
+                                        "--out-prefix", str(tmp_path / "p")])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("peak search: candidate 0 median 8, max/median 4.1\n")
+        train = read_dataset(str(tmp_path / "p_train.csv"))
+        assert train.provenance["meta"]["total"] == 1000
+        assert train.provenance["params"]["peak_search"] is True
+
+    def test_peak_search_without_a_candidate_writes_nothing(self, tmp_path, capsys):
+        code = main(self.PEAK_SEARCH + ["--tail-ratio", "1e9",
+                                        "--out-prefix", str(tmp_path / "p")])
+        assert code == EXIT_DATA
+        assert "no heavy-tailed instance within 20 candidates" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:
@@ -545,6 +622,32 @@ class TestReport:
         junk.write_text("hello world\n")
         assert main(["report", str(junk)]) == EXIT_DATA
         capsys.readouterr()
+
+
+class TestOneDefaultPerKnob:
+    def test_solver_harness_and_cli_share_the_defaults(self):
+        config = SolverConfig()
+        parser = build_parser()
+        solve_args = parser.parse_args(["solve", "inst.txt"])
+        dataset_args = parser.parse_args(["dataset", "--out-prefix", "x"])
+        spec = ExperimentSpec(holes=HoleSpec.balanced(7))
+        probe = inspect.signature(find_heavy_tail_instance).parameters["propagation"].default
+        levels = {config.propagation, solve_args.propagation, dataset_args.propagation,
+                  spec.propagation, probe}
+        assert levels == {FORWARD_CHECK}
+        assert {config.horizon, dataset_args.horizon, spec.horizon} == {200}
+        assert (dataset_args.mode, dataset_args.order, dataset_args.runs,
+                dataset_args.test_runs, dataset_args.cutoff, dataset_args.seed) == (
+            "single", spec.order, spec.train_runs, spec.test_runs, spec.cutoff,
+            spec.master_seed)
+
+    def test_default_config_runs_forward_checking_on_the_desk_instance(self):
+        square = generate_complete(18, derive_seed(81, "instance"))
+        desk = poke_holes(square, HoleSpec.balanced(7), derive_seed(81, "mask"))
+        explicit = SolverConfig(cutoff=100000, propagation=FORWARD_CHECK)
+        for i in range(5):
+            seed = derive_seed(81, "run", i)
+            assert solve(desk, SolverConfig(cutoff=100000), seed) == solve(desk, explicit, seed)
 
 
 class TestParsing:

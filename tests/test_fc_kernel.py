@@ -217,7 +217,7 @@ SEARCH_SOLVED_STATE = textwrap.dedent("""
     rows[2][3] = HOLE
     instance = PartialLatinSquare.from_rows(rows)
     for level in (solver.FORWARD_CHECK, solver.ALLDIFF_REGIN):
-        config = solver.SolverConfig(propagation=level, trace_enabled=True)
+        config = solver.SolverConfig(propagation=level, horizon=1000, trace_enabled=True)
         state = solver.KernelState(instance, config, fc_kernel.load())
         assert state.propagate_root() and state.unassigned_count == 0
         trace = []

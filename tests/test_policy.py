@@ -276,12 +276,18 @@ class TestPolicyObjects:
     def test_dynamic_validation_and_describe(self):
         p = DynamicPolicy(observe=3, limit=9, predictor=SyntheticPredictor(0.9))
         assert p.describe() == "dynamic:O=3,L=9,oracle(accuracy=0.9)"
-        inf = DynamicPolicy(observe=3, limit=math.inf, predictor=None)
+        oracle = SyntheticPredictor(1.0)
+        inf = DynamicPolicy(observe=3, limit=math.inf, predictor=oracle)
         assert "L=inf" in inf.describe()
         with pytest.raises(ValueError):
-            DynamicPolicy(observe=0, limit=5)
+            DynamicPolicy(observe=0, limit=5, predictor=oracle)
         with pytest.raises(ValueError):
-            DynamicPolicy(observe=5, limit=5)
+            DynamicPolicy(observe=5, limit=5, predictor=oracle)
+
+    def test_dynamic_policy_needs_a_predictor(self):
+        # refused where it is built, not partway through a simulation
+        with pytest.raises(TypeError, match="predictor"):
+            DynamicPolicy(2, 5)
 
     def test_synthetic_predictor_extremes(self):
         # observe 2, limit 5 on lengths 1, 3, 10, 50: a run of 1 wins early;

@@ -31,6 +31,12 @@ from restartlab.solver import (
 from reference import _regin_masks, iter_completions
 
 
+def alldiff(**fields):
+    """Alldiff, the level these tests were written at (the default is
+    forward checking)."""
+    return SolverConfig(propagation=ALLDIFF_REGIN, **fields)
+
+
 def qwh(n, holes, seed, balanced=False):
     sq = generate_complete(n, seed)
     if balanced:
@@ -63,7 +69,7 @@ class TestSolveBasics:
 
     def test_complete_instance_zero_choice_points(self):
         sq = generate_complete(5, seed=3)
-        rec = solve(sq, SolverConfig(), seed=0)
+        rec = solve(sq, alldiff(), seed=0)
         assert rec.outcome == SOLVED
         assert rec.choice_points == 0
         assert rec.assignment == sq
@@ -71,11 +77,11 @@ class TestSolveBasics:
     def test_rejects_invalid_instance(self):
         bad = PartialLatinSquare.from_rows([[1, HOLE], [1, HOLE]])
         with pytest.raises(StructureError):
-            solve(bad, SolverConfig(), seed=0)
+            solve(bad, alldiff(), seed=0)
 
     def test_deterministic_per_seed(self):
         inst = qwh(7, 30, seed=5)
-        cfg = SolverConfig(trace_enabled=True, horizon=50)
+        cfg = alldiff(trace_enabled=True, horizon=50)
         a = solve(inst, cfg, seed=9)
         b = solve(inst, cfg, seed=9)
         assert a.choice_points == b.choice_points
@@ -84,12 +90,12 @@ class TestSolveBasics:
 
     def test_varies_across_seeds(self):
         inst = qwh(8, 40, seed=2)
-        lens = {solve(inst, SolverConfig(), seed=s).choice_points for s in range(12)}
+        lens = {solve(inst, alldiff(), seed=s).choice_points for s in range(12)}
         assert len(lens) > 1
 
     def test_post_propagation_size_reported(self):
         inst = qwh(6, 10, seed=4)
-        rec = solve(inst, SolverConfig(), seed=0)
+        rec = solve(inst, alldiff(), seed=0)
         assert 0 <= rec.post_propagation_size <= inst.hole_count()
 
     def test_unsatisfiable_reports_exhausted_cutoff(self):
@@ -105,23 +111,23 @@ class TestSolveBasics:
 class TestCutoffSemantics:
     def test_cutoff_zero_never_branches(self):
         inst = qwh(8, 40, seed=1)
-        rec = solve(inst, SolverConfig(cutoff=0), seed=0)
+        rec = solve(inst, alldiff(cutoff=0), seed=0)
         assert rec.choice_points == 0
         assert rec.outcome in (SOLVED, CUTOFF)
 
     def test_cutoff_bounds_choice_points(self):
         inst = qwh(9, 50, seed=3)
         for cut in [1, 5, 20]:
-            rec = solve(inst, SolverConfig(cutoff=cut), seed=7)
+            rec = solve(inst, alldiff(cutoff=cut), seed=7)
             assert rec.choice_points <= cut
 
     def test_cutoff_run_resumable_consistency(self):
         # same seed, growing cutoffs: the run is the same prefix each time
         inst = qwh(9, 55, seed=8)
-        full = solve(inst, SolverConfig(), seed=11)
+        full = solve(inst, alldiff(), seed=11)
         assert full.outcome == SOLVED
         for cut in [1, 3, full.choice_points]:
-            rec = solve(inst, SolverConfig(cutoff=cut), seed=11)
+            rec = solve(inst, alldiff(cutoff=cut), seed=11)
             if rec.outcome == SOLVED:
                 assert rec.choice_points == full.choice_points
             else:
@@ -130,36 +136,36 @@ class TestCutoffSemantics:
     def test_solved_exactly_at_cutoff(self):
         # a run needing T choice points still solves with cutoff == T
         inst = qwh(8, 45, seed=6)
-        full = solve(inst, SolverConfig(), seed=2)
+        full = solve(inst, alldiff(), seed=2)
         if full.choice_points == 0:
             pytest.skip("root propagation solved it")
-        rec = solve(inst, SolverConfig(cutoff=full.choice_points), seed=2)
+        rec = solve(inst, alldiff(cutoff=full.choice_points), seed=2)
         assert rec.outcome == SOLVED
 
 
 class TestTrace:
     def test_trace_length_tracks_horizon(self):
         inst = qwh(9, 55, seed=4)
-        rec = solve(inst, SolverConfig(trace_enabled=True, horizon=10), seed=3)
+        rec = solve(inst, alldiff(trace_enabled=True, horizon=10), seed=3)
         assert rec.trace is not None
         assert len(rec.trace) == min(10, rec.choice_points)
 
     def test_trace_disabled_is_none(self):
         inst = qwh(6, 20, seed=4)
-        rec = solve(inst, SolverConfig(trace_enabled=False), seed=3)
+        rec = solve(inst, alldiff(trace_enabled=False), seed=3)
         assert rec.trace is None
 
     def test_trace_prefix_stable_under_horizon(self):
         # lengthening the horizon must not change earlier snapshots
         inst = qwh(9, 55, seed=14)
-        short = solve(inst, SolverConfig(trace_enabled=True, horizon=5), seed=5)
-        long = solve(inst, SolverConfig(trace_enabled=True, horizon=40), seed=5)
+        short = solve(inst, alldiff(trace_enabled=True, horizon=5), seed=5)
+        long = solve(inst, alldiff(trace_enabled=True, horizon=40), seed=5)
         assert long.trace[: len(short.trace)] == short.trace
 
     def test_tracing_does_not_alter_search(self):
         inst = qwh(9, 55, seed=21)
-        plain = solve(inst, SolverConfig(), seed=6)
-        traced = solve(inst, SolverConfig(trace_enabled=True, horizon=30), seed=6)
+        plain = solve(inst, alldiff(), seed=6)
+        traced = solve(inst, alldiff(trace_enabled=True, horizon=30), seed=6)
         assert plain.choice_points == traced.choice_points
         assert plain.assignment == traced.assignment
 
@@ -365,5 +371,5 @@ class TestPropagationLevels:
 def test_solver_property_sound(n, frac, seed):
     holes = int(frac * n * n)
     inst = qwh(n, holes, seed=seed % 1000)
-    rec = solve(inst, SolverConfig(), seed=seed)
+    rec = solve(inst, alldiff(), seed=seed)
     assert_solves(inst, rec)
