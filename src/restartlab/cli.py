@@ -47,6 +47,7 @@ from .policy import (
     DatasetSource,
     SyntheticPredictor,
     _check_window,
+    _window_text,
     optimal_fixed_cutoff,
     scan_dynamic_limits,
     simulate_policy,
@@ -96,8 +97,7 @@ class _DynamicSpec:
 
     def describe(self) -> str:
         # file headers echo the spec, which names no predictor
-        lim = "inf" if math.isinf(self.limit) else int(self.limit)
-        return f"dynamic:O={self.observe},L={lim},none"
+        return _window_text(self.observe, self.limit) + "none"
 
 
 def _parse_policy(text: str):
@@ -203,6 +203,11 @@ def _cmd_dataset(args) -> int:
     instance = None
     if args.holes is None and not args.instance:
         # desk-scale default: order 18 with 7 holes per line
+        if args.order < 7:
+            raise ValueError(
+                f"the default of 7 holes per line needs --order >= 7, got {args.order};"
+                " pass --holes"
+            )
         args.holes = 7 * args.order
         args.balanced = True
     holes = _hole_spec(args)
@@ -233,7 +238,7 @@ def _cmd_dataset(args) -> int:
             f"median {info['median']:.0f}, max/median {info['ratio']:.1f}"
         )
     spec = ExperimentSpec(
-        mode=_MODES[args.mode],
+        mode=_FLAG_MODE[args.mode],
         order=args.order,
         holes=holes if instance is None else None,
         instance=instance,
@@ -515,7 +520,8 @@ def _cmd_report(args) -> int:
 #
 # A flag that feeds a library parameter takes that parameter's default.
 
-_MODES = {"single": SINGLE_INSTANCE, "multi": MULTI_INSTANCE}
+_MODE_FLAG = {SINGLE_INSTANCE: "single", MULTI_INSTANCE: "multi"}
+_FLAG_MODE = {flag: mode for mode, flag in _MODE_FLAG.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,8 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_solve)
 
     d = sub.add_parser("dataset", help="generate labeled train/test datasets")
-    d.add_argument("--mode", choices=list(_MODES),
-                   default={v: k for k, v in _MODES.items()}[ExperimentSpec.mode])
+    d.add_argument("--mode", choices=list(_FLAG_MODE), default=_MODE_FLAG[ExperimentSpec.mode])
     d.add_argument("--order", type=_positive_int, default=ExperimentSpec.order)
     d.add_argument("--holes", type=int, default=None, help="total holes (default 126 balanced)")
     d.add_argument("--balanced", action="store_true")

@@ -186,6 +186,12 @@ def _check_window(observe: int, limit: float) -> None:
         raise ValueError("need observe < limit")
 
 
+def _window_text(observe: int, limit: float) -> str:
+    """The `dynamic:O=..,L=..,` head of a dynamic policy's description."""
+    lim = "inf" if math.isinf(limit) else int(limit)
+    return f"dynamic:O={observe},L={lim},"
+
+
 # The run-length quantiles scan_dynamic_limits tries as give-up points.
 LIMIT_QUANTILES = (0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99, 1.0)
 
@@ -360,8 +366,7 @@ class DynamicPolicy:
         _check_window(self.observe, self.limit)
 
     def describe(self) -> str:
-        lim = "inf" if math.isinf(self.limit) else int(self.limit)
-        return f"dynamic:O={self.observe},L={lim},{self.predictor.describe()}"
+        return _window_text(self.observe, self.limit) + self.predictor.describe()
 
     def _rounds(self, run_source) -> Dict:
         return {"cutoff": self.observe, "limit": float(self.limit),

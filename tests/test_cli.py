@@ -85,18 +85,27 @@ class TestGenerate:
                      "-o", str(tmp_path / "x.txt")])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("verb", [
-        ["generate", "-o", "x.txt"],
-        ["dataset", "--runs", "2", "--out-prefix", "x"],
-    ], ids=["generate", "dataset"])
-    @pytest.mark.parametrize("holes", [["-3"], ["30"], ["30", "--balanced"]],
-                             ids=["negative", "past_the_cells", "past_the_cells_balanced"])
+    _GENERATE = ["generate", "--order", "5", "-o", "x.txt"]
+    _DATASET = ["dataset", "--order", "5", "--runs", "2", "--out-prefix", "x"]
+    _RANGE = "--holes must lie between 0 and 25 at order 5"
+
+    @pytest.mark.parametrize("argv, message", [
+        (_GENERATE + ["--holes", "-3"], _RANGE),
+        (_GENERATE + ["--holes", "30"], _RANGE),
+        (_GENERATE + ["--holes", "30", "--balanced"], _RANGE),
+        (_DATASET + ["--holes", "-3"], _RANGE),
+        (_DATASET + ["--holes", "30"], _RANGE),
+        (_DATASET + ["--holes", "30", "--balanced"], _RANGE),
+        (_DATASET, "the default of 7 holes per line needs --order >= 7, got 5; pass --holes"),
+    ], ids=[f"{verb}-{case}" for verb in ("generate", "dataset")
+            for case in ("negative", "past_the_cells", "past_the_cells_balanced")]
+       + ["dataset-desk_default"])
     def test_holes_the_order_cannot_hold_are_usage_errors(
-        self, tmp_path, monkeypatch, capsys, verb, holes
+        self, tmp_path, monkeypatch, capsys, argv, message
     ):
         monkeypatch.chdir(tmp_path)
-        assert main([*verb, "--order", "5", "--holes", *holes]) == EXIT_USAGE
-        assert "--holes must lie between 0 and 25 at order 5" in capsys.readouterr().err
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_output(self, tmp_path, monkeypatch):

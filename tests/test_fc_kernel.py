@@ -196,7 +196,8 @@ class TestIdentityWithPythonState:
                 return getattr(kernel.ffi, name)
 
         instance = desk_instance()
-        config = SolverConfig(cutoff=None, horizon=10**7, trace_enabled=True)
+        config = SolverConfig(cutoff=None, horizon=10**7, trace_enabled=True,
+                              propagation=ALLDIFF_REGIN)
         ffi = RecordingFFI()
         state = KernelState(instance, config, SimpleNamespace(ffi=ffi, lib=kernel.lib))
         assert state.propagate_root()

@@ -18,7 +18,7 @@ from restartlab.features import (
     summary_columns,
 )
 from restartlab.latin import HoleSpec, UNBALANCED, generate_complete, poke_holes
-from restartlab.solver import SolverConfig, solve
+from restartlab.solver import ALLDIFF_REGIN, SolverConfig, solve
 
 from reference import population_variance
 
@@ -161,14 +161,16 @@ class TestLiveTraces:
     def test_trace_width_matches_registry(self):
         sq = generate_complete(9, seed=2)
         inst = poke_holes(sq, HoleSpec(mode=UNBALANCED, total_holes=55), seed=3)
-        rec = solve(inst, SolverConfig(trace_enabled=True, horizon=30), seed=1)
+        cfg = SolverConfig(trace_enabled=True, horizon=30, propagation=ALLDIFF_REGIN)
+        rec = solve(inst, cfg, seed=1)
         assert rec.trace
         assert all(len(row) == len(REGISTRY) for row in rec.trace)
 
     def test_trace_values_sane(self):
         sq = generate_complete(9, seed=2)
         inst = poke_holes(sq, HoleSpec(mode=UNBALANCED, total_holes=55), seed=3)
-        rec = solve(inst, SolverConfig(trace_enabled=True, horizon=40), seed=1)
+        cfg = SolverConfig(trace_enabled=True, horizon=40, propagation=ALLDIFF_REGIN)
+        rec = solve(inst, cfg, seed=1)
         names = [s.name for s in REGISTRY]
         arr = np.asarray(rec.trace)
         col = {n: arr[:, i] for i, n in enumerate(names)}
