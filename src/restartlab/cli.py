@@ -233,6 +233,12 @@ def _cmd_dataset(args) -> int:
                 "peak search found no heavy-tailed instance within "
                 f"{len(info['trials'])} candidates"
             )
+        if info["median"] < args.horizon:
+            # every run would end before its features are measured
+            raise rio.DataFormatError(
+                f"peak search chose candidate {info['chosen']} with probe median"
+                f" {info['median']:g}, below the horizon {args.horizon}"
+            )
         print(
             f"peak search: candidate {info['chosen']} "
             f"median {info['median']:.0f}, max/median {info['ratio']:.1f}"
@@ -292,18 +298,17 @@ def _cmd_train(args) -> int:
     model = result.model
     model.training_median = ds.median
     model.registry_hash = ds.provenance.get("meta", {}).get("registry_hash")
+    holdout = {
+        "holdout_scores": {repr(k): v for k, v in result.holdout_scores.items()},
+        "holdout_accuracy": result.holdout_accuracy,
+        "training_rows": usable.size,
+    }
     rio.write_model(
         args.output,
         model,
         params=_echo(vars(args)),
         master_seed=args.seed,
-        extra={
-            "kappa_grid": list(args.kappa_grid),
-            "holdout_scores": {repr(k): v for k, v in result.holdout_scores.items()},
-            "holdout_accuracy": result.holdout_accuracy,
-            "split_seed": result.split_seed,
-            "training_rows": usable.size,
-        },
+        extra={"kappa_grid": list(args.kappa_grid), "split_seed": result.split_seed, **holdout},
     )
     print(
         f"kappa {model.kappa:g} -> {model.leaf_count} leaves"
@@ -312,13 +317,7 @@ def _cmd_train(args) -> int:
     if args.report:
         rio.write_report(
             args.report,
-            {
-                "kappa": model.kappa,
-                "leaf_count": model.leaf_count,
-                "holdout_scores": {repr(k): v for k, v in result.holdout_scores.items()},
-                "holdout_accuracy": result.holdout_accuracy,
-                "training_rows": usable.size,
-            },
+            {"kappa": model.kappa, "leaf_count": model.leaf_count, **holdout},
             params=_echo(vars(args)),
             master_seed=args.seed,
         )

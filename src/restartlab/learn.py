@@ -477,8 +477,6 @@ def cascade_datasets(
             )
             continue
         sub = dataset.subset(mask)
-        median, labels = label_by_median(sub.scaled_runtime)
-        sub.median = median
-        sub.is_short = labels
+        sub = sub.relabeled(label_by_median(sub.scaled_runtime)[0])
         out.append(CascadeEntry(threshold=float(t), dataset=sub, skipped=False))
     return out

@@ -298,11 +298,16 @@ class TestDataset:
         assert train.provenance["params"]["peak_search"] is True
 
     def test_peak_search_without_a_candidate_writes_nothing(self, tmp_path, capsys):
-        code = main(self.PEAK_SEARCH + ["--tail-ratio", "1e9",
-                                        "--out-prefix", str(tmp_path / "p")])
-        assert code == EXIT_DATA
-        assert "no heavy-tailed instance within 20 candidates" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        for flags, message in [
+            (["--tail-ratio", "1e9"], "no heavy-tailed instance within 20 candidates"),
+            # candidate 0 qualifies, but its median 8 is below the horizon 10
+            (["--tail-ratio", "1.5", "--horizon", "10"],
+             "candidate 0 with probe median 8, below the horizon 10"),
+        ]:
+            code = main(self.PEAK_SEARCH + flags + ["--out-prefix", str(tmp_path / "p")])
+            assert code == EXIT_DATA
+            assert message in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:
