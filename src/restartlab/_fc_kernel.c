@@ -322,8 +322,9 @@ static int propagate(fc_state *st, int tail)
 
 /* Set up a run from the instance in st->symbol (row-major, 0 for a hole):
  * the hole list, the open cells per line and every domain, as SearchState
- * in tests/reference.py does, then the two views of the domains. */
-void fc_init(fc_state *st)
+ * in tests/reference.py does, then the two views of the domains.  Returns 0,
+ * the state unusable, when a given symbol repeats in its line, else 1. */
+int fc_init(fc_state *st)
 {
     int n = st->n, k = 0, r, c;
     uint64_t full = n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
@@ -341,6 +342,8 @@ void fc_init(fc_state *st)
                 st->line_unassigned[n + c]++;
             } else {
                 uint64_t bit = (uint64_t)1 << (s - 1);
+                if ((row_used[r] | col_used[c]) & bit)
+                    return 0;
                 st->domain[i] = bit;
                 row_used[r] |= bit;
                 col_used[c] |= bit;
@@ -362,6 +365,7 @@ void fc_init(fc_state *st)
             if (st->symbol[i] == 0)
                 flip_size(st, size, r, c);
         }
+    return 1;
 }
 
 /* Propagate the given cells to a fixpoint; a contradiction counts as one. */

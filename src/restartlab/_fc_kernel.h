@@ -146,7 +146,7 @@ typedef struct {
 /* ---- entry points, each described at its definition ---- */
 
 void mt_seed(mt_state *rng, uint64_t seed);
-void fc_init(fc_state *st);
+int fc_init(fc_state *st);
 int fc_propagate_root(fc_state *st);
 int fc_run(fc_state *st, mt_state *rng, long long budget);
 int fc_regin_filter(const uint64_t *doms, int k, uint64_t *prune);

@@ -9,6 +9,7 @@ solve and dataset always need it, policy whenever it simulates a policy).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import json
@@ -29,7 +30,7 @@ from .harness import (
     find_heavy_tail_instance,
     run_experiment,
 )
-from .latin import HoleSpec, StructureError, generate_complete, poke_holes, validate
+from .latin import HoleSpec, StructureError, generate_complete, poke_holes
 from .learn import (
     DEFAULT_KAPPA_GRID,
     DecisionTreeModel,
@@ -170,12 +171,22 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _instance_file(path: Optional[str]):
+    """Names path, the instance file (if any), in the kernel's Latin-property error."""
+    try:
+        yield
+    except StructureError as exc:
+        if path is None:
+            raise
+        raise StructureError(f"{path}: {exc}") from None
+
+
 def _cmd_solve(args) -> int:
     instance = rio.read_instance(args.instance)
-    if validate(instance):
-        raise rio.DataFormatError(f"{args.instance}: rows/columns repeat a symbol")
     config = SolverConfig(cutoff=args.cutoff, propagation=args.propagation)
-    rec = solve(instance, config, seed=args.seed)
+    with _instance_file(args.instance):
+        rec = solve(instance, config, seed=args.seed)
     print(
         f"{rec.outcome} choice_points={rec.choice_points}"
         f" post_propagation_size={rec.post_propagation_size}"
@@ -259,14 +270,15 @@ def _cmd_dataset(args) -> int:
     train_path = f"{prefix}_train.csv"
     test_path = f"{prefix}_test.csv" if args.test_runs else None
     rtd_path = f"{prefix}_rtd.txt"
-    train, test, rtd, info = run_experiment(
-        spec,
-        threads=args.threads,
-        train_path=train_path,
-        test_path=test_path,
-        rtd_path=rtd_path,
-        params=_echo(vars(args)),
-    )
+    with _instance_file(args.instance):
+        train, test, rtd, info = run_experiment(
+            spec,
+            threads=args.threads,
+            train_path=train_path,
+            test_path=test_path,
+            rtd_path=rtd_path,
+            params=_echo(vars(args)),
+        )
     tc, sc = info["train"], info["test"]
     print(
         f"train: {tc['rows']} rows ({tc['under_horizon']} under horizon,"

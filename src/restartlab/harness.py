@@ -21,7 +21,7 @@ from .latin import HoleSpec, PartialLatinSquare, generate_complete, poke_holes
 from .learn import Dataset, label_by_median
 from .policy import EmpiricalRTD
 from .seeds import derive_seed
-from .solver import SOLVED, SolverConfig, solve
+from .solver import SOLVED, SolverConfig, _run
 
 SINGLE_INSTANCE = "SINGLE_INSTANCE"
 MULTI_INSTANCE = "MULTI_INSTANCE"
@@ -81,7 +81,7 @@ def _run_one(task: Tuple[int, int]) -> _RunRow:
     else:
         square = generate_complete(spec.order, derive_seed(spec.master_seed, "inst", idx))
         instance = poke_holes(square, spec.holes, derive_seed(spec.master_seed, "mask", idx))
-    rec = solve(instance, config, seed)
+    rec, _ = _run(instance, config, seed)
     solved = rec.outcome == SOLVED
     if not solved and rec.exhausted:
         raise DataFormatError("instance admits no completion; cannot measure run lengths")
@@ -213,18 +213,15 @@ def run_experiment(
         "rtd_size": rtd.size,
     }
     base = dict(params or {})
-    if train_path:
-        write_dataset(
-            train_path, train, params=base, master_seed=spec.master_seed,
-            meta={"split": "train", **train_counts, "mode": spec.mode,
-                  "horizon": spec.horizon, "registry_hash": info["registry_hash"]},
-        )
-    if test_path and test is not None:
-        write_dataset(
-            test_path, test, params=base, master_seed=spec.master_seed,
-            meta={"split": "test", **test_counts, "mode": spec.mode,
-                  "horizon": spec.horizon, "registry_hash": info["registry_hash"]},
-        )
+    for path, split, ds, counts in (
+        (train_path, "train", train, train_counts), (test_path, "test", test, test_counts)
+    ):
+        if path and ds is not None:
+            write_dataset(
+                path, ds, params=base, master_seed=spec.master_seed,
+                meta={"split": split, **counts, "mode": spec.mode,
+                      "horizon": spec.horizon, "registry_hash": info["registry_hash"]},
+            )
     if rtd_path:
         write_rtd(
             rtd_path, solved_lengths, params=base, master_seed=spec.master_seed,
@@ -258,7 +255,7 @@ def find_heavy_tail_instance(
         inst = poke_holes(square, holes, derive_seed(master_seed, "peak", cand, "mask"))
         lengths = []
         for i in range(probe_runs):
-            rec = solve(inst, config, derive_seed(master_seed, "peak", cand, "run", i))
+            rec, _ = _run(inst, config, derive_seed(master_seed, "peak", cand, "run", i))
             lengths.append(rec.choice_points)
         med = float(np.median(lengths))
         top = float(max(lengths))

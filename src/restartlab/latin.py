@@ -18,6 +18,7 @@ in Python.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -93,6 +94,11 @@ class PartialLatinSquare:
         cells = tuple(tuple(row) for row in rows)
         return cls(order=len(cells), cells=cells)
 
+    @classmethod
+    def from_flat(cls, n: int, symbols: Sequence[Optional[int]]) -> "PartialLatinSquare":
+        """The order-n square whose n*n cells are listed row-major."""
+        return cls.from_rows(symbols[i:i + n] for i in range(0, n * n, n))
+
     def cell(self, r: int, c: int) -> Optional[int]:
         return self.cells[r][c]
 
@@ -115,35 +121,12 @@ def validate(square: PartialLatinSquare) -> List[Violation]:
     Holes are ignored.  Structural problems raise StructureError (via the
     PartialLatinSquare constructor) rather than being reported as violations.
     """
-    cells = square.cells
-    if all(map(_distinct, cells)) and all(map(_distinct, zip(*cells))):
-        return []
-    n = square.order
     out: List[Violation] = []
-    for r in range(n):
-        seen = {}
-        for v in square.cells[r]:
-            if v is not HOLE:
-                seen[v] = seen.get(v, 0) + 1
-        for v, k in sorted(seen.items()):
-            if k > 1:
-                out.append(Violation("row", r, v))
-    for c in range(n):
-        seen = {}
-        for r in range(n):
-            v = square.cells[r][c]
-            if v is not HOLE:
-                seen[v] = seen.get(v, 0) + 1
-        for v, k in sorted(seen.items()):
-            if k > 1:
-                out.append(Violation("column", c, v))
+    for kind, lines in (("row", square.cells), ("column", zip(*square.cells))):
+        for index, line in enumerate(lines):
+            seen = Counter(v for v in line if v is not HOLE)
+            out.extend(Violation(kind, index, v) for v, k in sorted(seen.items()) if k > 1)
     return out
-
-
-def _distinct(line: Tuple[Optional[int], ...]) -> bool:
-    """Whether the symbols of a line, holes aside, are pairwise distinct."""
-    holes = line.count(HOLE)
-    return len(set(line)) - (holes > 0) == len(line) - holes
 
 
 def _bits_to_symbols(mask: int) -> List[int]:
@@ -193,9 +176,7 @@ def generate_complete(n: int, seed: int) -> PartialLatinSquare:
     """
     if n < 1:
         raise StructureError(f"order must be >= 1, got {n}")
-    flat = _fill_square(n, random.Random(normalize_seed(seed)))
-    cells = tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
-    return PartialLatinSquare(order=n, cells=cells)
+    return PartialLatinSquare.from_flat(n, _fill_square(n, random.Random(normalize_seed(seed))))
 
 
 @dataclass(frozen=True)

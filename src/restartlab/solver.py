@@ -12,7 +12,9 @@ search-state mutation goes through a trail so backtracking is O(undone work).
 The whole search runs in the C kernel (see fc_kernel) at either propagation
 level (KernelState), for orders up to 64, and so does regin_filter; the test
 suite's Python SearchState and _regin_masks (tests/reference.py) are their
-references.
+references.  The kernel also checks the instance: fc_init, which reads every
+given cell into its row and column masks, refuses a symbol that repeats in
+its line, so each KernelState checks the Latin property once, in C.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import fc_kernel
 from .features import REGISTRY
-from .latin import HOLE, PartialLatinSquare, StructureError, validate
+from .latin import HOLE, PartialLatinSquare, StructureError
 from .seeds import normalize_seed
 
 FORWARD_CHECK = "forward_check"
@@ -137,18 +139,12 @@ def regin_filter(domains: Sequence[Iterable[int]]) -> Optional[List[Set[int]]]:
     return out
 
 
-def _solved_square(n: int, symbols: Sequence[int]) -> PartialLatinSquare:
-    """The completed square whose n*n symbols are listed row-major."""
-    return PartialLatinSquare(
-        order=n, cells=tuple(tuple(symbols[i:i + n]) for i in range(0, n * n, n))
-    )
-
-
 class KernelState:
     """Search state held and mutated by the C kernel (fc_kernel), at either
     propagation level: fc_init sets it up from the instance's symbols and
     fc_run executes the whole search, writing the traced feature rows itself.
-    Every buffer is allocated here and freed with this object.
+    Every buffer is allocated here and freed with this object.  An instance
+    that violates the Latin property raises StructureError.
     """
 
     def __init__(self, instance: PartialLatinSquare, config: SolverConfig, kernel) -> None:
@@ -181,7 +177,8 @@ class KernelState:
         st.n = n
         st.regin = config.propagation == ALLDIFF_REGIN
         st.min_leaf_depth = -1
-        self._lib.fc_init(st)
+        if not self._lib.fc_init(st):
+            raise StructureError("instance violates the Latin property")
 
     @property
     def unassigned_count(self) -> int:
@@ -198,7 +195,7 @@ class KernelState:
         )
 
     def extract_square(self) -> PartialLatinSquare:
-        return _solved_square(self.n, self._ffi.unpack(self._st.symbol, self.n * self.n))
+        return PartialLatinSquare.from_flat(self.n, self._ffi.unpack(self._st.symbol, self.n ** 2))
 
     def propagate_root(self) -> bool:
         return bool(self._lib.fc_propagate_root(self._st))
@@ -265,14 +262,22 @@ def solve(
     completed square, or CUTOFF when the choice-point budget ran out; an
     exhausted search space (unsatisfiable instance) is CUTOFF with the
     exhausted flag.  Tracing records one feature vector per choice point up
-    to the horizon and never alters the search trajectory.  Orders above 64
-    raise ValueError, and a kernel that cannot be built raises
+    to the horizon and never alters the search trajectory.  An instance that
+    violates the Latin property raises StructureError, orders above 64 raise
+    ValueError, and a kernel that cannot be built raises
     fc_kernel.KernelUnavailable.
     """
-    if config is None:
-        config = SolverConfig()
-    if validate(instance):
-        raise StructureError("instance violates the Latin property")
+    record, state = _run(instance, SolverConfig() if config is None else config, seed)
+    if record.outcome == SOLVED:
+        record.assignment = state.extract_square()
+    return record
+
+
+def _run(
+    instance: PartialLatinSquare, config: SolverConfig, seed: int
+) -> Tuple[RunRecord, KernelState]:
+    """The run behind solve, whose record leaves assignment None, and the
+    state it ended in; the harness reads the record alone."""
     state = KernelState(instance, config, fc_kernel.for_order(instance.order))
     trace: Optional[List[Tuple[float, ...]]] = [] if config.trace_enabled else None
     ok = state.propagate_root()
@@ -281,13 +286,14 @@ def solve(
         outcome, choice_points, exhausted = CUTOFF, 0, True
     else:
         outcome, choice_points, exhausted = state.search(normalize_seed(seed), config, trace)
-    return RunRecord(
+    record = RunRecord(
         seed=seed,
         outcome=outcome,
         choice_points=choice_points,
-        assignment=state.extract_square() if outcome == SOLVED else None,
+        assignment=None,
         trace=trace,
         post_propagation_size=post_prop,
         exhausted=exhausted,
         stats=state.stats(),
     )
+    return record, state

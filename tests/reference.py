@@ -58,7 +58,6 @@ from restartlab.solver import (
     RunRecord,
     RunStats,
     SolverConfig,
-    _solved_square,
 )
 
 # -- the solver search ------------------------------------------------------
@@ -277,7 +276,7 @@ class SearchState:
         )
 
     def extract_square(self) -> PartialLatinSquare:
-        return _solved_square(self.n, self.symbol)
+        return PartialLatinSquare.from_flat(self.n, self.symbol)
 
     # -- mutation ---------------------------------------------------------
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import restartlab
-from restartlab import fc_kernel
+from restartlab import fc_kernel, harness
 from restartlab.cli import (
     EXIT_DATA,
     EXIT_KERNEL,
@@ -49,6 +49,18 @@ DATASET_ARGS = [
     "--cutoff", "3000",
     "--seed", "3",
 ]
+
+
+# Symbol 1 twice in the first row: not a partial Latin square.
+LATIN_VIOLATION = "3\n1 . 1\n. . .\n. . .\n"
+
+
+def latin_violation(tmp_path):
+    """An instance file whose first row repeats a symbol, and the one error
+    line solve and dataset give for it."""
+    path = tmp_path / "bad.txt"
+    path.write_text(LATIN_VIOLATION)
+    return path, f"error: {path}: instance violates the Latin property\n"
 
 
 def not_utf8(source, path):
@@ -167,6 +179,12 @@ class TestSolve:
         assert main(["solve", str(bad)]) == EXIT_DATA
         capsys.readouterr()
 
+    def test_latin_violation_is_a_data_error_naming_the_file(self, tmp_path, capsys):
+        path, message = latin_violation(tmp_path)
+        assert main(["solve", str(path), "-o", str(tmp_path / "run.json")]) == EXIT_DATA
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_order_above_64_is_refused(self, tmp_path, capsys):
         n = 65
         rows = [[(r + c) % n + 1 for c in range(n)] for r in range(n)]
@@ -257,6 +275,16 @@ class TestDataset:
         assert code == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_latin_violating_instance_writes_nothing(self, tmp_path, capsys, threads):
+        path, message = latin_violation(tmp_path)
+        code = main(["dataset", "--instance", str(path), "--runs", "4", "--test-runs", "2",
+                     "--horizon", "2", "--threads", threads,
+                     "--out-prefix", str(tmp_path / "x")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_desk_default_then_a_fixed_instance(self, workdir, tmp_path, monkeypatch, capsys):
         # with no --holes the desk default sets args.holes and args.balanced;
         # a fixed-instance run after it in one process writes what a fresh
@@ -296,6 +324,19 @@ class TestDataset:
         train = read_dataset(str(tmp_path / "p_train.csv"))
         assert train.provenance["meta"]["total"] == 1000
         assert train.provenance["params"]["peak_search"] is True
+
+    def test_peak_search_refuses_a_latin_violating_candidate(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def clashing(square, holes, seed):
+            rows = [list(row) for row in square.cells]
+            rows[0][1] = rows[0][0]
+            return PartialLatinSquare.from_rows(rows)
+
+        monkeypatch.setattr(harness, "poke_holes", clashing)
+        code = main(self.PEAK_SEARCH + ["--out-prefix", str(tmp_path / "p")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "error: instance violates the Latin property\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_peak_search_without_a_candidate_writes_nothing(self, tmp_path, capsys):
         for flags, message in [

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restartlab import fc_kernel, latin, policy, solver
@@ -26,8 +26,10 @@ from restartlab.latin import (
     HOLE,
     HoleSpec,
     PartialLatinSquare,
+    StructureError,
     generate_complete,
     poke_holes,
+    validate,
 )
 from restartlab.seeds import derive_seed
 from restartlab.solver import (
@@ -277,8 +279,9 @@ class ViewCheckingLib:
         self.checks += 1
 
     def fc_init(self, st):
-        self._kernel.lib.fc_init(st)
+        ok = self._kernel.lib.fc_init(st)
         self._check(st)
+        return ok
 
     def fc_propagate_root(self, st):
         ok = self._kernel.lib.fc_propagate_root(st)
@@ -376,6 +379,57 @@ class TestStateChoice:
         monkeypatch.setattr(fc_kernel, "load", load)
         with pytest.raises(fc_kernel.KernelUnavailable, match="no C compiler"):
             solve(desk_instance(), SolverConfig(propagation=FORWARD_CHECK))
+
+
+
+@st.composite
+def checked_squares(draw):
+    """Partial squares of orders 1-64 (order 64 uses bit 63 of the masks):
+    a cyclic Latin square with its rows, columns and symbols permuted, then
+    holes at a drawn rate (0 leaves none), then, unless the draw is "none",
+    one symbol written into a cell and into another cell of its row, its
+    column or both."""
+    n = draw(st.sampled_from([1, 2, 64]) | st.integers(1, 64))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows, cols, syms = (rng.sample(range(n), n) for _ in range(3))
+    cells = [[syms[(rows[r] + cols[c]) % n] + 1 for c in range(n)] for r in range(n)]
+    rate = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    for i in range(n * n):
+        if rng.random() < rate:
+            cells[i // n][i % n] = HOLE
+    kind = draw(st.sampled_from(["none", "row", "column", "both"]))
+    if n > 1 and kind != "none":
+        r, c, v = rng.randrange(n), rng.randrange(n), rng.randint(1, n)
+        cells[r][c] = v
+        if kind in ("row", "both"):
+            cells[r][rng.choice([k for k in range(n) if k != c])] = v
+        if kind in ("column", "both"):
+            cells[rng.choice([k for k in range(n) if k != r])][c] = v
+    return PartialLatinSquare.from_rows(cells)
+
+
+# The order-64 cyclic square with symbol 64 (bit 63) written into cell (0, 0):
+# it already stands at (0, 63) and (63, 0).
+_CYCLIC_64 = [[(r + c) % 64 + 1 for c in range(64)] for r in range(64)]
+_CLASH_64 = [[64] + _CYCLIC_64[0][1:]] + _CYCLIC_64[1:]
+
+
+@pytest.mark.parametrize("propagation", [FORWARD_CHECK, ALLDIFF_REGIN])
+@settings(max_examples=150, deadline=None)
+@given(instance=checked_squares())
+@example(instance=PartialLatinSquare.from_rows(_CYCLIC_64))
+@example(instance=PartialLatinSquare.from_rows(_CLASH_64))
+def test_the_kernel_checks_the_latin_property(propagation, instance):
+    """Building a KernelState, and so solve, raises StructureError exactly
+    when validate reports a repeated symbol."""
+    config = SolverConfig(cutoff=0, propagation=propagation)
+    kernel = fc_kernel.for_order(instance.order)
+    for run in (lambda: KernelState(instance, config, kernel), lambda: solve(instance, config)):
+        if validate(instance):
+            with pytest.raises(StructureError, match="^instance violates the Latin property$"):
+                run()
+        else:
+            run()
 
 
 BUILD_AND_SOLVE = textwrap.dedent("""

@@ -4,6 +4,7 @@ split labeling, determinism across worker counts, and instance search."""
 import numpy as np
 import pytest
 
+from restartlab import harness, latin, solver
 from restartlab.features import REGISTRY, registry_hash, summary_columns
 from restartlab.harness import (
     MULTI_INSTANCE,
@@ -18,10 +19,11 @@ from restartlab.latin import (
     HOLE,
     HoleSpec,
     PartialLatinSquare,
+    StructureError,
     generate_complete,
     poke_holes,
 )
-from restartlab.solver import FORWARD_CHECK
+from restartlab.solver import FORWARD_CHECK, SolverConfig, solve
 
 FOUR_PER_LINE = HoleSpec(mode=BALANCED, holes_per_line=4)
 SEVEN_PER_LINE = HoleSpec(mode=BALANCED, holes_per_line=7)
@@ -245,7 +247,43 @@ class TestDeterminismAcrossThreads:
         assert a == b
 
 
+class TestEachCheckOnce:
+    def test_runs_neither_validate_nor_build_the_solved_square(self, monkeypatch):
+        # the kernel checks the instance and solve alone builds the square
+        calls = {"validate": 0, "square": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        instance = poke_holes(generate_complete(10, seed=0), SEVEN_PER_LINE, seed=1)
+        for module in (latin, solver, harness):
+            monkeypatch.setattr(module, "validate", counting("validate", latin.validate),
+                                raising=False)
+        monkeypatch.setattr(PartialLatinSquare, "from_flat",
+                            staticmethod(counting("square", PartialLatinSquare.from_flat)))
+        _, _, _, info = run_experiment(small_spec(holes=None, instance=instance,
+                                                  train_runs=20, test_runs=5))
+        assert (info["train"]["total"], info["test"]["total"]) == (20, 5)
+        assert calls == {"validate": 0, "square": 0}
+        rec = solve(instance, SolverConfig(), seed=3)
+        assert calls == {"validate": 0, "square": 1}
+        assert rec.assignment.is_complete() and latin.validate(rec.assignment) == []
+
+
 class TestFindHeavyTailInstance:
+    def test_latin_violating_candidate_is_refused(self, monkeypatch):
+        def clashing(square, holes, seed):
+            rows = [list(row) for row in square.cells]
+            rows[0][1] = rows[0][0]
+            return PartialLatinSquare.from_rows(rows)
+
+        monkeypatch.setattr(harness, "poke_holes", clashing)
+        with pytest.raises(StructureError, match="violates the Latin property"):
+            find_heavy_tail_instance(8, FOUR_PER_LINE, master_seed=1, probe_runs=3)
+
     def test_easy_ratio_accepts_first_qualifier(self):
         holes = HoleSpec(mode=BALANCED, holes_per_line=5)
         inst, info = find_heavy_tail_instance(
