@@ -13,10 +13,13 @@ count_completions, and simulate (policy.simulate_policy as a numpy round
 loop that draws every round, where the kernel skips the draws of rounds no
 run can win).
 
-It also keeps the learner's per-kappa growth, _grow_trees with its
-_best_splits: one tree per kappa, each leaf's split chosen by the float
-gain plus ln kappa.  restartlab.learn grows one tree and cuts each kappa's
-tree from it by split gain, which must give the same trees.
+It also keeps the learner's split search one feature at a time
+(_split_gains, and best_split, the oracle of learn._best_split, which scores
+every feature of a leaf in one pass over its presorted rows), and the
+per-kappa growth, _grow_trees with its _best_splits: one tree per kappa,
+each leaf's split chosen by the float gain plus ln kappa.  restartlab.learn
+grows one tree and cuts each kappa's tree from it by split gain, which must
+give the same trees.
 """
 
 from __future__ import annotations
@@ -782,24 +785,21 @@ def count_completions(instance: PartialLatinSquare, cap: int = 1_000_000) -> int
     return count
 
 
-# -- the per-kappa tree growth --------------------------------------------
+# -- the split search and the per-kappa tree growth ------------------------
 
 
-def _best_splits(
+def _split_gains(
     X: np.ndarray,
     y: np.ndarray,
     rows: np.ndarray,
-    ln_kappas: Sequence[float],
     log_fact: np.ndarray,
-) -> List[Optional[Tuple[float, int, float]]]:
-    """Best (gain, feature, threshold) of one leaf for each ln kappa, or None
-    where no split has a positive gain.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Kappa-free gains, (left + right) - base, and thresholds of every split
+    candidate of one leaf, features x MAX_SPLIT_CANDIDATES, -inf in the
+    unused slots; one feature at a time.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values, thinned to at most MAX_SPLIT_CANDIDATES by rank spacing.  Ties
-    are broken toward the lowest feature index, then the lowest threshold.
-    The candidates and their kappa-free gains, (left + right) - base, are
-    computed once; a kappa's gain adds ln kappa to that float.
+    values, thinned to at most MAX_SPLIT_CANDIDATES by rank spacing.
     """
     ns_total = int(y[rows].sum())
     nl_total = rows.size - ns_total
@@ -833,6 +833,40 @@ def _best_splits(
             + _leaf_log_marginals(log_fact, right_s, right_l)
             - base
         )
+    return raw, thresholds
+
+
+def best_split(
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    log_fact: np.ndarray,
+) -> Tuple[float, int, float]:
+    """learn._best_split one feature at a time: the best (gain, feature,
+    threshold) of one leaf, ties toward the lowest feature, then the lowest
+    threshold; gain -inf where there is no candidate."""
+    raw, thresholds = _split_gains(X, y, rows, log_fact)
+    if not raw.size:
+        return -math.inf, 0, 0.0
+    i = int(np.argmax(raw))  # first max: lowest feature, then lowest threshold
+    return float(raw.flat[i]), i // MAX_SPLIT_CANDIDATES, float(thresholds.flat[i])
+
+
+def _best_splits(
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    ln_kappas: Sequence[float],
+    log_fact: np.ndarray,
+) -> List[Optional[Tuple[float, int, float]]]:
+    """Best (gain, feature, threshold) of one leaf for each ln kappa, or None
+    where no split has a positive gain.
+
+    Ties are broken toward the lowest feature index, then the lowest
+    threshold.  The candidates and their kappa-free gains are computed once
+    (_split_gains); a kappa's gain adds ln kappa to that float.
+    """
+    raw, thresholds = _split_gains(X, y, rows, log_fact)
     out: List[Optional[Tuple[float, int, float]]] = []
     for ln_kappa in ln_kappas:
         if not raw.size:  # no feature to split on

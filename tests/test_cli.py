@@ -173,11 +173,21 @@ class TestSolve:
         assert main(["solve", str(tmp_path / "nope.txt")]) == EXIT_DATA
         assert "error" in capsys.readouterr().err
 
-    def test_conflicting_instance_rejected(self, tmp_path, capsys):
+    def test_malformed_order_line_is_a_data_error_naming_the_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 1\n2 2\n")
-        assert main(["solve", str(bad)]) == EXIT_DATA
-        capsys.readouterr()
+        assert main(["solve", str(bad), "-o", str(tmp_path / "run.json")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {bad}: first line must be the order\n"
+        assert list(tmp_path.iterdir()) == [bad]
+
+    def test_conflicting_instance_rejected(self, tmp_path, capsys):
+        # a column repeat: the kernel's column mask refuses it, where
+        # latin_violation repeats a symbol in a row
+        bad = tmp_path / "bad.txt"
+        bad.write_text("3\n1 . .\n. . .\n1 . .\n")
+        assert main(["solve", str(bad), "-o", str(tmp_path / "run.json")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {bad}: instance violates the Latin property\n"
+        assert list(tmp_path.iterdir()) == [bad]
 
     def test_latin_violation_is_a_data_error_naming_the_file(self, tmp_path, capsys):
         path, message = latin_violation(tmp_path)

@@ -11,6 +11,9 @@ from restartlab.learn import (
     DEFAULT_KAPPA_GRID,
     Dataset,
     TreeNode,
+    _best_split,
+    _log_factorials,
+    _presort,
     cascade_datasets,
     evaluate,
     grow_tree,
@@ -218,6 +221,40 @@ class TestGrowTree:
         assert tree_score(grown.root, kappa) >= tree_score(single.root, kappa)
 
 
+class TestBestSplit:
+    @settings(max_examples=250, deadline=None)
+    @given(
+        rows=st.integers(1, 300),
+        features=st.integers(0, 130),
+        keep=st.floats(0.0, 1.0),
+        short_rate=st.floats(0.0, 1.0),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_feature_loop(self, rows, features, keep, short_rate,
+                                         data_seed):
+        # a leaf of random ascending rows; each column has a few integer
+        # levels, a few hundred (ties beyond 64 boundaries force the
+        # thinning), or no ties at all; values straddle zero
+        rng = np.random.default_rng(data_seed)
+        kinds = rng.integers(0, 3, size=features)
+        X = np.where(
+            kinds == 0,
+            rng.integers(-2, 3, size=(rows, features)),
+            np.where(kinds == 1, rng.integers(-200, 200, size=(rows, features)),
+                     rng.normal(size=(rows, features))),
+        ).astype(float)
+        y = rng.random(rows) < short_rate
+        leaf = np.nonzero(rng.random(rows) < keep)[0]
+        if not leaf.size:
+            leaf = np.sort(rng.choice(rows, size=1))
+        # the leaf's presort as _grow builds it: the full presort, filtered
+        full = _presort(X)
+        order = full[np.isin(full, leaf)].reshape(features, leaf.size)
+        log_fact = _log_factorials(rows + 1)
+        got = _best_split(X, y, leaf, order, log_fact, {})
+        assert got == reference.best_split(X, y, leaf, log_fact)
+
+
 class TestPredict:
     def test_sequence_length_checked(self):
         model = grow_tree(
@@ -340,19 +377,21 @@ class TestTuneKappa:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        rows=st.integers(4, 120),
+        rows=st.integers(4, 200),
         features=st.integers(0, 4),
-        levels=st.integers(1, 4),
+        levels=st.one_of(st.integers(1, 4), st.integers(80, 400)),
         noise=st.floats(0.0, 2.0),
         data_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 50),
     )
     def test_equals_one_growth_per_kappa(self, rows, features, levels, noise, data_seed,
                                          seed):
-        # tie-heavy integer features: many splits share a gain, so the
-        # tie-breaks of the one kappa-free growth must match one growth per
-        # kappa (the reference oracle) and tune_kappa's cut trees must match
-        # grow_tree's; the labels follow the features, so the trees split
+        # integer features with few levels are tie-heavy: many splits share
+        # a gain, so the tie-breaks of the one kappa-free growth must match
+        # one growth per kappa (the reference oracle) and tune_kappa's cut
+        # trees must match grow_tree's; features with many levels give
+        # leaves of more than 64 boundaries, which thin their candidates;
+        # the labels follow the features, so the trees split
         rng = np.random.default_rng(data_seed)
         X = rng.integers(0, levels, size=(rows, features)).astype(float)
         score = X @ rng.normal(size=features) + noise * rng.normal(size=rows)

@@ -54,18 +54,36 @@ generation
   permutations or gave up on one).  Every repeat must draw the same squares
   and patterns in the same number of attempts.
 
+learn
+  tune_kappa and grow_tree seconds on the training split of a dataset stage,
+  fitted as `restartlab train --seed 81` fits it (censored rows dropped).
+  - desk-fc and multi-alldiff: their dataset stages at size full (48+16 and
+    36+12 runs).
+  - desk paper scale: desk-fc's dataset stage at 4000+1000 runs (the desk
+    instance, horizon 50, cutoff 100000, seed 81), built only when PAPER is
+    set.
+  tune_kappa is also timed with the per-feature split search of
+  tests/reference.py (best_split) in place of learn._best_split, each repeat
+  alternating the two; both must return the same TuningResult.  The loop's
+  figure includes the presort, which the loop does not read.  grow_tree
+  grows the whole training split at the tuned kappa.  Per case: rows,
+  features, the nodes scored (learn._best_split calls) by one tune_kappa and
+  by one grow_tree, kappa and leaves, and the per-round ratio of the loop's
+  time to the shipped search's.
+
 Each figure is the median, quartiles, range and count (n) of REPEATS (7)
 timings, or of one timing when the first took longer than LONG (10 s).  A
 repeat that disagrees with the first exits 1.  The JSON records each figure
 next to the deterministic work it measured, with nproc and the Python
 version.  That the kernel's outputs equal the Python reference's is the
-identity tests' job (tests/test_fc_kernel.py, tests/test_policy.py and
-tests/test_latin.py).
+identity tests' job (tests/test_fc_kernel.py, tests/test_policy.py,
+tests/test_latin.py and, for the split search, tests/test_learn.py).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -79,17 +97,20 @@ from types import SimpleNamespace
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from pipeline import dataset_paths, run_stage, write_desk_instance  # noqa: E402
 from workloads import DESK_ACCURACY, DESK_POLICIES, DESK_SEED, WORKLOADS  # noqa: E402
 
-from restartlab import cli, fc_kernel  # noqa: E402
+import reference  # noqa: E402
+from restartlab import cli, fc_kernel, learn as rlearn  # noqa: E402
 from restartlab import io as rio  # noqa: E402
 from restartlab.latin import (  # noqa: E402
     HoleSpec, PartialLatinSquare, generate_complete, poke_holes,
 )
-from restartlab.learn import DEFAULT_KAPPA_GRID, grow_tree  # noqa: E402
+from restartlab.learn import DEFAULT_KAPPA_GRID, grow_tree, tune_kappa  # noqa: E402
 from restartlab.policy import (  # noqa: E402
     DatasetSource, DynamicPolicy, ModelPredictor, RtdSource, SyntheticPredictor, _price_rounds,
     simulate_policy,
@@ -104,9 +125,11 @@ REPEATS = 7
 LONG = 10.0
 TIMEOUT = 300
 ORDER_34_SEEDS = {9: range(1, 6), 10: range(1, 6), 11: range(1, 4)}
+PAPER = True
+PAPER_SIZE = dataclasses.replace(DESK.sizes[SIZE], runs=4000, test_runs=1000)
 # deterministic work, printed next to the figures
 WORK = ("runs", "choice_points", "trials", "live_draws", "dead_draws", "instances",
-        "pattern_attempts")
+        "pattern_attempts", "rows", "features", "tune_nodes", "grow_nodes", "kappa", "leaves")
 
 
 class Disagree(Exception):
@@ -353,10 +376,80 @@ def generation(tmp: Path):
             yield f"poke_holes 34 h={holes} s={seed}", order_34("poke_holes", seed, holes)
 
 
+def with_split_search(search, fn):
+    """fn() with learn._best_split replaced by search."""
+    saved, rlearn._best_split = rlearn._best_split, search
+    try:
+        return fn()
+    finally:
+        rlearn._best_split = saved
+
+
+def per_feature_loop(X, y, rows, order, log_fact, picks):
+    return reference.best_split(X, y, rows, log_fact)
+
+
+def nodes_scored(fn):
+    """The learn._best_split calls of fn()."""
+    search, calls = rlearn._best_split, []
+
+    def counted(*args):
+        calls.append(None)
+        return search(*args)
+
+    with_split_search(counted, fn)
+    return len(calls)
+
+
+def learn(tmp: Path):
+    instance = tmp / "desk.instance"
+    write_desk_instance(instance)
+    sets = [("desk-fc", DESK, DESK.sizes[SIZE]), ("multi-alldiff", MULTI, MULTI.sizes[SIZE])]
+    if PAPER:
+        sets.append(("desk paper scale", DESK, PAPER_SIZE))
+    for name, workload, size in sets:
+        prefix = tmp / name.replace(" ", "-")
+        stage = run_stage(workload.dataset_argv(prefix, size, os.cpu_count(), instance))
+        if stage.failed:
+            raise RuntimeError(f"the {name} dataset could not be built: {stage.output}")
+        train = rio.read_dataset(dataset_paths(prefix)[0])
+        usable = train.subset(~train.censored)
+        X, y = usable.X, usable.is_short
+
+        def tune():
+            return tune_kappa(X, y, seed=DESK_SEED, columns=train.columns)
+
+        (tune_s, loop_s), (result, looped) = repeat(
+            name, tune, lambda: with_split_search(per_feature_loop, tune))
+        if looped != result:
+            raise Disagree(f"{name}: the per-feature loop tunes another model")
+
+        def grow():
+            return grow_tree(X, y, result.kappa, columns=train.columns)
+
+        (grow_s,), _ = repeat(name, grow)
+        yield name, {
+            "case": name,
+            "workload": workload.name,
+            "runs": size.runs + size.test_runs,
+            "rows": usable.size,
+            "features": X.shape[1],
+            "tune_nodes": nodes_scored(tune),
+            "grow_nodes": nodes_scored(grow),
+            "kappa": result.kappa,
+            "leaves": result.model.leaf_count,
+            "tune_kappa_s": spread(tune_s),
+            "tune_kappa_per_feature_loop_s": spread(loop_s),
+            "loop_to_shipped": spread([b / a for a, b in zip(tune_s, loop_s)]),
+            "grow_tree_s": spread(grow_s),
+        }
+
+
 TOPICS = {
     "solver": ("solver choice points per second", solver),
     "policy": ("simulate_policy trials per second", policy),
     "generation": ("instance generation milliseconds on the C kernel", generation),
+    "learn": ("tune_kappa and grow_tree seconds", learn),
 }
 
 
