@@ -8,12 +8,14 @@
  * One fc_state holds a run's mutable state: bitmask domains (bit s-1 set
  * means symbol s is still possible), assigned symbols (0 = open), open-cell
  * counts per line (rows 0..n-1, then columns), the trail, the propagation
- * queues, the depth-first frame stack, the run counters and the buffer of
- * traced feature rows.  Every buffer is owned by the caller.  The step order
- * (peer order, FIFO queues, dirty-line order, pruning order) mirrors the
- * Python SearchState of tests/reference.py exactly, so both give identical
- * counters and trajectories, and a traced row holds the 14 floats its
- * snapshot computes.
+ * queues, the depth-first frame stack, the run counters, the running
+ * statistics of the traced feature rows and, optionally, a buffer of the
+ * rows themselves.  Every buffer is owned by the caller, and fc_init resets
+ * the state for the next run.  The step order (peer order, FIFO queues,
+ * dirty-line order, pruning order) mirrors the Python SearchState of
+ * tests/reference.py exactly, so both give identical counters and
+ * trajectories, and a traced row holds the 14 floats its snapshot
+ * computes.
  *
  * Two more views of the domains, channelled as in Dotu, del Val and
  * Cebrian, "Redundant Modeling for the QuasiGroup Completion Problem" (CP
@@ -320,17 +322,30 @@ static int propagate(fc_state *st, int tail)
     }
 }
 
-/* Set up a run from the instance in st->symbol (row-major, 0 for a hole):
- * the hole list, the open cells per line and every domain, as SearchState
- * in tests/reference.py does, then the two views of the domains.  Returns 0,
- * the state unusable, when a given symbol repeats in its line, else 1. */
+/* Set up a run from the instance in st->givens (row-major, 0 for a hole):
+ * copy it into symbol and reset every run field (the counters, the frames,
+ * the trail, the dirty ring and the running statistics), so that one state
+ * serves any number of runs, each started here.  Then the hole list, the
+ * open cells per line and every domain, as SearchState in tests/reference.py
+ * sets them up, then the two views of the domains.  Returns 0, the state
+ * unusable, when a given symbol repeats in its line, else 1. */
 int fc_init(fc_state *st)
 {
     int n = st->n, k = 0, r, c;
     uint64_t full = n == 64 ? ~(uint64_t)0 : ((uint64_t)1 << n) - 1;
     uint64_t row_used[MAX_N] = {0}, col_used[MAX_N] = {0};
+    memcpy(st->symbol, st->givens, sizeof(int) * n * n);
     memset(st->line_symbol, 0, sizeof(uint64_t) * 2 * n * n);
     memset(st->size_rows, 0, sizeof(uint64_t) * (n + 1) * n);
+    memset(st->dirty_flag, 0, sizeof(int) * 2 * n);
+    memset(st->running, 0, sizeof st->running);
+    st->trail_len = st->dirty_head = st->dirty_len = st->n_frames = 0;
+    st->new_node = 1;
+    st->choice_points = st->backtracks = st->contradictions = 0;
+    st->forced_assignments = st->alldiff_prunings = 0;
+    st->depth = st->max_depth = st->node_visits = st->node_depth_sum = 0;
+    st->min_leaf_depth = -1;
+    st->trace_left = 0;
     for (r = 0; r < 2 * n; r++)
         st->line_unassigned[r] = 0;
     for (r = 0; r < n; r++)
@@ -624,15 +639,77 @@ static double line_variance(const int *xs, int m)
     return acc / m;
 }
 
-/* Write the 14 floats of snapshot in tests/reference.py, in
- * features.REGISTRY order, at st->trace and advance it; the two must change
- * together.  Every quotient of two integers is taken in double, as Python's
- * int / int rounds it. */
-static void write_row(fc_state *st)
+/* Add one traced row to the running statistics of its features; the first
+ * row sets them.  Sums are taken left to right, as numpy's mean over the
+ * rows axis of a C-ordered array adds them, and each difference is the
+ * row's value minus the previous row's, as np.diff takes it. */
+static void add_to_running(fc_state *st, const double *row)
+{
+    int j;
+    for (j = 0; j < 14; j++) {
+        fc_running *a = &st->running[j];
+        double x = row[j], d;
+        if (st->node_visits == 1) {
+            a->first = a->last = a->sum = a->min = a->max = x;
+            continue;
+        }
+        d = x - a->last;
+        if (st->node_visits == 2) {
+            a->d_sum = a->d_min = a->d_max = d;
+        } else {
+            a->d_sum += d;
+            if (d < a->d_min)
+                a->d_min = d;
+            if (d > a->d_max)
+                a->d_max = d;
+            a->d_signchg += (d > 0 && a->d_last < 0) || (d < 0 && a->d_last > 0);
+        }
+        a->d_last = d;
+        a->last = x;
+        a->sum += x;
+        if (x < a->min)
+            a->min = x;
+        if (x > a->max)
+            a->max = x;
+    }
+}
+
+/* Write features.summarize's values of the m >= 2 rows traced so far to
+ * st->summary, feature-major in features.STAT_NAMES order: init, final,
+ * avg, min, max, d_avg, d_min, d_max, d_signchg.  A mean is the sum divided
+ * by its count, as numpy divides it. */
+static void write_summary(fc_state *st)
+{
+    double m = (double)st->node_visits;
+    int j;
+    for (j = 0; j < 14; j++) {
+        const fc_running *a = &st->running[j];
+        double *out = st->summary + 9 * j;
+        out[0] = a->first;
+        out[1] = a->last;
+        out[2] = a->sum / m;
+        out[3] = a->min;
+        out[4] = a->max;
+        out[5] = a->d_sum / (m - 1);
+        out[6] = a->d_min;
+        out[7] = a->d_max;
+        out[8] = (double)a->d_signchg;
+    }
+}
+
+/* Compute the 14 floats of snapshot in tests/reference.py, in
+ * features.REGISTRY order; the two must change together.  Every quotient
+ * of two integers is taken in double, as Python's int / int rounds it.
+ * The row goes to st->trace, if rows are kept, and into the running
+ * statistics; with the last row due, the summary goes to st->summary, if
+ * it is wanted and there are at least two rows.  Kept out of line: it runs
+ * for the first rows of a run only, and inlined it doubled fc_run's code
+ * and made traced desk runs about 2% slower per choice point. */
+static __attribute__((noinline)) void trace_row(fc_state *st)
 {
     int n = st->n, open = 0, min_dom = n + 1, k;
     long long total = 0;
-    double *row = st->trace;
+    double row[14];
     for (k = 0; k < st->n_holes; k++) {
         int c = st->hole_cells[k];
         if (st->symbol[c] == 0) {
@@ -660,24 +737,30 @@ static void write_row(fc_state *st)
     row[11] = (double)st->forced_assignments;
     row[12] = (double)st->alldiff_prunings;
     row[13] = (double)st->contradictions;
-    st->trace += 14;
+    if (st->trace) {
+        memcpy(st->trace, row, sizeof row);
+        st->trace += 14;
+    }
+    add_to_running(st, row);
+    if (st->trace_left == 0 && st->summary && st->node_visits >= 2)
+        write_summary(st);
 }
 
 /* Run the search of SearchState.search in tests/reference.py on a
  * root-propagated state with open cells.  Returns an FC_* code; after FC_PAUSED the next call
- * resumes the search.  Each of the first trace_left choice points writes its
+ * resumes the search.  Each of the first trace_left choice points traces its
  * feature row after counting the node and before branching.  A call pauses
  * once it has done `budget` units of work: one per choice point, and one per
  * open cell of each line it filters, which bounds its time at either level
- * and any order.  It also pauses when a row is due and the buffer is full,
- * so that the caller can empty it and reset st->trace.  fc_run sets the
+ * and any order.  When rows are kept, it also pauses when a row is due and
+ * the buffer is full, so that the caller can empty it and reset st->trace.  fc_run sets the
  * budget and draws from rng through a reader. */
 static int run(fc_state *st, mt_reader *rd)
 {
     for (;;) {
         fc_frame *f;
         int r, col;
-        if (st->budget-- <= 0 || (st->trace_left > 0 && st->trace == st->trace_end))
+        if (st->budget-- <= 0 || (st->trace_left > 0 && st->trace && st->trace == st->trace_end))
             return FC_PAUSED;
         if (st->new_node)
             open_frame(st, rd);
@@ -689,7 +772,7 @@ static int run(fc_state *st, mt_reader *rd)
             st->trace_left--;
             st->node_visits++;
             st->node_depth_sum += st->depth;
-            write_row(st);
+            trace_row(st);
         }
         if (st->n_frames > st->max_depth)
             st->max_depth = st->n_frames;

@@ -25,12 +25,22 @@ typedef struct {
     int values[MAX_N];
 } fc_frame;
 
+/* Running statistics of one feature over the traced rows: the values
+ * features.summarize derives from them. */
+typedef struct {
+    double first, last, sum, min, max; /* of the rows */
+    double d_last, d_sum, d_min, d_max; /* of their first differences */
+    long long d_signchg;                /* strict sign alternations of those */
+} fc_running;
+
 typedef struct {
     int n;
     int n_holes;
     int regin; /* alldiff (Regin) filtering after forward checking */
     int unassigned_count;
     int trail_len;
+    const int *givens;    /* the instance, row-major, 0 for a hole; fc_init
+                             copies it into symbol */
     uint64_t *domain;
     int *symbol;
     int *line_unassigned;
@@ -57,8 +67,11 @@ typedef struct {
     fc_frame *frames;     /* n_holes slots */
     int n_frames;
     int new_node;         /* the next choice point opens a frame */
-    double *trace;        /* where the next traced feature row goes */
+    double *trace;        /* where the next traced feature row goes, or NULL
+                             to keep no rows */
     double *trace_end;    /* end of the row buffer */
+    double *summary;      /* NULL, or where the 126 summary values go once
+                             the last row due is traced */
     long long cutoff;     /* choice points allowed, -1 for no limit */
     long long trace_left; /* leading choice points still to trace */
     long long budget;     /* work left in this fc_run call */
@@ -71,8 +84,9 @@ typedef struct {
     long long depth;
     long long max_depth;
     long long min_leaf_depth; /* -1 before the first dead end */
-    long long node_visits;
+    long long node_visits;    /* rows traced so far */
     long long node_depth_sum;
+    fc_running running[14];   /* per feature, in features.REGISTRY order */
 } fc_state;
 
 /* ---- CPython's Mersenne Twister stream ---- */

@@ -424,12 +424,6 @@ def _cmd_cascade(args) -> int:
 
 def _cmd_policy(args) -> int:
     rtd = rio.read_rtd(args.rtd)
-    c_star, c_cost = optimal_fixed_cutoff(rtd)
-    report: Dict = {
-        "runs": rtd.size,
-        "optimal_fixed": {"cutoff": c_star, "expected_steps": c_cost},
-    }
-    print(f"optimal fixed cutoff {c_star} -> expected {c_cost:.1f} steps")
     model = rio.read_model(args.model) if args.model else None
     dataset = None
     meta: Dict = {}
@@ -437,6 +431,21 @@ def _cmd_policy(args) -> int:
         ds = rio.read_dataset(args.dataset)
         dataset = ds.subset(~ds.censored)
         meta = ds.provenance.get("meta", {})
+    rtd_flag = rio.read_provenance(args.rtd, "rtd")["params"].get("mode")
+    for path, mode in ((args.rtd, _FLAG_MODE.get(rtd_flag)), (args.dataset, meta.get("mode"))):
+        if mode == MULTI_INSTANCE:
+            # run i solved instance i, so resampling the runs would restart
+            # onto a fresh instance, which no restart policy does
+            raise ValueError(
+                f"{path} comes from dataset --mode multi, one run per instance;"
+                " restart policies are priced on the runs of one instance (--mode single)"
+            )
+    c_star, c_cost = optimal_fixed_cutoff(rtd)
+    report: Dict = {
+        "runs": rtd.size,
+        "optimal_fixed": {"cutoff": c_star, "expected_steps": c_cost},
+    }
+    print(f"optimal fixed cutoff {c_star} -> expected {c_cost:.1f} steps")
     if args.scan_limit is not None:
         if model is not None:
             raise ValueError("--scan-limit uses the synthetic predictor; drop --model")

@@ -1,8 +1,8 @@
 """Build and load the C kernel (`_fc_kernel.c`) through cffi.
 
 The kernel runs the solver's whole search at both propagation levels (forward
-checking and Regin alldiff filtering), writing the traced feature rows
-itself, on a Mersenne Twister seeded as `random.Random(seed)` seeds it; and
+checking and Regin alldiff filtering), tracing the feature rows and writing
+their summary itself, on a Mersenne Twister seeded as `random.Random(seed)` seeds it; and
 the two seeded instance generators of `latin` (square fill and balanced hole
 pattern) on a copy of a `random.Random` state (`mt_stream`).  For
 `policy.simulate_policy` it prices every round of every trial on a copy of

@@ -1,13 +1,16 @@
 """Search-state features and run summaries.
 
 The solver snapshots a fixed vector of run-time features at every choice
-point: the 14 base features of REGISTRY, in that order, written by write_row
+point: the 14 base features of REGISTRY, in that order, computed by trace_row
 in _fc_kernel.c (the test suite's `snapshot` in tests/reference.py reads the
 same row off its Python search state).  A finished (or horizon-truncated)
 trace is then compressed into summary statistics per feature: initial
 value, final value, mean, min, max, plus mean/min/max of the first
 differences and the number of strict sign alternations in those
-differences.  Summaries are what the learner consumes.
+differences.  Summaries are what the learner consumes.  The kernel keeps
+the same statistics while it traces a run and writes the summary itself
+(solver.KernelState.summary), which is what `dataset` reads; summarize is
+its reference, and summarizes traces held in Python.
 """
 
 from __future__ import annotations

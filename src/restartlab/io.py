@@ -254,6 +254,12 @@ def write_rtd(
             fh.write(f"{v}\n")
 
 
+def read_provenance(path: str, kind: str) -> Dict:
+    """The header of a `kind` file (params, master_seed, meta), as
+    read_dataset's provenance holds it."""
+    return _parse_header(_split_comments(_read_text(path))[0], kind, path)
+
+
 def read_rtd(path: str) -> EmpiricalRTD:
     comments, rest = _split_comments(_read_text(path))
     _parse_header(comments, "rtd", path)

@@ -143,19 +143,23 @@ def _best_split(
 
     gain is the kappa-free (left + right) - base; the split raises a tree's
     score under kappa when gain + ln kappa > 0, so the best split is the
-    same for every kappa.  Candidate thresholds are midpoints between
-    consecutive distinct sorted values, thinned to at most
-    MAX_SPLIT_CANDIDATES by rank spacing.  Ties are broken toward the lowest
-    feature index, then the lowest threshold.  A leaf with no candidate
-    (no feature, or every feature constant on its rows) has gain -inf.
+    same for every kappa.  Candidates are the boundaries between
+    consecutive distinct sorted values a < b, thinned to at most
+    MAX_SPLIT_CANDIDATES by rank spacing; a boundary's threshold is the
+    midpoint (a + b) / 2 when it lies below b, else a, so `<= threshold`
+    sends left exactly the rows that were scored left.  Ties are broken
+    toward the lowest feature index, then the lowest threshold.  A leaf
+    with no candidate (no feature, or every feature constant on its rows)
+    has gain -inf.
 
     order is the leaf's presort: row j holds the leaf's rows in stable
     ascending order of feature j, as _presort sorts them.  One pass scores
     every feature: the leaf's features x rows block of sorted values, every
     boundary in it (by feature, then by value), the rank-spaced picks of the
     features that have too many, one cumulative count of SHORT rows, and the
-    threshold and gain of every candidate at once.  Candidates stay in
-    (feature, threshold) order, so the first maximum keeps the tie rule.
+    gain of every candidate at once; only the best one's threshold is
+    computed.  Candidates stay in (feature, threshold) order, so the first
+    maximum keeps the tie rule.
     picks is the growth's cache of _thinned ranks.
     """
     ns_total = int(y[rows].sum())
@@ -173,7 +177,6 @@ def _best_split(
         feature, at = feature[keep], at[keep]
     if not at.size:
         return -math.inf, 0, 0.0
-    thresholds = (sv[feature, at] + sv[feature, at + 1]) / 2.0
     left_n = at + 1
     left_s = np.cumsum(y[order], axis=1)[feature, at]
     left_l = left_n - left_s
@@ -185,7 +188,11 @@ def _best_split(
         - base
     )
     i = int(np.argmax(raw))  # first max: lowest feature, then lowest threshold
-    return float(raw[i]), int(feature[i]), float(thresholds[i])
+    a, b = float(sv[feature[i], at[i]]), float(sv[feature[i], at[i] + 1])
+    mid = (a + b) / 2.0
+    # between adjacent doubles the midpoint can round up to b, and then
+    # `<= threshold` would send b's rows left too
+    return float(raw[i]), int(feature[i]), mid if mid < b else a
 
 
 def _grow(
@@ -362,7 +369,9 @@ def tune_kappa(
 
     One tree is grown on the 70% side at the largest kappa of the grid,
     and each kappa's model is that tree cut where a split's gain plus
-    ln kappa is not positive, which is grow_tree's tree at that kappa.  The
+    ln kappa is not positive, which is grow_tree's tree at that kappa.
+    Cuts are nested in kappa, so two cuts with the same leaf count are the
+    same tree, and each distinct cut is evaluated on the 30% side once.  The
     winning kappa (first in grid order on ties) is then used to regrow the
     tree on the full training set.  A split that leaves the 70% side
     single-class is degenerate and is redrawn with the next seed.
@@ -399,9 +408,12 @@ def tune_kappa(
     best_score = -math.inf
     best_acc = 0.0
     tree, gains = _grow(X[fit_rows], y[fit_rows], max(grid), columns)
+    reports: Dict[int, EvaluationReport] = {}  # by the cut's leaf count
     for kappa in grid:
-        root = _cut(tree.root, gains, math.log(kappa))
-        rep = evaluate(DecisionTreeModel(root, tree.columns, kappa), X[held_rows], y[held_rows])
+        cut = DecisionTreeModel(_cut(tree.root, gains, math.log(kappa)), tree.columns, kappa)
+        if cut.leaf_count not in reports:
+            reports[cut.leaf_count] = evaluate(cut, X[held_rows], y[held_rows])
+        rep = reports[cut.leaf_count]
         holdout_scores[kappa] = rep.avg_log_score
         if rep.avg_log_score > best_score:
             best_score = rep.avg_log_score

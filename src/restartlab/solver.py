@@ -14,16 +14,22 @@ level (KernelState), for orders up to 64, and so does regin_filter; the test
 suite's Python SearchState and _regin_masks (tests/reference.py) are their
 references.  The kernel also checks the instance: fc_init, which reads every
 given cell into its row and column masks, refuses a symbol that repeats in
-its line, so each KernelState checks the Latin property once, in C.
+its line, so the Latin property is checked in C as each run starts.  A
+traced run also keeps the running statistics of its feature rows in C and
+writes their summary there (KernelState.summary), so a caller that needs
+only the summary keeps no rows.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from . import fc_kernel
-from .features import REGISTRY
+from .features import REGISTRY, STAT_NAMES
 from .latin import HOLE, PartialLatinSquare, StructureError
 from .seeds import normalize_seed
 
@@ -141,23 +147,24 @@ def regin_filter(domains: Sequence[Iterable[int]]) -> Optional[List[Set[int]]]:
 
 class KernelState:
     """Search state held and mutated by the C kernel (fc_kernel), at either
-    propagation level: fc_init sets it up from the instance's symbols and
-    fc_run executes the whole search, writing the traced feature rows itself.
-    Every buffer is allocated here and freed with this object.  An instance
-    that violates the Latin property raises StructureError.
+    propagation level: fc_init sets up a run from the loaded instance and
+    fc_run executes the whole search, tracing the feature rows itself.
+    Every buffer is allocated here, once, and freed with this object; one
+    state serves any number of runs on instances of its order and hole
+    count, each started by load, since fc_init resets every run field.  An
+    instance that violates the Latin property raises StructureError.
     """
 
     def __init__(self, instance: PartialLatinSquare, config: SolverConfig, kernel) -> None:
         ffi = self._ffi = kernel.ffi
         self._lib = kernel.lib
         n = self.n = instance.order
-        symbols = [0 if v is HOLE else v for row in instance.cells for v in row]
-        holes = symbols.count(0)
+        holes = self.holes = sum(row.count(HOLE) for row in instance.cells)
         # A live trail holds at most n prunings plus one assignment per hole.
         trail = holes * (n + 1)
         self._buffers = (
-            ffi.new("int[]", symbols),
             ffi.new("uint64_t[]", n * n),
+            ffi.new("int[]", n * n),
             ffi.new("int[]", 2 * n),
             ffi.new("int[]", holes),
             ffi.new("uint64_t[]", 2 * n * n),
@@ -170,14 +177,31 @@ class KernelState:
             ffi.new("int[]", 2 * n),
             ffi.new("fc_frame[]", holes),
         )
+        self._summary = ffi.new("double[]", len(REGISTRY) * len(STAT_NAMES))
         st = self._st = ffi.new("fc_state *")
-        (st.symbol, st.domain, st.line_unassigned, st.hole_cells, st.line_symbol,
+        (st.domain, st.symbol, st.line_unassigned, st.hole_cells, st.line_symbol,
          st.size_rows, st.domain_size, st.trail_cell, st.trail_bits, st.queue, st.dirty,
          st.dirty_flag, st.frames) = self._buffers
+        st.summary = self._summary
         st.n = n
         st.regin = config.propagation == ALLDIFF_REGIN
-        st.min_leaf_depth = -1
-        if not self._lib.fc_init(st):
+        self._mt = ffi.new("mt_state *")
+        self._instance = None
+        self.load(instance)
+
+    def load(self, instance: PartialLatinSquare) -> None:
+        """Set up a run on instance, of this state's order and hole count
+        (ValueError otherwise): fc_init reloads its givens and resets every
+        run field.  Loading the instance of the last load only resets."""
+        if instance is not self._instance:
+            symbols = [0 if v is HOLE else v for row in instance.cells for v in row]
+            if instance.order != self.n or symbols.count(0) != self.holes:
+                raise ValueError(
+                    f"this state runs instances of order {self.n} with {self.holes} holes")
+            givens = self._ffi.new("int[]", symbols)
+            self._st.givens = givens
+            self._instance, self._givens = instance, givens
+        if not self._lib.fc_init(self._st):
             raise StructureError("instance violates the Latin property")
 
     @property
@@ -194,6 +218,15 @@ class KernelState:
             max_depth=st.max_depth,
         )
 
+    def summary(self) -> Optional[np.ndarray]:
+        """features.summarize's values of the rows the last search traced,
+        written by the kernel as it traced the last row due: None unless it
+        traced every row due, and at least two."""
+        st = self._st
+        if st.trace_left or st.node_visits < 2:
+            return None
+        return np.frombuffer(self._ffi.buffer(self._summary), dtype=float).copy()
+
     def extract_square(self) -> PartialLatinSquare:
         return PartialLatinSquare.from_flat(self.n, self._ffi.unpack(self._st.symbol, self.n ** 2))
 
@@ -201,41 +234,50 @@ class KernelState:
         return bool(self._lib.fc_propagate_root(self._st))
 
     def search(
-        self, seed: int, config: SolverConfig, trace: Optional[List]
+        self,
+        seed: int,
+        config: SolverConfig,
+        trace: Optional[List] = None,
+        stop: Optional[threading.Event] = None,
     ) -> Tuple[str, int, bool]:
         """Depth-first search from the root-propagated state on a Mersenne
         Twister seeded as random.Random(seed); returns (outcome, choice
-        points, exhausted) and appends one feature row per choice point to
-        trace, if given, up to the horizon.  A state with no open cell is
-        SOLVED at once.  fc_run writes the traced rows into a buffer of at
-        most _TRACE_ROWS rows, which is emptied into trace whenever it
-        returns, and returns after every _RUN_STEPS units of work so that
-        Ctrl-C is handled."""
+        points, exhausted).  A state with no open cell is SOLVED at once.
+        With config.trace_enabled the kernel traces the first min(horizon,
+        cutoff) choice points into its running statistics, which summary
+        reads, and appends their feature rows to trace, if given: fc_run
+        writes them into a buffer of at most _TRACE_ROWS rows, which is
+        emptied into trace whenever it returns.  fc_run returns after every
+        _RUN_STEPS units of work, so that Ctrl-C is handled, and once stop is
+        set the search ends there as CUTOFF."""
         ffi = self._ffi
         lib = self._lib
         st = self._st
         if st.unassigned_count == 0:  # fc_run needs an open cell to branch on
             return SOLVED, st.choice_points, False
         st.cutoff = -1 if config.cutoff is None else config.cutoff
-        st.new_node = 1
-        if trace is not None:
-            width = len(REGISTRY)
-            # Rows still to trace when the buffer was last emptied.
+        # Rows still to trace, as of the last time the buffer was emptied.
+        left = 0
+        if config.trace_enabled:
             left = config.horizon if config.cutoff is None else min(config.horizon, config.cutoff)
+        st.trace_left = left
+        keep = trace is not None and left > 0
+        buffer = ffi.NULL
+        if keep:
+            width = len(REGISTRY)
             buffer = ffi.new("double[]", min(left, _TRACE_ROWS) * width)
-            st.trace = buffer
             st.trace_end = buffer + len(buffer)
-            st.trace_left = left
-        mt = ffi.new("mt_state *")
+        st.trace = buffer
+        mt = self._mt
         lib.mt_seed(mt, seed)
         while True:
             status = lib.fc_run(st, mt, _RUN_STEPS)
-            if trace is not None and st.trace_left < left:
+            if keep and st.trace_left < left:
                 flat = ffi.unpack(buffer, (left - st.trace_left) * width)
                 trace.extend(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
                 left = st.trace_left
                 st.trace = buffer
-            if status != lib.FC_PAUSED:
+            if status != lib.FC_PAUSED or (stop is not None and stop.is_set()):
                 break
         outcome = SOLVED if status == lib.FC_SOLVED else CUTOFF
         return outcome, st.choice_points, status == lib.FC_EXHAUSTED
@@ -277,16 +319,29 @@ def _run(
     instance: PartialLatinSquare, config: SolverConfig, seed: int
 ) -> Tuple[RunRecord, KernelState]:
     """The run behind solve, whose record leaves assignment None, and the
-    state it ended in; the harness reads the record alone."""
+    state it ended in."""
     state = KernelState(instance, config, fc_kernel.for_order(instance.order))
     trace: Optional[List[Tuple[float, ...]]] = [] if config.trace_enabled else None
+    return _search(state, config, seed, trace), state
+
+
+def _search(
+    state: KernelState,
+    config: SolverConfig,
+    seed: int,
+    trace: Optional[List[Tuple[float, ...]]],
+    stop: Optional[threading.Event] = None,
+) -> RunRecord:
+    """One run on a loaded state, root propagation first; its record keeps
+    trace as its rows and leaves assignment None.  The harness runs it
+    without rows and reads state.summary() instead."""
     ok = state.propagate_root()
     post_prop = state.unassigned_count
     if not ok:
         outcome, choice_points, exhausted = CUTOFF, 0, True
     else:
-        outcome, choice_points, exhausted = state.search(normalize_seed(seed), config, trace)
-    record = RunRecord(
+        outcome, choice_points, exhausted = state.search(normalize_seed(seed), config, trace, stop)
+    return RunRecord(
         seed=seed,
         outcome=outcome,
         choice_points=choice_points,
@@ -296,4 +351,3 @@ def _run(
         exhausted=exhausted,
         stats=state.stats(),
     )
-    return record, state

@@ -7,7 +7,7 @@ Python implementation of each, step for step, as the oracle of the identity
 tests: SearchState and solve (solver.solve on the Python state), _regin_masks
 (the Regin oracle: the kernel's regin_prunings, which solver.regin_filter and
 every alldiff line filtering run), snapshot and population_variance (the
-traced row the kernel's write_row must match), fill_square and
+traced row the kernel's trace_row must match), fill_square and
 balanced_holes (latin's two generators), the exhaustive iter_completions and
 count_completions, and simulate (policy.simulate_policy as a numpy round
 loop that draws every round, where the kernel skips the draws of rounds no
@@ -573,7 +573,7 @@ def snapshot(state) -> Tuple[float, ...]:
     Called by SearchState once per choice point, after propagation and
     before the branch assignment; the state object must expose its public
     counters.  The C kernel writes the same row, float for float, in
-    write_row of _fc_kernel.c, so the two must change together.
+    trace_row of _fc_kernel.c, so the two must change together.
     """
     n = state.n
     symbol = state.symbol
@@ -799,7 +799,8 @@ def _split_gains(
     unused slots; one feature at a time.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values, thinned to at most MAX_SPLIT_CANDIDATES by rank spacing.
+    values a < b, or a where the midpoint rounds up to b, thinned to at most
+    MAX_SPLIT_CANDIDATES by rank spacing.
     """
     ns_total = int(y[rows].sum())
     nl_total = rows.size - ns_total
@@ -821,7 +822,9 @@ def _split_gains(
                 ).astype(int)
             )
             boundaries = boundaries[pick]
-        thresholds[j, :boundaries.size] = (sv[boundaries] + sv[boundaries + 1]) / 2.0
+        below, above = sv[boundaries], sv[boundaries + 1]
+        mid = (below + above) / 2.0
+        thresholds[j, :boundaries.size] = np.where(mid < above, mid, below)
         cum_short = np.cumsum(sy)
         left_n = boundaries + 1
         left_s = cum_short[boundaries]

@@ -6,8 +6,10 @@ import inspect
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +323,31 @@ class TestDataset:
             assert (tmp_path / "reused" / f"fx_{kind}").read_bytes() == fresh
         params = read_dataset("fx_train.csv").provenance["params"]
         assert "holes" not in params and params["balanced"] is False
+
+    def test_ctrl_c_stops_the_workers_and_writes_nothing(self, tmp_path):
+        # 20000 desk runs last several seconds at two threads; SIGINT after
+        # one second must end the process within five, before any write
+        fc_kernel.load()  # the child loads the kernel built here
+        src = Path(restartlab.__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "restartlab.cli", "dataset", "--runs", "20000",
+             "--test-runs", "0", "--horizon", "50", "--cutoff", "100000", "--seed", "81",
+             "--threads", "2", "--out-prefix", "desk"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        time.sleep(1)
+        assert proc.poll() is None, proc.stderr.read()
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            pytest.fail("dataset was still running 5 s after SIGINT")
+        assert proc.returncode != 0
+        err = proc.stderr.read()
+        assert "KeyboardInterrupt" in err and "_execute_runs" in err  # in the run loop
+        assert list(tmp_path.iterdir()) == []
 
     PEAK_SEARCH = ["dataset", "--peak-search", "--order", "8", "--holes", "40", "--balanced",
                    "--probe-runs", "5", "--cutoff", "500", "--horizon", "2"]
@@ -653,6 +680,30 @@ class TestPolicy:
                   "--policy", "annealed:3"])
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
+
+    def test_multi_instance_files_refused(self, workdir, tmp_path, capsys):
+        # a multi-instance file pools one run per instance: resampling it
+        # would restart onto a fresh instance
+        prefix = tmp_path / "m"
+        assert main(["dataset", "--mode", "multi", "--order", "10", "--holes", "50",
+                     "--balanced", "--runs", "12", "--test-runs", "6", "--horizon", "2",
+                     "--cutoff", "2000", "--seed", "4", "--out-prefix", str(prefix)]) == EXIT_OK
+        capsys.readouterr()
+        rtd, test = f"{prefix}_rtd.txt", f"{prefix}_test.csv"
+        for argv, path in (
+            ([rtd, "--policy", "fixed:5"], rtd),
+            ([str(workdir / "small_rtd.txt"), "--policy", "fixed:50", "--dataset", test], test),
+            ([str(workdir / "small_rtd.txt"), "--policy", "dynamic:2,3000",
+              "--model", str(workdir / "model.json"), "--dataset", test], test),
+        ):
+            out = tmp_path / "pol.json"
+            assert main(["policy", *argv, "-o", str(out)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {path} comes from dataset --mode multi, one run per instance;"
+                " restart policies are priced on the runs of one instance (--mode single)\n")
+            assert not out.exists()
 
 
 class TestReport:

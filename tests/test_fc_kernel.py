@@ -10,6 +10,7 @@ import subprocess
 import sys
 import sysconfig
 import textwrap
+import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restartlab import fc_kernel, latin, policy, solver
+from restartlab.features import summarize
 from restartlab.io import read_instance
 from restartlab.latin import (
     BALANCED,
@@ -36,6 +38,7 @@ from restartlab.solver import (
     ALLDIFF_REGIN,
     CUTOFF,
     FORWARD_CHECK,
+    SOLVED,
     KernelState,
     SolverConfig,
     solve,
@@ -380,6 +383,80 @@ class TestStateChoice:
         with pytest.raises(fc_kernel.KernelUnavailable, match="no C compiler"):
             solve(desk_instance(), SolverConfig(propagation=FORWARD_CHECK))
 
+
+
+class TestKernelSummaries:
+    """The kernel's running statistics give features.summarize's values bit
+    for bit, and one state reused across runs runs each like a fresh one."""
+
+    @pytest.mark.parametrize("propagation", [FORWARD_CHECK, ALLDIFF_REGIN])
+    @settings(max_examples=200, deadline=None)
+    @given(instance=instances(5, 12), seed=st.integers(0, 2**63),
+           horizon=st.integers(2, 300), cutoff=st.none() | st.integers(0, 400))
+    def test_equal_summarize(self, propagation, instance, seed, horizon, cutoff):
+        # runs stopped by the cutoff, before or after the horizon, included
+        config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=horizon,
+                              trace_enabled=True)
+        rec, state = solver._run(instance, config, seed)
+        due = horizon if cutoff is None else min(horizon, cutoff)
+        got = state.summary()
+        if len(rec.trace) < due or due < 2:
+            assert got is None
+        else:
+            assert got.tobytes() == summarize(rec.trace, horizon).values.tobytes()
+
+    @pytest.mark.parametrize("propagation, limits", [
+        (FORWARD_CHECK, ((50, 60), (100, 60), (300, 1000))),
+        (ALLDIFF_REGIN, ((3, 5), (10, 5), (20, 20))),
+    ])
+    def test_benchmark_runs_censored_or_not(self, propagation, limits):
+        # the desk instance under forward checking, the multi-alldiff
+        # instances under alldiff filtering, where they are not trivial
+        instances = ([desk_instance()] * 6 if propagation == FORWARD_CHECK
+                     else multi_alldiff_instances()[:6])
+        outcomes = set()
+        for horizon, cutoff in limits:
+            config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=horizon,
+                                  trace_enabled=True)
+            for i, instance in enumerate(instances):
+                rec, state = solver._run(instance, config, derive_seed(81, "run", i))
+                outcomes.add(rec.outcome)
+                if len(rec.trace) == min(horizon, cutoff):
+                    assert (state.summary().tobytes()
+                            == summarize(rec.trace, horizon).values.tobytes())
+        assert outcomes == {SOLVED, CUTOFF}
+
+    @pytest.mark.parametrize("propagation", [FORWARD_CHECK, ALLDIFF_REGIN])
+    def test_one_state_runs_like_fresh_states(self, propagation):
+        # loads alternate between instances, traced and untraced runs and
+        # runs ended by the cutoff, so every run field must be reset
+        multi = multi_alldiff_instances()[:4]
+        kernel = fc_kernel.load()
+        state = None
+        for i in range(16):
+            instance = multi[i % 3 if i < 8 else 3]
+            config = SolverConfig(cutoff=(40, 2000)[i % 2], propagation=propagation,
+                                  horizon=(10, 60)[i % 4 < 2], trace_enabled=i % 3 != 2)
+            seed = derive_seed(81, "run", i)
+            fresh, fresh_state = solver._run(instance, config, seed)
+            if state is None:
+                state = KernelState(instance, config, kernel)
+            else:
+                state.load(instance)
+            trace = [] if config.trace_enabled else None
+            assert solver._search(state, config, seed, trace) == fresh
+            assert repr(state.summary()) == repr(fresh_state.summary())
+        with pytest.raises(ValueError, match="order 20 with 160 holes"):
+            state.load(desk_instance())
+
+    def test_a_set_stop_event_ends_the_search(self, monkeypatch):
+        monkeypatch.setattr(solver, "_RUN_STEPS", 1)
+        config = SolverConfig(propagation=FORWARD_CHECK)
+        state = KernelState(desk_instance(), config, fc_kernel.load())
+        assert state.propagate_root()
+        stop = threading.Event()
+        stop.set()
+        assert state.search(derive_seed(81, "run", 1), config, None, stop) == (CUTOFF, 1, False)
 
 
 @st.composite

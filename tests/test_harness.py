@@ -1,6 +1,8 @@
 """Tests for experiment orchestration: spec validation, censoring bookkeeping,
 split labeling, determinism across worker counts, and instance search."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,27 @@ class TestDeterminismAcrossThreads:
         a = self.write_all(tmp_path, "one", threads=1)
         b = self.write_all(tmp_path, "two", threads=2)
         assert a == b
+
+    @pytest.mark.parametrize("mode", [SINGLE_INSTANCE, MULTI_INSTANCE])
+    def test_more_threads_than_cores_switching_often(self, mode):
+        # the workers take indices from one shared iterator: with eight
+        # threads and a thread switch every microsecond, each index still
+        # runs once, on its own seed and, in multi mode, its own instance
+        spec = small_spec(mode=mode, train_runs=80, test_runs=0, horizon=20, master_seed=7)
+
+        def rows(threads):
+            return [(i, runtime, solved, post, None if v is None else v.tobytes())
+                    for i, runtime, solved, post, v in harness._execute_runs(spec, 80, threads)]
+
+        serial = rows(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = rows(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r[0] for r in serial] == list(range(80))
+        assert threaded == serial
 
 
 class TestEachCheckOnce:

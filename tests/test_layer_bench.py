@@ -1,10 +1,11 @@
 """tools/layer_bench.py reproduces the cases and the deterministic work of the
-checked-in BENCH_solver.json, BENCH_policy.json and BENCH_learn.json, at one
-repeat.
+checked-in BENCH_solver.json, BENCH_policy.json, BENCH_learn.json and
+BENCH_dataset.json, at one repeat.
 
-The generation topic is left out: its order-34 cases take minutes.  So is the
-learn topic's paper-scale case, whose 4000+1000-run dataset takes about 10 s
-to build.
+The generation topic is left out: its order-34 cases take minutes.  So are
+the cases the tool runs only when LARGE is set: the learn topic's paper-scale
+case, whose 4000+1000-run dataset takes about 10 s to build, and the dataset
+topic's 800+200-run desk set, whose four loops take about 7 s.
 """
 
 import importlib.util
@@ -20,7 +21,9 @@ FIELDS = {
     "policy": ("policy", "key", "trials", "run_lengths", "live_draws", "dead_draws"),
     "learn": ("case", "workload", "runs", "rows", "features", "tune_nodes", "grow_nodes",
               "kappa", "leaves"),
+    "dataset": ("case", "workload", "threads", "runs", "choice_points", "rows"),
 }
+LARGE_CASES = ("desk paper scale", "desk 800+200")
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +32,7 @@ def layer_bench():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     module.REPEATS = 1
-    module.PAPER = False
+    module.LARGE = False
     return module
 
 
@@ -42,7 +45,7 @@ def test_topic_repeats_the_checked_in_work(layer_bench, topic, tmp_path, capsys)
 
     def work(result):
         return [{k: case[k] for k in FIELDS[topic]} for case in result["cases"]
-                if case.get("case") != "desk paper scale"]
+                if case.get("case") not in LARGE_CASES]
 
     assert work(fresh) == work(checked_in)
     assert fresh["command"] == checked_in["command"]

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restartlab import learn as learn_module
 from restartlab.learn import (
     DEFAULT_KAPPA_GRID,
     Dataset,
     TreeNode,
     _best_split,
+    _grow,
     _log_factorials,
     _presort,
     cascade_datasets,
@@ -219,6 +221,62 @@ class TestGrowTree:
         grown = grow_tree(X, y, kappa)
         single = marginal_model(y)
         assert tree_score(grown.root, kappa) >= tree_score(single.root, kappa)
+
+    def test_adjacent_doubles_split_as_scored(self):
+        # the midpoint of two adjacent doubles rounds up to the larger one,
+        # which `<= threshold` would send left with the smaller
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        model = grow_tree(np.array([[a], [b]]), np.array([True, False]), 0.9)
+        assert model.leaf_count == 2
+        assert a <= model.root.threshold < b
+        assert (model.root.left.n_short, model.root.right.n_long) == (1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(2, 80),
+        features=st.integers(1, 3),
+        data_seed=st.integers(0, 2**32 - 1),
+        kappa=st.sampled_from([0.9, 0.1, 1e-3]),
+    )
+    def test_children_hold_the_scored_partition(self, rows, features, data_seed, kappa):
+        # columns of runs of adjacent doubles (a few ulps above or below a
+        # drawn start), where many midpoints round up, or of integer levels
+        rng = np.random.default_rng(data_seed)
+        X = rng.integers(0, 4, size=(rows, features)).astype(float)
+        for j in np.nonzero(rng.random(features) < 0.7)[0]:
+            start = rng.choice([1.0, -3.5, 1e6, 2.0**-20, 7e-300])
+            ulps = rng.integers(0, 6, size=rows)
+            X[:, j] = (np.full(rows, start).view(np.int64) + ulps).view(np.float64)
+        y = rng.random(rows) < rng.random()
+        model, gains = _grow(X, y, kappa)
+        assert model.root == reference._grow_trees(X, y, [kappa])[0].root
+        log_fact = _log_factorials(rows + 1)
+
+        def check(node, node_rows, depth):
+            assert depth <= rows
+            if node.is_leaf:
+                return
+            values = np.unique(X[node_rows, node.feature])
+            below = np.searchsorted(values, node.threshold, side="right")
+            # the threshold lies on a boundary a < b of the node's values:
+            # a <= threshold < b, so the rows up to a go left, and only they
+            assert 1 <= below < values.size
+            left = node_rows[X[node_rows, node.feature] <= node.threshold]
+            right = node_rows[X[node_rows, node.feature] > node.threshold]
+            for child, part in ((node.left, left), (node.right, right)):
+                assert (child.n_short, child.n_long) == (int(y[part].sum()),
+                                                         int(part.size - y[part].sum()))
+            scored = (learn_module._leaf_log_marginals(log_fact, node.left.n_short,
+                                                       node.left.n_long)
+                      + learn_module._leaf_log_marginals(log_fact, node.right.n_short,
+                                                         node.right.n_long)
+                      - learn_module._leaf_log_marginals(log_fact, node.n_short, node.n_long))
+            assert gains[id(node)] == pytest.approx(scored, rel=1e-12, abs=1e-12)
+            check(node.left, left, depth + 1)
+            check(node.right, right, depth + 1)
+
+        check(model.root, np.arange(rows), 0)
 
 
 class TestBestSplit:

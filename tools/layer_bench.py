@@ -60,7 +60,7 @@ learn
   - desk-fc and multi-alldiff: their dataset stages at size full (48+16 and
     36+12 runs).
   - desk paper scale: desk-fc's dataset stage at 4000+1000 runs (the desk
-    instance, horizon 50, cutoff 100000, seed 81), built only when PAPER is
+    instance, horizon 50, cutoff 100000, seed 81), built only when LARGE is
     set.
   tune_kappa is also timed with the per-feature split search of
   tests/reference.py (best_split) in place of learn._best_split, each repeat
@@ -70,6 +70,20 @@ learn
   features, the nodes scored (learn._best_split calls) by one tune_kappa and
   by one grow_tree, kappa and leaves, and the per-round ratio of the loop's
   time to the shipped search's.
+
+dataset
+  The dataset run loop (harness._execute_runs: every run of a `restartlab
+  dataset`, up to the rows it returns, before the splits are built and
+  written) at 1 and 2 worker threads, on the dataset stages of desk-fc
+  (48+16 runs) and multi-alldiff (36+12 runs, each instance drawn in the
+  loop) at size full, and, when LARGE is set, on a desk set of DESK_SET
+  runs (800+200: the desk instance, forward checking, horizon 50, cutoff
+  100000), all at seed 81.  Each repeat alternates the plain loop with a loop whose kernel calls
+  are timed, every call on every thread, and both must return the same rows
+  as every other repeat and worker count.  Per case: threads, runs, choice
+  points, rows (runs that reached the horizon), the loop's seconds, and the
+  timed loop's seconds with the seconds inside kernel calls, in total and
+  in fc_run alone, summed over the threads.
 
 Each figure is the median, quartiles, range and count (n) of REPEATS (7)
 timings, or of one timing when the first took longer than LONG (10 s).  A
@@ -105,7 +119,7 @@ from pipeline import dataset_paths, run_stage, write_desk_instance  # noqa: E402
 from workloads import DESK_ACCURACY, DESK_POLICIES, DESK_SEED, WORKLOADS  # noqa: E402
 
 import reference  # noqa: E402
-from restartlab import cli, fc_kernel, learn as rlearn  # noqa: E402
+from restartlab import cli, fc_kernel, harness, learn as rlearn  # noqa: E402
 from restartlab import io as rio  # noqa: E402
 from restartlab.latin import (  # noqa: E402
     HoleSpec, PartialLatinSquare, generate_complete, poke_holes,
@@ -125,11 +139,15 @@ REPEATS = 7
 LONG = 10.0
 TIMEOUT = 300
 ORDER_34_SEEDS = {9: range(1, 6), 10: range(1, 6), 11: range(1, 4)}
-PAPER = True
+# Whether to run the cases whose inputs take seconds to build: learn's desk
+# paper scale and dataset's DESK_SET.
+LARGE = True
 PAPER_SIZE = dataclasses.replace(DESK.sizes[SIZE], runs=4000, test_runs=1000)
+DESK_SET = dataclasses.replace(DESK.sizes[SIZE], runs=800, test_runs=200)
 # deterministic work, printed next to the figures
 WORK = ("runs", "choice_points", "trials", "live_draws", "dead_draws", "instances",
-        "pattern_attempts", "rows", "features", "tune_nodes", "grow_nodes", "kappa", "leaves")
+        "pattern_attempts", "rows", "features", "tune_nodes", "grow_nodes", "kappa", "leaves",
+        "threads")
 
 
 class Disagree(Exception):
@@ -405,7 +423,7 @@ def learn(tmp: Path):
     instance = tmp / "desk.instance"
     write_desk_instance(instance)
     sets = [("desk-fc", DESK, DESK.sizes[SIZE]), ("multi-alldiff", MULTI, MULTI.sizes[SIZE])]
-    if PAPER:
+    if LARGE:
         sets.append(("desk paper scale", DESK, PAPER_SIZE))
     for name, workload, size in sets:
         prefix = tmp / name.replace(" ", "-")
@@ -445,11 +463,99 @@ def learn(tmp: Path):
         }
 
 
+class _TimedLib:
+    """A kernel lib whose calls add their seconds, per entry point, to
+    `seconds`; list.append keeps the threads' records whole."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.seconds = []
+
+    def __getattr__(self, name):
+        fn = getattr(self._lib, name)
+        if not callable(fn):
+            return fn
+
+        def timed(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                self.seconds.append((name, time.perf_counter() - t0))
+        return timed
+
+
+def timed_loop(loop):
+    """loop() with every kernel call timed: its result, the seconds inside
+    kernel calls and inside fc_run, and its own seconds."""
+    kernel = fc_kernel.load()
+    lib = _TimedLib(kernel.lib)
+    saved, fc_kernel.load = fc_kernel.load, lambda: SimpleNamespace(ffi=kernel.ffi, lib=lib)
+    try:
+        t0 = time.perf_counter()
+        rows = loop()
+        wall = time.perf_counter() - t0
+    finally:
+        fc_kernel.load = saved
+    return rows, (sum(s for _, s in lib.seconds),
+                  sum(s for name, s in lib.seconds if name == "fc_run"), wall)
+
+
+def dataset(tmp: Path):
+    desk = desk_instance(tmp)
+    cases = [("desk-fc", DESK, DESK.sizes[SIZE]), ("multi-alldiff", MULTI, MULTI.sizes[SIZE])]
+    if LARGE:
+        cases.append(("desk 800+200", DESK, DESK_SET))
+    for name, workload, size in cases:
+        single = workload.mode == "single"
+        spec = harness.ExperimentSpec(
+            mode=harness.SINGLE_INSTANCE if single else harness.MULTI_INSTANCE,
+            order=workload.order,
+            holes=None if single else HoleSpec.balanced(workload.holes // workload.order),
+            instance=desk if single else None, train_runs=size.runs, test_runs=size.test_runs,
+            horizon=workload.horizon, cutoff=workload.cutoff, propagation=workload.propagation,
+            master_seed=DESK_SEED)
+        total = size.runs + size.test_runs
+        expected = None
+        for threads in (1, 2):
+            def loop():
+                return [(i, runtime, solved, post, None if v is None else v.tobytes())
+                        for i, runtime, solved, post, v in
+                        harness._execute_runs(spec, total, threads)]
+
+            timings = []
+
+            def timed():
+                rows, figures = timed_loop(loop)
+                timings.append(figures)
+                return rows
+
+            label = f"{name} threads={threads}"
+            (loop_s, _), (rows, timed_rows) = repeat(label, loop, timed)
+            if timed_rows != rows or expected not in (None, rows):
+                raise Disagree(f"{label}: the rows differ")
+            expected = rows
+            kernel_s, fc_run_s, timed_s = zip(*timings)
+            yield label, {
+                "case": name,
+                "workload": workload.name,
+                "threads": threads,
+                "runs": total,
+                "choice_points": sum(r[1] for r in rows),
+                "rows": sum(r[4] is not None for r in rows),
+                "run_loop_s": spread(loop_s),
+                "timed_run_loop_s": spread(list(timed_s)),
+                "kernel_call_s": spread(list(kernel_s)),
+                "fc_run_s": spread(list(fc_run_s)),
+            }
+
+
 TOPICS = {
     "solver": ("solver choice points per second", solver),
     "policy": ("simulate_policy trials per second", policy),
     "generation": ("instance generation milliseconds on the C kernel", generation),
     "learn": ("tune_kappa and grow_tree seconds", learn),
+    "dataset": ("dataset run-loop seconds at 1 and 2 worker threads", dataset),
 }
 
 
