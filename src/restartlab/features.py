@@ -8,9 +8,9 @@ trace is then compressed into summary statistics per feature: initial
 value, final value, mean, min, max, plus mean/min/max of the first
 differences and the number of strict sign alternations in those
 differences.  Summaries are what the learner consumes.  The kernel keeps
-the same statistics while it traces a run and writes the summary itself
-(solver.KernelState.summary), which is what `dataset` reads; summarize is
-its reference, and summarizes traces held in Python.
+the same statistics while solver.KernelState.run traces a run and writes
+the summary itself (KernelState.summary), which is what `dataset` reads;
+summarize is its reference, and summarizes traces held in Python.
 """
 
 from __future__ import annotations

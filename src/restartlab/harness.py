@@ -3,10 +3,12 @@ labeling, and the command cores behind the CLI.
 
 Runs are seeded per run index from one master seed, so results are
 deterministic and independent of worker count or scheduling.  They execute
-on worker threads (the caller's own thread when there is one), each reusing
-one kernel state; every kernel call releases the GIL and the kernel writes
-each run's summary itself, so the threads search in parallel.  Workers return records that are merged by run index
-before anything downstream happens.
+on worker threads (the caller's own thread when there is one), each loading
+every run's instance into one solver.KernelState and making the run with
+KernelState.run; every kernel call releases the GIL and the kernel writes
+each run's summary itself, so the threads search in parallel.  Workers
+return records that are merged by run index before anything downstream
+happens.  The peak search probes its candidates the same way, on one state.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .latin import HoleSpec, PartialLatinSquare, generate_complete, poke_holes
 from .learn import Dataset, label_by_median
 from .policy import EmpiricalRTD
 from .seeds import derive_seed
-from .solver import SOLVED, KernelState, RunRecord, SolverConfig, _run, _search
+from .solver import SOLVED, KernelState, RunRecord, SolverConfig
 
 SINGLE_INSTANCE = "SINGLE_INSTANCE"
 MULTI_INSTANCE = "MULTI_INSTANCE"
@@ -69,8 +71,9 @@ _RunRow = Tuple[int, int, bool, int, Optional[np.ndarray]]
 
 
 def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRow]:
-    """Run indices 0..total-1 on `threads` worker threads (the caller's
-    own thread when there is one) and return their rows in index order.
+    """Run indices 0..total-1 on min(threads, total) worker threads (the
+    caller's own thread when there is one) and return their rows in index
+    order.
 
     Each worker takes the next index not yet taken and runs it on its own
     KernelState, loaded per run with the instance: the spec's, or run i's
@@ -109,16 +112,17 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
                     break
                 inst = instance_of(idx)
                 if state is None:
-                    state = KernelState(inst, config, kernel)
+                    state = KernelState(inst, kernel)
                 else:
                     state.load(inst)
-                rec = _search(state, config, derive_seed(spec.master_seed, "run", idx), None, stop)
+                rec = state.run(derive_seed(spec.master_seed, "run", idx), config, stop=stop)
                 rows.append(_row(spec, idx, rec, state))
         except BaseException:
             stop.set()
             raise
         return rows
 
+    threads = min(threads, total)  # no thread without a run to take
     if threads == 1:
         # the caller's thread: on desk-fc's 64 runs, a pool thread made the
         # stage 4 ms (6%) slower, and the stages after it slower too
@@ -270,16 +274,21 @@ def find_heavy_tail_instance(
     observed length (cutoff-capped) is at least `ratio` times the median and
     the median itself stays above 1 (degenerate instances solve instantly).
     Returns (instance, info) with info recording every candidate's numbers;
-    instance is None if no candidate qualifies.
+    instance is None if no candidate qualifies.  Every probe is a load and a
+    run on one KernelState, as a dataset worker makes its runs.
     """
     config = SolverConfig(cutoff=cutoff, propagation=propagation)
     trials = []
+    state = None
     for cand in range(max_candidates):
         square = generate_complete(order, derive_seed(master_seed, "peak", cand, "square"))
         inst = poke_holes(square, holes, derive_seed(master_seed, "peak", cand, "mask"))
+        if state is None:
+            state = KernelState(inst, fc_kernel.for_order(order))
         lengths = []
         for i in range(probe_runs):
-            rec, _ = _run(inst, config, derive_seed(master_seed, "peak", cand, "run", i))
+            state.load(inst)
+            rec = state.run(derive_seed(master_seed, "peak", cand, "run", i), config)
             lengths.append(rec.choice_points)
         med = float(np.median(lengths))
         top = float(max(lengths))

@@ -10,7 +10,9 @@ makes the choice-point count the unit of measured run time.
 Domains are bitmasks (bit s-1 set means symbol s is still possible), and all
 search-state mutation goes through a trail so backtracking is O(undone work).
 The whole search runs in the C kernel (see fc_kernel) at either propagation
-level (KernelState), for orders up to 64, and so does regin_filter; the test
+level, for orders up to 64, and so does regin_filter.  A KernelState holds
+an instance, and KernelState.run(seed, config) makes one seeded run on it:
+solve, the dataset workers and the peak search all run that way; the test
 suite's Python SearchState and _regin_masks (tests/reference.py) are their
 references.  The kernel also checks the instance: fc_init, which reads every
 given cell into its row and column masks, refuses a symbol that repeats in
@@ -151,11 +153,12 @@ class KernelState:
     fc_run executes the whole search, tracing the feature rows itself.
     Every buffer is allocated here, once, and freed with this object; one
     state serves any number of runs on instances of its order and hole
-    count, each started by load, since fc_init resets every run field.  An
-    instance that violates the Latin property raises StructureError.
+    count, each set up by load and made by run, since fc_init resets every
+    run field.  An instance that violates the Latin property raises
+    StructureError.
     """
 
-    def __init__(self, instance: PartialLatinSquare, config: SolverConfig, kernel) -> None:
+    def __init__(self, instance: PartialLatinSquare, kernel) -> None:
         ffi = self._ffi = kernel.ffi
         self._lib = kernel.lib
         n = self.n = instance.order
@@ -184,7 +187,6 @@ class KernelState:
          st.dirty_flag, st.frames) = self._buffers
         st.summary = self._summary
         st.n = n
-        st.regin = config.propagation == ALLDIFF_REGIN
         self._mt = ffi.new("mt_state *")
         self._instance = None
         self.load(instance)
@@ -201,25 +203,86 @@ class KernelState:
             givens = self._ffi.new("int[]", symbols)
             self._st.givens = givens
             self._instance, self._givens = instance, givens
-        if not self._lib.fc_init(self._st):
+        self._loaded = bool(self._lib.fc_init(self._st))
+        if not self._loaded:
             raise StructureError("instance violates the Latin property")
 
-    @property
-    def unassigned_count(self) -> int:
-        return self._st.unassigned_count
-
-    def stats(self) -> RunStats:
+    def run(
+        self,
+        seed: int,
+        config: SolverConfig,
+        trace: Optional[List[Tuple[float, ...]]] = None,
+        stop: Optional[threading.Event] = None,
+    ) -> RunRecord:
+        """One run on the loaded instance, which each run needs afresh (the
+        constructor loads the first; ValueError otherwise, since the state
+        still holds the last search): root propagation at config's level,
+        then depth-first search on a Mersenne Twister seeded as
+        random.Random(seed).  A root contradiction ends the run as an
+        exhausted CUTOFF, and a root propagation that leaves no open cell as
+        SOLVED, both at 0 choice points.  With config.trace_enabled the
+        kernel traces the first min(horizon, cutoff) choice points into its
+        running statistics, which summary reads, and appends their feature
+        rows to trace, if given: fc_run writes them into a buffer of at most
+        _TRACE_ROWS rows, which is emptied into trace whenever it returns.
+        fc_run returns after every _RUN_STEPS units of work, so that Ctrl-C
+        is handled, and once stop is set the search ends there as CUTOFF.
+        The record keeps trace as its rows and leaves assignment None."""
+        ffi = self._ffi
+        lib = self._lib
         st = self._st
-        return RunStats(
-            backtracks=st.backtracks,
-            contradictions=st.contradictions,
-            forced_assignments=st.forced_assignments,
-            alldiff_prunings=st.alldiff_prunings,
-            max_depth=st.max_depth,
+        if not self._loaded:
+            raise ValueError("load the instance again before the next run")
+        self._loaded = False
+        st.regin = config.propagation == ALLDIFF_REGIN
+        status = lib.FC_SOLVED if lib.fc_propagate_root(st) else lib.FC_EXHAUSTED
+        post_prop = st.unassigned_count
+        # fc_run needs an open cell to branch on
+        if status == lib.FC_SOLVED and post_prop > 0:
+            cutoff = config.cutoff
+            st.cutoff = -1 if cutoff is None else cutoff
+            # Rows still to trace, as of the last time the buffer was emptied.
+            left = 0
+            if config.trace_enabled:
+                left = config.horizon if cutoff is None else min(config.horizon, cutoff)
+            st.trace_left = left
+            keep = trace is not None and left > 0
+            buffer = ffi.NULL
+            if keep:
+                width = len(REGISTRY)
+                buffer = ffi.new("double[]", min(left, _TRACE_ROWS) * width)
+                st.trace_end = buffer + len(buffer)
+            st.trace = buffer
+            mt = self._mt
+            lib.mt_seed(mt, normalize_seed(seed))
+            while True:
+                status = lib.fc_run(st, mt, _RUN_STEPS)
+                if keep and st.trace_left < left:
+                    flat = ffi.unpack(buffer, (left - st.trace_left) * width)
+                    trace.extend(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
+                    left = st.trace_left
+                    st.trace = buffer
+                if status != lib.FC_PAUSED or (stop is not None and stop.is_set()):
+                    break
+        return RunRecord(
+            seed=seed,
+            outcome=SOLVED if status == lib.FC_SOLVED else CUTOFF,
+            choice_points=st.choice_points,
+            assignment=None,
+            trace=trace,
+            post_propagation_size=post_prop,
+            exhausted=status == lib.FC_EXHAUSTED,
+            stats=RunStats(
+                backtracks=st.backtracks,
+                contradictions=st.contradictions,
+                forced_assignments=st.forced_assignments,
+                alldiff_prunings=st.alldiff_prunings,
+                max_depth=st.max_depth,
+            ),
         )
 
     def summary(self) -> Optional[np.ndarray]:
-        """features.summarize's values of the rows the last search traced,
+        """features.summarize's values of the rows the last run traced,
         written by the kernel as it traced the last row due: None unless it
         traced every row due, and at least two."""
         st = self._st
@@ -229,58 +292,6 @@ class KernelState:
 
     def extract_square(self) -> PartialLatinSquare:
         return PartialLatinSquare.from_flat(self.n, self._ffi.unpack(self._st.symbol, self.n ** 2))
-
-    def propagate_root(self) -> bool:
-        return bool(self._lib.fc_propagate_root(self._st))
-
-    def search(
-        self,
-        seed: int,
-        config: SolverConfig,
-        trace: Optional[List] = None,
-        stop: Optional[threading.Event] = None,
-    ) -> Tuple[str, int, bool]:
-        """Depth-first search from the root-propagated state on a Mersenne
-        Twister seeded as random.Random(seed); returns (outcome, choice
-        points, exhausted).  A state with no open cell is SOLVED at once.
-        With config.trace_enabled the kernel traces the first min(horizon,
-        cutoff) choice points into its running statistics, which summary
-        reads, and appends their feature rows to trace, if given: fc_run
-        writes them into a buffer of at most _TRACE_ROWS rows, which is
-        emptied into trace whenever it returns.  fc_run returns after every
-        _RUN_STEPS units of work, so that Ctrl-C is handled, and once stop is
-        set the search ends there as CUTOFF."""
-        ffi = self._ffi
-        lib = self._lib
-        st = self._st
-        if st.unassigned_count == 0:  # fc_run needs an open cell to branch on
-            return SOLVED, st.choice_points, False
-        st.cutoff = -1 if config.cutoff is None else config.cutoff
-        # Rows still to trace, as of the last time the buffer was emptied.
-        left = 0
-        if config.trace_enabled:
-            left = config.horizon if config.cutoff is None else min(config.horizon, config.cutoff)
-        st.trace_left = left
-        keep = trace is not None and left > 0
-        buffer = ffi.NULL
-        if keep:
-            width = len(REGISTRY)
-            buffer = ffi.new("double[]", min(left, _TRACE_ROWS) * width)
-            st.trace_end = buffer + len(buffer)
-        st.trace = buffer
-        mt = self._mt
-        lib.mt_seed(mt, seed)
-        while True:
-            status = lib.fc_run(st, mt, _RUN_STEPS)
-            if keep and st.trace_left < left:
-                flat = ffi.unpack(buffer, (left - st.trace_left) * width)
-                trace.extend(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
-                left = st.trace_left
-                st.trace = buffer
-            if status != lib.FC_PAUSED or (stop is not None and stop.is_set()):
-                break
-        outcome = SOLVED if status == lib.FC_SOLVED else CUTOFF
-        return outcome, st.choice_points, status == lib.FC_EXHAUSTED
 
 
 # Most traced rows held in C at a time: a run traced to a large horizon
@@ -309,45 +320,10 @@ def solve(
     ValueError, and a kernel that cannot be built raises
     fc_kernel.KernelUnavailable.
     """
-    record, state = _run(instance, SolverConfig() if config is None else config, seed)
+    if config is None:
+        config = SolverConfig()
+    state = KernelState(instance, fc_kernel.for_order(instance.order))
+    record = state.run(seed, config, [] if config.trace_enabled else None)
     if record.outcome == SOLVED:
         record.assignment = state.extract_square()
     return record
-
-
-def _run(
-    instance: PartialLatinSquare, config: SolverConfig, seed: int
-) -> Tuple[RunRecord, KernelState]:
-    """The run behind solve, whose record leaves assignment None, and the
-    state it ended in."""
-    state = KernelState(instance, config, fc_kernel.for_order(instance.order))
-    trace: Optional[List[Tuple[float, ...]]] = [] if config.trace_enabled else None
-    return _search(state, config, seed, trace), state
-
-
-def _search(
-    state: KernelState,
-    config: SolverConfig,
-    seed: int,
-    trace: Optional[List[Tuple[float, ...]]],
-    stop: Optional[threading.Event] = None,
-) -> RunRecord:
-    """One run on a loaded state, root propagation first; its record keeps
-    trace as its rows and leaves assignment None.  The harness runs it
-    without rows and reads state.summary() instead."""
-    ok = state.propagate_root()
-    post_prop = state.unassigned_count
-    if not ok:
-        outcome, choice_points, exhausted = CUTOFF, 0, True
-    else:
-        outcome, choice_points, exhausted = state.search(normalize_seed(seed), config, trace, stop)
-    return RunRecord(
-        seed=seed,
-        outcome=outcome,
-        choice_points=choice_points,
-        assignment=None,
-        trace=trace,
-        post_propagation_size=post_prop,
-        exhausted=exhausted,
-        stats=state.stats(),
-    )

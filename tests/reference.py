@@ -214,10 +214,11 @@ def _regin_masks(doms: List[int]) -> Optional[List[Tuple[int, int]]]:
 class SearchState:
     """Mutable constraint state for one run in Python: domains, trail, counters.
 
-    The reference for solver.KernelState: it offers the same
-    unassigned_count, propagate_root (which counts a root contradiction),
-    search, stats and extract_square (once solved), and solve below drives
-    it through these alone, as solver.solve drives the kernel's state.
+    The reference for solver.KernelState.run: solve below makes one run
+    through unassigned_count, propagate_root (which counts a root
+    contradiction), search and stats, the steps KernelState.run takes in
+    the kernel, and builds the square with extract_square once solved, as
+    solver.solve does.
     """
 
     def __init__(self, instance: PartialLatinSquare, config: Optional[SolverConfig] = None):

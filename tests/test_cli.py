@@ -297,6 +297,20 @@ class TestDataset:
         assert capsys.readouterr().err == message
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_instance_without_completion_writes_nothing(self, tmp_path, capsys, threads):
+        # root propagation empties cell (1, 2): its row needs 1, its column holds it
+        path = tmp_path / "dead.txt"
+        write_instance(str(path), PartialLatinSquare.from_rows(
+            [[1, 2, 3], [2, 3, HOLE], [HOLE, HOLE, 1]]))
+        code = main(["dataset", "--instance", str(path), "--runs", "4", "--test-runs", "2",
+                     "--horizon", "2", "--threads", threads,
+                     "--out-prefix", str(tmp_path / "x")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: instance admits no completion; cannot measure run lengths\n")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_desk_default_then_a_fixed_instance(self, workdir, tmp_path, monkeypatch, capsys):
         # with no --holes the desk default sets args.holes and args.balanced;
         # a fixed-instance run after it in one process writes what a fresh

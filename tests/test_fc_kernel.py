@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from restartlab import fc_kernel, latin, policy, solver
+from restartlab import fc_kernel, harness, latin, policy, solver
 from restartlab.features import summarize
 from restartlab.io import read_instance
 from restartlab.latin import (
@@ -62,6 +62,13 @@ def multi_alldiff_instances():
         square = generate_complete(20, derive_seed(81, "inst", i))
         out.append(poke_holes(square, HoleSpec.balanced(8), derive_seed(81, "mask", i)))
     return out
+
+
+def run_on_a_fresh_state(instance, config, seed):
+    """The record of solve's run, before it builds the solved square, and
+    the state it ended in."""
+    state = KernelState(instance, fc_kernel.for_order(instance.order))
+    return state.run(seed, config, [] if config.trace_enabled else None), state
 
 
 @st.composite
@@ -204,18 +211,17 @@ class TestIdentityWithPythonState:
         config = SolverConfig(cutoff=None, horizon=10**7, trace_enabled=True,
                               propagation=ALLDIFF_REGIN)
         ffi = RecordingFFI()
-        state = KernelState(instance, config, SimpleNamespace(ffi=ffi, lib=kernel.lib))
-        assert state.propagate_root()
+        state = KernelState(instance, SimpleNamespace(ffi=ffi, lib=kernel.lib))
         trace = []
-        state.search(derive_seed(81, "run", 1), config, trace)
+        state.run(derive_seed(81, "run", 1), config, trace)
         assert 0 < len(trace) and max(ffi.sizes) <= solver._TRACE_ROWS * 14 * 8
         seed = derive_seed(81, "run", 1)
         assert solve(instance, config, seed) == reference.solve(instance, config, seed)
 
 
-# Searches an order-6 square with one hole after root propagation has
-# filled it, at both levels and traced; prints each (outcome, choice points,
-# exhausted, trace rows) tuple.
+# Runs an order-6 square with one hole, which root propagation fills, at
+# both levels and traced; prints each (outcome, choice points, exhausted,
+# trace rows) tuple.
 SEARCH_SOLVED_STATE = textwrap.dedent("""
     from restartlab import fc_kernel, solver
     from restartlab.latin import HOLE, PartialLatinSquare
@@ -224,10 +230,11 @@ SEARCH_SOLVED_STATE = textwrap.dedent("""
     instance = PartialLatinSquare.from_rows(rows)
     for level in (solver.FORWARD_CHECK, solver.ALLDIFF_REGIN):
         config = solver.SolverConfig(propagation=level, horizon=1000, trace_enabled=True)
-        state = solver.KernelState(instance, config, fc_kernel.load())
-        assert state.propagate_root() and state.unassigned_count == 0
+        state = solver.KernelState(instance, fc_kernel.load())
         trace = []
-        print(*state.search(5, config, trace), len(trace))
+        rec = state.run(5, config, trace)
+        assert rec.post_propagation_size == 0
+        print(rec.outcome, rec.choice_points, rec.exhausted, len(trace))
 """)
 
 
@@ -307,9 +314,9 @@ class TestChannelledViews:
         libs = []
 
         class Checking(KernelState):
-            def __init__(self, instance, config, kernel):
+            def __init__(self, instance, kernel):
                 libs.append(ViewCheckingLib(kernel))
-                super().__init__(instance, config, SimpleNamespace(ffi=kernel.ffi, lib=libs[-1]))
+                super().__init__(instance, SimpleNamespace(ffi=kernel.ffi, lib=libs[-1]))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_RUN_STEPS", 1)
@@ -342,8 +349,8 @@ class TestChannelledViews:
 
 class TestStateChoice:
     @staticmethod
-    def _states(monkeypatch, propagation):
-        """The KernelStates one solve() builds."""
+    def _recorded(monkeypatch, module):
+        """The list of the KernelStates that module builds from now on."""
         made = []
 
         class Recording(KernelState):
@@ -351,7 +358,13 @@ class TestStateChoice:
                 super().__init__(*args)
                 made.append(self)
 
-        monkeypatch.setattr(solver, "KernelState", Recording)
+        monkeypatch.setattr(module, "KernelState", Recording)
+        return made
+
+    @classmethod
+    def _states(cls, monkeypatch, propagation):
+        """The KernelStates one solve() builds."""
+        made = cls._recorded(monkeypatch, solver)
         solve(desk_instance(), SolverConfig(cutoff=100, propagation=propagation), 1)
         return made
 
@@ -360,6 +373,14 @@ class TestStateChoice:
 
     def test_alldiff_runs_on_the_kernel(self, monkeypatch):
         assert len(self._states(monkeypatch, ALLDIFF_REGIN)) == 1
+
+    def test_a_peak_search_builds_one_state(self, monkeypatch):
+        # no candidate reaches the ratio, so all four are probed
+        made = self._recorded(monkeypatch, harness)
+        instance, info = harness.find_heavy_tail_instance(
+            8, HoleSpec.balanced(4), 81, probe_runs=3, ratio=1e9, max_candidates=4)
+        assert instance is None and len(info["trials"]) == 4
+        assert len(made) == 1
 
     def test_orders_above_64_are_refused(self):
         # domains no longer fit the kernel's 64-bit masks; the Python
@@ -397,7 +418,7 @@ class TestKernelSummaries:
         # runs stopped by the cutoff, before or after the horizon, included
         config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=horizon,
                               trace_enabled=True)
-        rec, state = solver._run(instance, config, seed)
+        rec, state = run_on_a_fresh_state(instance, config, seed)
         due = horizon if cutoff is None else min(horizon, cutoff)
         got = state.summary()
         if len(rec.trace) < due or due < 2:
@@ -419,7 +440,7 @@ class TestKernelSummaries:
             config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=horizon,
                                   trace_enabled=True)
             for i, instance in enumerate(instances):
-                rec, state = solver._run(instance, config, derive_seed(81, "run", i))
+                rec, state = run_on_a_fresh_state(instance, config, derive_seed(81, "run", i))
                 outcomes.add(rec.outcome)
                 if len(rec.trace) == min(horizon, cutoff):
                     assert (state.summary().tobytes()
@@ -428,35 +449,52 @@ class TestKernelSummaries:
 
     @pytest.mark.parametrize("propagation", [FORWARD_CHECK, ALLDIFF_REGIN])
     def test_one_state_runs_like_fresh_states(self, propagation):
-        # loads alternate between instances, traced and untraced runs and
-        # runs ended by the cutoff, so every run field must be reset
+        # loads alternate between instances, and runs between propagation
+        # levels (the first at propagation), traced and untraced, ended by
+        # the cutoff or not: every run field must be reset and each run must
+        # set its level
+        other = ALLDIFF_REGIN if propagation == FORWARD_CHECK else FORWARD_CHECK
         multi = multi_alldiff_instances()[:4]
         kernel = fc_kernel.load()
         state = None
         for i in range(16):
             instance = multi[i % 3 if i < 8 else 3]
-            config = SolverConfig(cutoff=(40, 2000)[i % 2], propagation=propagation,
+            config = SolverConfig(cutoff=(40, 2000)[i % 2],
+                                  propagation=(propagation, other)[i % 5 % 2],
                                   horizon=(10, 60)[i % 4 < 2], trace_enabled=i % 3 != 2)
             seed = derive_seed(81, "run", i)
-            fresh, fresh_state = solver._run(instance, config, seed)
+            fresh, fresh_state = run_on_a_fresh_state(instance, config, seed)
             if state is None:
-                state = KernelState(instance, config, kernel)
+                state = KernelState(instance, kernel)
             else:
                 state.load(instance)
             trace = [] if config.trace_enabled else None
-            assert solver._search(state, config, seed, trace) == fresh
+            assert state.run(seed, config, trace) == fresh
             assert repr(state.summary()) == repr(fresh_state.summary())
         with pytest.raises(ValueError, match="order 20 with 160 holes"):
             state.load(desk_instance())
 
+    def test_each_run_needs_a_load(self):
+        # a run on a state not loaded since its last run would start from
+        # where that search stopped
+        instance = desk_instance()
+        config = SolverConfig(cutoff=50, propagation=FORWARD_CHECK)
+        state = KernelState(instance, fc_kernel.load())
+        first = state.run(1, config)
+        with pytest.raises(ValueError, match="^load the instance again before the next run$"):
+            state.run(2, config)
+        state.load(instance)
+        assert state.run(2, config) == run_on_a_fresh_state(instance, config, 2)[0]
+        assert first == run_on_a_fresh_state(instance, config, 1)[0]
+
     def test_a_set_stop_event_ends_the_search(self, monkeypatch):
         monkeypatch.setattr(solver, "_RUN_STEPS", 1)
         config = SolverConfig(propagation=FORWARD_CHECK)
-        state = KernelState(desk_instance(), config, fc_kernel.load())
-        assert state.propagate_root()
+        state = KernelState(desk_instance(), fc_kernel.load())
         stop = threading.Event()
         stop.set()
-        assert state.search(derive_seed(81, "run", 1), config, None, stop) == (CUTOFF, 1, False)
+        rec = state.run(derive_seed(81, "run", 1), config, stop=stop)
+        assert (rec.outcome, rec.choice_points, rec.exhausted) == (CUTOFF, 1, False)
 
 
 @st.composite
@@ -501,7 +539,7 @@ def test_the_kernel_checks_the_latin_property(propagation, instance):
     when validate reports a repeated symbol."""
     config = SolverConfig(cutoff=0, propagation=propagation)
     kernel = fc_kernel.for_order(instance.order)
-    for run in (lambda: KernelState(instance, config, kernel), lambda: solve(instance, config)):
+    for run in (lambda: KernelState(instance, kernel), lambda: solve(instance, config)):
         if validate(instance):
             with pytest.raises(StructureError, match="^instance violates the Latin property$"):
                 run()
@@ -512,7 +550,7 @@ def test_the_kernel_checks_the_latin_property(propagation, instance):
 BUILD_AND_SOLVE = textwrap.dedent("""
     import sys
     from pathlib import Path
-    from restartlab import fc_kernel, latin, policy, solver
+    from restartlab import fc_kernel, harness, latin, policy, solver
     from restartlab.latin import generate_complete, poke_holes, HoleSpec, BALANCED
     fc_kernel._cache_dirs = lambda: [Path(sys.argv[1])]
     inst = poke_holes(generate_complete(8, 1), HoleSpec(mode=BALANCED, holes_per_line=4), 2)

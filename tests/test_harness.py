@@ -221,6 +221,12 @@ class TestMultiInstanceMode:
         assert c["under_horizon"] + c["rows"] + c["cutoff_hit"] == 40
 
 
+def comparable(rows):
+    """_execute_runs rows with each summary as bytes, so == compares them."""
+    return [(i, runtime, solved, post, None if v is None else v.tobytes())
+            for i, runtime, solved, post, v in rows]
+
+
 class TestDeterminismAcrossThreads:
     def write_all(self, tmp_path, tag, threads):
         spec = small_spec(train_runs=30, test_runs=10, master_seed=7, horizon=20)
@@ -256,8 +262,7 @@ class TestDeterminismAcrossThreads:
         spec = small_spec(mode=mode, train_runs=80, test_runs=0, horizon=20, master_seed=7)
 
         def rows(threads):
-            return [(i, runtime, solved, post, None if v is None else v.tobytes())
-                    for i, runtime, solved, post, v in harness._execute_runs(spec, 80, threads)]
+            return comparable(harness._execute_runs(spec, 80, threads))
 
         serial = rows(1)
         interval = sys.getswitchinterval()
@@ -268,6 +273,39 @@ class TestDeterminismAcrossThreads:
             sys.setswitchinterval(interval)
         assert [r[0] for r in serial] == list(range(80))
         assert threaded == serial
+
+    def test_no_more_threads_than_runs(self, monkeypatch):
+        # 64 threads asked for 3 runs: the pool is asked for 3 workers.  The
+        # fake pool records that and runs each worker in this thread, so no
+        # thread starts.
+        spec = small_spec(train_runs=3, test_runs=0, horizon=20, master_seed=7)
+        asked = {"max_workers": None, "submits": 0}
+
+        class Done:
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                return self.value
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked["max_workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn):
+                asked["submits"] += 1
+                return Done(fn())
+
+        serial = comparable(harness._execute_runs(spec, 3, 1))
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+        assert comparable(harness._execute_runs(spec, 3, 64)) == serial
+        assert asked == {"max_workers": 3, "submits": 3}
 
 
 class TestEachCheckOnce:

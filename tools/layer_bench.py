@@ -12,7 +12,10 @@ derive_seed(81, "run", i).
 
 solver
   Choice points per second of the C kernel for each propagation level,
-  traced and untraced, solver calls only.
+  traced and untraced, on the runs `restartlab dataset` makes: one
+  KernelState per case, loaded with each run's instance and then run, and
+  no solved square built.  A traced run keeps its statistics in the kernel
+  and no rows in Python.
   - desk: the desk instance, the 48+16 runs of desk-fc, horizon 50, cutoff
     100000, at forward checking and at alldiff filtering.
   - multi-alldiff: its 36+12 instances (order 20, 8 holes per line, each
@@ -130,7 +133,7 @@ from restartlab.policy import (  # noqa: E402
     simulate_policy,
 )
 from restartlab.seeds import derive_seed  # noqa: E402
-from restartlab.solver import ALLDIFF_REGIN, FORWARD_CHECK, SolverConfig, solve  # noqa: E402
+from restartlab.solver import ALLDIFF_REGIN, FORWARD_CHECK, KernelState, SolverConfig  # noqa: E402
 
 DESK = WORKLOADS["desk-fc"]
 MULTI = WORKLOADS["multi-alldiff"]
@@ -216,8 +219,16 @@ def solver(tmp: Path):
                 config = SolverConfig(cutoff=workload.cutoff, propagation=propagation,
                                       horizon=workload.horizon, trace_enabled=traced)
                 label = f"{name} {propagation} traced={int(traced)}"
-                (seconds,), (records,) = repeat(
-                    label, lambda: [solve(inst, config, seed) for inst, seed in runs])
+                state = KernelState(instances[0], fc_kernel.load())
+
+                def loop():
+                    records = []
+                    for inst, seed in runs:
+                        state.load(inst)
+                        records.append(state.run(seed, config))
+                    return records
+
+                (seconds,), (records,) = repeat(label, loop)
                 choice_points = sum(r.choice_points for r in records)
                 yield label, {
                     "workload": name,
