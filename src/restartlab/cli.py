@@ -228,6 +228,8 @@ def _cmd_dataset(args) -> int:
     if args.peak_search:
         if holes is None:
             raise ValueError("--peak-search needs --order/--holes, not a fixed instance file")
+        if _FLAG_MODE[args.mode] == MULTI_INSTANCE:
+            raise ValueError("--peak-search picks one instance; --mode multi draws one per run")
         # with no --cutoff the probes keep find_heavy_tail_instance's own
         probe_cutoff = {} if args.cutoff is None else {"cutoff": args.cutoff}
         instance, info = find_heavy_tail_instance(

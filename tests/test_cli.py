@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import restartlab
-from restartlab import fc_kernel, harness
+from restartlab import cli, fc_kernel, harness
 from restartlab.cli import (
     EXIT_DATA,
     EXIT_KERNEL,
@@ -401,6 +401,23 @@ class TestDataset:
             assert message in capsys.readouterr().err
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--mode", "multi", "--runs", "4", "--test-runs", "2"],
+         "--peak-search picks one instance; --mode multi draws one per run"),
+        (["--instance", "inst.txt"],
+         "--peak-search needs --order/--holes, not a fixed instance file"),
+    ], ids=["multi", "instance"])
+    def test_peak_search_refusals_search_nothing(self, workdir, tmp_path, monkeypatch, capsys,
+                                                 flags, message):
+        monkeypatch.setattr(cli, "find_heavy_tail_instance",
+                            lambda *args, **kw: pytest.fail("the peak search ran"))
+        monkeypatch.chdir(workdir)
+        code = main(self.PEAK_SEARCH + flags + ["--tail-ratio", "1.5",
+                                                "--out-prefix", str(tmp_path / "p")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_model_round_trip(self, workdir, capsys):
@@ -563,6 +580,33 @@ class TestCascade:
             assert confusion["short_as_short"] + confusion["short_as_long"] == shorts
             assert 0 < shorts < s["test_rows"]
 
+    def test_small_stage_is_skipped(self, workdir, tmp_path, capsys):
+        # 9 uncensored training runs last longer than 60
+        out = tmp_path / "cascade.json"
+        assert main(["cascade", str(workdir / "small_train.csv"),
+                     str(workdir / "small_test.csv"), "--thresholds", "20,60",
+                     "--min-rows", "20", "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "t=60: skipped (only 9 rows above 60.0, need 20)")
+        stages = json.loads(out.read_text())["report"]["stages"]
+        assert stages[1] == {"threshold": 60.0, "skipped": True,
+                             "reason": "only 9 rows above 60.0, need 20"}
+
+    def test_stage_without_test_rows(self, workdir, tmp_path, capsys):
+        # 7 training runs but no test run last longer than 100
+        test = read_dataset(str(workdir / "small_test.csv"))
+        write_dataset(str(tmp_path / "short_test.csv"), test.subset(test.runtime < 100))
+        out = tmp_path / "cascade.json"
+        assert main(["cascade", str(workdir / "small_train.csv"),
+                     str(tmp_path / "short_test.csv"), "--thresholds", "20,100",
+                     "--min-rows", "4", "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "t=100: 7 train rows, no test rows survive")
+        stage = json.loads(out.read_text())["report"]["stages"][1]
+        assert stage == {"threshold": 100.0, "skipped": False, "train_rows": 7,
+                         "median": 985.0, "kappa": stage["kappa"],
+                         "leaf_count": stage["leaf_count"], "test_rows": 0}
+
     def test_unsorted_thresholds_rejected(self, workdir, capsys):
         code = main(["cascade", str(workdir / "small_train.csv"),
                      str(workdir / "small_test.csv"), "--thresholds", "60,20"])
@@ -637,6 +681,21 @@ class TestPolicy:
         ])
         assert code == EXIT_USAGE
         assert "held-out runs, not the training split" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_and_dataset_columns_must_agree(self, workdir, tmp_path, capsys):
+        obj = json.loads((workdir / "model.json").read_text())
+        obj["columns"] = obj["columns"][::-1]
+        model = tmp_path / "reversed.json"
+        model.write_text(json.dumps(obj))
+        out = tmp_path / "pol.json"
+        code = main(["policy", str(workdir / "small_rtd.txt"), "--policy", "dynamic:20,3000",
+                     "--model", str(model), "--dataset", str(workdir / "small_test.csv"),
+                     "-o", str(out)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out.startswith("optimal fixed cutoff ")
+        assert captured.err == "error: model and dataset disagree on feature columns\n"
         assert not out.exists()
 
     def test_model_without_dataset_rejected(self, workdir, capsys):

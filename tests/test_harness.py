@@ -188,6 +188,15 @@ class TestRunExperiment:
         with pytest.raises(DataFormatError):
             run_experiment(spec)
 
+    def test_no_run_solved_raises(self):
+        # the desk instance at cutoff 2: every run is censored, so the
+        # training split has no row to label
+        spec = ExperimentSpec(order=18, holes=SEVEN_PER_LINE, train_runs=20, test_runs=5,
+                              horizon=2, cutoff=2, master_seed=81)
+        assert not any(solved for _, _, solved, _, _ in harness._execute_runs(spec, 25, 1))
+        with pytest.raises(DataFormatError, match="^zero surviving rows after censoring;"):
+            run_experiment(spec)
+
 
 @pytest.fixture(scope="module")
 def multi():

@@ -1,11 +1,11 @@
 """tools/layer_bench.py reproduces the cases and the deterministic work of the
-checked-in BENCH_solver.json, BENCH_policy.json, BENCH_learn.json and
-BENCH_dataset.json, at one repeat.
+checked-in BENCH_solver.json, BENCH_policy.json, BENCH_generation.json,
+BENCH_learn.json and BENCH_dataset.json, at one repeat.
 
-The generation topic is left out: its order-34 cases take minutes.  So are
-the cases the tool runs only when LARGE is set: the learn topic's paper-scale
-case, whose 4000+1000-run dataset takes about 10 s to build, and the dataset
-topic's 800+200-run desk set, whose four loops take about 7 s.
+The cases the tool runs only when LARGE is set are left out: the
+generation topic's order-34 cases, which take minutes, the learn topic's
+paper-scale case, whose 4000+1000-run dataset takes about 10 s to build, and
+the dataset topic's 800+200-run desk set, whose four loops take about 7 s.
 """
 
 import importlib.util
@@ -19,11 +19,12 @@ ROOT = Path(__file__).resolve().parent.parent
 FIELDS = {
     "solver": ("workload", "propagation", "traced", "horizon", "cutoff", "runs", "choice_points"),
     "policy": ("policy", "key", "trials", "run_lengths", "live_draws", "dead_draws"),
+    "generation": ("case", "order", "holes_per_line", "instances", "pattern_attempts"),
     "learn": ("case", "workload", "runs", "rows", "features", "tune_nodes", "grow_nodes",
               "kappa", "leaves"),
     "dataset": ("case", "workload", "threads", "runs", "choice_points", "rows"),
 }
-LARGE_CASES = ("desk paper scale", "desk 800+200")
+LARGE_CASES = ("desk paper scale", "desk 800+200", "order 34")
 
 
 @pytest.fixture(scope="module")

@@ -13,16 +13,18 @@ derive_seed(81, "run", i).
 solver
   Choice points per second of the C kernel for each propagation level,
   traced and untraced, on the runs `restartlab dataset` makes: one
-  KernelState per case, loaded with each run's instance and then run, and
-  no solved square built.  A traced run keeps its statistics in the kernel
-  and no rows in Python.
+  KernelState per workload, loaded with each run's instance and then run,
+  and no solved square built.  A traced run keeps its statistics in the
+  kernel and no rows in Python.
   - desk: the desk instance, the 48+16 runs of desk-fc, horizon 50, cutoff
     100000, at forward checking and at alldiff filtering.
   - multi-alldiff: its 36+12 instances (order 20, 8 holes per line, each
     drawn before timing), one run each, horizon 10, cutoff 20000, alldiff
     filtering.
-  Per case: runs, choice points, seconds and choice points per second.
-  Every repeat must return the same run records.
+  A workload's cases share their rounds, each round running every level,
+  untraced then traced, on the workload's one state.  Per case: runs,
+  choice points, seconds and choice points per second.  Every repeat must
+  return the same run records.
 
 policy
   simulate_policy trials per second for each policy, every round priced in
@@ -34,12 +36,12 @@ policy
   with a synthetic predictor of accuracy 0.9, each over 100000 trials on the
   run-length file; and dynamic:50,3000 with the tree as predictor over 10000
   trials on the held-out split.  Master seed 81.
-  Each repeat alternates with a kernel call that only skips the policy's
-  dead draws, the floor of its time.  Per policy: trials, the run lengths
-  drawn in priced rounds (live) and in rounds whose cutoff is below the
-  shortest run (dead, the draws the kernel skips), seconds, trials per
-  second and the seconds the skip alone takes.  Every repeat must give the
-  same PolicyStats.
+  The four policies share their rounds: each round prices every policy in
+  turn, each followed by a kernel call that only skips its dead draws, the
+  floor of its time.  Per policy: trials, the run lengths drawn in priced
+  rounds (live) and in rounds whose cutoff is below the shortest run (dead,
+  the draws the kernel skips), seconds, trials per second and the seconds
+  the skip alone takes.  Every repeat must give the same PolicyStats.
 
 generation
   generate_complete and balanced poke_holes in milliseconds.
@@ -52,10 +54,12 @@ generation
     the hole pattern depends only on the order, the holes per line and the
     seed, and the cyclic square needs no fill.  Every order-34 figure runs
     in its own process under a TIMEOUT (300 s) limit; a case that does not
-    finish is recorded with "finished": false.
-  Per case: instances and hole-pattern attempts (the passes that drew h
-  permutations or gave up on one).  Every repeat must draw the same squares
-  and patterns in the same number of attempts.
+    finish is recorded with "finished": false.  These cases run only when
+    LARGE is set.
+  Per case: instances and hole-pattern attempts (the lq_hole_pattern calls
+  kernel_calls records: the passes that drew h permutations or gave up on
+  one).  Every repeat must draw the same squares and patterns in the same
+  number of attempts.
 
 learn
   tune_kappa and grow_tree seconds on the training split of a dataset stage,
@@ -66,13 +70,14 @@ learn
     instance, horizon 50, cutoff 100000, seed 81), built only when LARGE is
     set.
   tune_kappa is also timed with the per-feature split search of
-  tests/reference.py (best_split) in place of learn._best_split, each repeat
-  alternating the two; both must return the same TuningResult.  The loop's
-  figure includes the presort, which the loop does not read.  grow_tree
-  grows the whole training split at the tuned kappa.  Per case: rows,
-  features, the nodes scored (learn._best_split calls) by one tune_kappa and
-  by one grow_tree, kappa and leaves, and the per-round ratio of the loop's
-  time to the shipped search's.
+  tests/reference.py (best_split) patched in for learn._best_split, each
+  round running the two in turn; both must return the same TuningResult.
+  The loop's figure includes the presort, which the loop does not read.
+  grow_tree grows the whole training split at the tuned kappa.  Per case:
+  rows, features, the nodes scored (the call count of a mock wrapping
+  learn._best_split) by one tune_kappa and by one grow_tree, kappa and
+  leaves, and the per-round ratio of the loop's time to the shipped
+  search's.
 
 dataset
   The dataset run loop (harness._execute_runs: every run of a `restartlab
@@ -81,26 +86,34 @@ dataset
   (48+16 runs) and multi-alldiff (36+12 runs, each instance drawn in the
   loop) at size full, and, when LARGE is set, on a desk set of DESK_SET
   runs (800+200: the desk instance, forward checking, horizon 50, cutoff
-  100000), all at seed 81.  Each repeat alternates the plain loop with a loop whose kernel calls
-  are timed, every call on every thread, and both must return the same rows
-  as every other repeat and worker count.  Per case: threads, runs, choice
-  points, rows (runs that reached the horizon), the loop's seconds, and the
-  timed loop's seconds with the seconds inside kernel calls, in total and
-  in fc_run alone, summed over the threads.
+  100000), all at seed 81.  A case's 1- and 2-thread loops share their
+  rounds: each round runs the plain loop and then the same loop inside
+  kernel_calls, at 1 thread and then at 2, and all four must return the
+  same rows as every other round.  Per case: threads, runs, choice points,
+  rows (runs that reached the horizon), the loop's seconds, and the timed
+  loop's seconds with the seconds its recorded kernel calls took, in total
+  and in fc_run alone, summed over the threads.
 
-Each figure is the median, quartiles, range and count (n) of REPEATS (7)
-timings, or of one timing when the first took longer than LONG (10 s).  A
-repeat that disagrees with the first exits 1.  The JSON records each figure
-next to the deterministic work it measured, with nproc and the Python
-version.  That the kernel's outputs equal the Python reference's is the
-identity tests' job (tests/test_fc_kernel.py, tests/test_policy.py,
-tests/test_latin.py and, for the split search, tests/test_learn.py).
+Cases that a topic puts side by side share their rounds: repeat() calls
+them in turn within each round, so a change of host speed during a topic
+lands on all of them alike, not on one.  kernel_calls() patches
+fc_kernel.load so that every kernel call inside it, on any thread, is
+recorded as (entry point, seconds).  Each figure is the median, quartiles,
+range and count (n) of REPEATS (7) timings, or of one timing when the
+round's first took longer than LONG (10 s).  A repeat that disagrees with
+the first exits 1.  The JSON records each figure next to the deterministic
+work it measured, with nproc and the Python version.  That the kernel's
+outputs equal the Python reference's is the identity tests' job
+(tests/test_fc_kernel.py, tests/test_policy.py, tests/test_latin.py and,
+for the split search, tests/test_learn.py).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import os
 import platform
@@ -111,6 +124,7 @@ import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
@@ -142,11 +156,12 @@ REPEATS = 7
 LONG = 10.0
 TIMEOUT = 300
 ORDER_34_SEEDS = {9: range(1, 6), 10: range(1, 6), 11: range(1, 4)}
-# Whether to run the cases whose inputs take seconds to build: learn's desk
-# paper scale and dataset's DESK_SET.
+# Whether to run the cases that take seconds or minutes: learn's desk paper
+# scale, dataset's DESK_SET and generation's order-34 cases.
 LARGE = True
 PAPER_SIZE = dataclasses.replace(DESK.sizes[SIZE], runs=4000, test_runs=1000)
 DESK_SET = dataclasses.replace(DESK.sizes[SIZE], runs=800, test_runs=200)
+THREADS = (1, 2)  # the dataset topic's worker counts
 # deterministic work, printed next to the figures
 WORK = ("runs", "choice_points", "trials", "live_draws", "dead_draws", "instances",
         "pattern_attempts", "rows", "features", "tune_nodes", "grow_nodes", "kappa", "leaves",
@@ -187,6 +202,29 @@ def repeat(label, *fns):
     return seconds, first
 
 
+@contextlib.contextmanager
+def kernel_calls():
+    """Patch fc_kernel.load for the block so that every kernel call made in
+    it, on any thread, is appended to the yielded list as (entry point,
+    seconds); list.append keeps the threads' records whole."""
+    kernel, calls = fc_kernel.load(), []
+
+    def recorded(name, fn):
+        def call(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                calls.append((name, time.perf_counter() - t0))
+        return call
+
+    entries = {name: getattr(kernel.lib, name) for name in dir(kernel.lib)}
+    lib = SimpleNamespace(**{name: recorded(name, fn) if callable(fn) else fn
+                             for name, fn in entries.items()})
+    with mock.patch.object(fc_kernel, "load", lambda: SimpleNamespace(ffi=kernel.ffi, lib=lib)):
+        yield calls
+
+
 def runs_of(workload):
     size = workload.sizes[SIZE]
     return size.runs + size.test_runs
@@ -214,33 +252,32 @@ def solver(tmp: Path):
     }
     for name, (workload, instances, levels) in workloads.items():
         runs = [(inst, derive_seed(DESK_SEED, "run", i)) for i, inst in enumerate(instances)]
-        for propagation in levels:
-            for traced in (False, True):
-                config = SolverConfig(cutoff=workload.cutoff, propagation=propagation,
-                                      horizon=workload.horizon, trace_enabled=traced)
-                label = f"{name} {propagation} traced={int(traced)}"
-                state = KernelState(instances[0], fc_kernel.load())
+        state = KernelState(instances[0], fc_kernel.load())
+        configs = [SolverConfig(cutoff=workload.cutoff, propagation=propagation,
+                                horizon=workload.horizon, trace_enabled=traced)
+                   for propagation in levels for traced in (False, True)]
 
-                def loop():
-                    records = []
-                    for inst, seed in runs:
-                        state.load(inst)
-                        records.append(state.run(seed, config))
-                    return records
+        def loop(config):
+            records = []
+            for inst, seed in runs:
+                state.load(inst)
+                records.append(state.run(seed, config))
+            return records
 
-                (seconds,), (records,) = repeat(label, loop)
-                choice_points = sum(r.choice_points for r in records)
-                yield label, {
-                    "workload": name,
-                    "propagation": propagation,
-                    "traced": traced,
-                    "horizon": workload.horizon,
-                    "cutoff": workload.cutoff,
-                    "runs": len(runs),
-                    "choice_points": choice_points,
-                    "seconds": spread(seconds),
-                    "choice_points_per_s": spread([choice_points / s for s in seconds]),
-                }
+        timings, results = repeat(name, *(functools.partial(loop, c) for c in configs))
+        for config, seconds, records in zip(configs, timings, results):
+            choice_points = sum(r.choice_points for r in records)
+            yield f"{name} {config.propagation} traced={int(config.trace_enabled)}", {
+                "workload": name,
+                "propagation": config.propagation,
+                "traced": config.trace_enabled,
+                "horizon": workload.horizon,
+                "cutoff": workload.cutoff,
+                "runs": len(runs),
+                "choice_points": choice_points,
+                "seconds": spread(seconds),
+                "choice_points_per_s": spread([choice_points / s for s in seconds]),
+            }
 
 
 def draw_counts(source, policy, trials):
@@ -285,11 +322,14 @@ def policy(tmp: Path):
                      DynamicPolicy(*window, SyntheticPredictor(float(DESK_ACCURACY))), size.trials))
         runs.append(("dynamic_model", DatasetSource(test),
                      DynamicPolicy(*window, ModelPredictor(model)), size.model_trials))
-    for key, source, pol, trials in runs:
-        live, dead = draw_counts(source, pol, trials)
-        (seconds, skips), _ = repeat(
-            key, lambda: simulate_policy(source, pol, trials, DESK_SEED),
-            skip(kernel, source.lengths.size, dead))
+    draws = [draw_counts(source, pol, trials) for _, source, pol, trials in runs]
+    fns = []
+    for (_, source, pol, trials), (_, dead) in zip(runs, draws):
+        fns += [functools.partial(simulate_policy, source, pol, trials, DESK_SEED),
+                skip(kernel, source.lengths.size, dead)]
+    timings, _ = repeat("policy", *fns)
+    for (key, source, pol, trials), (live, dead), seconds, skips in zip(
+            runs, draws, timings[::2], timings[1::2]):
         yield key, {
             "policy": pol.describe(),
             "key": key,
@@ -303,37 +343,16 @@ def policy(tmp: Path):
         }
 
 
-class _CountingLib:
-    """A kernel lib that counts hole-pattern passes."""
-
-    def __init__(self, lib):
-        self._lib = lib
-        self.patterns = 0
-
-    def __getattr__(self, name):
-        return getattr(self._lib, name)
-
-    def lq_hole_pattern(self, *args):
-        self.patterns += 1
-        return self._lib.lq_hole_pattern(*args)
-
-
 def repeat_pokes(label, pokes):
-    """repeat() of pokes on a kernel that counts hole-pattern passes; its
-    result is (passes, pokes())."""
-    kernel = fc_kernel.load()
-    lib = _CountingLib(kernel.lib)
+    """repeat() of pokes inside kernel_calls(); its result is (hole-pattern
+    passes, pokes())."""
+    with kernel_calls() as calls:
+        def counted():
+            calls.clear()
+            out = pokes()
+            return sum(name == "lq_hole_pattern" for name, _ in calls), out
 
-    def counted():
-        before = lib.patterns
-        out = pokes()
-        return lib.patterns - before, out
-
-    saved, fc_kernel.load = fc_kernel.load, lambda: SimpleNamespace(ffi=kernel.ffi, lib=lib)
-    try:
         (seconds,), (result,) = repeat(label, counted)
-    finally:
-        fc_kernel.load = saved
     return seconds, result
 
 
@@ -398,20 +417,13 @@ def generation(tmp: Path):
     yield "desk", case
     yield "multi-alldiff", generation_case("multi-alldiff", multi_seeds(), MULTI.order,
                                            MULTI.holes // MULTI.order)[0]
+    if not LARGE:
+        return
     for seed in range(1, 6):
         yield f"generate_complete 34 s={seed}", order_34("generate_complete", seed, 0)
     for holes, seeds in ORDER_34_SEEDS.items():
         for seed in seeds:
             yield f"poke_holes 34 h={holes} s={seed}", order_34("poke_holes", seed, holes)
-
-
-def with_split_search(search, fn):
-    """fn() with learn._best_split replaced by search."""
-    saved, rlearn._best_split = rlearn._best_split, search
-    try:
-        return fn()
-    finally:
-        rlearn._best_split = saved
 
 
 def per_feature_loop(X, y, rows, order, log_fact, picks):
@@ -420,14 +432,9 @@ def per_feature_loop(X, y, rows, order, log_fact, picks):
 
 def nodes_scored(fn):
     """The learn._best_split calls of fn()."""
-    search, calls = rlearn._best_split, []
-
-    def counted(*args):
-        calls.append(None)
-        return search(*args)
-
-    with_split_search(counted, fn)
-    return len(calls)
+    with mock.patch.object(rlearn, "_best_split", wraps=rlearn._best_split) as search:
+        fn()
+    return search.call_count
 
 
 def learn(tmp: Path):
@@ -448,8 +455,11 @@ def learn(tmp: Path):
         def tune():
             return tune_kappa(X, y, seed=DESK_SEED, columns=train.columns)
 
-        (tune_s, loop_s), (result, looped) = repeat(
-            name, tune, lambda: with_split_search(per_feature_loop, tune))
+        def tune_by_loop():
+            with mock.patch.object(rlearn, "_best_split", per_feature_loop):
+                return tune()
+
+        (tune_s, loop_s), (result, looped) = repeat(name, tune, tune_by_loop)
         if looped != result:
             raise Disagree(f"{name}: the per-feature loop tunes another model")
 
@@ -474,44 +484,6 @@ def learn(tmp: Path):
         }
 
 
-class _TimedLib:
-    """A kernel lib whose calls add their seconds, per entry point, to
-    `seconds`; list.append keeps the threads' records whole."""
-
-    def __init__(self, lib):
-        self._lib = lib
-        self.seconds = []
-
-    def __getattr__(self, name):
-        fn = getattr(self._lib, name)
-        if not callable(fn):
-            return fn
-
-        def timed(*args):
-            t0 = time.perf_counter()
-            try:
-                return fn(*args)
-            finally:
-                self.seconds.append((name, time.perf_counter() - t0))
-        return timed
-
-
-def timed_loop(loop):
-    """loop() with every kernel call timed: its result, the seconds inside
-    kernel calls and inside fc_run, and its own seconds."""
-    kernel = fc_kernel.load()
-    lib = _TimedLib(kernel.lib)
-    saved, fc_kernel.load = fc_kernel.load, lambda: SimpleNamespace(ffi=kernel.ffi, lib=lib)
-    try:
-        t0 = time.perf_counter()
-        rows = loop()
-        wall = time.perf_counter() - t0
-    finally:
-        fc_kernel.load = saved
-    return rows, (sum(s for _, s in lib.seconds),
-                  sum(s for name, s in lib.seconds if name == "fc_run"), wall)
-
-
 def dataset(tmp: Path):
     desk = desk_instance(tmp)
     cases = [("desk-fc", DESK, DESK.sizes[SIZE]), ("multi-alldiff", MULTI, MULTI.sizes[SIZE])]
@@ -527,27 +499,25 @@ def dataset(tmp: Path):
             horizon=workload.horizon, cutoff=workload.cutoff, propagation=workload.propagation,
             master_seed=DESK_SEED)
         total = size.runs + size.test_runs
-        expected = None
-        for threads in (1, 2):
-            def loop():
-                return [(i, runtime, solved, post, None if v is None else v.tobytes())
-                        for i, runtime, solved, post, v in
-                        harness._execute_runs(spec, total, threads)]
+        logs = {threads: [] for threads in THREADS}
 
-            timings = []
+        def loop(threads):
+            return [(i, runtime, solved, post, None if v is None else v.tobytes())
+                    for i, runtime, solved, post, v in harness._execute_runs(spec, total, threads)]
 
-            def timed():
-                rows, figures = timed_loop(loop)
-                timings.append(figures)
-                return rows
+        def recorded(threads):
+            with kernel_calls() as calls:
+                rows = loop(threads)
+            logs[threads].append(calls)
+            return rows
 
-            label = f"{name} threads={threads}"
-            (loop_s, _), (rows, timed_rows) = repeat(label, loop, timed)
-            if timed_rows != rows or expected not in (None, rows):
-                raise Disagree(f"{label}: the rows differ")
-            expected = rows
-            kernel_s, fc_run_s, timed_s = zip(*timings)
-            yield label, {
+        timings, results = repeat(name, *(functools.partial(fn, threads)
+                                          for threads in THREADS for fn in (loop, recorded)))
+        rows = results[0]
+        if any(other != rows for other in results):
+            raise Disagree(f"{name}: the rows differ")
+        for threads, loop_s, timed_s in zip(THREADS, timings[::2], timings[1::2]):
+            yield f"{name} threads={threads}", {
                 "case": name,
                 "workload": workload.name,
                 "threads": threads,
@@ -555,9 +525,10 @@ def dataset(tmp: Path):
                 "choice_points": sum(r[1] for r in rows),
                 "rows": sum(r[4] is not None for r in rows),
                 "run_loop_s": spread(loop_s),
-                "timed_run_loop_s": spread(list(timed_s)),
-                "kernel_call_s": spread(list(kernel_s)),
-                "fc_run_s": spread(list(fc_run_s)),
+                "timed_run_loop_s": spread(timed_s),
+                "kernel_call_s": spread([sum(s for _, s in calls) for calls in logs[threads]]),
+                "fc_run_s": spread([sum(s for entry, s in calls if entry == "fc_run")
+                                    for calls in logs[threads]]),
             }
 
 
