@@ -211,6 +211,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_dataset(args) -> int:
+    if args.instance:
+        if args.peak_search:
+            raise ValueError("--peak-search needs --order/--holes, not a fixed instance file")
+        if args.holes is not None or args.balanced:
+            raise ValueError("--holes and --balanced shape generated instances,"
+                             " not a fixed instance file")
     instance = None
     if args.holes is None and not args.instance:
         # desk-scale default: order 18 with 7 holes per line
@@ -224,10 +230,7 @@ def _cmd_dataset(args) -> int:
     holes = _hole_spec(args)
     if args.instance:
         instance = rio.read_instance(args.instance)
-        holes = None
     if args.peak_search:
-        if holes is None:
-            raise ValueError("--peak-search needs --order/--holes, not a fixed instance file")
         if _FLAG_MODE[args.mode] == MULTI_INSTANCE:
             raise ValueError("--peak-search picks one instance; --mode multi draws one per run")
         # with no --cutoff the probes keep find_heavy_tail_instance's own
@@ -442,24 +445,12 @@ def _cmd_policy(args) -> int:
                 f"{path} comes from dataset --mode multi, one run per instance;"
                 " restart policies are priced on the runs of one instance (--mode single)"
             )
-    c_star, c_cost = optimal_fixed_cutoff(rtd)
-    report: Dict = {
-        "runs": rtd.size,
-        "optimal_fixed": {"cutoff": c_star, "expected_steps": c_cost},
-    }
-    print(f"optimal fixed cutoff {c_star} -> expected {c_cost:.1f} steps")
+    # every check runs before the first line is printed
     if args.scan_limit is not None:
         if model is not None:
             raise ValueError("--scan-limit uses the synthetic predictor; drop --model")
         scan = scan_dynamic_limits(rtd, args.scan_limit, args.accuracy)
-        report["limit_scan"] = {"observe": args.scan_limit, "entries": scan}
-        for e in scan[:5]:
-            print(
-                f"  L={e['limit']}: E(runs)={e['expected_runs']:.3f},"
-                f" E(total) <= {e['expected_total_ub']:.1f}"
-            )
-    results = []
-    hit_unbounded = False
+    runs = []
     for policy in args.policies or []:
         source = RtdSource(rtd)
         if isinstance(policy, _DynamicSpec):
@@ -488,6 +479,23 @@ def _cmd_policy(args) -> int:
                 policy = DynamicPolicy(
                     policy.observe, policy.limit, SyntheticPredictor(args.accuracy)
                 )
+        runs.append((policy, source))
+    c_star, c_cost = optimal_fixed_cutoff(rtd)
+    report: Dict = {
+        "runs": rtd.size,
+        "optimal_fixed": {"cutoff": c_star, "expected_steps": c_cost},
+    }
+    print(f"optimal fixed cutoff {c_star} -> expected {c_cost:.1f} steps")
+    if args.scan_limit is not None:
+        report["limit_scan"] = {"observe": args.scan_limit, "entries": scan}
+        for e in scan[:5]:
+            print(
+                f"  L={e['limit']}: E(runs)={e['expected_runs']:.3f},"
+                f" E(total) <= {e['expected_total_ub']:.1f}"
+            )
+    results = []
+    hit_unbounded = False
+    for policy, source in runs:
         stats = simulate_policy(
             source, policy, trials=args.trials, master_seed=args.seed,
             run_budget=args.run_budget,
@@ -573,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dataset", help="generate labeled train/test datasets")
     d.add_argument("--mode", choices=list(_FLAG_MODE), default=_MODE_FLAG[ExperimentSpec.mode])
     d.add_argument("--order", type=_positive_int, default=ExperimentSpec.order)
-    d.add_argument("--holes", type=int, default=None, help="total holes (default 126 balanced)")
+    d.add_argument("--holes", type=int, default=None,
+                   help="total holes (default 7 per line, balanced, at any --order)")
     d.add_argument("--balanced", action="store_true")
     d.add_argument("--instance", default=None, help="fixed instance file (single mode)")
     d.add_argument("--runs", type=_positive_int, default=ExperimentSpec.train_runs)

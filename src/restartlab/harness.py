@@ -3,9 +3,9 @@ labeling, and the command cores behind the CLI.
 
 Runs are seeded per run index from one master seed, so results are
 deterministic and independent of worker count or scheduling.  They execute
-on worker threads (the caller's own thread when there is one), each loading
-every run's instance into one solver.KernelState and making the run with
-KernelState.run; every kernel call releases the GIL and the kernel writes
+on worker threads (the caller's own thread when there is one), each making
+every run with one call, KernelState.run(instance, seed, config), on its own
+solver.KernelState; every kernel call releases the GIL and the kernel writes
 each run's summary itself, so the threads search in parallel.  Workers
 return records that are merged by run index before anything downstream
 happens.  The peak search probes its candidates the same way, on one state.
@@ -75,8 +75,8 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
     caller's own thread when there is one) and return their rows in index
     order.
 
-    Each worker takes the next index not yet taken and runs it on its own
-    KernelState, loaded per run with the instance: the spec's, or run i's
+    Each worker builds its own KernelState, then takes the next index not
+    yet taken and runs it there on its instance: the spec's, or run i's
     own in multi-instance mode, drawn from derive_seed(seed, "inst", i)
     and derive_seed(seed, "mask", i).  Every kernel call releases the GIL,
     and the kernel writes each run's summary itself, so a worker holds the
@@ -105,17 +105,13 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
 
     def work() -> List[_RunRow]:
         rows: List[_RunRow] = []
-        state = None
+        state = KernelState(kernel)
         try:
             for idx in indices:
                 if stop.is_set():
                     break
-                inst = instance_of(idx)
-                if state is None:
-                    state = KernelState(inst, kernel)
-                else:
-                    state.load(inst)
-                rec = state.run(derive_seed(spec.master_seed, "run", idx), config, stop=stop)
+                rec = state.run(instance_of(idx), derive_seed(spec.master_seed, "run", idx),
+                                config, stop=stop)
                 rows.append(_row(spec, idx, rec, state))
         except BaseException:
             stop.set()
@@ -273,22 +269,19 @@ def find_heavy_tail_instance(
     observed length (cutoff-capped) is at least `ratio` times the median and
     the median itself stays above 1 (degenerate instances solve instantly).
     Returns (instance, info) with info recording every candidate's numbers;
-    instance is None if no candidate qualifies.  Every probe is a load and a
-    run on one KernelState, as a dataset worker makes its runs.
+    instance is None if no candidate qualifies.  Every probe is a run on one
+    KernelState, as a dataset worker makes its runs.
     """
     config = SolverConfig(cutoff=cutoff, propagation=propagation)
     trials = []
-    state = None
+    state = KernelState(fc_kernel.for_order(order))
     for cand in range(max_candidates):
         square = generate_complete(order, derive_seed(master_seed, "peak", cand, "square"))
         inst = poke_holes(square, holes, derive_seed(master_seed, "peak", cand, "mask"))
-        if state is None:
-            state = KernelState(inst, fc_kernel.for_order(order))
-        lengths = []
-        for i in range(probe_runs):
-            state.load(inst)
-            rec = state.run(derive_seed(master_seed, "peak", cand, "run", i), config)
-            lengths.append(rec.choice_points)
+        lengths = [
+            state.run(inst, derive_seed(master_seed, "peak", cand, "run", i), config).choice_points
+            for i in range(probe_runs)
+        ]
         med = float(np.median(lengths))
         top = float(max(lengths))
         r = top / med if med >= 1 else 0.0

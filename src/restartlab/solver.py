@@ -10,13 +10,14 @@ makes the choice-point count the unit of measured run time.
 Domains are bitmasks (bit s-1 set means symbol s is still possible), and all
 search-state mutation goes through a trail so backtracking is O(undone work).
 The whole search runs in the C kernel (see fc_kernel) at either propagation
-level, for orders up to 64, and so does regin_filter.  A KernelState holds
-an instance, and KernelState.run(seed, config) makes one seeded run on it:
-solve, the dataset workers and the peak search all run that way; the test
-suite's Python SearchState and _regin_masks (tests/reference.py) are their
-references.  The kernel also checks the instance: fc_init, which reads every
-given cell into its row and column masks, refuses a symbol that repeats in
-its line, so the Latin property is checked in C as each run starts.  A
+level, for orders up to 64, and so does regin_filter.  One call,
+KernelState.run(instance, seed, config), sets up and makes a seeded run, on
+a state that serves any number of runs: solve, the dataset workers and the
+peak search all run that way; the test suite's Python SearchState and
+_regin_masks (tests/reference.py) are their references.  The kernel also
+checks the instance: fc_init, which reads every given cell into its row and
+column masks, refuses a symbol that repeats in its line, so the Latin
+property is checked in C as each run starts.  A
 traced run also keeps the running statistics of its feature rows in C and
 writes their summary there (KernelState.summary), so a caller that needs
 only the summary keeps no rows.
@@ -149,75 +150,67 @@ def regin_filter(domains: Sequence[Iterable[int]]) -> Optional[List[Set[int]]]:
 
 class KernelState:
     """Search state held and mutated by the C kernel (fc_kernel), at either
-    propagation level: fc_init sets up a run from the loaded instance and
-    fc_run executes the whole search, tracing the feature rows itself.
-    Every buffer is allocated here, once, and freed with this object; one
-    state serves any number of runs on instances of its order and hole
-    count, each set up by load and made by run, since fc_init resets every
-    run field.  An instance that violates the Latin property raises
-    StructureError.
+    propagation level: run sets up each run with fc_init, which reads the
+    instance's givens and resets every run field, and fc_run executes the
+    whole search, tracing the feature rows itself.  One state serves any
+    number of runs on any instances; its buffers are sized for the order and
+    hole count of the instance it runs, allocated again when a run's
+    differ from the last run's, and freed with this object.
     """
 
-    def __init__(self, instance: PartialLatinSquare, kernel) -> None:
+    def __init__(self, kernel) -> None:
         ffi = self._ffi = kernel.ffi
         self._lib = kernel.lib
-        n = self.n = instance.order
-        holes = self.holes = sum(row.count(HOLE) for row in instance.cells)
-        # A live trail holds at most n prunings plus one assignment per hole.
-        trail = holes * (n + 1)
-        self._buffers = (
-            ffi.new("uint64_t[]", n * n),
-            ffi.new("int[]", n * n),
-            ffi.new("int[]", 2 * n),
-            ffi.new("int[]", holes),
-            ffi.new("uint64_t[]", 2 * n * n),
-            ffi.new("uint64_t[]", (n + 1) * n),
-            ffi.new("int[]", n * n),
-            ffi.new("int[]", trail),
-            ffi.new("uint64_t[]", trail),
-            ffi.new("int[]", holes + 1),
-            ffi.new("int[]", 2 * n),
-            ffi.new("int[]", 2 * n),
-            ffi.new("fc_frame[]", holes),
-        )
         self._summary = ffi.new("double[]", len(REGISTRY) * len(STAT_NAMES))
-        st = self._st = ffi.new("fc_state *")
-        (st.domain, st.symbol, st.line_unassigned, st.hole_cells, st.line_symbol,
-         st.size_rows, st.domain_size, st.trail_cell, st.trail_bits, st.queue, st.dirty,
-         st.dirty_flag, st.frames) = self._buffers
-        st.summary = self._summary
-        st.n = n
+        self._st = ffi.new("fc_state *")
+        self._st.summary = self._summary
         self._mt = ffi.new("mt_state *")
-        self._instance = None
-        self.load(instance)
+        self._instance = self._shape = None
 
-    def load(self, instance: PartialLatinSquare) -> None:
-        """Set up a run on instance, of this state's order and hole count
-        (ValueError otherwise): fc_init reloads its givens and resets every
-        run field.  Loading the instance of the last load only resets."""
-        if instance is not self._instance:
-            symbols = [0 if v is HOLE else v for row in instance.cells for v in row]
-            if instance.order != self.n or symbols.count(0) != self.holes:
-                raise ValueError(
-                    f"this state runs instances of order {self.n} with {self.holes} holes")
-            givens = self._ffi.new("int[]", symbols)
-            self._st.givens = givens
-            self._instance, self._givens = instance, givens
-        self._loaded = bool(self._lib.fc_init(self._st))
-        if not self._loaded:
-            raise StructureError("instance violates the Latin property")
+    def _set_up(self, instance: PartialLatinSquare) -> None:
+        """Copies instance's givens into the state, first sizing its buffers
+        for instance's order and hole count when the last run's differ."""
+        ffi, st = self._ffi, self._st
+        symbols = [0 if v is HOLE else v for row in instance.cells for v in row]
+        n, holes = shape = instance.order, symbols.count(0)
+        if shape != self._shape:
+            # A live trail holds at most n prunings plus one assignment per hole.
+            trail = holes * (n + 1)
+            self._buffers = (
+                ffi.new("uint64_t[]", n * n),
+                ffi.new("int[]", n * n),
+                ffi.new("int[]", 2 * n),
+                ffi.new("int[]", holes),
+                ffi.new("uint64_t[]", 2 * n * n),
+                ffi.new("uint64_t[]", (n + 1) * n),
+                ffi.new("int[]", n * n),
+                ffi.new("int[]", trail),
+                ffi.new("uint64_t[]", trail),
+                ffi.new("int[]", holes + 1),
+                ffi.new("int[]", 2 * n),
+                ffi.new("int[]", 2 * n),
+                ffi.new("fc_frame[]", holes),
+            )
+            (st.domain, st.symbol, st.line_unassigned, st.hole_cells, st.line_symbol,
+             st.size_rows, st.domain_size, st.trail_cell, st.trail_bits, st.queue, st.dirty,
+             st.dirty_flag, st.frames) = self._buffers
+            st.n = n
+            self._shape = shape
+        st.givens = self._givens = ffi.new("int[]", symbols)
+        self._instance = instance
 
     def run(
         self,
+        instance: PartialLatinSquare,
         seed: int,
         config: SolverConfig,
         trace: Optional[List[Tuple[float, ...]]] = None,
         stop: Optional[threading.Event] = None,
     ) -> RunRecord:
-        """One run on the loaded instance, which each run needs afresh (the
-        constructor loads the first; ValueError otherwise, since the state
-        still holds the last search): root propagation at config's level,
-        then depth-first search on a Mersenne Twister seeded as
+        """One run on instance: fc_init sets it up, copying the givens unless
+        instance is the last run's, and raises StructureError for an instance
+        that violates the Latin property; then root propagation at config's
+        level, and depth-first search on a Mersenne Twister seeded as
         random.Random(seed).  A root contradiction ends the run as an
         exhausted CUTOFF, and a root propagation that leaves no open cell as
         SOLVED, both at 0 choice points.  With config.trace_enabled the
@@ -231,9 +224,10 @@ class KernelState:
         ffi = self._ffi
         lib = self._lib
         st = self._st
-        if not self._loaded:
-            raise ValueError("load the instance again before the next run")
-        self._loaded = False
+        if instance is not self._instance:
+            self._set_up(instance)
+        if not lib.fc_init(st):
+            raise StructureError("instance violates the Latin property")
         st.regin = config.propagation == ALLDIFF_REGIN
         status = lib.FC_SOLVED if lib.fc_propagate_root(st) else lib.FC_EXHAUSTED
         post_prop = st.unassigned_count
@@ -291,7 +285,8 @@ class KernelState:
         return np.frombuffer(self._ffi.buffer(self._summary), dtype=float).copy()
 
     def extract_square(self) -> PartialLatinSquare:
-        return PartialLatinSquare.from_flat(self.n, self._ffi.unpack(self._st.symbol, self.n ** 2))
+        n = self._st.n
+        return PartialLatinSquare.from_flat(n, self._ffi.unpack(self._st.symbol, n * n))
 
 
 # Most traced rows held in C at a time: a run traced to a large horizon
@@ -322,8 +317,8 @@ def solve(
     """
     if config is None:
         config = SolverConfig()
-    state = KernelState(instance, fc_kernel.for_order(instance.order))
-    record = state.run(seed, config, [] if config.trace_enabled else None)
+    state = KernelState(fc_kernel.for_order(instance.order))
+    record = state.run(instance, seed, config, [] if config.trace_enabled else None)
     if record.outcome == SOLVED:
         record.assignment = state.extract_square()
     return record

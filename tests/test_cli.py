@@ -287,6 +287,19 @@ class TestDataset:
         assert code == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", [["--holes", "50"], ["--holes", "400"], ["--balanced"]],
+                             ids=["holes", "holes-beyond-the-order", "balanced"])
+    def test_fixed_instance_refuses_hole_flags(self, workdir, tmp_path, capsys, flags):
+        # the file sets the holes; 400 is more cells than the default order 18 has
+        code = main(["dataset", "--instance", str(workdir / "inst.txt"), *flags,
+                     "--runs", "4", "--test-runs", "0", "--horizon", "2",
+                     "--out-prefix", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: --holes and --balanced shape generated instances,"
+                " not a fixed instance file\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_latin_violating_instance_writes_nothing(self, tmp_path, capsys, threads):
         path, message = latin_violation(tmp_path)
@@ -620,6 +633,11 @@ class TestCascade:
         capsys.readouterr()
 
 
+# A fixed policy ahead of a refused one, which a policy call that simulated
+# before its checks would price and print before refusing.
+REFUSED_AFTER_FIXED = ["--policy", "fixed:50", "--trials", "200"]
+
+
 class TestPolicy:
     def test_fixed_and_luby(self, workdir, tmp_path, capsys):
         out = tmp_path / "pol.json"
@@ -662,25 +680,29 @@ class TestPolicy:
         for observe in (60, 10):
             out = tmp_path / f"pol{observe}.json"
             code = main([
-                "policy", str(workdir / "small_rtd.txt"),
+                "policy", str(workdir / "small_rtd.txt"), *REFUSED_AFTER_FIXED,
                 "--policy", f"dynamic:{observe},3000",
                 "--model", str(workdir / "model.json"),
                 "--dataset", str(workdir / "small_test.csv"), "-o", str(out),
             ])
             assert code == EXIT_USAGE
-            assert f"horizon 20, not {observe}" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"horizon 20, not {observe}" in captured.err
             assert not out.exists()
 
     def test_model_policy_on_the_training_split_rejected(self, workdir, tmp_path, capsys):
         out = tmp_path / "pol.json"
         code = main([
-            "policy", str(workdir / "small_rtd.txt"),
+            "policy", str(workdir / "small_rtd.txt"), *REFUSED_AFTER_FIXED,
             "--policy", "dynamic:20,3000",
             "--model", str(workdir / "model.json"),
             "--dataset", str(workdir / "small_train.csv"), "-o", str(out),
         ])
         assert code == EXIT_USAGE
-        assert "held-out runs, not the training split" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "held-out runs, not the training split" in captured.err
         assert not out.exists()
 
     def test_model_and_dataset_columns_must_agree(self, workdir, tmp_path, capsys):
@@ -689,23 +711,33 @@ class TestPolicy:
         model = tmp_path / "reversed.json"
         model.write_text(json.dumps(obj))
         out = tmp_path / "pol.json"
-        code = main(["policy", str(workdir / "small_rtd.txt"), "--policy", "dynamic:20,3000",
+        code = main(["policy", str(workdir / "small_rtd.txt"), *REFUSED_AFTER_FIXED,
+                     "--policy", "dynamic:20,3000",
                      "--model", str(model), "--dataset", str(workdir / "small_test.csv"),
                      "-o", str(out)])
         assert code == EXIT_DATA
         captured = capsys.readouterr()
-        assert captured.out.startswith("optimal fixed cutoff ")
+        assert captured.out == ""
         assert captured.err == "error: model and dataset disagree on feature columns\n"
         assert not out.exists()
 
     def test_model_without_dataset_rejected(self, workdir, capsys):
         code = main([
-            "policy", str(workdir / "small_rtd.txt"),
+            "policy", str(workdir / "small_rtd.txt"), *REFUSED_AFTER_FIXED,
             "--policy", "dynamic:60,3000",
             "--model", str(workdir / "model.json"),
         ])
         assert code == EXIT_USAGE
-        capsys.readouterr()
+        assert capsys.readouterr() == (
+            "", "error: a model predictor needs --dataset for features\n")
+
+    def test_accuracy_outside_the_unit_interval_rejected(self, workdir, tmp_path, capsys):
+        out = tmp_path / "pol.json"
+        code = main(["policy", str(workdir / "small_rtd.txt"), *REFUSED_AFTER_FIXED,
+                     "--policy", "dynamic:20,3000", "--accuracy", "1.5", "-o", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: accuracy must be in [0, 1], got 1.5\n")
+        assert not out.exists()
 
     def test_unbounded_exit_code(self, tmp_path, capsys):
         rtd_path = tmp_path / "tiny_rtd.txt"
@@ -742,10 +774,11 @@ class TestPolicy:
         assert "L=" in capsys.readouterr().out
 
     def test_scan_limit_with_model_rejected(self, workdir, capsys):
-        code = main(["policy", str(workdir / "small_rtd.txt"),
+        code = main(["policy", str(workdir / "small_rtd.txt"), *REFUSED_AFTER_FIXED,
                      "--scan-limit", "20", "--model", str(workdir / "model.json")])
         assert code == EXIT_USAGE
-        capsys.readouterr()
+        assert capsys.readouterr() == (
+            "", "error: --scan-limit uses the synthetic predictor; drop --model\n")
 
     def test_bad_policy_spec_is_usage_error(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -67,8 +67,8 @@ def multi_alldiff_instances():
 def run_on_a_fresh_state(instance, config, seed):
     """The record of solve's run, before it builds the solved square, and
     the state it ended in."""
-    state = KernelState(instance, fc_kernel.for_order(instance.order))
-    return state.run(seed, config, [] if config.trace_enabled else None), state
+    state = KernelState(fc_kernel.for_order(instance.order))
+    return state.run(instance, seed, config, [] if config.trace_enabled else None), state
 
 
 @st.composite
@@ -211,9 +211,9 @@ class TestIdentityWithPythonState:
         config = SolverConfig(cutoff=None, horizon=10**7, trace_enabled=True,
                               propagation=ALLDIFF_REGIN)
         ffi = RecordingFFI()
-        state = KernelState(instance, SimpleNamespace(ffi=ffi, lib=kernel.lib))
+        state = KernelState(SimpleNamespace(ffi=ffi, lib=kernel.lib))
         trace = []
-        state.run(derive_seed(81, "run", 1), config, trace)
+        state.run(instance, derive_seed(81, "run", 1), config, trace)
         assert 0 < len(trace) and max(ffi.sizes) <= solver._TRACE_ROWS * 14 * 8
         seed = derive_seed(81, "run", 1)
         assert solve(instance, config, seed) == reference.solve(instance, config, seed)
@@ -230,9 +230,9 @@ SEARCH_SOLVED_STATE = textwrap.dedent("""
     instance = PartialLatinSquare.from_rows(rows)
     for level in (solver.FORWARD_CHECK, solver.ALLDIFF_REGIN):
         config = solver.SolverConfig(propagation=level, horizon=1000, trace_enabled=True)
-        state = solver.KernelState(instance, fc_kernel.load())
+        state = solver.KernelState(fc_kernel.load())
         trace = []
-        rec = state.run(5, config, trace)
+        rec = state.run(instance, 5, config, trace)
         assert rec.post_propagation_size == 0
         print(rec.outcome, rec.choice_points, rec.exhausted, len(trace))
 """)
@@ -314,9 +314,9 @@ class TestChannelledViews:
         libs = []
 
         class Checking(KernelState):
-            def __init__(self, instance, kernel):
+            def __init__(self, kernel):
                 libs.append(ViewCheckingLib(kernel))
-                super().__init__(instance, SimpleNamespace(ffi=kernel.ffi, lib=libs[-1]))
+                super().__init__(SimpleNamespace(ffi=kernel.ffi, lib=libs[-1]))
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_RUN_STEPS", 1)
@@ -447,53 +447,56 @@ class TestKernelSummaries:
                             == summarize(rec.trace, horizon).values.tobytes())
         assert outcomes == {SOLVED, CUTOFF}
 
+    @staticmethod
+    def _runs_like_fresh_states(state, instance, config, seed):
+        fresh, fresh_state = run_on_a_fresh_state(instance, config, seed)
+        trace = [] if config.trace_enabled else None
+        assert state.run(instance, seed, config, trace) == fresh
+        assert repr(state.summary()) == repr(fresh_state.summary())
+
     @pytest.mark.parametrize("propagation", [FORWARD_CHECK, ALLDIFF_REGIN])
     def test_one_state_runs_like_fresh_states(self, propagation):
-        # loads alternate between instances, and runs between propagation
-        # levels (the first at propagation), traced and untraced, ended by
-        # the cutoff or not: every run field must be reset and each run must
-        # set its level
+        # runs alternate between instances, repeating some, and between
+        # propagation levels (the first at propagation), traced and
+        # untraced, ended by the cutoff or not, and the last runs the desk
+        # instance, of another order and hole count: every run field must be
+        # reset, each run must set its level, and the buffers must fit
         other = ALLDIFF_REGIN if propagation == FORWARD_CHECK else FORWARD_CHECK
         multi = multi_alldiff_instances()[:4]
-        kernel = fc_kernel.load()
-        state = None
-        for i in range(16):
-            instance = multi[i % 3 if i < 8 else 3]
+        state = KernelState(fc_kernel.load())
+        for i in range(17):
+            instance = desk_instance() if i == 16 else multi[i % 3 if i < 8 else 3]
             config = SolverConfig(cutoff=(40, 2000)[i % 2],
                                   propagation=(propagation, other)[i % 5 % 2],
                                   horizon=(10, 60)[i % 4 < 2], trace_enabled=i % 3 != 2)
-            seed = derive_seed(81, "run", i)
-            fresh, fresh_state = run_on_a_fresh_state(instance, config, seed)
-            if state is None:
-                state = KernelState(instance, kernel)
-            else:
-                state.load(instance)
-            trace = [] if config.trace_enabled else None
-            assert state.run(seed, config, trace) == fresh
-            assert repr(state.summary()) == repr(fresh_state.summary())
-        with pytest.raises(ValueError, match="order 20 with 160 holes"):
-            state.load(desk_instance())
+            self._runs_like_fresh_states(state, instance, config, derive_seed(81, "run", i))
 
-    def test_each_run_needs_a_load(self):
-        # a run on a state not loaded since its last run would start from
-        # where that search stopped
-        instance = desk_instance()
-        config = SolverConfig(cutoff=50, propagation=FORWARD_CHECK)
-        state = KernelState(instance, fc_kernel.load())
-        first = state.run(1, config)
-        with pytest.raises(ValueError, match="^load the instance again before the next run$"):
-            state.run(2, config)
-        state.load(instance)
-        assert state.run(2, config) == run_on_a_fresh_state(instance, config, 2)[0]
-        assert first == run_on_a_fresh_state(instance, config, 1)[0]
+    def test_a_refused_instance_leaves_the_state_usable(self):
+        # the clash repeats a given of the desk instance's first row in that
+        # row, so it has the desk instance's order and hole count
+        desk, multi = desk_instance(), multi_alldiff_instances()[0]
+        rows = [list(row) for row in desk.cells]
+        first, second = [c for c, v in enumerate(rows[0]) if v is not HOLE][:2]
+        rows[0][second] = rows[0][first]
+        clash = PartialLatinSquare.from_rows(rows)
+        config = SolverConfig(cutoff=2000, propagation=ALLDIFF_REGIN, horizon=50,
+                              trace_enabled=True)
+        state = KernelState(fc_kernel.load())
+        for i, instance in enumerate([clash, desk, clash, clash, desk, clash, multi]):
+            if instance is clash:
+                with pytest.raises(StructureError,
+                                   match="^instance violates the Latin property$"):
+                    state.run(instance, i, config)
+            else:
+                self._runs_like_fresh_states(state, instance, config, derive_seed(81, "run", i))
 
     def test_a_set_stop_event_ends_the_search(self, monkeypatch):
         monkeypatch.setattr(solver, "_RUN_STEPS", 1)
         config = SolverConfig(propagation=FORWARD_CHECK)
-        state = KernelState(desk_instance(), fc_kernel.load())
+        state = KernelState(fc_kernel.load())
         stop = threading.Event()
         stop.set()
-        rec = state.run(derive_seed(81, "run", 1), config, stop=stop)
+        rec = state.run(desk_instance(), derive_seed(81, "run", 1), config, stop=stop)
         assert (rec.outcome, rec.choice_points, rec.exhausted) == (CUTOFF, 1, False)
 
 
@@ -535,11 +538,12 @@ _CLASH_64 = [[64] + _CYCLIC_64[0][1:]] + _CYCLIC_64[1:]
 @example(instance=PartialLatinSquare.from_rows(_CYCLIC_64))
 @example(instance=PartialLatinSquare.from_rows(_CLASH_64))
 def test_the_kernel_checks_the_latin_property(propagation, instance):
-    """Building a KernelState, and so solve, raises StructureError exactly
+    """A run on a KernelState, and so solve, raises StructureError exactly
     when validate reports a repeated symbol."""
     config = SolverConfig(cutoff=0, propagation=propagation)
     kernel = fc_kernel.for_order(instance.order)
-    for run in (lambda: KernelState(instance, kernel), lambda: solve(instance, config)):
+    for run in (lambda: KernelState(kernel).run(instance, 0, config),
+                lambda: solve(instance, config)):
         if validate(instance):
             with pytest.raises(StructureError, match="^instance violates the Latin property$"):
                 run()

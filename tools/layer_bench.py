@@ -13,9 +13,9 @@ derive_seed(81, "run", i).
 solver
   Choice points per second of the C kernel for each propagation level,
   traced and untraced, on the runs `restartlab dataset` makes: one
-  KernelState per workload, loaded with each run's instance and then run,
-  and no solved square built.  A traced run keeps its statistics in the
-  kernel and no rows in Python.
+  KernelState per workload, each run one call of its run method on the
+  run's instance, and no solved square built.  A traced run keeps its
+  statistics in the kernel and no rows in Python.
   - desk: the desk instance, the 48+16 runs of desk-fc, horizon 50, cutoff
     100000, at forward checking and at alldiff filtering.
   - multi-alldiff: its 36+12 instances (order 20, 8 holes per line, each
@@ -252,17 +252,13 @@ def solver(tmp: Path):
     }
     for name, (workload, instances, levels) in workloads.items():
         runs = [(inst, derive_seed(DESK_SEED, "run", i)) for i, inst in enumerate(instances)]
-        state = KernelState(instances[0], fc_kernel.load())
+        state = KernelState(fc_kernel.load())
         configs = [SolverConfig(cutoff=workload.cutoff, propagation=propagation,
                                 horizon=workload.horizon, trace_enabled=traced)
                    for propagation in levels for traced in (False, True)]
 
         def loop(config):
-            records = []
-            for inst, seed in runs:
-                state.load(inst)
-                records.append(state.run(seed, config))
-            return records
+            return [state.run(inst, seed, config) for inst, seed in runs]
 
         timings, results = repeat(name, *(functools.partial(loop, c) for c in configs))
         for config, seconds, records in zip(configs, timings, results):
