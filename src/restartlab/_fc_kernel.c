@@ -42,7 +42,10 @@
  * same Lemire rejection as numpy's Generator.integers, and the same doubles
  * as its Generator.random, so it draws exactly what the numpy round loop of
  * tests/reference.py draws.  A round that no run can win only advances the
- * stream past its draws without making them.
+ * stream past its draws without making them: when no word can be rejected
+ * (a power-of-two row count, among others) the LCG jumps there in
+ * O(log draws) multiplications, else it steps word by word, testing only
+ * each word's acceptance.
  */
 
 #include <math.h>
@@ -1014,9 +1017,29 @@ static inline double pcg_double(pcg_reader *rd)
     return (double)(pcg_next64(rd) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* Advance rd past count draws of pcg_bounded without making them: each
- * word's acceptance is all that is tested.  Two LCG chains, the even and the
- * odd steps, are stepped together. */
+/* Step rd's LCG delta times in O(log delta) multiplications: Brown's jump
+ * ("Random Number Generation with Arbitrary Strides", 1994), as numpy's
+ * PCG64.advance makes it.  The step s -> m*s + c, applied 2**j times, is
+ * s -> m_j*s + c_j with m_{j+1} = m_j**2 and c_{j+1} = (m_j + 1)*c_j. */
+static void pcg_advance(pcg_reader *rd, unsigned long long delta)
+{
+    u128 mult = PCG_MULT, plus = rd->inc, acc_mult = 1, acc_plus = 0;
+    for (; delta; delta >>= 1) {
+        if (delta & 1) {
+            acc_mult *= mult;
+            acc_plus = acc_plus * mult + plus;
+        }
+        plus *= mult + 1;
+        mult *= mult;
+    }
+    rd->s = rd->s * acc_mult + acc_plus;
+}
+
+/* Advance rd past count draws of pcg_bounded without making them.  When
+ * threshold is 0 (high a power of two, among others) no word is rejected,
+ * so the draws are the next count half-words, and the LCG jumps to the last
+ * output they need.  Otherwise each word's acceptance is all that is tested,
+ * on two LCG chains, the even and the odd steps, stepped together. */
 static void pcg_skip_bounded(pcg_reader *rd, uint32_t high, uint32_t threshold,
                              long long count)
 {
@@ -1029,6 +1052,12 @@ static void pcg_skip_bounded(pcg_reader *rd, uint32_t high, uint32_t threshold,
         rd->has_uint32 = 0;
         if ((uint32_t)((uint64_t)rd->uinteger * high) >= threshold && --count == 0)
             return;
+    }
+    if (threshold == 0) {
+        pcg_advance(rd, (unsigned long long)(count - 1) / 2);
+        rd->uinteger = (uint32_t)(pcg_next64(rd) >> 32);
+        rd->has_uint32 = count & 1;
+        return;
     }
     for (;;) {
         uint64_t x = pcg_output(a);

@@ -8,7 +8,10 @@ pattern) on a copy of a `random.Random` state (`mt_stream`).  For
 `policy.simulate_policy` it prices every round of every trial on a copy of
 numpy's PCG64 state (`pcg64_stream`): it draws what the numpy round loop
 draws, `Generator.integers` rows and `Generator.random` flips, and only
-skips the draws of a round that no run can win.
+skips the draws of a round that no run can win.  A skip jumps the stream
+as `PCG64.advance` does when numpy's rejection threshold for the row
+count is 0 (a power of two, among others), and steps it word by word
+otherwise.
 
 Its constants, structs and entry points are declared once, in
 `_fc_kernel.h`: the C source includes that header, and cffi reads it as the

@@ -502,7 +502,10 @@ def _price_rounds(run_source, policy, rng, total_cost, total_runs, run_budget):
     and advance rng past the draws of the numpy round loop.  Returns the
     kernel's rounds_state: n_active trials were still running after
     run_budget rounds; live_draws and dead_draws count the rows drawn in
-    priced rounds and skipped for rounds that no run can win."""
+    priced rounds and skipped for rounds that no run can win.  A skip costs
+    O(log dead_draws) when numpy rejects no word for this many rows
+    ((2**32 - rows) % rows == 0, as for 64 rows), and a step per word
+    otherwise."""
     kernel = fc_kernel.load()
     ffi, lib = kernel.ffi, kernel.lib
     trials = total_cost.size

@@ -52,3 +52,12 @@ def test_topic_repeats_the_checked_in_work(layer_bench, topic, tmp_path, capsys)
     assert fresh["command"] == checked_in["command"]
     for case in fresh["cases"]:
         assert all(v["n"] == 1 for v in case.values() if isinstance(v, dict))
+
+
+def test_policy_times_both_skips_on_the_desk_draws():
+    # luby: 64 rows, threshold 0, the jumped skip; luby_scan: the 63
+    # shortest lengths, threshold 4, the stepped one
+    cases = json.loads((ROOT / "BENCH_policy.json").read_text(encoding="utf-8"))["cases"]
+    draws = {case["key"]: (case["run_lengths"], case["live_draws"], case["dead_draws"])
+             for case in cases if case["policy"] == "luby:1"}
+    assert draws == {"luby": (64, 1_189_685, 42_655_876), "luby_scan": (63, 1_175_925, 42_208_794)}

@@ -670,6 +670,29 @@ class TestKernelSkip:
             skipped.integers(0, 2**32, dtype=np.uint32)
         _check_draws(skipped, high, count)
 
+    @pytest.mark.parametrize("predraw", [0, 1])
+    @pytest.mark.parametrize("count", [2**32 + 6, 2**32 + 7, 3 * 2**40 + 1])
+    @pytest.mark.parametrize("high", [2, 64])
+    def test_counts_beyond_2_32_without_rejection(self, high, count, predraw):
+        # no word is rejected below a power of two, so count draws are the
+        # buffered half-word, if any, then whole outputs, then one half-word
+        # of one more output when an odd number is left
+        skipped = np.random.default_rng(count + predraw)
+        for _ in range(predraw):
+            skipped.integers(0, 2**32, dtype=np.uint32)
+        drawn = _stream(skipped.bit_generator.state)
+        for _ in range(predraw):  # the buffered half-word
+            drawn.integers(0, 2**32, dtype=np.uint32)
+        left = count - predraw
+        drawn.bit_generator.advance(left // 2)
+        if left % 2:
+            drawn.integers(0, 2**32, dtype=np.uint32)
+        _kernel_skip(skipped, high, count)
+        _same_stream(skipped, drawn)
+
+    def test_a_million_draws_below_64(self):
+        _check_draws(np.random.default_rng(64), 64, 10**6)
+
     @pytest.mark.parametrize("high", [3, 5001, 2**31 + 1, 2**32 - 1])
     def test_rejection_boundary(self, high):
         # a buffered word whose low product half sits just below and at

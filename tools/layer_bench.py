@@ -35,10 +35,14 @@ policy
   Policies, as desk-fc prices them: fixed:900, luby:1 and dynamic:50,3000
   with a synthetic predictor of accuracy 0.9, each over 100000 trials on the
   run-length file; and dynamic:50,3000 with the tree as predictor over 10000
-  trials on the held-out split.  Master seed 81.
-  The four policies share their rounds: each round prices every policy in
+  trials on the held-out split.  Master seed 81.  One more case, luby_scan,
+  prices luby:1 over 100000 trials on the file's SCAN_ROWS (63) shortest
+  lengths.  numpy's rejection threshold (2**32 - rows) % rows is 0 at 64
+  rows, where the kernel jumps the stream past a skip, and 4 at 63, where
+  it steps the stream word by word: the two Luby cases time both skips.
+  The five cases share their rounds: each round prices every case in
   turn, each followed by a kernel call that only skips its dead draws, the
-  floor of its time.  Per policy: trials, the run lengths drawn in priced
+  floor of its time.  Per case: trials, the run lengths drawn in priced
   rounds (live) and in rounds whose cutoff is below the shortest run (dead,
   the draws the kernel skips), seconds, trials per second and the seconds
   the skip alone takes.  Every repeat must give the same PolicyStats.
@@ -143,8 +147,8 @@ from restartlab.latin import (  # noqa: E402
 )
 from restartlab.learn import DEFAULT_KAPPA_GRID, grow_tree, tune_kappa  # noqa: E402
 from restartlab.policy import (  # noqa: E402
-    DatasetSource, DynamicPolicy, ModelPredictor, RtdSource, SyntheticPredictor, _price_rounds,
-    simulate_policy,
+    DatasetSource, DynamicPolicy, EmpiricalRTD, LubyPolicy, ModelPredictor, RtdSource,
+    SyntheticPredictor, _price_rounds, simulate_policy,
 )
 from restartlab.seeds import derive_seed  # noqa: E402
 from restartlab.solver import ALLDIFF_REGIN, FORWARD_CHECK, KernelState, SolverConfig  # noqa: E402
@@ -162,6 +166,9 @@ LARGE = True
 PAPER_SIZE = dataclasses.replace(DESK.sizes[SIZE], runs=4000, test_runs=1000)
 DESK_SET = dataclasses.replace(DESK.sizes[SIZE], runs=800, test_runs=200)
 THREADS = (1, 2)  # the dataset topic's worker counts
+# Rows of the policy topic's luby_scan case, whose rejection threshold
+# (2**32 - 63) % 63 is 4, not 0.
+SCAN_ROWS = 63
 # deterministic work, printed next to the figures
 WORK = ("runs", "choice_points", "trials", "live_draws", "dead_draws", "instances",
         "pattern_attempts", "rows", "features", "tune_nodes", "grow_nodes", "kappa", "leaves",
@@ -312,6 +319,9 @@ def policy(tmp: Path):
         spec = cli._parse_policy(text)
         if not isinstance(spec, cli._DynamicSpec):
             runs.append((text.partition(":")[0], RtdSource(rtd), spec, size.trials))
+            if isinstance(spec, LubyPolicy):
+                shortest = RtdSource(EmpiricalRTD(rtd.lengths[:SCAN_ROWS]))
+                runs.append(("luby_scan", shortest, spec, size.trials))
             continue
         window = (spec.observe, spec.limit)
         runs.append(("dynamic_synthetic", RtdSource(rtd),
