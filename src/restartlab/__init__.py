@@ -14,10 +14,8 @@ from .latin import (
     HoleSpec,
     PartialLatinSquare,
     StructureError,
-    Violation,
     generate_complete,
     poke_holes,
-    validate,
 )
 from .solver import (
     ALLDIFF_REGIN,
@@ -27,7 +25,6 @@ from .solver import (
     RunRecord,
     RunStats,
     SolverConfig,
-    regin_filter,
     solve,
 )
 from .features import (
@@ -48,7 +45,6 @@ from .learn import (
     evaluate,
     grow_tree,
     label_by_median,
-    leaf_log_marginal,
     marginal_model,
     tune_kappa,
 )
@@ -68,7 +64,6 @@ from .policy import (
     dynamic_expected_total_ub,
     expected_time_fixed,
     is_unbounded,
-    luby_term,
     optimal_fixed_cutoff,
     scan_dynamic_limits,
     simulate_policy,

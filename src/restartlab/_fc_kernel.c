@@ -1,6 +1,6 @@
 /* C kernels for orders up to 64: the completion search of solver.py at both
  * propagation levels, its Regin line filter on its own (fc_regin_filter, for
- * solver.regin_filter), the two seeded instance generators of latin.py, and
+ * tests/reference.py), the two seeded instance generators of latin.py, and
  * the round loop of policy.simulate_policy.  Its constants, state structs
  * and entry points are declared in _fc_kernel.h, which fc_kernel.py also
  * hands to cffi.
@@ -1091,7 +1091,7 @@ static void pcg_skip_bounded(pcg_reader *rd, uint32_t high, uint32_t threshold,
 
 /* ---- policy.simulate_policy's rounds ---- */
 
-/* policy.luby_term for 1 <= i < 2**63. */
+/* luby_term of tests/reference.py for 1 <= i < 2**63. */
 static long long luby_term(unsigned long long i)
 {
     for (;;) {
@@ -1211,7 +1211,7 @@ int pcg64_price_rounds(rounds_state *st, pcg64_state *rng, long long draws)
     return more;
 }
 
-/* regin_prunings on one line given by its caller (solver.regin_filter): k <= 64
+/* regin_prunings on one line, for regin_filter in tests/reference.py: k <= 64
  * cells, values 0..63.  flatten inlines the filter into this function, so
  * filter_line stays its only other caller and still inlines it.  Defined last
  * and hidden from the dynamic symbol table (cffi's wrapper, in this module,

@@ -149,9 +149,13 @@ def read_instance(path: str) -> PartialLatinSquare:
                     raise DataFormatError(f"{path}: bad token {t!r} in row {i + 1}") from exc
         cells.append(tuple(row))
     try:
-        return PartialLatinSquare(order=n, cells=tuple(cells))
+        square = PartialLatinSquare(order=n, cells=tuple(cells))
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    extra = next((line for line in rest[1 + n:] if line.strip()), None)
+    if extra is not None:
+        raise DataFormatError(f"{path}: line {extra!r} follows the last of the {n} rows")
+    return square
 
 
 # -- dataset files ----------------------------------------------------------
@@ -221,6 +225,10 @@ def read_dataset(path: str) -> Dataset:
     if median is None:
         raise DataFormatError(f"{path}: header carries no median")
     try:
+        median = float(median)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad median {median!r} in the header: {exc}") from exc
+    try:
         runtime_arr = np.asarray(runtime, dtype=np.int64)
     except OverflowError as exc:
         raise DataFormatError(f"{path}: a runtime does not fit in 64 bits ({exc})") from exc
@@ -231,7 +239,7 @@ def read_dataset(path: str) -> Dataset:
         is_short=np.asarray(is_short, dtype=bool),
         censored=np.asarray(censored, dtype=bool),
         divisor=np.asarray(divisor, dtype=float),
-        median=float(median),
+        median=median,
         provenance=head,
     )
 

@@ -1,4 +1,4 @@
-"""Partial Latin squares: validation, generation, and hole poking.
+"""Partial Latin squares: structure, generation, and hole poking.
 
 A quasigroup-with-holes instance is built by generating a complete Latin
 square and then erasing cells, which keeps the instance satisfiable by
@@ -18,10 +18,9 @@ in Python.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import fc_kernel
 from .seeds import normalize_seed
@@ -39,14 +38,6 @@ class StructureError(ValueError):
     """Raised for malformed grids: bad shape, bad symbol range, bad hole spec."""
 
 
-class Violation(NamedTuple):
-    """One Latin-property violation: a symbol repeated within a line."""
-
-    kind: str  # "row" or "column"
-    index: int
-    symbol: int
-
-
 # The types and values a row may hold to pass construction without the
 # per-cell loop (which also accepts int subclasses and words each error).
 _CELL_TYPES = frozenset((int, type(HOLE)))
@@ -62,8 +53,9 @@ class PartialLatinSquare:
     """An order-n grid whose cells hold a symbol in 1..n or HOLE.
 
     Construction checks structure only (shape and symbol range); the Latin
-    property itself is checked by validate(), so that squares with duplicate
-    symbols are representable and reportable.
+    property itself is checked by the kernel's fc_init as each run starts
+    (tests/reference.py keeps validate as its oracle), so that squares with
+    duplicate symbols are representable and reportable.
     """
 
     order: int
@@ -99,9 +91,6 @@ class PartialLatinSquare:
         """The order-n square whose n*n cells are listed row-major."""
         return cls.from_rows(symbols[i:i + n] for i in range(0, n * n, n))
 
-    def cell(self, r: int, c: int) -> Optional[int]:
-        return self.cells[r][c]
-
     def holes(self) -> Iterator[Tuple[int, int]]:
         for r, row in enumerate(self.cells):
             for c, v in enumerate(row):
@@ -113,20 +102,6 @@ class PartialLatinSquare:
 
     def is_complete(self) -> bool:
         return all(HOLE not in row for row in self.cells)
-
-
-def validate(square: PartialLatinSquare) -> List[Violation]:
-    """Return every duplicated (line, symbol) pair; empty list means valid.
-
-    Holes are ignored.  Structural problems raise StructureError (via the
-    PartialLatinSquare constructor) rather than being reported as violations.
-    """
-    out: List[Violation] = []
-    for kind, lines in (("row", square.cells), ("column", zip(*square.cells))):
-        for index, line in enumerate(lines):
-            seen = Counter(v for v in line if v is not HOLE)
-            out.extend(Violation(kind, index, v) for v, k in sorted(seen.items()) if k > 1)
-    return out
 
 
 def _bits_to_symbols(mask: int) -> List[int]:

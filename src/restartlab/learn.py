@@ -36,28 +36,16 @@ def label_by_median(runtimes: Sequence[float]) -> Tuple[float, np.ndarray]:
     return median, arr < median
 
 
-def leaf_log_marginal(n_short: int, n_long: int) -> float:
-    """ln of the marginal likelihood of one leaf under a uniform rate prior.
-
-    Equals ln(n_short! * n_long! / (n_short + n_long + 1)!).
-    """
-    if n_short < 0 or n_long < 0:
-        raise ValueError("counts must be non-negative")
-    return (
-        math.lgamma(n_short + 1)
-        + math.lgamma(n_long + 1)
-        - math.lgamma(n_short + n_long + 2)
-    )
-
-
 def _log_factorials(n: int) -> np.ndarray:
     """ln(k!) for k = 0..n, from math.lgamma so that table lookups reproduce
-    leaf_log_marginal bit for bit."""
+    the test suite's leaf_log_marginal (tests/reference.py) bit for bit."""
     return np.array([math.lgamma(k + 1) for k in range(n + 1)])
 
 
 def _leaf_log_marginals(log_fact: np.ndarray, ns, nl):
-    """leaf_log_marginal by table lookup; needs log_fact to reach ns + nl + 1."""
+    """ln of one leaf's marginal likelihood under a uniform rate prior,
+    ln(ns! * nl! / (ns + nl + 1)!), by table lookup; needs log_fact to reach
+    ns + nl + 1."""
     return log_fact[ns] + log_fact[nl] - log_fact[ns + nl + 1]
 
 
@@ -101,18 +89,6 @@ class DecisionTreeModel:
     @property
     def training_counts(self) -> Tuple[int, int]:
         return self.root.n_short, self.root.n_long
-
-
-def tree_score(root: TreeNode, kappa: float) -> float:
-    """Score from the counts stored in the tree: leaf marginals + leaves*ln(kappa)."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    total = 0.0
-    n_leaves = 0
-    for leaf in root.leaves():
-        total += leaf_log_marginal(leaf.n_short, leaf.n_long)
-        n_leaves += 1
-    return total + n_leaves * math.log(kappa)
 
 
 def _thinned(count: int, picks: Dict[int, np.ndarray]) -> np.ndarray:

@@ -72,10 +72,6 @@ class EmpiricalRTD:
     def min_length(self) -> int:
         return int(self.lengths[0])
 
-    @property
-    def max_length(self) -> int:
-        return int(self.lengths[-1])
-
     def cdf(self, t: float) -> float:
         """P(T <= t) with a step at every observed length."""
         k = int(np.searchsorted(self.lengths, t, side="right"))
@@ -119,17 +115,6 @@ def optimal_fixed_cutoff(rtd: EmpiricalRTD) -> Tuple[int, float]:
     cost = emin / (k / n)
     i = int(np.argmin(cost))  # first minimum: smallest cutoff wins ties
     return int(candidates[i]), float(cost[i])
-
-
-def luby_term(i: int) -> int:
-    """The i-th term (1-based) of the Luby restart sequence 1,1,2,1,1,2,4,..."""
-    if i < 1:
-        raise ValueError(f"index must be >= 1, got {i}")
-    while True:
-        k = i.bit_length()
-        if i == (1 << k) - 1:
-            return 1 << (k - 1)
-        i = i - (1 << (k - 1)) + 1
 
 
 def dynamic_expected_runs(accuracy: float, p_obs: float, p_limit: float) -> float:
@@ -273,7 +258,10 @@ class FixedPolicy:
 
 @dataclass(frozen=True)
 class LubyPolicy:
-    """Restart after scale * luby_term(i) steps on the i-th run."""
+    """Restart after scale * t_i steps on the i-th run, where t_i is the
+    i-th term (1-based) of the Luby sequence 1,1,2,1,1,2,4,...: t_i is
+    2**(k-1) when i == 2**k - 1, and t_(i - 2**(k-1) + 1) when
+    2**(k-1) <= i < 2**k - 1.  The kernel computes the terms."""
 
     scale: int = 1
 

@@ -10,14 +10,14 @@ makes the choice-point count the unit of measured run time.
 Domains are bitmasks (bit s-1 set means symbol s is still possible), and all
 search-state mutation goes through a trail so backtracking is O(undone work).
 The whole search runs in the C kernel (see fc_kernel) at either propagation
-level, for orders up to 64, and so does regin_filter.  One call,
-KernelState.run(instance, seed, config), sets up and makes a seeded run, on
-a state that serves any number of runs: solve, the dataset workers and the
-peak search all run that way; the test suite's Python SearchState and
-_regin_masks (tests/reference.py) are their references.  The kernel also
-checks the instance: fc_init, which reads every given cell into its row and
-column masks, refuses a symbol that repeats in its line, so the Latin
-property is checked in C as each run starts.  A
+level, for orders up to 64.  One call, KernelState.run(instance, seed,
+config), sets up and makes a seeded run, on a state that serves any number
+of runs: solve, the dataset workers and the peak search all run that way;
+the test suite's Python SearchState and _regin_masks (tests/reference.py)
+are their references, and its regin_filter runs the kernel's line filter on
+its own.  The kernel also checks the instance: fc_init, which reads every
+given cell into its row and column masks, refuses a symbol that repeats in
+its line, so the Latin property is checked in C as each run starts.  A
 traced run also keeps the running statistics of its feature rows in C and
 writes their summary there (KernelState.summary), so a caller that needs
 only the summary keeps no rows.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -104,48 +104,6 @@ class RunRecord:
     post_propagation_size: int
     exhausted: bool = False
     stats: RunStats = RunStats()
-
-
-def regin_filter(domains: Sequence[Iterable[int]]) -> Optional[List[Set[int]]]:
-    """Filter the domains of one all-different line to arc consistency.
-
-    Takes per-cell iterables of candidate symbols (ints 1..64) for at most 64
-    cells and returns the filtered domains as sets, or None when the cells
-    cannot take pairwise distinct values.  Pure function; it runs the
-    kernel's filter (fc_regin_filter), the one the alldiff search applies to
-    its lines, so a kernel that cannot be built raises
-    fc_kernel.KernelUnavailable.
-    """
-    if len(domains) > fc_kernel.MAX_ORDER:
-        raise ValueError(f"at most {fc_kernel.MAX_ORDER} cells, got {len(domains)}")
-    doms: List[int] = []
-    for d in domains:
-        m = 0
-        for v in d:
-            if (not isinstance(v, int) or isinstance(v, bool)
-                    or not 1 <= v <= fc_kernel.MAX_ORDER):
-                raise ValueError(
-                    f"domain values must be ints 1..{fc_kernel.MAX_ORDER}, got {v!r}")
-            m |= 1 << (v - 1)
-        if m == 0:
-            return None
-        doms.append(m)
-    if not doms:
-        return []
-    kernel = fc_kernel.load()
-    prunings = kernel.ffi.new("uint64_t[]", len(doms))
-    if not kernel.lib.fc_regin_filter(doms, len(doms), prunings):
-        return None
-    out: List[Set[int]] = []
-    for m, p in zip(doms, prunings):
-        m ^= p
-        s: Set[int] = set()
-        while m:
-            b = m & -m
-            m ^= b
-            s.add(b.bit_length())
-        out.append(s)
-    return out
 
 
 class KernelState:

@@ -1,38 +1,43 @@
 """Python references for the C kernel's jobs, which the tests compare it with.
 
-The package runs its solver search, its Regin line filter, its square
-fill, its balanced hole pattern and the rounds of its policy simulation in
-the C kernel only (see restartlab.fc_kernel).  This module keeps a plain
-Python implementation of each, step for step, as the oracle of the identity
-tests: SearchState and solve (solver.solve on the Python state), _regin_masks
-(the Regin oracle: the kernel's regin_prunings, which solver.regin_filter and
-every alldiff line filtering run), snapshot and population_variance (the
-traced row the kernel's trace_row must match), fill_square and
-balanced_holes (latin's two generators), the exhaustive iter_completions and
-count_completions, and simulate (policy.simulate_policy as a numpy round
-loop that draws every round, where the kernel skips the draws of rounds no
-run can win).
+The package runs its Latin check, its solver search, its Regin line filter,
+its square fill, its balanced hole pattern and the rounds of its policy
+simulation in the C kernel only (see restartlab.fc_kernel).  This module
+keeps a plain Python implementation of each, step for step, as the oracle of
+the identity tests: validate (the Latin check of the kernel's fc_init),
+SearchState and solve (solver.solve on the Python state), _regin_masks (the
+Regin oracle: the kernel's regin_prunings, which every alldiff line
+filtering runs), snapshot and population_variance (the traced row the
+kernel's trace_row must match), fill_square and balanced_holes (latin's two
+generators), the exhaustive iter_completions and count_completions, luby_term
+(the kernel's Luby terms), and simulate (policy.simulate_policy as a numpy
+round loop that draws every round, where the kernel skips the draws of
+rounds no run can win).  regin_filter is the tests' way into the kernel's
+filter on one line (fc_regin_filter), with symbol sets in and out.
 
-It also keeps the learner's split search one feature at a time
-(_split_gains, and best_split, the oracle of learn._best_split, which scores
-every feature of a leaf in one pass over its presorted rows), and the
-per-kappa growth, _grow_trees with its _best_splits: one tree per kappa,
-each leaf's split chosen by the float gain plus ln kappa.  restartlab.learn
-grows one tree and cuts each kappa's tree from it by split gain, which must
-give the same trees.
+It also keeps the learner's score and split search one feature at a time:
+leaf_log_marginal and tree_score (the score that learn's table lookups
+reproduce), _split_gains, and best_split, the oracle of learn._best_split,
+which scores every feature of a leaf in one pass over its presorted rows;
+and the per-kappa growth, _grow_trees with its _best_splits: one tree per
+kappa, each leaf's split chosen by the float gain plus ln kappa.
+restartlab.learn grows one tree and cuts each kappa's tree from it by split
+gain, which must give the same trees.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from collections import Counter, deque
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
-from restartlab import latin
-from restartlab.latin import HOLE, PartialLatinSquare, StructureError, validate
+from restartlab import fc_kernel, latin
+from restartlab.latin import HOLE, PartialLatinSquare, StructureError
 from restartlab.learn import (
     MAX_SPLIT_CANDIDATES,
     Dataset,
@@ -51,7 +56,6 @@ from restartlab.policy import (
     ModelPredictor,
     PolicyStats,
     SyntheticPredictor,
-    luby_term,
 )
 from restartlab.seeds import derive_seed, normalize_seed
 from restartlab.solver import (
@@ -62,6 +66,31 @@ from restartlab.solver import (
     RunStats,
     SolverConfig,
 )
+
+# -- the Latin property -----------------------------------------------------
+
+
+class Violation(NamedTuple):
+    """One Latin-property violation: a symbol repeated within a line."""
+
+    kind: str  # "row" or "column"
+    index: int
+    symbol: int
+
+
+def validate(square: PartialLatinSquare) -> List[Violation]:
+    """Return every duplicated (line, symbol) pair; empty list means valid.
+
+    Holes are ignored.  The oracle of the kernel's fc_init, which refuses an
+    instance with a repeated symbol as each run starts.
+    """
+    out: List[Violation] = []
+    for kind, lines in (("row", square.cells), ("column", zip(*square.cells))):
+        for index, line in enumerate(lines):
+            seen = Counter(v for v in line if v is not HOLE)
+            out.extend(Violation(kind, index, v) for v, k in sorted(seen.items()) if k > 1)
+    return out
+
 
 # -- the solver search ------------------------------------------------------
 
@@ -209,6 +238,20 @@ def _regin_masks(doms: List[int]) -> Optional[List[Tuple[int, int]]]:
     return [
         (u, b) for (u, v, b) in candidates if comp[u] != comp[k + v]
     ]
+
+
+def regin_filter(domains: Sequence[Iterable[int]]) -> Optional[List[Set[int]]]:
+    """The kernel's Regin filter, fc_regin_filter, on one line: per-cell sets
+    of symbols 1..64 for at most 64 cells in, the filtered sets out, or None
+    when the cells cannot take pairwise distinct values.  Checks nothing."""
+    doms = [sum(1 << (v - 1) for v in set(d)) for d in domains]
+    if 0 in doms:
+        return None
+    kernel = fc_kernel.load()
+    prunings = kernel.ffi.new("uint64_t[]", len(doms))
+    if not kernel.lib.fc_regin_filter(doms, len(doms), prunings):
+        return None
+    return [set(latin._bits_to_symbols(m ^ p)) for m, p in zip(doms, prunings)]
 
 
 class SearchState:
@@ -786,7 +829,33 @@ def count_completions(instance: PartialLatinSquare, cap: int = 1_000_000) -> int
     return count
 
 
-# -- the split search and the per-kappa tree growth ------------------------
+# -- the tree score, the split search and the per-kappa tree growth --------
+
+
+def leaf_log_marginal(n_short: int, n_long: int) -> float:
+    """ln of the marginal likelihood of one leaf under a uniform rate prior.
+
+    Equals ln(n_short! * n_long! / (n_short + n_long + 1)!).
+    """
+    if n_short < 0 or n_long < 0:
+        raise ValueError("counts must be non-negative")
+    return (
+        math.lgamma(n_short + 1)
+        + math.lgamma(n_long + 1)
+        - math.lgamma(n_short + n_long + 2)
+    )
+
+
+def tree_score(root: TreeNode, kappa: float) -> float:
+    """Score from the counts stored in the tree: leaf marginals + leaves*ln(kappa)."""
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    total = 0.0
+    n_leaves = 0
+    for leaf in root.leaves():
+        total += leaf_log_marginal(leaf.n_short, leaf.n_long)
+        n_leaves += 1
+    return total + n_leaves * math.log(kappa)
 
 
 def _split_gains(
@@ -970,6 +1039,17 @@ def sample(source, rng: np.random.Generator, size: int):
         return source.dataset.runtime[idx].astype(np.int64), Rows(source.dataset, idx)
     idx = rng.integers(0, source.rtd.lengths.size, size=size)
     return source.rtd.lengths[idx], None
+
+
+def luby_term(i: int) -> int:
+    """The i-th term (1-based) of the Luby restart sequence 1,1,2,1,1,2,4,..."""
+    if i < 1:
+        raise ValueError(f"index must be >= 1, got {i}")
+    while True:
+        k = i.bit_length()
+        if i == (1 << k) - 1:
+            return 1 << (k - 1)
+        i = i - (1 << (k - 1)) + 1
 
 
 def round_cutoff(policy, round_no: int) -> Optional[int]:

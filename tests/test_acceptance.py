@@ -25,11 +25,9 @@ from restartlab.latin import (
     UNBALANCED,
     generate_complete,
     poke_holes,
-    validate,
 )
 from restartlab.learn import (
     grow_tree,
-    leaf_log_marginal,
     marginal_model,
     evaluate,
 )
@@ -42,7 +40,6 @@ from restartlab.policy import (
     dynamic_expected_runs,
     dynamic_expected_total_ub,
     expected_time_fixed,
-    luby_term,
     optimal_fixed_cutoff,
     simulate_policy,
 )
@@ -52,11 +49,17 @@ from restartlab.solver import (
     FORWARD_CHECK,
     SOLVED,
     SolverConfig,
-    regin_filter,
     solve,
 )
 
-from reference import count_completions, iter_completions
+from reference import (
+    count_completions,
+    iter_completions,
+    leaf_log_marginal,
+    luby_term,
+    regin_filter,
+    validate,
+)
 
 # Desk-scale study configuration: a fixed hard instance family and the
 # observation settings the trained predictor is exercised at.
@@ -192,11 +195,11 @@ def count_unsupported_prunings(inst, comps):
             doms, holes = [], []
             for j in range(n):
                 r, c = (i, j) if axis == "row" else (j, i)
-                v = inst.cell(r, c)
+                v = inst.cells[r][c]
                 if v is HOLE:
                     used = {
-                        inst.cell(r, k) for k in range(n)
-                    } | {inst.cell(k, c) for k in range(n)}
+                        inst.cells[r][k] for k in range(n)
+                    } | {inst.cells[k][c] for k in range(n)}
                     doms.append(set(range(1, n + 1)) - {u for u in used if u})
                     holes.append((j, r, c))
                 else:
@@ -205,7 +208,7 @@ def count_unsupported_prunings(inst, comps):
             if filtered is None:
                 return len(comps)  # solvable line reported dead
             for k, r, c in holes:
-                supported = {comp.cell(r, c) for comp in comps}
+                supported = {comp.cells[r][c] for comp in comps}
                 bad += len(supported - filtered[k])
     return bad
 

@@ -31,7 +31,6 @@ from restartlab.latin import (
     StructureError,
     generate_complete,
     poke_holes,
-    validate,
 )
 from restartlab.seeds import derive_seed
 from restartlab.solver import (
@@ -45,6 +44,7 @@ from restartlab.solver import (
 )
 
 import reference
+from reference import validate
 
 SRC = Path(solver.__file__).resolve().parent.parent
 
@@ -671,12 +671,12 @@ def test_mt_seed_is_random_seed(seed):
 
 
 def test_cdef_declares_every_entry_point_called():
-    """A kernel function that latin, solver or policy calls but the header,
-    cffi's cdef, leaves out would only fail when the call runs; each must be
-    declared and defined."""
+    """A kernel function that latin, solver, policy or the tests' reference
+    calls but the header, cffi's cdef, leaves out would only fail when the
+    call runs; each must be declared and defined."""
     declared = set(re.findall(r"(\w+)\(", fc_kernel.HEADER.read_text()))
     called = set()
-    for module in (latin, solver, policy):
+    for module in (latin, solver, policy, reference):
         called |= set(re.findall(r"lib\.(\w+)\(", Path(module.__file__).read_text()))
     assert {"fc_init", "fc_propagate_root", "fc_regin_filter", "fc_run", "lq_fill",
             "lq_hole_pattern", "mt_seed", "pcg64_price_rounds"} <= called

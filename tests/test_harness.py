@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from restartlab import harness, latin, solver
+from restartlab import harness
 from restartlab.features import REGISTRY, registry_hash, summary_columns
 from restartlab.harness import (
     MULTI_INSTANCE,
@@ -26,6 +26,8 @@ from restartlab.latin import (
     poke_holes,
 )
 from restartlab.solver import FORWARD_CHECK, SolverConfig, solve
+
+from reference import validate
 
 FOUR_PER_LINE = HoleSpec(mode=BALANCED, holes_per_line=4)
 SEVEN_PER_LINE = HoleSpec(mode=BALANCED, holes_per_line=7)
@@ -320,27 +322,22 @@ class TestDeterminismAcrossThreads:
 class TestEachCheckOnce:
     def test_runs_neither_validate_nor_build_the_solved_square(self, monkeypatch):
         # the kernel checks the instance and solve alone builds the square
-        calls = {"validate": 0, "square": 0}
+        squares = []
+        from_flat = PartialLatinSquare.from_flat
 
-        def counting(name, fn):
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-            return counted
+        def counted(*args):
+            squares.append(args)
+            return from_flat(*args)
 
         instance = poke_holes(generate_complete(10, seed=0), SEVEN_PER_LINE, seed=1)
-        for module in (latin, solver, harness):
-            monkeypatch.setattr(module, "validate", counting("validate", latin.validate),
-                                raising=False)
-        monkeypatch.setattr(PartialLatinSquare, "from_flat",
-                            staticmethod(counting("square", PartialLatinSquare.from_flat)))
+        monkeypatch.setattr(PartialLatinSquare, "from_flat", staticmethod(counted))
         _, _, _, info = run_experiment(small_spec(holes=None, instance=instance,
                                                   train_runs=20, test_runs=5))
         assert (info["train"]["total"], info["test"]["total"]) == (20, 5)
-        assert calls == {"validate": 0, "square": 0}
+        assert len(squares) == 0
         rec = solve(instance, SolverConfig(), seed=3)
-        assert calls == {"validate": 0, "square": 1}
-        assert rec.assignment.is_complete() and latin.validate(rec.assignment) == []
+        assert len(squares) == 1
+        assert rec.assignment.is_complete() and validate(rec.assignment) == []
 
 
 class TestFindHeavyTailInstance:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ class TestInstanceFiles:
             fh.write("2\n1 2\n2 1\n")
         sq = read_instance(p)
         assert sq.order == 2
-        assert sq.cell(1, 0) == 2
+        assert sq.cells[1][0] == 2
 
     def test_bad_token(self, tmp_path):
         p = str(tmp_path / "bad.txt")
@@ -84,6 +85,17 @@ class TestInstanceFiles:
             fh.write("3\n1 2 3\n")
         with pytest.raises(DataFormatError):
             read_instance(p)
+
+    def test_lines_past_the_last_row_rejected(self, tmp_path):
+        p = str(tmp_path / "long.txt")
+        rows = "3\n1 2 3\n2 3 1\n3 1 2\n"
+        with open(p, "w") as fh:
+            fh.write(rows + "2 2 2\n")
+        with pytest.raises(DataFormatError, match=f"{re.escape(p)}: line '2 2 2'"):
+            read_instance(p)
+        with open(p, "w") as fh:
+            fh.write(rows + "\n  \n# a comment\n\n")
+        assert read_instance(p).cells[2] == (3, 1, 2)
 
     def test_wrong_width(self, tmp_path):
         p = str(tmp_path / "wide.txt")
@@ -180,12 +192,13 @@ class TestDatasetFiles:
 
     def test_missing_median_rejected(self, tmp_path):
         p = str(tmp_path / "d.csv")
-        with open(p, "w") as fh:
-            fh.write("# restartlab dataset 1\n")
-            fh.write("f__avg,runtime,label,censored,divisor\n")
-            fh.write("1.0,10,SHORT,0,1.0\n")
-        with pytest.raises(DataFormatError):
-            read_dataset(p)
+        for meta in ("", '# meta {"median": "x"}\n', '# meta {"median": [1]}\n'):
+            with open(p, "w") as fh:
+                fh.write("# restartlab dataset 1\n" + meta)
+                fh.write("f__avg,runtime,label,censored,divisor\n")
+                fh.write("1.0,10,SHORT,0,1.0\n")
+            with pytest.raises(DataFormatError, match=re.escape(p)):
+                read_dataset(p)
 
     def test_bad_label_rejected(self, tmp_path):
         p = str(tmp_path / "d.csv")

@@ -17,12 +17,11 @@ from restartlab.latin import (
     StructureError,
     generate_complete,
     poke_holes,
-    validate,
 )
 from restartlab.seeds import derive_seed
 
 import reference
-from reference import count_completions, iter_completions
+from reference import count_completions, iter_completions, validate
 
 
 def brute_force_completions(instance):
@@ -69,7 +68,7 @@ class TestPartialLatinSquare:
     def test_from_rows_round_trip(self):
         sq = PartialLatinSquare.from_rows([[1, 2], [2, 1]])
         assert sq.order == 2
-        assert sq.cell(0, 1) == 2
+        assert sq.cells[0][1] == 2
         assert sq.is_complete()
         assert sq.hole_count() == 0
 
@@ -161,8 +160,8 @@ class TestPokeHoles:
         inst = poke_holes(sq, HoleSpec(mode=UNBALANCED, total_holes=10), seed=9)
         for r in range(6):
             for c in range(6):
-                v = inst.cell(r, c)
-                assert v is HOLE or v == sq.cell(r, c)
+                v = inst.cells[r][c]
+                assert v is HOLE or v == sq.cells[r][c]
 
     def test_unbalanced_total_bounds(self):
         sq = generate_complete(4, seed=2)
@@ -176,9 +175,9 @@ class TestPokeHoles:
         inst = poke_holes(sq, HoleSpec(mode=BALANCED, holes_per_line=h), seed=h + 1)
         assert inst.hole_count() == n * h
         for r in range(n):
-            assert sum(1 for c in range(n) if inst.cell(r, c) is HOLE) == h
+            assert sum(1 for c in range(n) if inst.cells[r][c] is HOLE) == h
         for c in range(n):
-            assert sum(1 for r in range(n) if inst.cell(r, c) is HOLE) == h
+            assert sum(1 for r in range(n) if inst.cells[r][c] is HOLE) == h
 
     def test_balanced_h_equals_n(self):
         sq = generate_complete(5, seed=3)
@@ -208,7 +207,7 @@ class TestPokeHoles:
         sq = generate_complete(9, seed=0)
         inst = poke_holes(sq, HoleSpec(mode=BALANCED, holes_per_line=2), seed=7)
         cols = [
-            tuple(c for c in range(9) if inst.cell(r, c) is HOLE) for r in range(9)
+            tuple(c for c in range(9) if inst.cells[r][c] is HOLE) for r in range(9)
         ]
         assert len(set(cols)) > 1
 
@@ -239,8 +238,8 @@ class TestCompletions:
                 assert validate(comp) == []
                 for r in range(n):
                     for c in range(n):
-                        if inst.cell(r, c) is not HOLE:
-                            assert comp.cell(r, c) == inst.cell(r, c)
+                        if inst.cells[r][c] is not HOLE:
+                            assert comp.cells[r][c] == inst.cells[r][c]
 
     def test_unsatisfiable_partial_has_zero(self):
         # 1 2 .      third row forces symbol 3 twice in column 2
@@ -280,13 +279,13 @@ def test_balanced_poke_always_balanced(n, h, seed):
     sq = generate_complete(n, seed)
     inst = poke_holes(sq, HoleSpec(mode=BALANCED, holes_per_line=h), seed + 1)
     for r in range(n):
-        assert sum(1 for c in range(n) if inst.cell(r, c) is HOLE) == h
+        assert sum(1 for c in range(n) if inst.cells[r][c] is HOLE) == h
     for c in range(n):
-        assert sum(1 for r in range(n) if inst.cell(r, c) is HOLE) == h
+        assert sum(1 for r in range(n) if inst.cells[r][c] is HOLE) == h
     for r in range(n):
         for c in range(n):
-            if inst.cell(r, c) is not HOLE:
-                assert inst.cell(r, c) == sq.cell(r, c)
+            if inst.cells[r][c] is not HOLE:
+                assert inst.cells[r][c] == sq.cells[r][c]
 
 
 # -- the C kernel's generators against the Python loops ----------------------

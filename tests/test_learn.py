@@ -20,14 +20,13 @@ from restartlab.learn import (
     evaluate,
     grow_tree,
     label_by_median,
-    leaf_log_marginal,
     marginal_model,
     predict_batch,
-    tree_score,
     tune_kappa,
 )
 
 import reference
+from reference import leaf_log_marginal, tree_score
 
 
 class TestLabelByMedian:

