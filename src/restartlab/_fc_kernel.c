@@ -26,9 +26,9 @@
  * Brelaz candidates.  Every domain change updates both and the trail
  * restores them, so undo_to keeps them exact too.
  *
- * The search and the generators draw from an mt_state, a copy of a
- * random.Random's Mersenne Twister state (or one seeded here as
- * random.Random(seed) seeds it).  Each entry point reads its words through
+ * The search and the generators draw from an mt_state, the Mersenne
+ * Twister state that mt_seed sets up as random.Random(seed) seeds its own
+ * (CPython's layout: 624 words and an index).  Each entry point reads through
  * one block reader (mt_open, mt_next, mt_close), which regenerates and
  * tempers the 624-word state a block at a time, and takes _randbelow and
  * shuffle steps as CPython does, so it consumes exactly the stream the

@@ -2,9 +2,9 @@
 
 The kernel runs the solver's whole search at both propagation levels (forward
 checking and Regin alldiff filtering), tracing the feature rows and writing
-their summary itself, on a Mersenne Twister seeded as `random.Random(seed)` seeds it; and
-the two seeded instance generators of `latin` (square fill and balanced hole
-pattern) on a copy of a `random.Random` state (`mt_stream`).  For
+their summary itself, and the two seeded instance generators of `latin`
+(square fill and balanced hole pattern), each on a Mersenne Twister that
+`mt_seed` seeds as `random.Random(seed)` seeds it.  For
 `policy.simulate_policy` it prices every round of every trial on a copy of
 numpy's PCG64 state (`pcg64_stream`): it draws what the numpy round loop
 draws, `Generator.integers` rows and `Generator.random` flips, and only
@@ -37,14 +37,12 @@ MAX_ORDER.
 
 from __future__ import annotations
 
-import array
 import contextlib
 import functools
 import hashlib
 import importlib.util
 import io
 import os
-import random
 import shutil
 import subprocess
 import sysconfig
@@ -175,20 +173,6 @@ def _remove_stale(target: Path) -> None:
         with contextlib.suppress(OSError):
             if path != target and path.stat().st_mtime < cutoff:
                 path.unlink()
-
-
-@contextlib.contextmanager
-def mt_stream(ffi, rng: random.Random):
-    """rng's Mersenne Twister state as a kernel mt_state; afterwards rng
-    continues from wherever the kernel left the stream.
-
-    The state tuple of getstate, 624 words and the index, is laid out as an
-    mt_state (a uint32_t[624] and an int, without padding), so it is copied
-    into one array of 32-bit words and read back from it whole."""
-    version, internal, gauss_next = rng.getstate()
-    words = array.array("I", internal)
-    yield ffi.cast("mt_state *", ffi.from_buffer(words))
-    rng.setstate((version, tuple(words), gauss_next))
 
 
 @contextlib.contextmanager

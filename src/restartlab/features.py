@@ -9,7 +9,7 @@ value, final value, mean, min, max, plus mean/min/max of the first
 differences and the number of strict sign alternations in those
 differences.  Summaries are what the learner consumes.  The kernel keeps
 the same statistics while solver.KernelState.run traces a run and writes
-the summary itself (KernelState.summary), which is what `dataset` reads;
+the summary itself (RunRecord.summary), which is what `dataset` reads;
 summarize is its reference, and summarizes traces held in Python.
 """
 

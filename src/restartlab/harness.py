@@ -6,9 +6,10 @@ deterministic and independent of worker count or scheduling.  They execute
 on worker threads (the caller's own thread when there is one), each making
 every run with one call, KernelState.run(instance, seed, config), on its own
 solver.KernelState; every kernel call releases the GIL and the kernel writes
-each run's summary itself, so the threads search in parallel.  Workers
-return records that are merged by run index before anything downstream
-happens.  The peak search probes its candidates the same way, on one state.
+each run's summary itself, so the threads search in parallel.  Each run's
+RunRecord, its summary included, is kept at its run index, and the splits
+are built from those records once every run is done.  The peak search
+probes its candidates the same way, on one state.
 """
 
 from __future__ import annotations
@@ -65,15 +66,12 @@ class ExperimentSpec:
             raise ValueError("a safety cutoff below the horizon would leave no usable rows")
 
 
-# One record per launched run; summary is None for runs that finished before
-# the horizon (their traces are too short to summarize).
-_RunRow = Tuple[int, int, bool, int, Optional[np.ndarray]]
-
-
-def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRow]:
+def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[RunRecord]:
     """Run indices 0..total-1 on min(threads, total) worker threads (the
-    caller's own thread when there is one) and return their rows in index
-    order.
+    caller's own thread when there is one) and return their traced records
+    in index order.  A run's summary is None exactly when it solved before
+    the horizon (the spec keeps cutoff >= horizon >= 2); an exhausted run,
+    whose instance admits no completion, raises DataFormatError.
 
     Each worker builds its own KernelState, then takes the next index not
     yet taken and runs it there on its instance: the spec's, or run i's
@@ -95,6 +93,7 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
         instance = poke_holes(square, spec.holes, derive_seed(spec.master_seed, "mask"))
     kernel = fc_kernel.for_order(spec.order if instance is None else instance.order)
     indices = iter(range(total))
+    records: List[Optional[RunRecord]] = [None] * total
     stop = threading.Event()
 
     def instance_of(idx: int) -> PartialLatinSquare:
@@ -103,8 +102,7 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
         square = generate_complete(spec.order, derive_seed(spec.master_seed, "inst", idx))
         return poke_holes(square, spec.holes, derive_seed(spec.master_seed, "mask", idx))
 
-    def work() -> List[_RunRow]:
-        rows: List[_RunRow] = []
+    def work() -> None:
         state = KernelState(kernel)
         try:
             for idx in indices:
@@ -112,74 +110,66 @@ def _execute_runs(spec: ExperimentSpec, total: int, threads: int) -> List[_RunRo
                     break
                 rec = state.run(instance_of(idx), derive_seed(spec.master_seed, "run", idx),
                                 config, stop=stop)
-                rows.append(_row(spec, idx, rec, state))
+                if rec.exhausted:
+                    raise DataFormatError(
+                        "instance admits no completion; cannot measure run lengths")
+                records[idx] = rec
         except BaseException:
             stop.set()
             raise
-        return rows
 
     threads = min(threads, total)  # no thread without a run to take
     if threads == 1:
         # the caller's thread: on desk-fc's 64 runs, a pool thread made the
         # stage 4 ms (6%) slower, and the stages after it slower too
-        rows = work()
+        work()
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             workers = [pool.submit(work) for _ in range(threads)]
             try:
-                rows = [row for w in workers for row in w.result()]
+                for w in workers:
+                    w.result()
             except BaseException:
                 stop.set()
                 raise
-    rows.sort(key=lambda r: r[0])
-    return rows
-
-
-def _row(spec: ExperimentSpec, idx: int, rec: RunRecord, state: KernelState) -> _RunRow:
-    """Run idx's (index, runtime, solved, post_propagation_size, summary
-    values or None)."""
-    solved = rec.outcome == SOLVED
-    if not solved and rec.exhausted:
-        raise DataFormatError("instance admits no completion; cannot measure run lengths")
-    runtime = rec.choice_points
-    if solved and runtime < spec.horizon:
-        return (idx, runtime, True, rec.post_propagation_size, None)
-    values = state.summary()
-    if spec.mode == MULTI_INSTANCE:
-        values = normalize_for_multi(SummaryVector(values), rec.post_propagation_size).values
-    return (idx, runtime, solved, rec.post_propagation_size, values)
+    return records
 
 
 def _build_split(
-    rows: Sequence[_RunRow],
+    records: Sequence[RunRecord],
     columns: List[str],
     median: Optional[float],
     multi: bool,
 ) -> Tuple[Dataset, Dict[str, int], float]:
     """Assemble one split's Dataset from its run records.
 
-    Runs that finished before the horizon are dropped (their count is
-    returned); cutoff-hit runs are kept as censored rows labeled LONG.  The
-    median is computed from the uncensored rows' scaled runtimes when not
-    supplied (training), else applied as given (test)."""
-    kept = [r for r in rows if r[4] is not None]
-    under = len(rows) - len(kept)
-    if not any(r[2] for r in kept):
+    Runs that finished before the horizon, the runs without a summary, are
+    dropped (their count is returned); cutoff-hit runs are kept as censored
+    rows labeled LONG.  In multi-instance mode each summary is rescaled by
+    its run's post-propagation size (normalize_for_multi).  The median is
+    computed from the uncensored rows' scaled runtimes when not supplied
+    (training), else applied as given (test)."""
+    kept = [r for r in records if r.summary is not None]
+    under = len(records) - len(kept)
+    if not any(r.outcome == SOLVED for r in kept):
         raise DataFormatError(
             "zero surviving rows after censoring; raise run counts or lower the horizon"
         )
-    X = np.asarray([r[4] for r in kept], dtype=float)
-    runtime = np.asarray([r[1] for r in kept], dtype=np.int64)
-    censored = np.asarray([not r[2] for r in kept], dtype=bool)
+    X = np.asarray([np.frombuffer(r.summary) for r in kept])
+    if multi:
+        X = np.asarray([normalize_for_multi(SummaryVector(x), r.post_propagation_size).values
+                        for x, r in zip(X, kept)])
+    runtime = np.asarray([r.choice_points for r in kept], dtype=np.int64)
+    censored = np.asarray([r.outcome != SOLVED for r in kept], dtype=bool)
     divisor = np.asarray(
-        [float(r[3]) if multi else 1.0 for r in kept], dtype=float
+        [float(r.post_propagation_size) if multi else 1.0 for r in kept], dtype=float
     )
     scaled = runtime / divisor
     if median is None:
         median, _ = label_by_median(scaled[~censored])
     is_short = (scaled < median) & ~censored
     counts = {
-        "total": len(rows),
+        "total": len(records),
         "under_horizon": under,
         "rows": int((~censored).sum()),
         "cutoff_hit": int(censored.sum()),
@@ -212,18 +202,16 @@ def run_experiment(
     labels reuse the training median so both sets share one notion of SHORT.
     """
     total = spec.train_runs + spec.test_runs
-    rows = _execute_runs(spec, total, threads)
+    records = _execute_runs(spec, total, threads)
     columns = summary_columns()
     multi = spec.mode == MULTI_INSTANCE
-    train_rows = rows[: spec.train_runs]
-    test_rows = rows[spec.train_runs :]
-    train, train_counts, median = _build_split(train_rows, columns, None, multi)
+    train, train_counts, median = _build_split(records[: spec.train_runs], columns, None, multi)
     test = None
     test_counts = {"total": 0, "under_horizon": 0, "rows": 0, "cutoff_hit": 0}
     if spec.test_runs:
-        test, test_counts, _ = _build_split(test_rows, columns, median, multi)
+        test, test_counts, _ = _build_split(records[spec.train_runs :], columns, median, multi)
     # not empty: _build_split raised unless the training split kept a solved run
-    solved_lengths = [r[1] for r in rows if r[2]]
+    solved_lengths = [r.choice_points for r in records if r.outcome == SOLVED]
     rtd = EmpiricalRTD(solved_lengths)
     info = {
         "mode": spec.mode,

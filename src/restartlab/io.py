@@ -41,6 +41,20 @@ def _read_text(path: str, size: int = -1) -> str:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def _finite_number(value) -> float:
+    """value as a float when it is a finite JSON number (not a bool, a
+    string or NaN/Infinity), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise ValueError("an integer too large for a float") from exc
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
 def _header_lines(kind: str, params: Optional[Dict], master_seed: Optional[int],
                   meta: Optional[Dict] = None) -> List[str]:
     lines = [
@@ -201,10 +215,11 @@ def read_dataset(path: str) -> Dataset:
             f"{path}: last columns must be {','.join(TAIL_COLUMNS)}"
         )
     feat_cols = cols[:-4]
-    X, runtime, is_short, censored, divisor = [], [], [], [], []
+    X, runtime, is_short, censored, divisor, lines = [], [], [], [], [], []
     for ln, row in enumerate(reader, start=2):
         if not row:
             continue
+        lines.append(ln)
         if len(row) != len(cols):
             raise DataFormatError(f"{path}: line {ln} has {len(row)} fields, expected {len(cols)}")
         try:
@@ -225,20 +240,25 @@ def read_dataset(path: str) -> Dataset:
     if median is None:
         raise DataFormatError(f"{path}: header carries no median")
     try:
-        median = float(median)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: bad median {median!r} in the header: {exc}") from exc
+        median = _finite_number(median)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: bad median in the header: {exc}") from exc
     try:
         runtime_arr = np.asarray(runtime, dtype=np.int64)
     except OverflowError as exc:
         raise DataFormatError(f"{path}: a runtime does not fit in 64 bits ({exc})") from exc
+    X_arr = np.asarray(X, dtype=float).reshape(len(runtime), len(feat_cols))
+    divisor_arr = np.asarray(divisor, dtype=float)
+    finite = np.isfinite(X_arr).all(axis=1) & np.isfinite(divisor_arr)
+    if not finite.all():
+        raise DataFormatError(f"{path}: line {lines[int(finite.argmin())]}: a value is not finite")
     return Dataset(
         columns=feat_cols,
-        X=np.asarray(X, dtype=float).reshape(len(runtime), len(feat_cols)),
+        X=X_arr,
         runtime=runtime_arr,
         is_short=np.asarray(is_short, dtype=bool),
         censored=np.asarray(censored, dtype=bool),
-        divisor=np.asarray(divisor, dtype=float),
+        divisor=divisor_arr,
         median=median,
         provenance=head,
     )
@@ -359,8 +379,8 @@ def read_model(path: str) -> DecisionTreeModel:
         return DecisionTreeModel(
             root=root,
             columns=columns,
-            kappa=float(obj["kappa"]),
-            training_median=None if med is None else float(med),
+            kappa=_finite_number(obj["kappa"]),
+            training_median=None if med is None else _finite_number(med),
             registry_hash=obj.get("registry_hash"),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -7,12 +7,12 @@ every column) produces markedly harder search problems than unconstrained
 erasure at the same hole count.
 
 Both seeded generators, the square fill and the balanced hole pattern, run
-in the C kernel (see fc_kernel) for orders up to 64.  The kernel draws from a
-copy of the generator's random.Random state and hands the state back, so the
-random.Random continues from wherever the kernel left the stream; the test
-suite's Python loops (tests/reference.py) are its reference.  Unbalanced
-holes, and balanced patterns of 0, n-1 or n holes per line, are drawn here
-in Python.
+in the C kernel (see fc_kernel) for orders up to 64, each on a Mersenne
+Twister that the kernel's mt_seed seeds as random.Random(seed) seeds it, so
+they draw what random.Random(seed) would; the test suite's Python loops
+(tests/reference.py) are their reference.  Unbalanced holes, and balanced
+patterns of 0, n-1 or n holes per line, are drawn here in Python, on
+random.Random(seed).
 """
 
 from __future__ import annotations
@@ -118,10 +118,11 @@ def _bits_to_symbols(mask: int) -> List[int]:
 _FILL_STEPS = 1 << 20
 
 
-def _fill_square(n: int, rng: random.Random) -> List[int]:
-    """Row-major symbols of a complete order-n Latin square drawn from rng."""
+def _fill_square(n: int, seed: int) -> List[int]:
+    """Row-major symbols of a complete order-n Latin square drawn from
+    random.Random(seed)'s stream, for 0 <= seed < 2**64."""
     kernel = fc_kernel.for_order(n)
-    ffi = kernel.ffi
+    ffi, lib = kernel.ffi, kernel.lib
     buffers = {
         "flat": ffi.new("int[]", n * n),
         "cands": ffi.new("int[]", n * n * n),
@@ -130,10 +131,10 @@ def _fill_square(n: int, rng: random.Random) -> List[int]:
         "col_used": ffi.new("uint64_t[]", n),
     }
     square = ffi.new("lq_square *", dict(buffers, n=n))
-    with fc_kernel.mt_stream(ffi, rng) as state:
-        done = 0
-        while done == 0:
-            done = kernel.lib.lq_fill(state, square, _FILL_STEPS)
+    state = ffi.new("mt_state *")
+    lib.mt_seed(state, seed)
+    while (done := lib.lq_fill(state, square, _FILL_STEPS)) == 0:
+        pass
     if done < 0:
         raise RuntimeError("backtracked past the first cell")
     return ffi.unpack(buffers["flat"], n * n)
@@ -151,7 +152,7 @@ def generate_complete(n: int, seed: int) -> PartialLatinSquare:
     """
     if n < 1:
         raise StructureError(f"order must be >= 1, got {n}")
-    return PartialLatinSquare.from_flat(n, _fill_square(n, random.Random(normalize_seed(seed))))
+    return PartialLatinSquare.from_flat(n, _fill_square(n, normalize_seed(seed)))
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,10 @@ class HoleSpec:
 _PATTERN_RETRIES = 1000
 
 
-def _balanced_holes(n: int, h: int, rng: random.Random) -> List[int]:
+def _balanced_holes(n: int, h: int, seed: int) -> List[int]:
     """Row masks (bit c of mask r for cell (r, c)) of the support of h
-    pairwise-disjoint random permutation matrices.
+    pairwise-disjoint random permutation matrices, drawn from
+    random.Random(seed)'s stream, for 0 <= seed < 2**64.
 
     Each permutation is drawn by rejection against the cells already taken,
     with the whole pattern restarted after 1000 failed draws for one slot.
@@ -201,14 +203,16 @@ def _balanced_holes(n: int, h: int, rng: random.Random) -> List[int]:
         return [full] * n
     if h == n - 1:
         keep = list(range(n))
-        rng.shuffle(keep)
+        random.Random(seed).shuffle(keep)
         return [full ^ 1 << c for c in keep]
     kernel = fc_kernel.for_order(n)
-    taken = kernel.ffi.new("uint64_t[]", n)
-    with fc_kernel.mt_stream(kernel.ffi, rng) as state:
-        while not kernel.lib.lq_hole_pattern(state, n, h, _PATTERN_RETRIES, taken):
-            pass
-    return kernel.ffi.unpack(taken, n)
+    ffi, lib = kernel.ffi, kernel.lib
+    taken = ffi.new("uint64_t[]", n)
+    state = ffi.new("mt_state *")
+    lib.mt_seed(state, seed)
+    while not lib.lq_hole_pattern(state, n, h, _PATTERN_RETRIES, taken):
+        pass
+    return ffi.unpack(taken, n)
 
 
 def poke_holes(square: PartialLatinSquare, spec: HoleSpec, seed: int) -> PartialLatinSquare:
@@ -221,19 +225,19 @@ def poke_holes(square: PartialLatinSquare, spec: HoleSpec, seed: int) -> Partial
     if not square.is_complete():
         raise StructureError("poke_holes requires a complete square")
     n = square.order
-    rng = random.Random(normalize_seed(seed))
+    seed = normalize_seed(seed)
     if spec.mode == UNBALANCED:
         k = spec.total_holes
         if k > n * n:
             raise StructureError(f"total_holes {k} exceeds {n * n} cells")
         masks = [0] * n
-        for p in rng.sample(range(n * n), k):
+        for p in random.Random(seed).sample(range(n * n), k):
             masks[p // n] |= 1 << p % n
     else:
         h = spec.holes_per_line
         if h > n:
             raise StructureError(f"holes_per_line {h} exceeds order {n}")
-        masks = _balanced_holes(n, h, rng)
+        masks = _balanced_holes(n, h, seed)
     return PartialLatinSquare(order=n, cells=tuple(map(_erase, square.cells, masks)))
 
 

@@ -179,8 +179,8 @@ def _grow(
 ) -> Tuple[DecisionTreeModel, Dict[int, float]]:
     """grow_tree, also returning the kappa-free gain of each applied split,
     keyed by the id of the node it split."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=bool)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -361,8 +361,9 @@ def tune_kappa(
     y = np.asarray(y, dtype=bool)
     if not len(grid):
         raise ValueError("kappa grid is empty")
-    if min(grid) <= 0:
-        raise ValueError("kappa must be positive")
+    bad = [k for k in grid if not 0 < k < math.inf]
+    if bad:
+        raise ValueError(f"kappa must be positive and finite, got {bad[0]}")
     n = y.size
     if n < 4:
         raise ValueError("too few rows to tune on")

@@ -19,8 +19,8 @@ its own.  The kernel also checks the instance: fc_init, which reads every
 given cell into its row and column masks, refuses a symbol that repeats in
 its line, so the Latin property is checked in C as each run starts.  A
 traced run also keeps the running statistics of its feature rows in C and
-writes their summary there (KernelState.summary), so a caller that needs
-only the summary keeps no rows.
+writes their summary there, which its RunRecord carries (summary), so a
+caller that needs only the summary keeps no rows.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from . import fc_kernel
 from .features import REGISTRY, STAT_NAMES
@@ -93,7 +91,12 @@ class RunRecord:
     search space was explored without a solution (the instance is
     unsatisfiable), which is reported as CUTOFF with this flag set.
     choice_points is exact even when the run stops at the cutoff.  stats
-    holds the run's search counters at its end.
+    holds the run's search counters at its end.  summary holds
+    features.summarize's values of the traced rows, written by the kernel as
+    it traced the last row due, as float64 bytes (np.frombuffer reads them):
+    None unless the run traced every row due, and at least two.  So with
+    cutoff >= horizon >= 2, a traced run that ends SOLVED or at the cutoff
+    has no summary exactly when it solved in fewer than horizon choice points.
     """
 
     seed: int
@@ -104,6 +107,7 @@ class RunRecord:
     post_propagation_size: int
     exhausted: bool = False
     stats: RunStats = RunStats()
+    summary: Optional[bytes] = None
 
 
 class KernelState:
@@ -173,8 +177,8 @@ class KernelState:
         exhausted CUTOFF, and a root propagation that leaves no open cell as
         SOLVED, both at 0 choice points.  With config.trace_enabled the
         kernel traces the first min(horizon, cutoff) choice points into its
-        running statistics, which summary reads, and appends their feature
-        rows to trace, if given: fc_run writes them into a buffer of at most
+        running statistics, whose summary the record carries, and appends
+        their feature rows to trace, if given: fc_run writes them into a buffer of at most
         _TRACE_ROWS rows, which is emptied into trace whenever it returns.
         fc_run returns after every _RUN_STEPS units of work, so that Ctrl-C
         is handled, and once stop is set the search ends there as CUTOFF.
@@ -231,16 +235,8 @@ class KernelState:
                 alldiff_prunings=st.alldiff_prunings,
                 max_depth=st.max_depth,
             ),
+            summary=None if st.trace_left or st.node_visits < 2 else ffi.buffer(self._summary)[:],
         )
-
-    def summary(self) -> Optional[np.ndarray]:
-        """features.summarize's values of the rows the last run traced,
-        written by the kernel as it traced the last row due: None unless it
-        traced every row due, and at least two."""
-        st = self._st
-        if st.trace_left or st.node_visits < 2:
-            return None
-        return np.frombuffer(self._ffi.buffer(self._summary), dtype=float).copy()
 
     def extract_square(self) -> PartialLatinSquare:
         n = self._st.n

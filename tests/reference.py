@@ -37,6 +37,7 @@ from typing import (
 import numpy as np
 
 from restartlab import fc_kernel, latin
+from restartlab.features import summarize
 from restartlab.latin import HOLE, PartialLatinSquare, StructureError
 from restartlab.learn import (
     MAX_SPLIT_CANDIDATES,
@@ -581,7 +582,8 @@ def solve(
     config: Optional[SolverConfig] = None,
     seed: int = 0,
 ) -> RunRecord:
-    """solver.solve with the search on SearchState, for any order."""
+    """solver.solve with the search on SearchState, for any order; the
+    record's summary is features.summarize's of the trace."""
     if config is None:
         config = SolverConfig()
     if validate(instance):
@@ -596,6 +598,10 @@ def solve(
         outcome, choice_points, exhausted = SOLVED, 0, False
     else:
         outcome, choice_points, exhausted = state.search(normalize_seed(seed), config, trace)
+    due = config.horizon if config.cutoff is None else min(config.horizon, config.cutoff)
+    summary = None
+    if trace is not None and len(trace) == due >= 2:
+        summary = summarize(trace, config.horizon).values.tobytes()
     return RunRecord(
         seed=seed,
         outcome=outcome,
@@ -605,6 +611,7 @@ def solve(
         post_propagation_size=post_prop,
         exhausted=exhausted,
         stats=state.stats(),
+        summary=summary,
     )
 
 

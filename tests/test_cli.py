@@ -457,10 +457,12 @@ class TestTrain:
         assert blobs[0] == blobs[1]
 
     def test_nonpositive_kappa_in_grid_rejected(self, workdir, tmp_path, capsys):
-        assert main(["train", str(workdir / "small_train.csv"), "--kappa-grid", "0.1,0",
-                     "-o", str(tmp_path / "m.json")]) == EXIT_USAGE
-        assert "kappa must be positive" in capsys.readouterr().err
-        assert not (tmp_path / "m.json").exists()
+        # NaN and infinity are refused too: neither is a positive finite kappa
+        for grid in ("0.1,0", "nan", "inf", "1e-3,nan"):
+            assert main(["train", str(workdir / "small_train.csv"), "--kappa-grid", grid,
+                         "-o", str(tmp_path / "m.json")]) == EXIT_USAGE
+            assert "kappa must be positive" in capsys.readouterr().err
+            assert not (tmp_path / "m.json").exists()
 
     def test_foreign_schema_rejected(self, tmp_path, capsys):
         ds = Dataset(

@@ -65,10 +65,9 @@ def multi_alldiff_instances():
 
 
 def run_on_a_fresh_state(instance, config, seed):
-    """The record of solve's run, before it builds the solved square, and
-    the state it ended in."""
+    """The record of solve's run, before it builds the solved square."""
     state = KernelState(fc_kernel.for_order(instance.order))
-    return state.run(instance, seed, config, [] if config.trace_enabled else None), state
+    return state.run(instance, seed, config, [] if config.trace_enabled else None)
 
 
 @st.composite
@@ -104,8 +103,8 @@ run_draws = given(
 
 
 class TestIdentityWithPythonState:
-    """Equal RunRecords: outcome, choice points, assignment, trace, stats and
-    the exhausted flag."""
+    """Equal RunRecords: outcome, choice points, assignment, trace, stats,
+    summary and the exhausted flag."""
 
     @staticmethod
     def _same_run_record(instance, seed, propagation, traced, horizon, cutoff):
@@ -418,13 +417,32 @@ class TestKernelSummaries:
         # runs stopped by the cutoff, before or after the horizon, included
         config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=horizon,
                               trace_enabled=True)
-        rec, state = run_on_a_fresh_state(instance, config, seed)
+        rec = run_on_a_fresh_state(instance, config, seed)
         due = horizon if cutoff is None else min(horizon, cutoff)
-        got = state.summary()
         if len(rec.trace) < due or due < 2:
-            assert got is None
+            assert rec.summary is None
         else:
-            assert got.tobytes() == summarize(rec.trace, horizon).values.tobytes()
+            assert rec.summary == summarize(rec.trace, horizon).values.tobytes()
+
+    @pytest.mark.parametrize("propagation", [FORWARD_CHECK, ALLDIFF_REGIN])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 10), seed=st.integers(0, 2**63),
+           horizon=st.integers(2, 80))
+    def test_no_summary_exactly_when_solved_before_the_horizon(
+            self, propagation, data, n, seed, horizon):
+        # the one rule by which the dataset harness drops a run: on a
+        # completable instance, with cutoff >= horizon >= 2
+        square = generate_complete(n, data.draw(st.integers(0, 2**32)))
+        holes = data.draw(st.integers(0, n * n))
+        instance = poke_holes(square, HoleSpec.unbalanced(holes), data.draw(st.integers(0, 2**32)))
+        cutoff = data.draw(st.none() | st.integers(horizon, horizon + 100))
+        config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=horizon,
+                              trace_enabled=True)
+        rec = KernelState(fc_kernel.load()).run(instance, seed, config)
+        assert not rec.exhausted
+        assert (rec.summary is None) == (rec.outcome == SOLVED and rec.choice_points < horizon)
+        if rec.summary is not None:
+            assert len(rec.summary) == 126 * 8
 
     @pytest.mark.parametrize("propagation, limits", [
         (FORWARD_CHECK, ((50, 60), (100, 60), (300, 1000))),
@@ -440,19 +458,18 @@ class TestKernelSummaries:
             config = SolverConfig(cutoff=cutoff, propagation=propagation, horizon=horizon,
                                   trace_enabled=True)
             for i, instance in enumerate(instances):
-                rec, state = run_on_a_fresh_state(instance, config, derive_seed(81, "run", i))
+                rec = run_on_a_fresh_state(instance, config, derive_seed(81, "run", i))
                 outcomes.add(rec.outcome)
                 if len(rec.trace) == min(horizon, cutoff):
-                    assert (state.summary().tobytes()
-                            == summarize(rec.trace, horizon).values.tobytes())
+                    assert rec.summary == summarize(rec.trace, horizon).values.tobytes()
         assert outcomes == {SOLVED, CUTOFF}
 
     @staticmethod
     def _runs_like_fresh_states(state, instance, config, seed):
-        fresh, fresh_state = run_on_a_fresh_state(instance, config, seed)
+        # the records compare every field, the summary's bytes included
         trace = [] if config.trace_enabled else None
-        assert state.run(instance, seed, config, trace) == fresh
-        assert repr(state.summary()) == repr(fresh_state.summary())
+        assert state.run(instance, seed, config, trace) == run_on_a_fresh_state(
+            instance, config, seed)
 
     @pytest.mark.parametrize("propagation", [FORWARD_CHECK, ALLDIFF_REGIN])
     def test_one_state_runs_like_fresh_states(self, propagation):

@@ -25,7 +25,8 @@ from restartlab.latin import (
     generate_complete,
     poke_holes,
 )
-from restartlab.solver import FORWARD_CHECK, SolverConfig, solve
+from restartlab.seeds import derive_seed
+from restartlab.solver import FORWARD_CHECK, SOLVED, SolverConfig, solve
 
 from reference import validate
 
@@ -195,7 +196,7 @@ class TestRunExperiment:
         # training split has no row to label
         spec = ExperimentSpec(order=18, holes=SEVEN_PER_LINE, train_runs=20, test_runs=5,
                               horizon=2, cutoff=2, master_seed=81)
-        assert not any(solved for _, _, solved, _, _ in harness._execute_runs(spec, 25, 1))
+        assert not any(r.outcome == SOLVED for r in harness._execute_runs(spec, 25, 1))
         with pytest.raises(DataFormatError, match="^zero surviving rows after censoring;"):
             run_experiment(spec)
 
@@ -232,12 +233,6 @@ class TestMultiInstanceMode:
         assert c["under_horizon"] + c["rows"] + c["cutoff_hit"] == 40
 
 
-def comparable(rows):
-    """_execute_runs rows with each summary as bytes, so == compares them."""
-    return [(i, runtime, solved, post, None if v is None else v.tobytes())
-            for i, runtime, solved, post, v in rows]
-
-
 class TestDeterminismAcrossThreads:
     def write_all(self, tmp_path, tag, threads):
         spec = small_spec(train_runs=30, test_runs=10, master_seed=7, horizon=20)
@@ -272,17 +267,14 @@ class TestDeterminismAcrossThreads:
         # runs once, on its own seed and, in multi mode, its own instance
         spec = small_spec(mode=mode, train_runs=80, test_runs=0, horizon=20, master_seed=7)
 
-        def rows(threads):
-            return comparable(harness._execute_runs(spec, 80, threads))
-
-        serial = rows(1)
+        serial = harness._execute_runs(spec, 80, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = rows(8)
+            threaded = harness._execute_runs(spec, 80, 8)
         finally:
             sys.setswitchinterval(interval)
-        assert [r[0] for r in serial] == list(range(80))
+        assert [r.seed for r in serial] == [derive_seed(7, "run", i) for i in range(80)]
         assert threaded == serial
 
     def test_no_more_threads_than_runs(self, monkeypatch):
@@ -313,9 +305,9 @@ class TestDeterminismAcrossThreads:
                 asked["submits"] += 1
                 return Done(fn())
 
-        serial = comparable(harness._execute_runs(spec, 3, 1))
+        serial = harness._execute_runs(spec, 3, 1)
         monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
-        assert comparable(harness._execute_runs(spec, 3, 64)) == serial
+        assert harness._execute_runs(spec, 3, 64) == serial
         assert asked == {"max_workers": 3, "submits": 3}
 
 

@@ -192,12 +192,28 @@ class TestDatasetFiles:
 
     def test_missing_median_rejected(self, tmp_path):
         p = str(tmp_path / "d.csv")
-        for meta in ("", '# meta {"median": "x"}\n', '# meta {"median": [1]}\n'):
+        # NaN and Infinity are what json.dumps writes for those floats
+        for meta in ("", '# meta {"median": "x"}\n', '# meta {"median": [1]}\n',
+                     '# meta {"median": NaN}\n', '# meta {"median": Infinity}\n',
+                     '# meta {"median": true}\n', '# meta {"median": "7"}\n'):
             with open(p, "w") as fh:
                 fh.write("# restartlab dataset 1\n" + meta)
                 fh.write("f__avg,runtime,label,censored,divisor\n")
                 fh.write("1.0,10,SHORT,0,1.0\n")
             with pytest.raises(DataFormatError, match=re.escape(p)):
+                read_dataset(p)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        # a feature value or a divisor that is not finite, on the second row
+        p = str(tmp_path / "d.csv")
+        for bad_row in ("nan,10,SHORT,0,1.0", "-inf,10,SHORT,0,1.0", "1.0,10,SHORT,0,inf",
+                        "1.0,10,SHORT,0,NaN"):
+            with open(p, "w") as fh:
+                fh.write('# restartlab dataset 1\n# meta {"median": 10}\n')
+                fh.write("f__avg,runtime,label,censored,divisor\n")
+                fh.write("1.0,10,SHORT,0,1.0\n" + bad_row + "\n")
+            with pytest.raises(DataFormatError,
+                               match=re.escape(f"{p}: line 3: a value is not finite")):
                 read_dataset(p)
 
     def test_bad_label_rejected(self, tmp_path):
@@ -288,6 +304,19 @@ class TestModelFiles:
         assert back.training_median == 123.5
         assert back.registry_hash == "abc123"
         assert (predict_batch(back, X) == predict_batch(model, X)).all()
+
+    def test_non_finite_numbers_rejected(self, tmp_path):
+        # json.dump writes a NaN or infinite float as NaN or Infinity
+        model, _ = self.grown()
+        p = str(tmp_path / "m.json")
+        write_model(p, model)
+        good = json.load(open(p))
+        for key in ("kappa", "training_median"):
+            for value in (math.nan, math.inf, -math.inf):
+                with open(p, "w") as fh:
+                    json.dump({**good, key: value}, fh)
+                with pytest.raises(DataFormatError, match=re.escape(p)):
+                    read_model(p)
 
     def test_tree_stored_by_feature_name(self, tmp_path):
         model, _ = self.grown()

@@ -211,6 +211,9 @@ class TestGrowTree:
             grow_tree(
                 np.zeros((2, 2)), np.array([True, False]), 0.5, columns=["only_one"]
             )
+        for kappa in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="kappa must be positive and finite"):
+                grow_tree(np.zeros((2, 1)), np.array([True, False]), kappa=kappa)
 
     def test_grown_tree_score_beats_marginal_in_sample(self):
         rng = np.random.default_rng(5)
@@ -415,7 +418,9 @@ class TestTuneKappa:
         ([], "kappa grid is empty"),
         ([0.1, 0.0], "kappa must be positive"),
         ([-1.0], "kappa must be positive"),
-    ], ids=["empty", "zero", "negative"])
+        ([math.nan], "kappa must be positive and finite, got nan"),
+        ([math.inf], "kappa must be positive and finite, got inf"),
+    ], ids=["empty", "zero", "negative", "nan", "inf"])
     def test_bad_grid(self, grid, message):
         # every kappa of the grid is checked, not only the largest, which
         # the tuning tree is grown at

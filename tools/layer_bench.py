@@ -15,7 +15,8 @@ solver
   traced and untraced, on the runs `restartlab dataset` makes: one
   KernelState per workload, each run one call of its run method on the
   run's instance, and no solved square built.  A traced run keeps its
-  statistics in the kernel and no rows in Python.
+  statistics in the kernel and no rows in Python, and its record carries
+  the summary the kernel wrote.
   - desk: the desk instance, the 48+16 runs of desk-fc, horizon 50, cutoff
     100000, at forward checking and at alldiff filtering.
   - multi-alldiff: its 36+12 instances (order 20, 8 holes per line, each
@@ -24,7 +25,7 @@ solver
   A workload's cases share their rounds, each round running every level,
   untraced then traced, on the workload's one state.  Per case: runs,
   choice points, seconds and choice points per second.  Every repeat must
-  return the same run records.
+  return the same run records, summaries included.
 
 policy
   simulate_policy trials per second for each policy, every round priced in
@@ -85,7 +86,7 @@ learn
 
 dataset
   The dataset run loop (harness._execute_runs: every run of a `restartlab
-  dataset`, up to the rows it returns, before the splits are built and
+  dataset`, up to the records it returns, before the splits are built and
   written) at 1 and 2 worker threads, on the dataset stages of desk-fc
   (48+16 runs) and multi-alldiff (36+12 runs, each instance drawn in the
   loop) at size full, and, when LARGE is set, on a desk set of DESK_SET
@@ -93,10 +94,11 @@ dataset
   100000), all at seed 81.  A case's 1- and 2-thread loops share their
   rounds: each round runs the plain loop and then the same loop inside
   kernel_calls, at 1 thread and then at 2, and all four must return the
-  same rows as every other round.  Per case: threads, runs, choice points,
-  rows (runs that reached the horizon), the loop's seconds, and the timed
-  loop's seconds with the seconds its recorded kernel calls took, in total
-  and in fc_run alone, summed over the threads.
+  same records, summaries included, as every other round.  Per case:
+  threads, runs, choice points, rows (runs with a summary: those that
+  reached the horizon), the loop's seconds, and the timed loop's seconds
+  with the seconds its recorded kernel calls took, in total and in fc_run
+  alone, summed over the threads.
 
 Cases that a topic puts side by side share their rounds: repeat() calls
 them in turn within each round, so a change of host speed during a topic
@@ -508,28 +510,27 @@ def dataset(tmp: Path):
         logs = {threads: [] for threads in THREADS}
 
         def loop(threads):
-            return [(i, runtime, solved, post, None if v is None else v.tobytes())
-                    for i, runtime, solved, post, v in harness._execute_runs(spec, total, threads)]
+            return harness._execute_runs(spec, total, threads)
 
         def recorded(threads):
             with kernel_calls() as calls:
-                rows = loop(threads)
+                records = loop(threads)
             logs[threads].append(calls)
-            return rows
+            return records
 
         timings, results = repeat(name, *(functools.partial(fn, threads)
                                           for threads in THREADS for fn in (loop, recorded)))
-        rows = results[0]
-        if any(other != rows for other in results):
-            raise Disagree(f"{name}: the rows differ")
+        records = results[0]
+        if any(other != records for other in results):
+            raise Disagree(f"{name}: the records differ")
         for threads, loop_s, timed_s in zip(THREADS, timings[::2], timings[1::2]):
             yield f"{name} threads={threads}", {
                 "case": name,
                 "workload": workload.name,
                 "threads": threads,
                 "runs": total,
-                "choice_points": sum(r[1] for r in rows),
-                "rows": sum(r[4] is not None for r in rows),
+                "choice_points": sum(r.choice_points for r in records),
+                "rows": sum(r.summary is not None for r in records),
                 "run_loop_s": spread(loop_s),
                 "timed_run_loop_s": spread(timed_s),
                 "kernel_call_s": spread([sum(s for _, s in calls) for calls in logs[threads]]),
