@@ -3,9 +3,11 @@
 Every file embeds a reproducibility header (format version, tool version,
 invocation parameters, master seed) and nothing volatile, so identical
 invocations produce byte-identical files.  Text formats carry the header as
-leading '#' comment lines; JSON formats embed the same fields as keys.
-All writers emit UTF-8 with LF line endings; write/read round-trips preserve
-every value exactly.
+leading '#' comment lines and have one reader and one writer
+(_read_headed, _write_headed); an error about a body line names its 1-based
+number in the file.  JSON formats embed the same fields as keys of one
+envelope (_read_envelope, _write_envelope).  All writers emit UTF-8 with LF
+line endings; write/read round-trips preserve every value exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import __version__
 from .latin import HOLE, PartialLatinSquare
 from .learn import SHORT, LONG, Dataset, DecisionTreeModel, TreeNode
-from .policy import EmpiricalRTD
+from .policy import MAX_LENGTH, EmpiricalRTD
 
 FORMAT_VERSION = 1
 
@@ -55,8 +57,43 @@ def _finite_number(value) -> float:
     return number
 
 
-def _header_lines(kind: str, params: Optional[Dict], master_seed: Optional[int],
-                  meta: Optional[Dict] = None) -> List[str]:
+def _read_headed(path: str, kind: str) -> Tuple[Dict, List[Tuple[int, str]]]:
+    """The header of a `kind` text file (params, master_seed, meta and the
+    format_version) and its body: every line that is not a '#' line, from
+    the first that is not blank, as (1-based number in the file, line).
+    Unknown '#' lines are ignored; a known one that does not parse is a
+    DataFormatError naming path."""
+    head: Dict = {"params": {}, "master_seed": None, "meta": {}}
+    body: List[Tuple[int, str]] = []
+    lines = _read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the end of the last line, not a line
+    for ln, line in enumerate(lines, start=1):
+        if not line.startswith("#"):
+            if body or line.strip():
+                body.append((ln, line))
+            continue
+        key, _, value = line[1:].strip().partition(" ")
+        try:
+            if key == "restartlab" and len(value.split()) >= 2:
+                found, version = value.split()[:2]
+                if found != kind:
+                    raise ValueError(f"expected a {kind} file, found {found!r}")
+                head["format_version"] = int(version)
+            elif key in ("params", "meta") and value:
+                head[key] = json.loads(value)
+                if not isinstance(head[key], dict):
+                    raise ValueError("not a JSON object")
+            elif key == "master_seed" and value:
+                head[key] = None if value.strip() == "null" else int(value)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: bad header line {line!r}: {exc}") from exc
+    return head, body
+
+
+def _write_headed(path: str, kind: str, body: Sequence[str], params: Optional[Dict],
+                  master_seed: Optional[int], meta: Optional[Dict] = None) -> None:
+    """Write a `kind` text file: its '#' header lines, then the body lines."""
     lines = [
         f"# restartlab {kind} {FORMAT_VERSION}",
         f"# tool restartlab {__version__}",
@@ -65,51 +102,9 @@ def _header_lines(kind: str, params: Optional[Dict], master_seed: Optional[int],
     ]
     if meta is not None:
         lines.append(f"# meta {json.dumps(meta, sort_keys=True)}")
-    return lines
-
-
-def _parse_header(lines: Sequence[str], kind: str, path: str) -> Dict:
-    """Parse leading '#' lines; unknown comment lines are ignored, and a
-    known line that does not parse is a DataFormatError naming path."""
-    out: Dict = {"params": {}, "master_seed": None, "meta": {}}
-    for raw in lines:
-        body = raw[1:].strip()
-        try:
-            if body.startswith("restartlab "):
-                parts = body.split()
-                if len(parts) >= 3:
-                    if parts[1] != kind:
-                        raise ValueError(f"expected a {kind} file, found {parts[1]!r}")
-                    out["format_version"] = int(parts[2])
-            elif body.startswith("params "):
-                out["params"] = _json_object(body[len("params "):])
-            elif body.startswith("master_seed "):
-                tok = body[len("master_seed "):].strip()
-                out["master_seed"] = None if tok == "null" else int(tok)
-            elif body.startswith("meta "):
-                out["meta"] = _json_object(body[len("meta "):])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: bad header line {raw!r}: {exc}") from exc
-    return out
-
-
-def _json_object(text: str) -> Dict:
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("not a JSON object")
-    return obj
-
-
-def _split_comments(text: str) -> Tuple[List[str], List[str]]:
-    comments, rest = [], []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            comments.append(line)
-        elif line.strip() == "" and not rest:
-            continue
-        else:
-            rest.append(line)
-    return comments, rest
+    lines.extend(body)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _read_json(path: str):
@@ -117,6 +112,31 @@ def _read_json(path: str):
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _read_envelope(path: str, kind: str) -> Dict:
+    """The JSON object of a `kind` file; any other content is a
+    DataFormatError naming path."""
+    obj = _read_json(path)
+    if not isinstance(obj, dict) or obj.get("format") != f"restartlab {kind}":
+        raise DataFormatError(f"{path}: not a {kind} file")
+    return obj
+
+
+def _write_envelope(path: str, kind: str, params: Optional[Dict],
+                    master_seed: Optional[int], body: Dict) -> None:
+    """Write a `kind` JSON file: the envelope's fields, then body's."""
+    obj = {
+        "format": f"restartlab {kind}",
+        "format_version": FORMAT_VERSION,
+        "tool_version": __version__,
+        "params": params or {},
+        "master_seed": master_seed,
+        **body,
+    }
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 # -- instance files ---------------------------------------------------------
@@ -128,47 +148,45 @@ def write_instance(
     params: Optional[Dict] = None,
     master_seed: Optional[int] = None,
 ) -> None:
-    lines = _header_lines("instance", params, master_seed)
-    lines.append(str(square.order))
-    for row in square.cells:
-        lines.append(" ".join("." if v is HOLE else str(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [" ".join("." if v is HOLE else str(v) for v in row) for row in square.cells]
+    _write_headed(path, "instance", [str(square.order), *rows], params, master_seed)
 
 
 def read_instance(path: str) -> PartialLatinSquare:
-    comments, rest = _split_comments(_read_text(path))
-    _parse_header(comments, "instance", path)
-    if not rest:
+    _, body = _read_headed(path, "instance")
+    if not body:
         raise DataFormatError(f"{path}: empty instance file")
     try:
-        n = int(rest[0].strip())
+        n = int(body[0][1].strip())
     except ValueError as exc:
         raise DataFormatError(f"{path}: first line must be the order") from exc
-    if len(rest) < 1 + n:
-        raise DataFormatError(f"{path}: expected {n} rows, found {len(rest) - 1}")
+    if len(body) < 1 + n:
+        raise DataFormatError(f"{path}: expected {n} rows, found {len(body) - 1}")
     cells = []
-    for i, line in enumerate(rest[1 : 1 + n]):
+    for i, (ln, line) in enumerate(body[1 : 1 + n], start=1):
         toks = line.split()
         if len(toks) != n:
-            raise DataFormatError(f"{path}: row {i + 1} has {len(toks)} tokens, expected {n}")
+            raise DataFormatError(
+                f"{path}: line {ln}: row {i} has {len(toks)} tokens, expected {n}"
+            )
         row = []
         for t in toks:
-            if t == ".":
-                row.append(HOLE)
-            else:
-                try:
-                    row.append(int(t))
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}: bad token {t!r} in row {i + 1}") from exc
+            try:
+                row.append(HOLE if t == "." else int(t))
+                if row[-1] is not HOLE and not 1 <= row[-1] <= n:
+                    raise ValueError
+            except ValueError as exc:
+                raise DataFormatError(
+                    f"{path}: line {ln}: bad token {t!r} in row {i}, expected 1..{n} or '.'"
+                ) from exc
         cells.append(tuple(row))
     try:
         square = PartialLatinSquare(order=n, cells=tuple(cells))
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    extra = next((line for line in rest[1 + n:] if line.strip()), None)
-    if extra is not None:
-        raise DataFormatError(f"{path}: line {extra!r} follows the last of the {n} rows")
+    for ln, line in body[1 + n:]:
+        if line.strip():
+            raise DataFormatError(f"{path}: line {ln}: {line!r} follows the last of the {n} rows")
     return square
 
 
@@ -185,46 +203,42 @@ def write_dataset(
     """CSV of one row per recorded run; censored rows carry a set flag."""
     full_meta = dict(meta or {})
     full_meta["median"] = dataset.median
-    head = _header_lines("dataset", params, master_seed, full_meta)
-    cols = list(dataset.columns) + list(TAIL_COLUMNS)
-    rows = []
+    lines = [",".join(list(dataset.columns) + list(TAIL_COLUMNS))]
     for i in range(dataset.size):
         vals = [repr(float(v)) for v in dataset.X[i]]
         vals.append(str(int(dataset.runtime[i])))
         vals.append(SHORT if dataset.is_short[i] else LONG)
         vals.append("1" if dataset.censored[i] else "0")
         vals.append(repr(float(dataset.divisor[i])))
-        rows.append(",".join(vals))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(head) + "\n")
-        fh.write(",".join(cols) + "\n")
-        if rows:
-            fh.write("\n".join(rows) + "\n")
+        lines.append(",".join(vals))
+    _write_headed(path, "dataset", lines, params, master_seed, full_meta)
 
 
 def read_dataset(path: str) -> Dataset:
     """Read every recorded row back; callers filter on .censored for learning."""
-    comments, rest = _split_comments(_read_text(path))
-    head = _parse_header(comments, "dataset", path)
-    if not rest:
+    head, body = _read_headed(path, "dataset")
+    if not body:
         raise DataFormatError(f"{path}: missing column header")
-    reader = csv.reader(rest)
+    reader = csv.reader(line for _, line in body)
     cols = next(reader)
     if len(cols) < len(TAIL_COLUMNS) or tuple(cols[-4:]) != TAIL_COLUMNS:
         raise DataFormatError(
-            f"{path}: last columns must be {','.join(TAIL_COLUMNS)}"
+            f"{path}: line {body[0][0]}: last columns must be {','.join(TAIL_COLUMNS)}"
         )
     feat_cols = cols[:-4]
     X, runtime, is_short, censored, divisor, lines = [], [], [], [], [], []
-    for ln, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        ln = body[reader.line_num - 1][0]
         lines.append(ln)
         if len(row) != len(cols):
             raise DataFormatError(f"{path}: line {ln} has {len(row)} fields, expected {len(cols)}")
         try:
             X.append([float(v) for v in row[: len(feat_cols)]])
             runtime.append(int(row[-4]))
+            if not 0 <= runtime[-1] < 2**63:
+                raise ValueError(f"runtime {row[-4]} is negative or does not fit in 64 bits")
             lab = row[-3]
             if lab not in (SHORT, LONG):
                 raise ValueError(f"bad label {lab!r}")
@@ -233,20 +247,17 @@ def read_dataset(path: str) -> Dataset:
                 raise ValueError(f"bad censored flag {row[-2]!r}")
             censored.append(row[-2] == "1")
             divisor.append(float(row[-1]))
+            if divisor[-1] <= 0:
+                raise ValueError(f"divisor {row[-1]} is not positive")
         except ValueError as exc:
             raise DataFormatError(f"{path}: line {ln}: {exc}") from exc
-    meta = head.get("meta", {})
-    median = meta.get("median")
+    median = head["meta"].get("median")
     if median is None:
         raise DataFormatError(f"{path}: header carries no median")
     try:
         median = _finite_number(median)
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad median in the header: {exc}") from exc
-    try:
-        runtime_arr = np.asarray(runtime, dtype=np.int64)
-    except OverflowError as exc:
-        raise DataFormatError(f"{path}: a runtime does not fit in 64 bits ({exc})") from exc
     X_arr = np.asarray(X, dtype=float).reshape(len(runtime), len(feat_cols))
     divisor_arr = np.asarray(divisor, dtype=float)
     finite = np.isfinite(X_arr).all(axis=1) & np.isfinite(divisor_arr)
@@ -255,7 +266,7 @@ def read_dataset(path: str) -> Dataset:
     return Dataset(
         columns=feat_cols,
         X=X_arr,
-        runtime=runtime_arr,
+        runtime=np.asarray(runtime, dtype=np.int64),
         is_short=np.asarray(is_short, dtype=bool),
         censored=np.asarray(censored, dtype=bool),
         divisor=divisor_arr,
@@ -274,32 +285,31 @@ def write_rtd(
     master_seed: Optional[int] = None,
     meta: Optional[Dict] = None,
 ) -> None:
-    arr = sorted(int(v) for v in lengths)
-    head = _header_lines("rtd", params, master_seed, meta)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(head) + "\n")
-        for v in arr:
-            fh.write(f"{v}\n")
+    _write_headed(path, "rtd", [str(v) for v in sorted(int(v) for v in lengths)],
+                  params, master_seed, meta)
 
 
 def read_provenance(path: str, kind: str) -> Dict:
     """The header of a `kind` file (params, master_seed, meta), as
     read_dataset's provenance holds it."""
-    return _parse_header(_split_comments(_read_text(path))[0], kind, path)
+    return _read_headed(path, kind)[0]
 
 
 def read_rtd(path: str) -> EmpiricalRTD:
-    comments, rest = _split_comments(_read_text(path))
-    _parse_header(comments, "rtd", path)
+    _, body = _read_headed(path, "rtd")
     lengths = []
-    for ln, line in enumerate(rest, start=1):
+    for ln, line in body:
         tok = line.strip()
         if not tok:
             continue
         try:
             lengths.append(int(tok))
+            if not 0 <= lengths[-1] <= MAX_LENGTH:
+                raise ValueError
         except ValueError as exc:
-            raise DataFormatError(f"{path}: line {ln}: bad run length {tok!r}") from exc
+            raise DataFormatError(
+                f"{path}: line {ln}: bad run length {tok!r}, expected a whole number in 0..2**53"
+            ) from exc
     if not lengths:
         raise DataFormatError(f"{path}: no run lengths")
     try:
@@ -324,17 +334,24 @@ def _node_to_obj(node: TreeNode, columns: Sequence[str]) -> Dict:
     }
 
 
+def _count(value) -> int:
+    """value when it is a non-negative JSON integer (not a bool), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{value!r} is not a count")
+    return value
+
+
 def _node_from_obj(obj: Dict, index: Dict[str, int]) -> TreeNode:
+    counts = {"n_short": _count(obj["n_short"]), "n_long": _count(obj["n_long"])}
     if "feature" not in obj:
-        return TreeNode(n_short=int(obj["n_short"]), n_long=int(obj["n_long"]))
+        return TreeNode(**counts)
     name = obj["feature"]
     if name not in index:
         raise DataFormatError(f"tree references unknown feature {name!r}")
     return TreeNode(
-        n_short=int(obj["n_short"]),
-        n_long=int(obj["n_long"]),
+        **counts,
         feature=index[name],
-        threshold=float(obj["threshold"]),
+        threshold=_finite_number(obj["threshold"]),
         left=_node_from_obj(obj["left"], index),
         right=_node_from_obj(obj["right"], index),
     )
@@ -347,12 +364,7 @@ def write_model(
     master_seed: Optional[int] = None,
     extra: Optional[Dict] = None,
 ) -> None:
-    obj = {
-        "format": "restartlab model",
-        "format_version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "params": params or {},
-        "master_seed": master_seed,
+    body = {
         "kappa": model.kappa,
         "training_median": model.training_median,
         "registry_hash": model.registry_hash,
@@ -361,16 +373,12 @@ def write_model(
         "tree": _node_to_obj(model.root, model.columns),
     }
     if extra:
-        obj["extra"] = extra
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        body["extra"] = extra
+    _write_envelope(path, "model", params, master_seed, body)
 
 
 def read_model(path: str) -> DecisionTreeModel:
-    obj = _read_json(path)
-    if not isinstance(obj, dict) or obj.get("format") != "restartlab model":
-        raise DataFormatError(f"{path}: not a model file")
+    obj = _read_envelope(path, "model")
     try:
         columns = list(obj["columns"])
         index = {name: j for j, name in enumerate(columns)}
@@ -414,21 +422,8 @@ def write_report(
     params: Optional[Dict] = None,
     master_seed: Optional[int] = None,
 ) -> None:
-    obj = {
-        "format": "restartlab report",
-        "format_version": FORMAT_VERSION,
-        "tool_version": __version__,
-        "params": params or {},
-        "master_seed": master_seed,
-        "report": _jsonable(report),
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_envelope(path, "report", params, master_seed, {"report": _jsonable(report)})
 
 
 def read_report(path: str) -> Dict:
-    obj = _read_json(path)
-    if not isinstance(obj, dict) or obj.get("format") != "restartlab report":
-        raise DataFormatError(f"{path}: not a report file")
-    return obj
+    return _read_envelope(path, "report")

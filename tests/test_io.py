@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from restartlab.io import (
     DataFormatError,
@@ -20,7 +22,9 @@ from restartlab.io import (
     write_report,
     write_rtd,
 )
-from restartlab.latin import HoleSpec, UNBALANCED, generate_complete, poke_holes
+from restartlab.latin import (
+    HoleSpec, PartialLatinSquare, UNBALANCED, generate_complete, poke_holes,
+)
 from restartlab.learn import Dataset, grow_tree, label_by_median, predict_batch
 
 
@@ -91,7 +95,7 @@ class TestInstanceFiles:
         rows = "3\n1 2 3\n2 3 1\n3 1 2\n"
         with open(p, "w") as fh:
             fh.write(rows + "2 2 2\n")
-        with pytest.raises(DataFormatError, match=f"{re.escape(p)}: line '2 2 2'"):
+        with pytest.raises(DataFormatError, match=f"{re.escape(p)}: line 5: '2 2 2'"):
             read_instance(p)
         with open(p, "w") as fh:
             fh.write(rows + "\n  \n# a comment\n\n")
@@ -213,7 +217,18 @@ class TestDatasetFiles:
                 fh.write("f__avg,runtime,label,censored,divisor\n")
                 fh.write("1.0,10,SHORT,0,1.0\n" + bad_row + "\n")
             with pytest.raises(DataFormatError,
-                               match=re.escape(f"{p}: line 3: a value is not finite")):
+                               match=re.escape(f"{p}: line 5: a value is not finite")):
+                read_dataset(p)
+
+    def test_negative_runtime_and_nonpositive_divisor_rejected(self, tmp_path):
+        p = str(tmp_path / "d.csv")
+        for bad_row in ("1.0,-7,SHORT,0,1.0", "1.0,10,SHORT,0,0.0", "1.0,10,SHORT,0,-2.5",
+                        "1.0,9223372036854775808,LONG,0,1.0"):
+            with open(p, "w") as fh:
+                fh.write('# restartlab dataset 1\n# meta {"median": 10}\n')
+                fh.write("f__avg,runtime,label,censored,divisor\n")
+                fh.write("1.0,10,SHORT,0,1.0\n" + bad_row + "\n")
+            with pytest.raises(DataFormatError, match=re.escape(f"{p}: line 5: ")):
                 read_dataset(p)
 
     def test_bad_label_rejected(self, tmp_path):
@@ -285,6 +300,87 @@ class TestRtdFiles:
             read_rtd(p)
 
 
+class TestLineNumbers:
+    """An error about a body line names that line's 1-based number in the
+    file, whatever '#' lines and blank lines come before the body."""
+
+    CHECKED = settings(max_examples=60, deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @staticmethod
+    def corrupt(data, path, bad_lines, first=0):
+        """Put k >= 0 comment and blank lines among the header lines of the
+        file at path, replace body line j >= first by a draw from
+        bad_lines(j, line), and return that line's 1-based number in the file."""
+        lines = open(path, encoding="utf-8").read().split("\n")[:-1]
+        head = [line for line in lines if line.startswith("#")]
+        body = lines[len(head):]
+        extra = data.draw(st.lists(st.sampled_from(["", "  ", "# a comment", "#"]), max_size=8))
+        at = data.draw(st.integers(0, len(head)))
+        j = data.draw(st.integers(first, len(body) - 1))
+        body[j] = data.draw(bad_lines(j, body[j]))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(head[:at] + extra + head[at:] + body) + "\n")
+        return len(head) + len(extra) + j + 1
+
+    @staticmethod
+    def replaced(fields, i, value, sep):
+        return sep.join(fields[:i] + [value] + fields[i + 1:])
+
+    @staticmethod
+    def raises_at(path, number, read):
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: line {number}") + "[: ]"):
+            read(path)
+
+    @CHECKED
+    @given(data=st.data(), n=st.integers(2, 6))
+    def test_instance(self, tmp_path, data, n):
+        p = str(tmp_path / "inst.txt")
+        write_instance(p, PartialLatinSquare.from_rows(
+            [[(r + c) % n + 1 for c in range(n)] for r in range(n)]), master_seed=1)
+
+        def bad(j, line):  # a row; the order line has its own message
+            toks = line.split()
+            return st.one_of(
+                st.just(" ".join(toks[1:])),
+                st.just(line + " 1"),
+                st.builds(lambda i, t: self.replaced(toks, i, t, " "),
+                          st.integers(0, n - 1), st.sampled_from(["x", "0", str(n + 1), "1.0"])),
+            )
+
+        self.raises_at(p, self.corrupt(data, p, bad, first=1), read_instance)
+
+    @CHECKED
+    @given(data=st.data(), rows=st.integers(1, 6))
+    def test_dataset(self, tmp_path, data, rows):
+        p = str(tmp_path / "d.csv")
+        write_dataset(p, sample_dataset(n=rows, features=2), params={"runs": rows})
+        # per field, values that make a row bad: two features, then runtime,
+        # label, censored flag and divisor
+        bad_fields = [["x", "nan", "-inf"], ["x", "nan", "inf"], ["-7", "1.5"], ["MAYBE"],
+                      ["2"], ["0.0", "-1.0", "inf", "x"]]
+
+        def bad(j, line):  # body line 0 is the column header
+            fields = line.split(",")
+            if j == 0:
+                return st.just(",".join(fields[:-1]))
+            return st.one_of(
+                st.just(",".join(fields[:-1])),
+                st.integers(0, len(fields) - 1).flatmap(lambda i: st.sampled_from(
+                    bad_fields[i]).map(lambda v: self.replaced(fields, i, v, ","))),
+            )
+
+        self.raises_at(p, self.corrupt(data, p, bad), read_dataset)
+
+    @CHECKED
+    @given(data=st.data(), lengths=st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
+    def test_run_lengths(self, tmp_path, data, lengths):
+        p = str(tmp_path / "r.txt")
+        write_rtd(p, lengths, params={"runs": len(lengths)}, meta={"horizon": 5})
+        bad = st.sampled_from(["forty", "-3", "1.5", str(2**53 + 1), "1 2"])
+        self.raises_at(p, self.corrupt(data, p, lambda j, line: bad), read_rtd)
+
+
 class TestModelFiles:
     def grown(self):
         X = np.array([[0.0, 5.0], [1.0, 4.0], [2.0, 3.0], [3.0, 2.0]])
@@ -317,6 +413,24 @@ class TestModelFiles:
                     json.dump({**good, key: value}, fh)
                 with pytest.raises(DataFormatError, match=re.escape(p)):
                     read_model(p)
+
+    def test_malformed_tree_rejected(self, tmp_path):
+        # a count must be a non-negative JSON integer, a threshold a finite number
+        model, _ = self.grown()
+        p = str(tmp_path / "m.json")
+        write_model(p, model)
+        good = json.load(open(p))
+        bad_counts = (-50, 2.7, 3.0, True, "3", None)
+        bad_thresholds = (math.nan, math.inf, -math.inf, "1.5", True, None)
+        trees = [{**good["tree"], "left": {**good["tree"]["left"], "n_short": v}}
+                 for v in bad_counts]
+        trees += [{**good["tree"], "n_long": v} for v in bad_counts]
+        trees += [{**good["tree"], "threshold": v} for v in bad_thresholds]
+        for tree in trees:
+            with open(p, "w") as fh:
+                json.dump({**good, "tree": tree}, fh)
+            with pytest.raises(DataFormatError, match=re.escape(f"{p}: malformed model")):
+                read_model(p)
 
     def test_tree_stored_by_feature_name(self, tmp_path):
         model, _ = self.grown()

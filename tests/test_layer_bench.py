@@ -1,11 +1,12 @@
 """tools/layer_bench.py reproduces the cases and the deterministic work of the
 checked-in BENCH_solver.json, BENCH_policy.json, BENCH_generation.json,
-BENCH_learn.json and BENCH_dataset.json, at one repeat.
+BENCH_learn.json, BENCH_dataset.json and BENCH_io.json, at one repeat.
 
 The cases the tool runs only when LARGE is set are left out: the
 generation topic's order-34 cases, which take minutes, the learn topic's
 paper-scale case, whose 4000+1000-run dataset takes about 10 s to build, and
-the dataset topic's 800+200-run desk set, whose four loops take about 7 s.
+the 800+200-run desk set of the dataset topic, whose four loops take about
+7 s, and of the io topic.
 """
 
 import importlib.util
@@ -23,6 +24,7 @@ FIELDS = {
     "learn": ("case", "workload", "runs", "rows", "features", "tune_nodes", "grow_nodes",
               "kappa", "leaves"),
     "dataset": ("case", "workload", "threads", "runs", "choice_points", "rows"),
+    "io": ("case", "workload", "split", "rows", "features", "bytes"),
 }
 LARGE_CASES = ("desk paper scale", "desk 800+200", "order 34")
 

@@ -100,6 +100,18 @@ dataset
   with the seconds its recorded kernel calls took, in total and in fc_run
   alone, summed over the threads.
 
+io
+  read_dataset and write_dataset on the split files (train and test) of the
+  dataset stages of desk-fc (48+16 runs) and multi-alldiff (36+12 runs) at
+  size full, and, when LARGE is set, of the DESK_SET desk set (800+200),
+  all at seed 81, each stage run from the temporary directory with relative
+  paths so that the files' bytes do not depend on where it is.  A file's
+  read and write share their rounds: each round reads the file, writes what
+  it read (with the header it read) to a copy, and checks that the copy is
+  byte-identical to the file.  Per case: split, rows (censored ones
+  included), features, the file's bytes, and seconds and rows per second
+  of the read and of the write.
+
 Cases that a topic puts side by side share their rounds: repeat() calls
 them in turn within each round, so a change of host speed during a topic
 lands on all of them alike, not on one.  kernel_calls() patches
@@ -174,7 +186,7 @@ SCAN_ROWS = 63
 # deterministic work, printed next to the figures
 WORK = ("runs", "choice_points", "trials", "live_draws", "dead_draws", "instances",
         "pattern_attempts", "rows", "features", "tune_nodes", "grow_nodes", "kappa", "leaves",
-        "threads")
+        "threads", "bytes")
 
 
 class Disagree(Exception):
@@ -539,12 +551,66 @@ def dataset(tmp: Path):
             }
 
 
+def dataset_files(tmp: Path):
+    instance = tmp / "desk.instance"
+    write_desk_instance(instance)
+    sets = [("desk-fc", DESK, DESK.sizes[SIZE]), ("multi-alldiff", MULTI, MULTI.sizes[SIZE])]
+    if LARGE:
+        sets.append(("desk 800+200", DESK, DESK_SET))
+    copy = tmp / "rewrite.csv"
+    # relative paths in the stages' command lines, so that the headers, and
+    # the bytes of the files, do not depend on where tmp is
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        for name, workload, size in sets:
+            prefix = Path(name.replace(" ", "-"))
+            stage = run_stage(workload.dataset_argv(prefix, size, os.cpu_count(),
+                                                    Path(instance.name)))
+            if stage.failed:
+                raise RuntimeError(f"the {name} dataset could not be built: {stage.output}")
+            for split, path in zip(("train", "test"), dataset_paths(prefix)):
+                original, held = Path(path).read_bytes(), []
+
+                def read():
+                    held[:] = [rio.read_dataset(path)]
+
+                def write():
+                    prov = held[0].provenance
+                    rio.write_dataset(str(copy), held[0], params=prov["params"],
+                                      master_seed=prov["master_seed"], meta=prov["meta"])
+
+                def identical():
+                    return copy.read_bytes() == original
+
+                (read_s, write_s, _), (_, _, same) = repeat(
+                    f"{name} {split}", read, write, identical)
+                if not same:
+                    raise Disagree(f"{name} {split}: the rewritten file differs")
+                rows = held[0].size
+                yield f"{name} {split}", {
+                    "case": name,
+                    "workload": workload.name,
+                    "split": split,
+                    "rows": rows,
+                    "features": len(held[0].columns),
+                    "bytes": len(original),
+                    "read_s": spread(read_s),
+                    "write_s": spread(write_s),
+                    "read_rows_per_s": spread([rows / s for s in read_s]),
+                    "write_rows_per_s": spread([rows / s for s in write_s]),
+                }
+    finally:
+        os.chdir(cwd)
+
+
 TOPICS = {
     "solver": ("solver choice points per second", solver),
     "policy": ("simulate_policy trials per second", policy),
     "generation": ("instance generation milliseconds on the C kernel", generation),
     "learn": ("tune_kappa and grow_tree seconds", learn),
     "dataset": ("dataset run-loop seconds at 1 and 2 worker threads", dataset),
+    "io": ("dataset file read and write rows per second", dataset_files),
 }
 
 
