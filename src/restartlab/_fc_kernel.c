@@ -1,9 +1,10 @@
 /* C kernels for orders up to 64: the completion search of solver.py at both
  * propagation levels, its Regin line filter on its own (fc_regin_filter, for
- * tests/reference.py), the two seeded instance generators of latin.py, and
- * the round loop of policy.simulate_policy.  Its constants, state structs
- * and entry points are declared in _fc_kernel.h, which fc_kernel.py also
- * hands to cffi.
+ * tests/reference.py), the two seeded instance generators of latin.py, the
+ * round loop of policy.simulate_policy, and numpy's PCG64 seeding and
+ * Generator.permutation, for those rounds and learn.tune_kappa's holdout
+ * split.  Its constants, state structs and entry points are declared in
+ * _fc_kernel.h, which fc_kernel.py also hands to cffi.
  *
  * One fc_state holds a run's mutable state: bitmask domains (bit s-1 set
  * means symbol s is still possible), assigned symbols (0 = open), open-cell
@@ -45,7 +46,9 @@
  * stream past its draws without making them: when no word can be rejected
  * (a power-of-two row count, among others) the LCG jumps there in
  * O(log draws) multiplications, else it steps word by word, testing only
- * each word's acceptance.
+ * each word's acceptance.  pcg64_seed sets the state up as
+ * np.random.PCG64(seed) does, and pcg64_permutation draws what
+ * Generator.permutation draws.
  */
 
 #include <math.h>
@@ -1209,6 +1212,95 @@ int pcg64_price_rounds(rounds_state *st, pcg64_state *rng, long long draws)
     }
     pcg_close(&rd);
     return more;
+}
+
+/* ---- numpy's PCG64 seeding and Generator.permutation ---- */
+
+/* numpy SeedSequence's hash step: x mixed with the hash constant, which
+ * then advances by mult. */
+static uint32_t seed_hash(uint32_t x, uint32_t *hash, uint32_t mult)
+{
+    x ^= *hash;
+    *hash *= mult;
+    x *= *hash;
+    return x ^ (x >> 16);
+}
+
+/* numpy SeedSequence's mix of a pool word x with a hashed word y. */
+static uint32_t seed_mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xca01f9ddU * x - 0x4973f715U * y;
+    return r ^ (r >> 16);
+}
+
+/* np.random.PCG64(seed) for an int seed >= 0, given as its n_words >= 1
+ * 32-bit words, least significant first (a seed below 2**32 is one word).
+ * SeedSequence(seed) hashes the words into a pool of four and mixes every
+ * pool word into every other, then the words past the fourth into each;
+ * generate_state(4, uint64) hashes the pool out to eight words, read as
+ * four little-endian 64-bit words: the high and low halves of the initial
+ * state, then of the stream; and PCG64's set_seed makes the increment
+ * stream*2 + 1 and steps the LCG before and after adding the initial
+ * state.  This is O'Neill's seed_seq mix for PCG ("PCG: A Family of Simple
+ * Fast Space-Efficient Statistically Good Algorithms for Random Number
+ * Generation", 2014).  No half-word is buffered.  Like the next entry point
+ * it is hidden from the dynamic symbol table, so the two leave the address
+ * of every function before them as it was without them. */
+__attribute__((visibility("hidden")))
+void pcg64_seed(pcg64_state *rng, const uint32_t *words, int n_words)
+{
+    uint32_t pool[4], out[8], hash = 0x43b0d7e5U;
+    uint64_t half[4];
+    u128 init, inc;
+    int i, j;
+    for (i = 0; i < 4; i++)
+        pool[i] = seed_hash(i < n_words ? words[i] : 0, &hash, 0x931e8875U);
+    for (i = 0; i < 4; i++)
+        for (j = 0; j < 4; j++)
+            if (i != j)
+                pool[j] = seed_mix(pool[j], seed_hash(pool[i], &hash, 0x931e8875U));
+    for (i = 4; i < n_words; i++)
+        for (j = 0; j < 4; j++)
+            pool[j] = seed_mix(pool[j], seed_hash(words[i], &hash, 0x931e8875U));
+    hash = 0x8b51f9ddU;
+    for (i = 0; i < 8; i++)
+        out[i] = seed_hash(pool[i & 3], &hash, 0x58f38dedU);
+    for (i = 0; i < 4; i++)
+        half[i] = (uint64_t)out[2 * i + 1] << 32 | out[2 * i];
+    init = (u128)half[0] << 64 | half[1];
+    inc = ((u128)half[2] << 64 | half[3]) << 1 | 1;
+    init = (inc + init) * PCG_MULT + inc;
+    rng->state_hi = (uint64_t)(init >> 64);
+    rng->state_lo = (uint64_t)init;
+    rng->inc_hi = (uint64_t)(inc >> 64);
+    rng->inc_lo = (uint64_t)inc;
+    rng->has_uint32 = 0;
+    rng->uinteger = 0;
+}
+
+/* Generator.permutation(n) for 0 <= n <= 2**32: perm gets 0..n-1, shuffled
+ * as Generator.shuffle shuffles it, by a Fisher-Yates pass from the end.
+ * Position i swaps with j, numpy's random_interval(i): the next 32-bit
+ * half-word masked to the bits of i, drawn again while it exceeds i. */
+__attribute__((visibility("hidden")))
+void pcg64_permutation(pcg64_state *rng, long long *perm, long long n)
+{
+    pcg_reader rd;
+    long long i;
+    for (i = 0; i < n; i++)
+        perm[i] = i;
+    pcg_open(&rd, rng);
+    for (i = n - 1; i > 0; i--) {
+        uint32_t mask = ~0U >> __builtin_clz((uint32_t)i), j;
+        long long t;
+        do
+            j = pcg_next32(&rd) & mask;
+        while (j > (uint32_t)i);
+        t = perm[i];
+        perm[i] = perm[j];
+        perm[j] = t;
+    }
+    pcg_close(&rd);
 }
 
 /* regin_prunings on one line, for regin_filter in tests/reference.py: k <= 64

@@ -1,5 +1,5 @@
 /* The interface of the C kernel (_fc_kernel.c): its constants, the state
- * structs its callers allocate, and its eight entry points.  _fc_kernel.c
+ * structs its callers allocate, and its ten entry points.  _fc_kernel.c
  * includes this file, and fc_kernel.py hands it to cffi as the declarations
  * Python sees, so it is the one place they are written.  It holds only what
  * cffi's declaration parser reads: no #include (uint8_t to uint64_t come
@@ -167,3 +167,5 @@ int fc_regin_filter(const uint64_t *doms, int k, uint64_t *prune);
 int lq_hole_pattern(mt_state *rng, int n, int h, int retries, uint64_t *taken);
 int lq_fill(mt_state *rng, lq_square *sq, long long steps);
 int pcg64_price_rounds(rounds_state *st, pcg64_state *rng, long long draws);
+void pcg64_seed(pcg64_state *rng, const uint32_t *words, int n_words);
+void pcg64_permutation(pcg64_state *rng, long long *perm, long long n);

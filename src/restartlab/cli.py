@@ -3,7 +3,8 @@
 Verbs: generate, solve, dataset, train, eval, cascade, policy, report.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 a policy
 analysis concluded UNBOUNDED, 4 the C kernel is unavailable (generate,
-solve and dataset always need it, policy whenever it simulates a policy).
+solve, dataset, train and cascade always need it, policy whenever it
+simulates a policy; eval and report never do).
 """
 
 from __future__ import annotations
@@ -436,7 +437,7 @@ def _cmd_policy(args) -> int:
         ds = rio.read_dataset(args.dataset)
         dataset = ds.subset(~ds.censored)
         meta = ds.provenance.get("meta", {})
-    rtd_flag = rio.read_provenance(args.rtd, "rtd")["params"].get("mode")
+    rtd_flag = rtd.provenance["params"].get("mode")
     for path, mode in ((args.rtd, _FLAG_MODE.get(rtd_flag)), (args.dataset, meta.get("mode"))):
         if mode == MULTI_INSTANCE:
             # run i solved instance i, so resampling the runs would restart
@@ -514,8 +515,8 @@ def _cmd_report(args) -> int:
     path = args.file
     head = rio._read_text(path, 512)
     if head.lstrip().startswith("{"):
-        obj = rio._read_json(path)
-        kind = obj.get("format", "unknown")
+        obj = rio._read_envelope(path, "model", "report")
+        kind = obj["format"]
         print(f"{path}: {kind} (tool {obj.get('tool_version')})")
         body = obj.get("report", obj.get("tree"))
         print(json.dumps(rio._jsonable(body), indent=2, sort_keys=True))

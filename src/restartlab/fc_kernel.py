@@ -5,13 +5,15 @@ checking and Regin alldiff filtering), tracing the feature rows and writing
 their summary itself, and the two seeded instance generators of `latin`
 (square fill and balanced hole pattern), each on a Mersenne Twister that
 `mt_seed` seeds as `random.Random(seed)` seeds it.  For
-`policy.simulate_policy` it prices every round of every trial on a copy of
-numpy's PCG64 state (`pcg64_stream`): it draws what the numpy round loop
-draws, `Generator.integers` rows and `Generator.random` flips, and only
-skips the draws of a round that no run can win.  A skip jumps the stream
+`policy.simulate_policy` it prices every round of every trial on numpy's
+PCG64 stream, which `pcg64_seed` seeds as `np.random.PCG64(seed)` seeds it
+(`pcg64` below): it draws what the numpy round loop draws,
+`Generator.integers` rows and `Generator.random` flips, and only skips the
+draws of a round that no run can win.  A skip jumps the stream
 as `PCG64.advance` does when numpy's rejection threshold for the row
 count is 0 (a power of two, among others), and steps it word by word
-otherwise.
+otherwise.  On the same stream `pcg64_permutation` draws
+`Generator.permutation(n)`, `learn.tune_kappa`'s holdout split.
 
 Its constants, structs and entry points are declared once, in
 `_fc_kernel.h`: the C source includes that header, and cffi reads it as the
@@ -27,9 +29,10 @@ process has loaded within the last week (each load refreshes its build's
 mtime), so checkouts of different revisions sharing one cache do not
 rebuild each other's module; a new build removes the other, older ones.
 
-The kernel is required, as cffi is: the solver, the two generators and the
-policy rounds have no other implementation (their Python oracles live in
-the test suite, in tests/reference.py).  When cffi, the compiler, either
+The kernel is required, as cffi is: the solver, the two generators, the
+policy rounds and the holdout split have no other implementation (their
+oracles live in the test suite: tests/reference.py, and numpy's own PCG64
+for the seeding and the permutation).  When cffi, the compiler, either
 kernel file or every cache directory is unavailable, `load` raises
 KernelUnavailable saying why, and `for_order` also refuses orders above
 MAX_ORDER.
@@ -42,6 +45,7 @@ import functools
 import hashlib
 import importlib.util
 import io
+import operator
 import os
 import shutil
 import subprocess
@@ -62,8 +66,6 @@ MAX_ORDER = 64
 
 # A superseded build that has not been loaded for this long is removed.
 _STALE_SECONDS = 7 * 24 * 3600
-
-_MASK64 = (1 << 64) - 1
 
 
 class KernelUnavailable(Exception):
@@ -175,22 +177,18 @@ def _remove_stale(target: Path) -> None:
                 path.unlink()
 
 
-@contextlib.contextmanager
-def pcg64_stream(ffi, bit_generator):
-    """A PCG64 bit generator's state as a kernel pcg64_state; afterwards the
-    generator continues from wherever the kernel left the stream."""
-    state = bit_generator.state
-    lcg = state["state"]
-    st = ffi.new("pcg64_state *", {
-        "state_hi": lcg["state"] >> 64, "state_lo": lcg["state"] & _MASK64,
-        "inc_hi": lcg["inc"] >> 64, "inc_lo": lcg["inc"] & _MASK64,
-        "has_uint32": state["has_uint32"], "uinteger": state["uinteger"],
-    })
-    yield st
-    lcg["state"] = st.state_hi << 64 | st.state_lo
-    state["has_uint32"] = st.has_uint32
-    state["uinteger"] = st.uinteger
-    bit_generator.state = state
+def pcg64(seed: int):
+    """A kernel pcg64_state seeded as np.random.PCG64(seed) seeds its own
+    (pcg64_seed), for any int seed >= 0; a negative seed is a ValueError, as
+    it is to numpy."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    kernel = load()
+    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+    state = kernel.ffi.new("pcg64_state *")
+    kernel.lib.pcg64_seed(state, words, len(words))
+    return state
 
 
 @functools.lru_cache(maxsize=None)

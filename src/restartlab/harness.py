@@ -25,7 +25,7 @@ from . import fc_kernel
 from .features import SummaryVector, normalize_for_multi, registry_hash, summary_columns
 from .io import DataFormatError, write_dataset, write_rtd
 from .latin import HoleSpec, PartialLatinSquare, generate_complete, poke_holes
-from .learn import Dataset, label_by_median
+from .learn import Dataset, label_by_median, partition_median
 from .policy import EmpiricalRTD
 from .seeds import derive_seed
 from .solver import SOLVED, KernelState, RunRecord, SolverConfig
@@ -270,7 +270,7 @@ def find_heavy_tail_instance(
             state.run(inst, derive_seed(master_seed, "peak", cand, "run", i), config).choice_points
             for i in range(probe_runs)
         ]
-        med = float(np.median(lengths))
+        med = partition_median(lengths)
         top = float(max(lengths))
         r = top / med if med >= 1 else 0.0
         trials.append({"candidate": cand, "median": med, "max": top, "ratio": r})

@@ -114,12 +114,12 @@ def _read_json(path: str):
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _read_envelope(path: str, kind: str) -> Dict:
-    """The JSON object of a `kind` file; any other content is a
-    DataFormatError naming path."""
+def _read_envelope(path: str, *kinds: str) -> Dict:
+    """The JSON object of a file of one of `kinds`; any other content is a
+    DataFormatError naming path (and the kind, when there is one)."""
     obj = _read_json(path)
-    if not isinstance(obj, dict) or obj.get("format") != f"restartlab {kind}":
-        raise DataFormatError(f"{path}: not a {kind} file")
+    if not isinstance(obj, dict) or obj.get("format") not in [f"restartlab {k}" for k in kinds]:
+        raise DataFormatError(f"{path}: not a {kinds[0] if len(kinds) == 1 else 'restartlab'} file")
     return obj
 
 
@@ -289,14 +289,9 @@ def write_rtd(
                   params, master_seed, meta)
 
 
-def read_provenance(path: str, kind: str) -> Dict:
-    """The header of a `kind` file (params, master_seed, meta), as
-    read_dataset's provenance holds it."""
-    return _read_headed(path, kind)[0]
-
-
 def read_rtd(path: str) -> EmpiricalRTD:
-    _, body = _read_headed(path, "rtd")
+    """The run lengths, with the file's header as their provenance."""
+    head, body = _read_headed(path, "rtd")
     lengths = []
     for ln, line in body:
         tok = line.strip()
@@ -313,7 +308,7 @@ def read_rtd(path: str) -> EmpiricalRTD:
     if not lengths:
         raise DataFormatError(f"{path}: no run lengths")
     try:
-        return EmpiricalRTD(lengths)
+        return EmpiricalRTD(lengths, provenance=head)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 

@@ -21,10 +21,26 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import fc_kernel
+
 SHORT = "SHORT"
 LONG = "LONG"
 
 MAX_SPLIT_CANDIDATES = 64
+
+
+def partition_median(values) -> float:
+    """np.median of a non-empty 1-d array, bit for bit: np.partition places
+    the middle one or two order statistics, and np.mean averages them.  It
+    leaves out np.median's NaN check, which imports numpy.ma; partitioning
+    at the last position too places a NaN there, as np.median does."""
+    arr = np.asarray(values)
+    half = arr.size // 2
+    middle = [half] if arr.size % 2 else [half - 1, half]
+    part = np.partition(arr, middle + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[middle[0] : half + 1]))
 
 
 def label_by_median(runtimes: Sequence[float]) -> Tuple[float, np.ndarray]:
@@ -32,7 +48,7 @@ def label_by_median(runtimes: Sequence[float]) -> Tuple[float, np.ndarray]:
     arr = np.asarray(runtimes, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot label an empty run set")
-    median = float(np.median(arr))
+    median = partition_median(arr)
     return median, arr < median
 
 
@@ -349,8 +365,11 @@ def tune_kappa(
     Cuts are nested in kappa, so two cuts with the same leaf count are the
     same tree, and each distinct cut is evaluated on the 30% side once.  The
     winning kappa (first in grid order on ties) is then used to regrow the
-    tree on the full training set.  A split that leaves the 70% side
-    single-class is degenerate and is redrawn with the next seed.
+    tree on the full training set.  The split is the rows in the order of
+    np.random.default_rng(seed).permutation(n), drawn by the kernel
+    (pcg64_permutation), so a negative seed is a ValueError as it is to
+    numpy.  A split that leaves the 70% side single-class is degenerate and
+    is redrawn with the next seed.
 
     Each of the two growths sorts its rows once, per feature (_presort),
     and hands each child its parent's order filtered by the split; every
@@ -367,11 +386,13 @@ def tune_kappa(
     n = y.size
     if n < 4:
         raise ValueError("too few rows to tune on")
+    kernel = fc_kernel.load()
+    perm = np.empty(n, dtype=np.int64)
     split_seed = seed
     rng_tries = 0
     while True:
-        rng = np.random.default_rng(split_seed)
-        perm = rng.permutation(n)
+        kernel.lib.pcg64_permutation(fc_kernel.pcg64(split_seed),
+                                     kernel.ffi.from_buffer("long long[]", perm), n)
         n_fit = int(round(n * 0.7))
         fit_rows, held_rows = perm[:n_fit], perm[n_fit:]
         if 0 < y[fit_rows].sum() < fit_rows.size and held_rows.size > 0:

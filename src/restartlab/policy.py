@@ -37,11 +37,13 @@ def is_unbounded(x: float) -> bool:
 
 @dataclass(frozen=True)
 class EmpiricalRTD:
-    """Empirical run-length distribution: sorted lengths with a step CDF."""
+    """Empirical run-length distribution: sorted lengths with a step CDF.
+    provenance is the header of the file it was read from, if any."""
 
     lengths: np.ndarray
+    provenance: Dict
 
-    def __init__(self, lengths: Sequence[int]):
+    def __init__(self, lengths: Sequence[int], provenance: Optional[Dict] = None):
         try:
             arr = np.sort(np.asarray(lengths, dtype=np.int64))
         except OverflowError as exc:
@@ -62,6 +64,7 @@ class EmpiricalRTD:
                 " their int64 prefix sums would wrap"
             )
         object.__setattr__(self, "lengths", arr)
+        object.__setattr__(self, "provenance", provenance or {})
         object.__setattr__(self, "_prefix", np.concatenate(([0], np.cumsum(arr))))
 
     @property
@@ -436,7 +439,6 @@ def simulate_policy(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(derive_seed(master_seed, "policy", policy.describe()))
 
     # A policy that cannot succeed on its support loops forever; detect the
     # analytic cases up front instead of burning the run budget.
@@ -446,7 +448,8 @@ def simulate_policy(
     total_cost = np.zeros(trials, dtype=float)
     total_runs = np.zeros(trials, dtype=np.int64)
     if not unbounded:
-        rounds = _price_rounds(run_source, policy, rng, total_cost, total_runs, run_budget)
+        stream = fc_kernel.pcg64(derive_seed(master_seed, "policy", policy.describe()))
+        rounds = _price_rounds(run_source, policy, stream, total_cost, total_runs, run_budget)
         unbounded = rounds.n_active > 0
 
     if unbounded:
@@ -484,16 +487,16 @@ def simulate_policy(
 _CALL_DRAWS = 1 << 24
 
 
-def _price_rounds(run_source, policy, rng, total_cost, total_runs, run_budget):
+def _price_rounds(run_source, policy, stream, total_cost, total_runs, run_budget):
     """Run every trial to its first win in the kernel (pcg64_price_rounds),
     adding its steps to total_cost and the round it won in to total_runs,
-    and advance rng past the draws of the numpy round loop.  Returns the
-    kernel's rounds_state: n_active trials were still running after
-    run_budget rounds; live_draws and dead_draws count the rows drawn in
-    priced rounds and skipped for rounds that no run can win.  A skip costs
-    O(log dead_draws) when numpy rejects no word for this many rows
-    ((2**32 - rows) % rows == 0, as for 64 rows), and a step per word
-    otherwise."""
+    and advance stream, a kernel pcg64_state, past the draws of the numpy
+    round loop.  Returns the kernel's rounds_state: n_active trials were
+    still running after run_budget rounds; live_draws and dead_draws count
+    the rows drawn in priced rounds and skipped for rounds that no run can
+    win.  A skip costs O(log dead_draws) when numpy rejects no word for this
+    many rows ((2**32 - rows) % rows == 0, as for 64 rows), and a step per
+    word otherwise."""
     kernel = fc_kernel.load()
     ffi, lib = kernel.ffi, kernel.lib
     trials = total_cost.size
@@ -519,7 +522,6 @@ def _price_rounds(run_source, policy, rng, total_cost, total_runs, run_budget):
         "n_active": trials,
         "run_budget": min(run_budget, 2**62),
     })
-    with fc_kernel.pcg64_stream(ffi, rng.bit_generator) as stream:
-        while lib.pcg64_price_rounds(state, stream, _CALL_DRAWS):
-            pass
+    while lib.pcg64_price_rounds(state, stream, _CALL_DRAWS):
+        pass
     return state

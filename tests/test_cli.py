@@ -464,6 +464,13 @@ class TestTrain:
             assert "kappa must be positive" in capsys.readouterr().err
             assert not (tmp_path / "m.json").exists()
 
+    def test_negative_seed_is_a_usage_error(self, workdir, tmp_path, capsys):
+        # refused with numpy's SeedSequence message, before any file is written
+        assert main(["train", str(workdir / "small_train.csv"), "--seed", "-1",
+                     "-o", str(tmp_path / "m.json")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: expected non-negative integer\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_foreign_schema_rejected(self, tmp_path, capsys):
         ds = Dataset(
             columns=["a", "b"],
@@ -841,6 +848,14 @@ class TestReport:
             assert main(["report", path]) == EXIT_DATA
             assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8")
 
+    def test_json_of_another_kind_is_data_error(self, tmp_path, capsys):
+        # a JSON object is reported only when its format is a restartlab kind
+        path = tmp_path / "obj.json"
+        for text in ('{"a": 1}', '{"format": "restartlab rtd"}', '{"format": ["restartlab model"]}'):
+            path.write_text(text + "\n")
+            assert main(["report", str(path)]) == EXIT_DATA
+            assert capsys.readouterr() == ("", f"error: {path}: not a restartlab file\n")
+
     def test_unrecognized_file_is_data_error(self, tmp_path, capsys):
         junk = tmp_path / "junk.txt"
         junk.write_text("hello world\n")
@@ -975,12 +990,13 @@ NEEDS_KERNEL = [
     GOLDEN_STEPS[0][:-1] + ["k"],
     ["policy", "g_rtd.txt", "--policy", "luby:1", "--trials", "100", "-o", "k_policy.json"],
     ["policy", "g_rtd.txt", "--policy", "fixed:900", "--trials", "100", "-o", "k_fixed.json"],
-]
-NEEDS_NO_KERNEL = [
+    # the holdout split of tune_kappa is drawn in the kernel
     ["train", "g_train.csv", "--kappa-grid", "0.5,0.05", "-o", "k_model.json"],
-    ["eval", "model.json", "g_test.csv", "-o", "k_eval.json"],
     ["cascade", "g_train.csv", "g_test.csv", "--thresholds", "20,40", "--min-rows", "10",
      "--kappa-grid", "0.5,0.05", "-o", "k_cascade.json"],
+]
+NEEDS_NO_KERNEL = [
+    ["eval", "model.json", "g_test.csv", "-o", "k_eval.json"],
     ["report", "g_rtd.txt"],
     ["report", "model.json"],
     ["policy", "g_rtd.txt", "--scan-limit", "20", "-o", "k_scan.json"],
@@ -1012,3 +1028,51 @@ class TestKernelUnavailable:
         finally:
             fc_kernel.load.cache_clear()
         assert list((tmp_path / "cache").iterdir()) == []
+
+
+# Runs the smoke-size steps of both benchmark workloads through cli.main in
+# one interpreter and prints, after each, its verb, exit code and whether
+# numpy.random and numpy.ma are loaded.
+IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from pipeline import expected_exit, write_desk_instance
+from workloads import WORKLOADS
+from restartlab import cli
+multi, desk = WORKLOADS["multi-alldiff"], WORKLOADS["desk-fc"]
+ms, ds = multi.sizes["smoke"], desk.sizes["smoke"]
+write_desk_instance(Path("desk.txt"))
+steps = [multi.dataset_argv(Path("m"), ms, 2, None),
+         *multi.learn_argvs(81, Path("m"), Path("."), ms),
+         desk.dataset_argv(Path("d"), ds, 1, Path("desk.txt")),
+         *desk.learn_argvs(81, Path("d"), Path("."), ds)]
+loaded = [["start", 0, 0, "numpy.random" in sys.modules, "numpy.ma" in sys.modules]]
+for argv in steps:
+    code = cli.main(argv)
+    loaded.append([argv[0], code, expected_exit(argv),
+                   "numpy.random" in sys.modules, "numpy.ma" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+class TestImports:
+    def test_pipeline_steps_load_neither_numpy_random_nor_numpy_ma(self, tmp_path):
+        # the seeding, the permutation and the medians avoid numpy.random and
+        # np.median's NaN check (numpy.ma); policy loads numpy.ma through
+        # np.percentile and np.unique
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(root / "perfbench")], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])  # after the steps' own lines
+        verbs = [verb for verb, *_ in loaded]
+        assert verbs == ["start", "dataset", "train", "eval",
+                         "dataset", "train", "eval", "cascade", "policy", "policy"]
+        assert all(code == expected for _, code, expected, _, _ in loaded)
+        assert not any(random for *_, random, _ in loaded)
+        first_policy = verbs.index("policy")
+        assert not any(ma for *_, ma in loaded[:first_policy])

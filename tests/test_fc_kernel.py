@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from restartlab import fc_kernel, harness, latin, policy, solver
+from restartlab import fc_kernel, harness, latin, learn, policy, solver
 from restartlab.features import summarize
 from restartlab.io import read_instance
 from restartlab.latin import (
@@ -571,7 +571,7 @@ def test_the_kernel_checks_the_latin_property(propagation, instance):
 BUILD_AND_SOLVE = textwrap.dedent("""
     import sys
     from pathlib import Path
-    from restartlab import fc_kernel, harness, latin, policy, solver
+    from restartlab import fc_kernel, harness, latin, learn, policy, solver
     from restartlab.latin import generate_complete, poke_holes, HoleSpec, BALANCED
     fc_kernel._cache_dirs = lambda: [Path(sys.argv[1])]
     inst = poke_holes(generate_complete(8, 1), HoleSpec(mode=BALANCED, holes_per_line=4), 2)
@@ -687,16 +687,59 @@ def test_mt_seed_is_random_seed(seed):
     assert kernel.ffi.unpack(state.mt, 624) + [state.index] == list(internal)
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1) | st.integers(2**64, 2**300))
+@example(seed=0)
+@example(seed=2**32 - 1)
+@example(seed=2**32)
+@example(seed=2**40 + 3)
+@example(seed=2**64 - 1)
+@example(seed=2**128 + 1)
+def test_pcg64_seed_is_numpy_pcg64(seed):
+    # one, two and more 32-bit words: SeedSequence mixes words past the
+    # fourth in after the pool
+    stream = fc_kernel.pcg64(seed)
+    assert np.random.PCG64(seed).state == {
+        "bit_generator": "PCG64",
+        "state": {"state": stream.state_hi << 64 | stream.state_lo,
+                  "inc": stream.inc_hi << 64 | stream.inc_lo},
+        "has_uint32": stream.has_uint32,
+        "uinteger": stream.uinteger,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 5000), min_size=1, max_size=3),
+       seed=st.integers(0, 2**64 - 1))
+@example(sizes=[0, 1, 2], seed=0)
+@example(sizes=[3818], seed=81)
+@example(sizes=[48, 5000], seed=2**64 - 1)
+def test_pcg64_permutation_is_numpy_permutation(sizes, seed):
+    # permutations drawn one after another on one stream, so later ones may
+    # start on a buffered half-word; the streams end alike
+    kernel = fc_kernel.load()
+    stream, rng = fc_kernel.pcg64(seed), np.random.default_rng(seed)
+    for n in sizes:
+        perm = np.empty(n, dtype=np.int64)
+        kernel.lib.pcg64_permutation(stream, kernel.ffi.from_buffer("long long[]", perm), n)
+        assert perm.tolist() == rng.permutation(n).tolist()
+    state = rng.bit_generator.state
+    assert (stream.state_hi << 64 | stream.state_lo, stream.has_uint32, stream.uinteger) == (
+        state["state"]["state"], state["has_uint32"], state["uinteger"])
+
+
 def test_cdef_declares_every_entry_point_called():
-    """A kernel function that latin, solver, policy or the tests' reference
-    calls but the header, cffi's cdef, leaves out would only fail when the
-    call runs; each must be declared and defined."""
+    """A kernel function that latin, solver, policy, learn, fc_kernel or the
+    tests' reference calls but the header, cffi's cdef, leaves out would
+    only fail when the call runs; each must be declared and defined."""
     declared = set(re.findall(r"(\w+)\(", fc_kernel.HEADER.read_text()))
     called = set()
-    for module in (latin, solver, policy, reference):
-        called |= set(re.findall(r"lib\.(\w+)\(", Path(module.__file__).read_text()))
+    for module in (latin, solver, policy, learn, fc_kernel, reference):
+        # lib, _lib or kernel.lib, not hashlib or contextlib
+        called |= set(re.findall(r"(?<![a-z])lib\.(\w+)\(", Path(module.__file__).read_text()))
     assert {"fc_init", "fc_propagate_root", "fc_regin_filter", "fc_run", "lq_fill",
-            "lq_hole_pattern", "mt_seed", "pcg64_price_rounds"} <= called
+            "lq_hole_pattern", "mt_seed", "pcg64_price_rounds", "pcg64_seed",
+            "pcg64_permutation"} <= called
     assert called <= declared
     source = fc_kernel.SOURCE.read_text()
     for name in declared:

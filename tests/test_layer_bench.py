@@ -1,6 +1,7 @@
 """tools/layer_bench.py reproduces the cases and the deterministic work of the
 checked-in BENCH_solver.json, BENCH_policy.json, BENCH_generation.json,
-BENCH_learn.json, BENCH_dataset.json and BENCH_io.json, at one repeat.
+BENCH_learn.json, BENCH_dataset.json, BENCH_io.json and BENCH_footprint.json,
+at one repeat.
 
 The cases the tool runs only when LARGE is set are left out: the
 generation topic's order-34 cases, which take minutes, the learn topic's
@@ -25,6 +26,7 @@ FIELDS = {
               "kappa", "leaves"),
     "dataset": ("case", "workload", "threads", "runs", "choice_points", "rows"),
     "io": ("case", "workload", "split", "rows", "features", "bytes"),
+    "footprint": ("workload", "step", "exit_code", "loaded"),
 }
 LARGE_CASES = ("desk paper scale", "desk 800+200", "order 34")
 
@@ -35,6 +37,7 @@ def layer_bench():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     module.REPEATS = 1
+    module.FOOTPRINT_ROUNDS = 1
     module.LARGE = False
     return module
 

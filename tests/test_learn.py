@@ -21,12 +21,29 @@ from restartlab.learn import (
     grow_tree,
     label_by_median,
     marginal_model,
+    partition_median,
     predict_batch,
     tune_kappa,
 )
 
 import reference
 from reference import leaf_log_marginal, tree_score
+
+
+_INTS = st.integers(-(2**62), 2**62)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 1.5])
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(_INTS, min_size=1, max_size=40) | st.lists(_FLOATS, min_size=1, max_size=40))
+def test_partition_median_is_np_median(values):
+    # bit for bit: ties, signed zeros, infinities and NaN (a NaN anywhere
+    # gives np.median's NaN) included
+    arr = np.asarray(values)
+    with np.errstate(all="ignore"):
+        want = np.float64(np.median(arr))
+        got = np.float64(partition_median(arr))
+    assert got.tobytes() == want.tobytes()
 
 
 class TestLabelByMedian:
@@ -414,6 +431,12 @@ class TestTuneKappa:
         with pytest.raises(ValueError):
             tune_kappa(np.zeros((3, 1)), np.array([True, False, True]))
 
+    def test_negative_seed_refused_as_numpy_refuses_it(self):
+        X = np.arange(10, dtype=float).reshape(-1, 1)
+        y = np.arange(10) % 2 == 0
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            tune_kappa(X, y, seed=-1)
+
     @pytest.mark.parametrize("grid, message", [
         ([], "kappa grid is empty"),
         ([0.1, 0.0], "kappa must be positive"),
@@ -444,7 +467,8 @@ class TestTuneKappa:
         levels=st.one_of(st.integers(1, 4), st.integers(80, 400)),
         noise=st.floats(0.0, 2.0),
         data_seed=st.integers(0, 2**32 - 1),
-        seed=st.integers(0, 50),
+        # seeds of two and more 32-bit words too: numpy's split for any seed
+        seed=st.integers(0, 50) | st.integers(2**64 - 60, 2**70),
     )
     def test_equals_one_growth_per_kappa(self, rows, features, levels, noise, data_seed,
                                          seed):

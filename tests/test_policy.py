@@ -1,5 +1,6 @@
 """Restart-policy analysis: exact formulas, scans, and simulation."""
 
+import contextlib
 import math
 from dataclasses import asdict
 
@@ -297,7 +298,7 @@ class TestPolicyObjects:
         for accuracy in (1.0, 0.0):
             policy = DynamicPolicy(2, 5, SyntheticPredictor(accuracy))
             cost, runs = np.zeros(400), np.zeros(400, dtype=np.int64)
-            state = _price_rounds(source, policy, np.random.default_rng(0), cost, runs, 10**6)
+            state = _price_rounds(source, policy, fc_kernel.pcg64(0), cost, runs, 10**6)
             assert state.n_active == 0 and runs.max() > 1
             lost = runs - 1
             if accuracy:
@@ -357,7 +358,7 @@ class TestRunSources:
         src = RtdSource(EmpiricalRTD([9, 4]))
         assert src.lengths.tolist() == [4, 9]
         cost, runs = np.zeros(100), np.zeros(100, dtype=np.int64)
-        _price_rounds(src, FixedPolicy(9), np.random.default_rng(1), cost, runs, 10)
+        _price_rounds(src, FixedPolicy(9), fc_kernel.pcg64(1), cost, runs, 10)
         assert set(cost.tolist()) == {4.0, 9.0} and (runs == 1).all()
 
     def test_dataset_source_aligned_rows(self):
@@ -375,7 +376,7 @@ class TestRunSources:
         assert src.rtd.lengths.tolist() == [10, 20, 30]
         cost, runs = np.zeros(200), np.zeros(200, dtype=np.int64)
         policy = DynamicPolicy(5, 100, ModelPredictor(model))
-        _price_rounds(src, policy, np.random.default_rng(2), cost, runs, 10**6)
+        _price_rounds(src, policy, fc_kernel.pcg64(2), cost, runs, 10**6)
         assert (cost == 5 * (runs - 1) + 20).all() and runs.max() > 1
 
 
@@ -561,7 +562,8 @@ def test_simulation_equals_reference_loop(case, trials, seed, buffered):
         rng.integers(0, 2**32, size=int(buffered), dtype=np.uint32)
     cost, runs, unbounded = reference.price_rounds(source, policy, rngs[0], trials, budget)
     got_cost, got_runs = np.zeros(trials), np.zeros(trials, dtype=np.int64)
-    state = _price_rounds(source, policy, rngs[1], got_cost, got_runs, budget)
+    with kernel_stream(rngs[1]) as stream:
+        state = _price_rounds(source, policy, stream, got_cost, got_runs, budget)
     assert (state.n_active > 0) == unbounded
     if not unbounded:
         assert got_cost.tolist() == cost.tolist()
@@ -591,8 +593,8 @@ def test_luby_steps_only_in_rounds_some_run_can_win():
     live = sum(n for r, n in rounds if luby_term(r) >= 18)
     dead = sum(n for r, n in rounds if luby_term(r) < 18)
     cost, runs = np.zeros(2000), np.zeros(2000, dtype=np.int64)
-    rng = np.random.default_rng(derive_seed(81, "policy", "luby:1"))
-    state = _price_rounds(source, LubyPolicy(1), rng, cost, runs, 10**6)
+    stream = fc_kernel.pcg64(derive_seed(81, "policy", "luby:1"))
+    state = _price_rounds(source, LubyPolicy(1), stream, cost, runs, 10**6)
     assert live > 0 and dead > live
     assert (state.live_draws, state.dead_draws) == (live, dead)
 
@@ -600,6 +602,26 @@ def test_luby_steps_only_in_rounds_some_run_can_win():
 # Bounds where numpy's rejection matters: 1 draws nothing, powers of two
 # reject nothing, 2**31+1 rejects about half the words.
 SKIP_BOUNDS = (1, 2, 3, 64, 5000, 2**31 + 1, 3 * 2**30, 2**32 - 1)
+
+
+@contextlib.contextmanager
+def kernel_stream(rng):
+    """rng's PCG64 state as a kernel pcg64_state, for streams that no seed
+    starts (a buffered half-word, a chosen one); afterwards rng continues
+    from wherever the kernel left the stream."""
+    state = rng.bit_generator.state
+    lcg = state["state"]
+    mask = 2**64 - 1
+    stream = fc_kernel.load().ffi.new("pcg64_state *", {
+        "state_hi": lcg["state"] >> 64, "state_lo": lcg["state"] & mask,
+        "inc_hi": lcg["inc"] >> 64, "inc_lo": lcg["inc"] & mask,
+        "has_uint32": state["has_uint32"], "uinteger": state["uinteger"],
+    })
+    yield stream
+    lcg["state"] = stream.state_hi << 64 | stream.state_lo
+    state["has_uint32"] = stream.has_uint32
+    state["uinteger"] = stream.uinteger
+    rng.bit_generator.state = state
 
 
 def _same_stream(a, b):
@@ -618,7 +640,7 @@ def _kernel_skip(rng, high, count):
     rounds_state with count draws pending and no trial left."""
     kernel = fc_kernel.load()
     state = kernel.ffi.new("rounds_state *", {"rows": high, "pending": count})
-    with fc_kernel.pcg64_stream(kernel.ffi, rng.bit_generator) as stream:
+    with kernel_stream(rng) as stream:
         assert kernel.lib.pcg64_price_rounds(state, stream, count + 1) == 0
     assert state.pending == 0
 
@@ -629,7 +651,8 @@ def _kernel_draws(rng, high, count):
     its row."""
     cost, runs = np.zeros(count), np.zeros(count, dtype=np.int64)
     source = RtdSource(EmpiricalRTD(range(high)))
-    _price_rounds(source, FixedPolicy(high), rng, cost, runs, 1)
+    with kernel_stream(rng) as stream:
+        _price_rounds(source, FixedPolicy(high), stream, cost, runs, 1)
     assert (runs == 1).all()
     return cost.astype(np.int64).tolist()
 

@@ -112,6 +112,24 @@ io
   included), features, the file's bytes, and seconds and rows per second
   of the read and of the write.
 
+footprint
+  What each CLI step of both workloads costs a fresh interpreter: the steps
+  of desk-fc and multi-alldiff at size full, as the benchmark runs them
+  (dataset at 1 and at nproc threads, train, eval and, for desk-fc,
+  cascade and the two policy steps; seeds 81), each run as `python -c`
+  calling restartlab.cli.main from the temporary directory, and, first,
+  a bare `import restartlab.cli`, the benchmark's import probe.  A round
+  runs every step in order, so each step reads what the one before it
+  wrote.  Per case: the step, its exit code, which of FOOTPRINT_MODULES
+  (numpy.random, numpy.ma and _hashlib, OpenSSL's hash module) it had
+  loaded when it returned, the process's wall seconds (interpreter start
+  and imports included), its ru_maxrss and its own peak resident memory
+  (VmHWM of /proc/self/status), in MiB, each over FOOTPRINT_ROUNDS (5)
+  rounds.  Linux carries the peak of the process image an exec replaces
+  into ru_maxrss, so a child forked from this process reads at least this
+  process's resident memory at the fork; VmHWM counts the step's own image
+  only.  Every round must give the same exit codes and modules.
+
 Cases that a topic puts side by side share their rounds: repeat() calls
 them in turn within each round, so a change of host speed during a topic
 lands on all of them alike, not on one.  kernel_calls() patches
@@ -183,10 +201,27 @@ THREADS = (1, 2)  # the dataset topic's worker counts
 # Rows of the policy topic's luby_scan case, whose rejection threshold
 # (2**32 - 63) % 63 is 4, not 0.
 SCAN_ROWS = 63
+# Rounds of the footprint topic, and the modules it reports as loaded.
+FOOTPRINT_ROUNDS = 5
+FOOTPRINT_MODULES = ("numpy.random", "numpy.ma", "_hashlib")
+# A footprint step: run restartlab.cli.main on argv (sys.argv[1], JSON),
+# then print as the last line of stdout its exit code, which of
+# FOOTPRINT_MODULES it loaded, its ru_maxrss and its VmHWM (both KiB).
+STEP_SCRIPT = """
+import json, resource, sys
+from restartlab import cli
+argv, modules = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+code = cli.main(argv) if argv else 0
+with open("/proc/self/status") as fh:
+    hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"code": code, "loaded": [m for m in modules if m in sys.modules],
+                  "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                  "hwm_kib": hwm}))
+"""
 # deterministic work, printed next to the figures
 WORK = ("runs", "choice_points", "trials", "live_draws", "dead_draws", "instances",
         "pattern_attempts", "rows", "features", "tune_nodes", "grow_nodes", "kappa", "leaves",
-        "threads", "bytes")
+        "threads", "bytes", "step", "exit_code", "loaded")
 
 
 class Disagree(Exception):
@@ -202,13 +237,14 @@ def spread(xs):
     return {"median": med, "q1": q1, "q3": q3, "min": min(xs), "max": max(xs), "n": len(xs)}
 
 
-def repeat(label, *fns):
-    """Seconds of each fn over REPEATS rounds that call them in turn, and each
-    fn's result.  Every round must return the first round's results, or
-    Disagree is raised; a first round longer than LONG is the only one."""
+def repeat(label, *fns, rounds=None):
+    """Seconds of each fn over `rounds` (default REPEATS) rounds that call
+    them in turn, and each fn's result.  Every round must return the first
+    round's results, or Disagree is raised; a first round longer than LONG
+    is the only one."""
     seconds = [[] for _ in fns]
     first = None
-    while len(seconds[0]) < REPEATS:
+    while len(seconds[0]) < (rounds or REPEATS):
         results = []
         for fn, out in zip(fns, seconds):
             t0 = time.perf_counter()
@@ -299,20 +335,18 @@ def solver(tmp: Path):
 
 def draw_counts(source, policy, trials):
     """The rows simulate_policy draws (live) and skips (dead)."""
-    rng = np.random.default_rng(derive_seed(DESK_SEED, "policy", policy.describe()))
+    stream = fc_kernel.pcg64(derive_seed(DESK_SEED, "policy", policy.describe()))
     cost, runs = np.zeros(trials), np.zeros(trials, dtype=np.int64)
-    state = _price_rounds(source, policy, rng, cost, runs, 1_000_000)
+    state = _price_rounds(source, policy, stream, cost, runs, 1_000_000)
     return state.live_draws, state.dead_draws
 
 
 def skip(kernel, rows, count):
     """A kernel call that skips count draws below rows, and nothing else, on
     a state made for it beforehand."""
-    fresh = iter([
-        (kernel.ffi.new("rounds_state *", {"rows": rows, "pending": count}),
-         kernel.ffi.new("pcg64_state *", {"state_lo": DESK_SEED, "inc_lo": 2 * DESK_SEED + 1}))
-        for _ in range(REPEATS)
-    ])
+    fresh = iter([(kernel.ffi.new("rounds_state *", {"rows": rows, "pending": count}),
+                   fc_kernel.pcg64(DESK_SEED))
+                  for _ in range(REPEATS)])
     return lambda: kernel.lib.pcg64_price_rounds(*next(fresh), count + 1)
 
 
@@ -604,6 +638,46 @@ def dataset_files(tmp: Path):
         os.chdir(cwd)
 
 
+def footprint(tmp: Path):
+    instance = tmp / "desk.instance"
+    write_desk_instance(instance)
+    steps = [("-", [])]  # the import probe
+    for workload in (DESK, MULTI):
+        size, prefix = workload.sizes[SIZE], Path(workload.name)
+        steps += [(workload.name, argv) for argv in (
+            workload.dataset_argv(prefix, size, os.cpu_count(), Path(instance.name)),
+            *workload.learn_argvs(DESK_SEED, prefix, Path("."), size))]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    maxrss, hwm = [[] for _ in steps], [[] for _ in steps]
+
+    def run(k):
+        proc = subprocess.run(
+            [sys.executable, "-c", STEP_SCRIPT, json.dumps(steps[k][1]),
+             json.dumps(FOOTPRINT_MODULES)],
+            cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{steps[k][1]} exited {proc.returncode}: {proc.stderr.strip()}")
+        out = json.loads(proc.stdout.splitlines()[-1])
+        maxrss[k].append(out["maxrss_kib"] / 1024)
+        hwm[k].append(out["hwm_kib"] / 1024)
+        return out["code"], out["loaded"]
+
+    timings, results = repeat("footprint", *(functools.partial(run, k) for k in range(len(steps))),
+                              rounds=FOOTPRINT_ROUNDS)
+    for (name, argv), seconds, (code, loaded), rss, peak in zip(steps, timings, results, maxrss,
+                                                              hwm):
+        step = " ".join(argv[:1] + ["--model"] * ("--model" in argv)) or "import restartlab.cli"
+        yield f"{name} {step}", {
+            "workload": name,
+            "step": step,
+            "exit_code": code,
+            "loaded": loaded,
+            "wall_s": spread(seconds),
+            "maxrss_mb": spread(rss),
+            "peak_rss_mb": spread(peak),
+        }
+
+
 TOPICS = {
     "solver": ("solver choice points per second", solver),
     "policy": ("simulate_policy trials per second", policy),
@@ -611,6 +685,7 @@ TOPICS = {
     "learn": ("tune_kappa and grow_tree seconds", learn),
     "dataset": ("dataset run-loop seconds at 1 and 2 worker threads", dataset),
     "io": ("dataset file read and write rows per second", dataset_files),
+    "footprint": ("wall seconds, peak memory and heavy imports of each CLI step", footprint),
 }
 
 
