@@ -50,14 +50,12 @@ from .learn import (
 )
 from .policy import (
     UNBOUNDED,
-    DatasetSource,
     DynamicPolicy,
     EmpiricalRTD,
     FixedPolicy,
     LubyPolicy,
     ModelPredictor,
     PolicyStats,
-    RtdSource,
     SyntheticPredictor,
     dynamic_expected_runs,
     dynamic_expected_run_length_ub,

@@ -45,7 +45,6 @@ from .policy import (
     FixedPolicy,
     LubyPolicy,
     ModelPredictor,
-    RtdSource,
     DatasetSource,
     SyntheticPredictor,
     _check_window,
@@ -299,12 +298,19 @@ def _cmd_dataset(args) -> int:
     return EXIT_OK
 
 
+def _check_uncensored(path: str, ds) -> None:
+    """A data error naming path, the file of ds, when ds has no uncensored row."""
+    if ds.censored.all():
+        raise rio.DataFormatError(f"{path}: no uncensored rows")
+
+
 def _cmd_train(args) -> int:
     ds = rio.read_dataset(args.train)
     if ds.columns != summary_columns():
         raise rio.DataFormatError(
             f"{args.train}: column schema does not match the feature registry"
         )
+    _check_uncensored(args.train, ds)
     usable = ds.subset(~ds.censored)
     result = tune_kappa(
         usable.X,
@@ -359,6 +365,7 @@ def _cmd_eval(args) -> int:
     test = rio.read_dataset(args.test)
     if model.columns and model.columns != test.columns:
         raise rio.DataFormatError("model and dataset disagree on feature columns")
+    _check_uncensored(args.test, test)
     usable = test.subset(~test.censored)
     report = _eval_pair(model, usable)
     print(
@@ -431,11 +438,9 @@ def _cmd_cascade(args) -> int:
 def _cmd_policy(args) -> int:
     rtd = rio.read_rtd(args.rtd)
     model = rio.read_model(args.model) if args.model else None
-    dataset = None
-    meta: Dict = {}
+    rows, meta = None, {}
     if args.dataset:
         ds = rio.read_dataset(args.dataset)
-        dataset = ds.subset(~ds.censored)
         meta = ds.provenance.get("meta", {})
     rtd_flag = rtd.provenance["params"].get("mode")
     for path, mode in ((args.rtd, _FLAG_MODE.get(rtd_flag)), (args.dataset, meta.get("mode"))):
@@ -446,6 +451,10 @@ def _cmd_policy(args) -> int:
                 f"{path} comes from dataset --mode multi, one run per instance;"
                 " restart policies are priced on the runs of one instance (--mode single)"
             )
+    if args.dataset and model is not None:
+        # the runs every model policy is priced on, and predicted once
+        _check_uncensored(args.dataset, ds)
+        rows = DatasetSource(ds)
     # every check runs before the first line is printed
     if args.scan_limit is not None:
         if model is not None:
@@ -453,15 +462,13 @@ def _cmd_policy(args) -> int:
         scan = scan_dynamic_limits(rtd, args.scan_limit, args.accuracy)
     runs = []
     for policy in args.policies or []:
-        source = RtdSource(rtd)
+        source = rtd
         if isinstance(policy, _DynamicSpec):
             if model is not None:
-                if dataset is None:
+                if rows is None:
                     raise ValueError("a model predictor needs --dataset for features")
-                if model.columns and model.columns != dataset.columns:
-                    raise rio.DataFormatError(
-                        "model and dataset disagree on feature columns"
-                    )
+                if model.columns and model.columns != rows.dataset.columns:
+                    raise rio.DataFormatError("model and dataset disagree on feature columns")
                 # the model decides where its features were measured, on
                 # runs it was not trained on
                 horizon = meta.get("horizon")
@@ -475,7 +482,7 @@ def _cmd_policy(args) -> int:
                         "a model policy is scored on held-out runs, not the training split"
                     )
                 policy = DynamicPolicy(policy.observe, policy.limit, ModelPredictor(model))
-                source = DatasetSource(dataset)
+                source = rows
             else:
                 policy = DynamicPolicy(
                     policy.observe, policy.limit, SyntheticPredictor(args.accuracy)

@@ -429,7 +429,8 @@ def tune_kappa(
 
 @dataclass
 class Dataset:
-    """Labeled run summaries: one row per uncensored run."""
+    """Labeled run summaries: one row per run that reached the horizon,
+    flagged censored where it hit the safety cutoff unsolved."""
 
     columns: List[str]
     X: np.ndarray

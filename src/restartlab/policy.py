@@ -35,19 +35,34 @@ def is_unbounded(x: float) -> bool:
     return math.isinf(x) and x > 0
 
 
+def _scalar(x):
+    """A numpy scalar as the Python number a report can hold; arrays pass through."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
 @dataclass(frozen=True)
 class EmpiricalRTD:
-    """Empirical run-length distribution: sorted lengths with a step CDF.
-    provenance is the header of the file it was read from, if any."""
+    """The runs a policy is priced on.
+
+    lengths holds the run lengths in draw order: a trial's run is a uniform
+    draw of an index into it (Generator.integers over its size).  Without a
+    dataset they are sorted; with one they are its runtimes in row order, and
+    a drawn index is also the row whose features a model predictor reads.
+    sorted holds them in ascending order, for the step CDF.  provenance is
+    the header of the file they were read from, if any."""
 
     lengths: np.ndarray
+    sorted: np.ndarray
+    dataset: Optional["_learn.Dataset"]
     provenance: Dict
 
-    def __init__(self, lengths: Sequence[int], provenance: Optional[Dict] = None):
+    def __init__(self, lengths: Sequence[int], provenance: Optional[Dict] = None,
+                 dataset: Optional["_learn.Dataset"] = None):
         try:
-            arr = np.sort(np.asarray(lengths, dtype=np.int64))
+            drawn = np.ascontiguousarray(lengths, dtype=np.int64)
         except OverflowError as exc:
             raise ValueError(f"run lengths must lie between 0 and 2**53: {exc}") from exc
+        arr = np.sort(drawn)
         if arr.size == 0:
             raise ValueError("an empirical distribution needs at least one run")
         if arr[0] < 0:
@@ -63,7 +78,9 @@ class EmpiricalRTD:
                 f"run lengths must sum to at most 2**63 - 1, got {total}:"
                 " their int64 prefix sums would wrap"
             )
-        object.__setattr__(self, "lengths", arr)
+        object.__setattr__(self, "lengths", arr if dataset is None else drawn)
+        object.__setattr__(self, "sorted", arr)
+        object.__setattr__(self, "dataset", dataset)
         object.__setattr__(self, "provenance", provenance or {})
         object.__setattr__(self, "_prefix", np.concatenate(([0], np.cumsum(arr))))
 
@@ -73,18 +90,17 @@ class EmpiricalRTD:
 
     @property
     def min_length(self) -> int:
-        return int(self.lengths[0])
+        return int(self.sorted[0])
 
-    def cdf(self, t: float) -> float:
-        """P(T <= t) with a step at every observed length."""
-        k = int(np.searchsorted(self.lengths, t, side="right"))
-        return k / self.lengths.size
+    def cdf(self, t):
+        """P(T <= t) with a step at every observed length; elementwise over
+        an array t."""
+        return _scalar(np.searchsorted(self.sorted, t, side="right") / self.size)
 
-    def expected_truncated(self, c: float) -> float:
-        """E[min(T, c)]."""
-        k = int(np.searchsorted(self.lengths, c, side="right"))
-        n = self.lengths.size
-        return float(self._prefix[k] + c * (n - k)) / n
+    def expected_truncated(self, c):
+        """E[min(T, c)]; elementwise over an array c of at most 2**63 - 1."""
+        k = np.searchsorted(self.sorted, c, side="right")
+        return _scalar((self._prefix[k] + c * (self.size - k)) / self.size)
 
 
 def expected_time_fixed(rtd: EmpiricalRTD, cutoff: int) -> float:
@@ -98,7 +114,8 @@ def expected_time_fixed(rtd: EmpiricalRTD, cutoff: int) -> float:
     p = rtd.cdf(cutoff)
     if p == 0.0:
         return UNBOUNDED
-    return rtd.expected_truncated(cutoff) / p
+    # any cutoff past the longest run truncates nothing
+    return rtd.expected_truncated(min(cutoff, MAX_LENGTH + 1)) / p
 
 
 def optimal_fixed_cutoff(rtd: EmpiricalRTD) -> Tuple[int, float]:
@@ -110,12 +127,8 @@ def optimal_fixed_cutoff(rtd: EmpiricalRTD) -> Tuple[int, float]:
     by propagation alone) shift their candidate to the minimum legal cutoff
     of 1.
     """
-    lengths = rtd.lengths
-    n = lengths.size
-    candidates = np.unique(np.maximum(lengths, 1))
-    k = np.searchsorted(lengths, candidates, side="right")
-    emin = (rtd._prefix[k] + candidates * (n - k)) / n
-    cost = emin / (k / n)
+    candidates = np.unique(np.maximum(rtd.sorted, 1))
+    cost = rtd.expected_truncated(candidates) / rtd.cdf(candidates)
     i = int(np.argmin(cost))  # first minimum: smallest cutoff wins ties
     return int(candidates[i]), float(cost[i])
 
@@ -185,7 +198,7 @@ LIMIT_QUANTILES = (0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99, 1.0)
 
 
 def scan_dynamic_limits(
-    rtd: EmpiricalRTD, observe: int, accuracy: float
+    runs: EmpiricalRTD, observe: int, accuracy: float
 ) -> List[Dict[str, float]]:
     """Analytic grid scan of the give-up point L over the distinct values of
     LIMIT_QUANTILES.
@@ -195,35 +208,30 @@ def scan_dynamic_limits(
     """
     if observe < 1:
         raise ValueError(f"observe must be >= 1, got {observe}")
-    cand = np.unique(np.quantile(rtd.lengths, LIMIT_QUANTILES).astype(np.int64))
-    p_obs = rtd.cdf(observe)
+    predictor = SyntheticPredictor(accuracy)
     out = []
-    for limit in cand:
+    for limit in np.unique(np.quantile(runs.sorted, LIMIT_QUANTILES).astype(np.int64)):
         if limit <= observe:
             continue
-        p_lim = rtd.cdf(limit)
-        out.append(
-            {
-                "limit": int(limit),
-                "expected_runs": dynamic_expected_runs(accuracy, p_obs, p_lim),
-                "expected_total_ub": dynamic_expected_total_ub(
-                    int(observe), int(limit), accuracy, p_obs, p_lim
-                ),
-            }
-        )
+        analytic = DynamicPolicy(observe, int(limit), predictor).analytic(runs)
+        out.append({
+            "limit": int(limit),
+            "expected_runs": analytic.expected_runs,
+            "expected_total_ub": analytic.expected_steps,
+        })
     out.sort(key=lambda e: e["expected_total_ub"])
     return out
 
 
 # -- policies --------------------------------------------------------------
 #
-# Every policy offers describe(), analytic(run_source) -> Analytic, what is
-# known in closed form, and _rounds(run_source), the fields of the kernel's
-# rounds_state that price its rounds (see simulate_policy).
+# Every policy offers describe(), analytic(runs) -> Analytic, what is known
+# in closed form on an EmpiricalRTD, and _rounds(runs), the fields of the
+# kernel's rounds_state that price its rounds (see simulate_policy).
 
 
 class Analytic(NamedTuple):
-    """Closed-form figures of a policy on a run source; None where unknown.
+    """Closed-form figures of a policy on its runs; None where unknown.
 
     success_probability is the chance that one run succeeds; expected_runs
     and expected_steps are exact for FIXED, and exact E(N) with an upper bound
@@ -248,14 +256,13 @@ class FixedPolicy:
     def describe(self) -> str:
         return f"fixed:{self.cutoff}"
 
-    def _rounds(self, run_source) -> Dict:
+    def _rounds(self, runs: EmpiricalRTD) -> Dict:
         return {"cutoff": self.cutoff}
 
-    def analytic(self, run_source) -> Analytic:
-        rtd = run_source.rtd
-        p = rtd.cdf(self.cutoff)
+    def analytic(self, runs: EmpiricalRTD) -> Analytic:
+        p = runs.cdf(self.cutoff)
         return Analytic(
-            p, UNBOUNDED if p == 0 else 1.0 / p, expected_time_fixed(rtd, self.cutoff)
+            p, UNBOUNDED if p == 0 else 1.0 / p, expected_time_fixed(runs, self.cutoff)
         )
 
 
@@ -275,10 +282,10 @@ class LubyPolicy:
     def describe(self) -> str:
         return f"luby:{self.scale}"
 
-    def _rounds(self, run_source) -> Dict:
+    def _rounds(self, runs: EmpiricalRTD) -> Dict:
         return {"cutoff": self.scale, "luby": 1}
 
-    def analytic(self, run_source) -> Analytic:
+    def analytic(self, runs: EmpiricalRTD) -> Analytic:
         # Luby cutoffs grow without bound, so any finite run length is reachable.
         return Analytic()
 
@@ -290,15 +297,14 @@ class SyntheticPredictor:
         _check_prob(accuracy, "accuracy")
         self.accuracy = accuracy
 
-    def _rounds(self, run_source) -> Dict:
+    def _rounds(self, runs: EmpiricalRTD) -> Dict:
         # the true label, flipped where Generator.random() >= accuracy
         return {"synthetic": 1, "accuracy": self.accuracy}
 
-    def analytic(self, policy: "DynamicPolicy", run_source) -> Analytic:
-        rtd = run_source.rtd
+    def analytic(self, policy: "DynamicPolicy", runs: EmpiricalRTD) -> Analytic:
         a = self.accuracy
-        p_o = rtd.cdf(policy.observe)
-        p_l = 1.0 if math.isinf(policy.limit) else rtd.cdf(policy.limit)
+        p_o = runs.cdf(policy.observe)
+        p_l = 1.0 if math.isinf(policy.limit) else runs.cdf(policy.limit)
         return Analytic(
             a * (p_l - p_o) + p_o,
             dynamic_expected_runs(a, p_o, p_l),
@@ -310,7 +316,7 @@ class SyntheticPredictor:
 
 
 class ModelPredictor:
-    """Applies a trained tree to the dataset rows a DatasetSource draws.
+    """Applies a trained tree to the drawn rows of an EmpiricalRTD's dataset.
 
     The tree's call on a row depends on the row alone, so it is made once for
     every row of a dataset and the drawn rows look theirs up."""
@@ -325,15 +331,14 @@ class ModelPredictor:
             self._calls = (dataset, _learn.predict_batch(self.model, dataset.X) > 0.5)
         return self._calls[1]
 
-    def _rounds(self, run_source) -> Dict:
-        ds = getattr(run_source, "dataset", None)
-        if ds is None:
-            raise ValueError("this run source provides no features to predict from")
-        return {"short_rows": self._short_rows(ds).view(np.uint8)}
+    def _rounds(self, runs: EmpiricalRTD) -> Dict:
+        if runs.dataset is None:
+            raise ValueError("these runs carry no features to predict from")
+        return {"short_rows": self._short_rows(runs.dataset).view(np.uint8)}
 
-    def analytic(self, policy: "DynamicPolicy", run_source) -> Analytic:
-        """Success probability over a dataset source's rows; nothing else."""
-        ds = getattr(run_source, "dataset", None)
+    def analytic(self, policy: "DynamicPolicy", runs: EmpiricalRTD) -> Analytic:
+        """Success probability over the rows of the runs' dataset; nothing else."""
+        ds = runs.dataset
         if ds is None:
             return Analytic()
         pred = self._short_rows(ds)
@@ -359,38 +364,26 @@ class DynamicPolicy:
     def describe(self) -> str:
         return _window_text(self.observe, self.limit) + self.predictor.describe()
 
-    def _rounds(self, run_source) -> Dict:
+    def _rounds(self, runs: EmpiricalRTD) -> Dict:
         return {"cutoff": self.observe, "limit": float(self.limit),
-                **self.predictor._rounds(run_source)}
+                **self.predictor._rounds(runs)}
 
-    def analytic(self, run_source) -> Analytic:
-        return self.predictor.analytic(self, run_source)
+    def analytic(self, runs: EmpiricalRTD) -> Analytic:
+        return self.predictor.analytic(self, runs)
 
 
 Policy = Union[FixedPolicy, LubyPolicy, DynamicPolicy]
 
 
-# -- run sources -----------------------------------------------------------
-#
-# A trial's run is a uniform draw of a source's rows (Generator.integers over
-# their count); `lengths` holds each row's run length in row order.
+def DatasetSource(dataset: "_learn.Dataset") -> EmpiricalRTD:
+    """The runs of dataset's uncensored rows, drawn in row order."""
+    rows = dataset.subset(~dataset.censored)
+    return EmpiricalRTD(rows.runtime, rows.provenance, rows)
 
 
-class RtdSource:
-    """Resamples run lengths from an empirical distribution (no features)."""
-
-    def __init__(self, rtd: EmpiricalRTD):
-        self.rtd = rtd
-        self.lengths = rtd.lengths
-
-
-class DatasetSource:
-    """Resamples rows, runtime and summary vector, from a labeled dataset."""
-
-    def __init__(self, dataset: "_learn.Dataset"):
-        self.dataset = dataset
-        self.rtd = EmpiricalRTD(dataset.runtime)
-        self.lengths = np.ascontiguousarray(dataset.runtime, dtype=np.int64)
+def RtdSource(rtd: EmpiricalRTD) -> EmpiricalRTD:
+    """rtd itself: the name perfbench/layers.py resamples a run-length file by."""
+    return rtd
 
 
 # -- simulation ------------------------------------------------------------
@@ -423,7 +416,7 @@ PERCENTILES = (50, 90, 99)
 
 
 def simulate_policy(
-    run_source,
+    runs: EmpiricalRTD,
     policy: Policy,
     trials: int,
     master_seed: int,
@@ -442,14 +435,14 @@ def simulate_policy(
 
     # A policy that cannot succeed on its support loops forever; detect the
     # analytic cases up front instead of burning the run budget.
-    analytic = policy.analytic(run_source)
+    analytic = policy.analytic(runs)
     unbounded = analytic.success_probability == 0.0
 
     total_cost = np.zeros(trials, dtype=float)
     total_runs = np.zeros(trials, dtype=np.int64)
     if not unbounded:
         stream = fc_kernel.pcg64(derive_seed(master_seed, "policy", policy.describe()))
-        rounds = _price_rounds(run_source, policy, stream, total_cost, total_runs, run_budget)
+        rounds = _price_rounds(runs, policy, stream, total_cost, total_runs, run_budget)
         unbounded = rounds.n_active > 0
 
     if unbounded:
@@ -487,7 +480,7 @@ def simulate_policy(
 _CALL_DRAWS = 1 << 24
 
 
-def _price_rounds(run_source, policy, stream, total_cost, total_runs, run_budget):
+def _price_rounds(runs, policy, stream, total_cost, total_runs, run_budget):
     """Run every trial to its first win in the kernel (pcg64_price_rounds),
     adding its steps to total_cost and the round it won in to total_runs,
     and advance stream, a kernel pcg64_state, past the draws of the numpy
@@ -500,10 +493,10 @@ def _price_rounds(run_source, policy, stream, total_cost, total_runs, run_budget
     kernel = fc_kernel.load()
     ffi, lib = kernel.ffi, kernel.lib
     trials = total_cost.size
-    fields = policy._rounds(run_source)
+    fields = policy._rounds(runs)
     short_rows = fields.pop("short_rows", None)
     buffers = [
-        ("lengths", "long long[]", run_source.lengths),
+        ("lengths", "long long[]", runs.lengths),
         ("active", "long long[]", np.arange(trials, dtype=np.int64)),
         ("drawn", "uint32_t[]", np.empty(trials if fields.get("synthetic") else 0, np.uint32)),
         ("total_cost", "double[]", total_cost),
@@ -517,8 +510,8 @@ def _price_rounds(run_source, policy, stream, total_cost, total_runs, run_budget
     state = ffi.new("rounds_state *", {
         **fields, **views,
         "cutoff": min(fields["cutoff"], MAX_LENGTH + 1),
-        "rows": run_source.lengths.size,
-        "shortest": run_source.rtd.min_length,
+        "rows": runs.size,
+        "shortest": runs.min_length,
         "n_active": trials,
         "run_budget": min(run_budget, 2**62),
     })

@@ -50,7 +50,6 @@ from restartlab.learn import (
 )
 from restartlab.policy import (
     UNBOUNDED,
-    DatasetSource,
     DynamicPolicy,
     FixedPolicy,
     LubyPolicy,
@@ -1032,20 +1031,17 @@ def _grow_trees(
 
 
 class Rows(NamedTuple):
-    """Rows of a dataset, by index: the features a DatasetSource draws."""
+    """Rows of a dataset, by index: the features of the drawn runs."""
 
     dataset: Dataset
     index: np.ndarray
 
 
-def sample(source, rng: np.random.Generator, size: int):
+def sample(runs, rng: np.random.Generator, size: int):
     """One run per active trial: the drawn run lengths, and the drawn Rows
-    of a DatasetSource (None for an RtdSource)."""
-    if isinstance(source, DatasetSource):
-        idx = rng.integers(0, source.dataset.runtime.size, size=size)
-        return source.dataset.runtime[idx].astype(np.int64), Rows(source.dataset, idx)
-    idx = rng.integers(0, source.rtd.lengths.size, size=size)
-    return source.rtd.lengths[idx], None
+    of the runs' dataset (None without one)."""
+    idx = rng.integers(0, runs.size, size=size)
+    return runs.lengths[idx], None if runs.dataset is None else Rows(runs.dataset, idx)
 
 
 def luby_term(i: int) -> int:
@@ -1078,7 +1074,7 @@ def predict_short(predictor, lengths: np.ndarray, rows: Optional[Rows], limit: f
         return truth ^ flip
     assert isinstance(predictor, ModelPredictor)
     if rows is None:
-        raise ValueError("this run source provides no features to predict from")
+        raise ValueError("these runs carry no features to predict from")
     return predict_batch(predictor.model, rows.dataset.X[rows.index]) > 0.5
 
 

@@ -35,7 +35,6 @@ from restartlab.policy import (
     DynamicPolicy,
     EmpiricalRTD,
     LubyPolicy,
-    RtdSource,
     SyntheticPredictor,
     dynamic_expected_runs,
     dynamic_expected_total_ub,
@@ -326,7 +325,7 @@ class TestCriterion7:
                 p_l = rtd.cdf(lim)
                 policy = DynamicPolicy(observe=obs, limit=float(lim),
                                        predictor=SyntheticPredictor(acc))
-                stats = simulate_policy(RtdSource(rtd), policy, trials=10 ** 5,
+                stats = simulate_policy(rtd, policy, trials=10 ** 5,
                                         master_seed=1)
                 runs = dynamic_expected_runs(acc, p_o, p_l)
                 ub = dynamic_expected_total_ub(obs, lim, acc, p_o, p_l)
@@ -379,7 +378,7 @@ class TestCriterion9:
         c_star, fixed_cost = optimal_fixed_cutoff(rtd)
         policy = DynamicPolicy(observe=500, limit=5000.0,
                                predictor=SyntheticPredictor(0.9))
-        stats = simulate_policy(RtdSource(rtd), policy, trials=10 ** 5,
+        stats = simulate_policy(rtd, policy, trials=10 ** 5,
                                 master_seed=9)
         margin = stats.mc_mean_cost + 3 * stats.mc_se_cost
         ok = (not stats.unbounded
@@ -397,7 +396,7 @@ class TestCriterion10:
         got = [luby_term(i) for i in range(1, 16)]
         two_point = EmpiricalRTD([1] * 50 + [10 ** 6] * 50)
         _, fixed_cost = optimal_fixed_cutoff(two_point)
-        stats = simulate_policy(RtdSource(two_point), LubyPolicy(scale=1),
+        stats = simulate_policy(two_point, LubyPolicy(scale=1),
                                 trials=10 ** 5, master_seed=10)
         finite = not stats.unbounded and math.isfinite(stats.mc_mean_cost)
         ok = got == want and finite and stats.mc_mean_cost <= 10 * fixed_cost

@@ -565,6 +565,25 @@ class TestEval:
             assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8")
 
 
+def test_split_without_uncensored_rows_is_data_error(workdir, tmp_path, capsys):
+    # a header-only copy of the test split, and a copy whose every row is censored
+    lines = (workdir / "small_test.csv").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    censored = [",".join(row[:-2] + ["1", row[-1]]) for row in
+                (line.split(",") for line in lines[start:])]
+    for name, rows in (("header_only.csv", []), ("all_censored.csv", censored)):
+        path = tmp_path / name
+        path.write_text("\n".join(lines[:start] + rows) + "\n")
+        for argv in (["train", str(path), "-o", str(tmp_path / "m.json")],
+                     ["eval", str(workdir / "model.json"), str(path)],
+                     ["policy", str(workdir / "small_rtd.txt"), "--policy", "dynamic:20,3000",
+                      "--model", str(workdir / "model.json"), "--dataset", str(path)]):
+            assert main(argv) == EXIT_DATA, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {path}: "), argv
+
+
 class TestCascade:
     def test_runs_and_reports(self, workdir, tmp_path, capsys):
         out = tmp_path / "cascade.json"
@@ -751,10 +770,14 @@ class TestPolicy:
     def test_unbounded_exit_code(self, tmp_path, capsys):
         rtd_path = tmp_path / "tiny_rtd.txt"
         write_rtd(str(rtd_path), [5, 9])
+        out = tmp_path / "pol.json"
         code = main(["policy", str(rtd_path), "--policy", "fixed:4",
-                     "--trials", "500"])
+                     "--trials", "500", "-o", str(out)])
         assert code == EXIT_UNBOUNDED
         assert "UNBOUNDED" in capsys.readouterr().out
+        (stats,) = json.loads(out.read_text())["report"]["policies"]
+        assert stats["unbounded"] is True
+        assert stats["mc_mean_cost"] == "inf"
 
     def test_run_length_past_int64_is_data_error(self, tmp_path, capsys):
         rtd_path = tmp_path / "huge_rtd.txt"

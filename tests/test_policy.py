@@ -30,7 +30,6 @@ from restartlab.policy import (
     FixedPolicy,
     LubyPolicy,
     ModelPredictor,
-    RtdSource,
     SyntheticPredictor,
     _price_rounds,
     dynamic_expected_run_length_ub,
@@ -98,6 +97,7 @@ class TestExpectedTimeFixed:
     def test_two_point_exact(self):
         assert expected_time_fixed(TWO_POINT, 1) == 2.0
         assert expected_time_fixed(TWO_POINT, 10**6) == 500000.5
+        assert expected_time_fixed(TWO_POINT, 10**30) == 500000.5  # past int64
 
     def test_unbounded_below_support(self):
         rtd = EmpiricalRTD([5, 7])
@@ -244,13 +244,9 @@ class TestScanDynamicLimits:
         for e in out:
             assert e["limit"] > 10
             p_lim = rtd.cdf(e["limit"])
-            assert math.isclose(
-                e["expected_runs"], dynamic_expected_runs(0.9, p_obs, p_lim)
-            )
-            assert math.isclose(
-                e["expected_total_ub"],
-                dynamic_expected_total_ub(10, e["limit"], 0.9, p_obs, p_lim),
-            )
+            assert e["expected_runs"] == dynamic_expected_runs(0.9, p_obs, p_lim)
+            assert e["expected_total_ub"] == dynamic_expected_total_ub(
+                10, e["limit"], 0.9, p_obs, p_lim)
 
     def test_sorted_by_bound(self):
         rtd = EmpiricalRTD(list(range(1, 101)))
@@ -294,7 +290,7 @@ class TestPolicyObjects:
         # observe 2, limit 5 on lengths 1, 3, 10, 50: a run of 1 wins early;
         # accuracy 1 calls 3 SHORT (it wins) and 10, 50 LONG (cut at 2);
         # accuracy 0 calls 3 LONG (cut at 2) and 10, 50 SHORT (cut at 5)
-        source = RtdSource(EmpiricalRTD([1, 10, 3, 50]))
+        source = EmpiricalRTD([1, 10, 3, 50])
         for accuracy in (1.0, 0.0):
             policy = DynamicPolicy(2, 5, SyntheticPredictor(accuracy))
             cost, runs = np.zeros(400), np.zeros(400, dtype=np.int64)
@@ -314,7 +310,7 @@ class TestPolicyObjects:
         pred = ModelPredictor(model)
         policy = DynamicPolicy(observe=1, limit=10, predictor=pred)
         with pytest.raises(ValueError, match="no features"):
-            simulate_policy(RtdSource(EmpiricalRTD([1, 2])), policy, 10, master_seed=0)
+            simulate_policy(EmpiricalRTD([1, 2]), policy, 10, master_seed=0)
         rows = pred._rounds(DatasetSource(tiny_dataset([1, 2], n_features=0)))["short_rows"]
         assert rows.tolist() == [1, 1]  # counts (5,0) predict SHORT
 
@@ -355,7 +351,7 @@ def tiny_dataset(runtimes, n_features=2):
 
 class TestRunSources:
     def test_rtd_source_resamples_support(self):
-        src = RtdSource(EmpiricalRTD([9, 4]))
+        src = EmpiricalRTD([9, 4])
         assert src.lengths.tolist() == [4, 9]
         cost, runs = np.zeros(100), np.zeros(100, dtype=np.int64)
         _price_rounds(src, FixedPolicy(9), fc_kernel.pcg64(1), cost, runs, 10)
@@ -373,7 +369,7 @@ class TestRunSources:
         )
         src = DatasetSource(ds)
         assert src.lengths.tolist() == [30, 10, 20]
-        assert src.rtd.lengths.tolist() == [10, 20, 30]
+        assert src.sorted.tolist() == [10, 20, 30]
         cost, runs = np.zeros(200), np.zeros(200, dtype=np.int64)
         policy = DynamicPolicy(5, 100, ModelPredictor(model))
         _price_rounds(src, policy, fc_kernel.pcg64(2), cost, runs, 10**6)
@@ -383,7 +379,7 @@ class TestRunSources:
 class TestSimulatePolicy:
     def test_fixed_two_point_matches_exact(self):
         stats = simulate_policy(
-            RtdSource(TWO_POINT), FixedPolicy(1), trials=4000, master_seed=0
+            TWO_POINT, FixedPolicy(1), trials=4000, master_seed=0
         )
         assert stats.expected_steps == 2.0
         assert abs(stats.mc_mean_cost - 2.0) < 3 * stats.mc_se_cost + 1e-9
@@ -396,7 +392,7 @@ class TestSimulatePolicy:
             observe=1, limit=10**6, predictor=SyntheticPredictor(0.8)
         )
         stats = simulate_policy(
-            RtdSource(TWO_POINT), policy, trials=4000, master_seed=1
+            TWO_POINT, policy, trials=4000, master_seed=1
         )
         want_runs = dynamic_expected_runs(0.8, 0.5, 1.0)
         assert math.isclose(stats.expected_runs, want_runs)
@@ -405,20 +401,20 @@ class TestSimulatePolicy:
 
     def test_luby_finite_on_heavy_tail(self):
         stats = simulate_policy(
-            RtdSource(TWO_POINT), LubyPolicy(1), trials=2000, master_seed=2
+            TWO_POINT, LubyPolicy(1), trials=2000, master_seed=2
         )
         assert not stats.unbounded
         assert stats.mc_mean_cost <= 10 * 2.0
 
     def test_deterministic_per_master_seed(self):
-        a = simulate_policy(RtdSource(TWO_POINT), FixedPolicy(1), 500, master_seed=7)
-        b = simulate_policy(RtdSource(TWO_POINT), FixedPolicy(1), 500, master_seed=7)
+        a = simulate_policy(TWO_POINT, FixedPolicy(1), 500, master_seed=7)
+        b = simulate_policy(TWO_POINT, FixedPolicy(1), 500, master_seed=7)
         assert a.mc_mean_cost == b.mc_mean_cost
         assert a.percentiles == b.percentiles
 
     def test_fixed_below_support_unbounded_without_hanging(self):
         rtd = EmpiricalRTD([5, 9])
-        stats = simulate_policy(RtdSource(rtd), FixedPolicy(4), 100, master_seed=0)
+        stats = simulate_policy(rtd, FixedPolicy(4), 100, master_seed=0)
         assert stats.unbounded
         assert is_unbounded(stats.mc_mean_cost)
         assert is_unbounded(stats.percentiles["p50"])
@@ -428,7 +424,7 @@ class TestSimulatePolicy:
             observe=1, limit=2, predictor=SyntheticPredictor(1.0)
         )
         stats = simulate_policy(
-            RtdSource(EmpiricalRTD([5, 6])), policy, 50, master_seed=0
+            EmpiricalRTD([5, 6]), policy, 50, master_seed=0
         )
         assert stats.unbounded
 
@@ -454,7 +450,7 @@ class TestSimulatePolicy:
     def test_run_budget_trips(self):
         lengths = [10] * 999 + [1]
         stats = simulate_policy(
-            RtdSource(EmpiricalRTD(lengths)),
+            EmpiricalRTD(lengths),
             FixedPolicy(1),
             trials=3,
             master_seed=5,
@@ -464,7 +460,7 @@ class TestSimulatePolicy:
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            simulate_policy(RtdSource(TWO_POINT), FixedPolicy(1), 0, master_seed=0)
+            simulate_policy(TWO_POINT, FixedPolicy(1), 0, master_seed=0)
 
 
 class TestDynamicCostAccounting:
@@ -473,13 +469,13 @@ class TestDynamicCostAccounting:
         # restarts after exactly `observe` steps until the budget trips
         rtd = EmpiricalRTD([100])
         policy = DynamicPolicy(observe=10, limit=200, predictor=SyntheticPredictor(0.0))
-        stats = simulate_policy(RtdSource(rtd), policy, 20, master_seed=1, run_budget=50)
+        stats = simulate_policy(rtd, policy, 20, master_seed=1, run_budget=50)
         assert stats.unbounded  # success probability is exactly 0
 
     def test_true_short_with_good_predictor_costs_true_length(self):
         rtd = EmpiricalRTD([7])
         policy = DynamicPolicy(observe=3, limit=20, predictor=SyntheticPredictor(1.0))
-        stats = simulate_policy(RtdSource(rtd), policy, 50, master_seed=2)
+        stats = simulate_policy(rtd, policy, 50, master_seed=2)
         assert stats.mc_mean_cost == 7.0
         assert stats.mc_mean_runs == 1.0
 
@@ -505,14 +501,43 @@ def test_expected_time_fixed_formula_consistency(lengths, cutoff):
 def test_optimal_cutoff_is_global_minimum(lengths):
     rtd = EmpiricalRTD(lengths)
     c_star, cost_star = optimal_fixed_cutoff(rtd)
-    assert 1 <= c_star
-    for c in range(1, int(rtd.lengths[-1]) + 2):
-        assert cost_star <= expected_time_fixed(rtd, c) + 1e-9
+    costs = {c: expected_time_fixed(rtd, c) for c in range(1, int(rtd.lengths[-1]) + 2)}
+    assert cost_star == min(costs.values())
+    assert c_star == min(c for c, cost in costs.items() if cost == cost_star)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 300), st.booleans()), min_size=1, max_size=40)
+       .filter(lambda rows: not all(censored for _, censored in rows)),
+       observe=st.integers(1, 305), accuracy=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_dataset_runs_price_as_their_lengths(rows, observe, accuracy, seed):
+    # the uncensored rows of a dataset, in any order, have the closed forms
+    # and analytics of their run lengths, and are drawn in row order
+    ds = tiny_dataset([length for length, _ in rows])
+    ds.censored[:] = [censored for _, censored in rows]
+    lengths = ds.runtime[~ds.censored].tolist()
+    runs, rtd = DatasetSource(ds), EmpiricalRTD(lengths)
+    assert runs.lengths.tolist() == lengths
+    assert runs.dataset.runtime.tolist() == lengths
+    assert runs.sorted.tolist() == rtd.lengths.tolist()
+    assert optimal_fixed_cutoff(runs) == optimal_fixed_cutoff(rtd)
+    assert scan_dynamic_limits(runs, observe, accuracy) == scan_dynamic_limits(rtd, observe, accuracy)
+    policies = [FixedPolicy(observe), LubyPolicy(observe),
+                DynamicPolicy(observe, observe + 40, SyntheticPredictor(accuracy)),
+                DynamicPolicy(observe, math.inf, SyntheticPredictor(accuracy))]
+    for policy in policies:
+        assert policy.analytic(runs) == policy.analytic(rtd)
+    assert expected_time_fixed(runs, observe) == expected_time_fixed(rtd, observe)
+    # a cutoff past every run ends each trial in one run of the drawn row's length
+    cost, count = np.zeros(50), np.zeros(50, dtype=np.int64)
+    _price_rounds(runs, FixedPolicy(301), fc_kernel.pcg64(seed), cost, count, 1)
+    drawn = np.random.default_rng(seed).integers(0, len(lengths), size=50)
+    assert cost.tolist() == [float(lengths[i]) for i in drawn]
 
 
 @st.composite
 def _policy_case(draw):
-    """A run source, a policy on it, and a run budget that may trip."""
+    """Runs to price, a policy, and a run budget that may trip."""
     # shortest run 0, 1, or past the first Luby cutoffs; one row or several
     shortest = draw(st.sampled_from([0, 1]) | st.integers(2, 70))
     rows = draw(st.just(1) | st.integers(1, 40))
@@ -540,7 +565,7 @@ def _policy_case(draw):
             policy = DynamicPolicy(observe, limit, ModelPredictor(model))
             return DatasetSource(ds), policy, draw(st.just(10**6) | st.integers(1, 200))
     return (
-        RtdSource(EmpiricalRTD(lengths)), policy,
+        EmpiricalRTD(lengths), policy,
         draw(st.just(10**6) | st.integers(1, 200)),
     )
 
@@ -574,7 +599,7 @@ def test_simulation_equals_reference_loop(case, trials, seed, buffered):
 def test_budget_trips_inside_rounds_no_run_can_win():
     # Luby cutoffs stay at 16 or below until round 63 (the first 32), so
     # budgets under 63 trip while no run can win yet
-    source = RtdSource(EmpiricalRTD([18, 40, 700]))
+    source = EmpiricalRTD([18, 40, 700])
     for budget in (1, 14, 31, 62, 63, 200, 10**6):
         want = reference.simulate(source, LubyPolicy(1), 50, 3, run_budget=budget)
         got = simulate_policy(source, LubyPolicy(1), 50, 3, run_budget=budget)
@@ -585,7 +610,7 @@ def test_budget_trips_inside_rounds_no_run_can_win():
 def test_luby_steps_only_in_rounds_some_run_can_win():
     # the kernel draws the rows of the rounds whose cutoff reaches the
     # shortest run, 18, and skips the rest
-    source = RtdSource(EmpiricalRTD([18, 19, 25, 40, 90, 400, 3000]))
+    source = EmpiricalRTD([18, 19, 25, 40, 90, 400, 3000])
     rounds = []
     want = reference.simulate(source, LubyPolicy(1), 2000, 81, rounds=rounds)
     got = simulate_policy(source, LubyPolicy(1), 2000, 81)
@@ -650,7 +675,7 @@ def _kernel_draws(rng, high, count):
     fixed cutoff that every run of lengths 0..high-1 meets costs each trial
     its row."""
     cost, runs = np.zeros(count), np.zeros(count, dtype=np.int64)
-    source = RtdSource(EmpiricalRTD(range(high)))
+    source = EmpiricalRTD(range(high))
     with kernel_stream(rng) as stream:
         _price_rounds(source, FixedPolicy(high), stream, cost, runs, 1)
     assert (runs == 1).all()
@@ -736,7 +761,7 @@ class TestKernelSkip:
         [18, 19, 25, 40, 90, 400, 3000],
     ])
     def test_luby_equals_drawing_on_rtds(self, lengths, scale):
-        source = RtdSource(EmpiricalRTD(lengths))
+        source = EmpiricalRTD(lengths)
         policy = LubyPolicy(scale)
         want = reference.simulate(source, policy, 3000, 81)
         assert asdict(simulate_policy(source, policy, 3000, 81)) == asdict(want)
@@ -770,7 +795,7 @@ class TestKernelSkip:
             fc_kernel.load.cache_clear()
 
     def test_one_draw_per_kernel_call(self, monkeypatch):
-        source = RtdSource(EmpiricalRTD([18, 19, 25, 40, 90, 400, 3000]))
+        source = EmpiricalRTD([18, 19, 25, 40, 90, 400, 3000])
         policies = [LubyPolicy(1), FixedPolicy(40),
                     DynamicPolicy(20, 100, SyntheticPredictor(0.7))]
         want = [simulate_policy(source, policy, 500, 81) for policy in policies]

@@ -179,7 +179,7 @@ from restartlab.latin import (  # noqa: E402
 )
 from restartlab.learn import DEFAULT_KAPPA_GRID, grow_tree, tune_kappa  # noqa: E402
 from restartlab.policy import (  # noqa: E402
-    DatasetSource, DynamicPolicy, EmpiricalRTD, LubyPolicy, ModelPredictor, RtdSource,
+    DatasetSource, DynamicPolicy, EmpiricalRTD, LubyPolicy, ModelPredictor,
     SyntheticPredictor, _price_rounds, simulate_policy,
 )
 from restartlab.seeds import derive_seed  # noqa: E402
@@ -366,13 +366,13 @@ def policy(tmp: Path):
     for text in DESK_POLICIES:
         spec = cli._parse_policy(text)
         if not isinstance(spec, cli._DynamicSpec):
-            runs.append((text.partition(":")[0], RtdSource(rtd), spec, size.trials))
+            runs.append((text.partition(":")[0], rtd, spec, size.trials))
             if isinstance(spec, LubyPolicy):
-                shortest = RtdSource(EmpiricalRTD(rtd.lengths[:SCAN_ROWS]))
+                shortest = EmpiricalRTD(rtd.lengths[:SCAN_ROWS])
                 runs.append(("luby_scan", shortest, spec, size.trials))
             continue
         window = (spec.observe, spec.limit)
-        runs.append(("dynamic_synthetic", RtdSource(rtd),
+        runs.append(("dynamic_synthetic", rtd,
                      DynamicPolicy(*window, SyntheticPredictor(float(DESK_ACCURACY))), size.trials))
         runs.append(("dynamic_model", DatasetSource(test),
                      DynamicPolicy(*window, ModelPredictor(model)), size.model_trials))
@@ -380,7 +380,7 @@ def policy(tmp: Path):
     fns = []
     for (_, source, pol, trials), (_, dead) in zip(runs, draws):
         fns += [functools.partial(simulate_policy, source, pol, trials, DESK_SEED),
-                skip(kernel, source.lengths.size, dead)]
+                skip(kernel, source.size, dead)]
     timings, _ = repeat("policy", *fns)
     for (key, source, pol, trials), (live, dead), seconds, skips in zip(
             runs, draws, timings[::2], timings[1::2]):
@@ -388,7 +388,7 @@ def policy(tmp: Path):
             "policy": pol.describe(),
             "key": key,
             "trials": trials,
-            "run_lengths": source.rtd.size,
+            "run_lengths": source.size,
             "live_draws": live,
             "dead_draws": dead,
             "seconds": spread(seconds),
