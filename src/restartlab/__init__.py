@@ -44,7 +44,6 @@ from .learn import (
     cascade_datasets,
     evaluate,
     grow_tree,
-    label_by_median,
     marginal_model,
     tune_kappa,
 )

@@ -34,6 +34,7 @@ from .harness import (
 from .latin import HoleSpec, StructureError, generate_complete, poke_holes
 from .learn import (
     DEFAULT_KAPPA_GRID,
+    Dataset,
     DecisionTreeModel,
     cascade_datasets,
     evaluate,
@@ -298,30 +299,32 @@ def _cmd_dataset(args) -> int:
     return EXIT_OK
 
 
-def _check_uncensored(path: str, ds) -> None:
-    """A data error naming path, the file of ds, when ds has no uncensored row."""
+def _read_split(path: str, columns: Optional[List[str]], against: str) -> Dataset:
+    """The uncensored rows of the dataset split at path: the rows that
+    train, eval, cascade and a model-driven policy learn, score or price
+    from.  A DataFormatError naming path when the split's columns differ
+    from columns, which against names (None accepts any), or when no row is
+    uncensored."""
+    ds = rio.read_dataset(path)
+    if columns is not None and ds.columns != columns:
+        raise rio.DataFormatError(f"{path}: column schema does not match {against}")
     if ds.censored.all():
         raise rio.DataFormatError(f"{path}: no uncensored rows")
+    return ds.subset(~ds.censored)
 
 
 def _cmd_train(args) -> int:
-    ds = rio.read_dataset(args.train)
-    if ds.columns != summary_columns():
-        raise rio.DataFormatError(
-            f"{args.train}: column schema does not match the feature registry"
-        )
-    _check_uncensored(args.train, ds)
-    usable = ds.subset(~ds.censored)
+    usable = _read_split(args.train, summary_columns(), "the feature registry")
     result = tune_kappa(
         usable.X,
         usable.is_short,
         grid=tuple(args.kappa_grid),
         seed=args.seed,
-        columns=ds.columns,
+        columns=usable.columns,
     )
     model = result.model
-    model.training_median = ds.median
-    model.registry_hash = ds.provenance.get("meta", {}).get("registry_hash")
+    model.training_median = usable.median
+    model.registry_hash = usable.provenance.get("meta", {}).get("registry_hash")
     holdout = {
         "holdout_scores": {repr(k): v for k, v in result.holdout_scores.items()},
         "holdout_accuracy": result.holdout_accuracy,
@@ -362,12 +365,8 @@ def _eval_pair(model: DecisionTreeModel, test) -> Dict:
 
 def _cmd_eval(args) -> int:
     model = rio.read_model(args.model)
-    test = rio.read_dataset(args.test)
-    if model.columns and model.columns != test.columns:
-        raise rio.DataFormatError("model and dataset disagree on feature columns")
-    _check_uncensored(args.test, test)
-    usable = test.subset(~test.censored)
-    report = _eval_pair(model, usable)
+    test = _read_split(args.test, model.columns or None, "the model")
+    report = _eval_pair(model, test)
     print(
         f"model: accuracy {report['model']['accuracy']:.3f},"
         f" log score {report['model']['avg_log_score']:.4f}"
@@ -386,14 +385,12 @@ def _cmd_cascade(args) -> int:
         raise ValueError("need at least one threshold")
     if sorted(args.thresholds) != list(args.thresholds):
         raise ValueError("thresholds must be ascending")
-    train = rio.read_dataset(args.train)
-    test = rio.read_dataset(args.test)
-    train_u = train.subset(~train.censored)
-    test_u = test.subset(~test.censored)
+    train = _read_split(args.train, summary_columns(), "the feature registry")
+    test = _read_split(args.test, train.columns, "the training split")
     horizon = train.provenance.get("meta", {}).get("horizon")
     if horizon is not None and args.thresholds[0] < horizon:
         raise ValueError(f"thresholds start below the horizon {horizon}")
-    stages = cascade_datasets(train_u, args.thresholds, min_rows=args.min_rows)
+    stages = cascade_datasets(train, args.thresholds, min_rows=args.min_rows)
     rows = []
     for i, stage in enumerate(stages):
         if stage.skipped:
@@ -408,7 +405,7 @@ def _cmd_cascade(args) -> int:
             seed=derive_seed(args.seed, "cascade", i),
             columns=sub.columns,
         )
-        sub_test = test_u.subset(test_u.runtime > stage.threshold).relabeled(sub.median)
+        sub_test = test.subset(test.runtime > stage.threshold).labeled(sub.median)
         entry = {
             "threshold": stage.threshold,
             "skipped": False,
@@ -440,7 +437,12 @@ def _cmd_policy(args) -> int:
     model = rio.read_model(args.model) if args.model else None
     rows, meta = None, {}
     if args.dataset:
-        ds = rio.read_dataset(args.dataset)
+        if model is None:
+            ds = rio.read_dataset(args.dataset)
+        else:
+            # the runs every model policy is priced on, and predicted once
+            ds = _read_split(args.dataset, model.columns or None, "the model")
+            rows = DatasetSource(ds)
         meta = ds.provenance.get("meta", {})
     rtd_flag = rtd.provenance["params"].get("mode")
     for path, mode in ((args.rtd, _FLAG_MODE.get(rtd_flag)), (args.dataset, meta.get("mode"))):
@@ -451,10 +453,6 @@ def _cmd_policy(args) -> int:
                 f"{path} comes from dataset --mode multi, one run per instance;"
                 " restart policies are priced on the runs of one instance (--mode single)"
             )
-    if args.dataset and model is not None:
-        # the runs every model policy is priced on, and predicted once
-        _check_uncensored(args.dataset, ds)
-        rows = DatasetSource(ds)
     # every check runs before the first line is printed
     if args.scan_limit is not None:
         if model is not None:
@@ -467,8 +465,6 @@ def _cmd_policy(args) -> int:
             if model is not None:
                 if rows is None:
                     raise ValueError("a model predictor needs --dataset for features")
-                if model.columns and model.columns != rows.dataset.columns:
-                    raise rio.DataFormatError("model and dataset disagree on feature columns")
                 # the model decides where its features were measured, on
                 # runs it was not trained on
                 horizon = meta.get("horizon")

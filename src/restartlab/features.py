@@ -97,7 +97,7 @@ def summary_columns(registry: Sequence[FeatureSpec] = REGISTRY) -> List[str]:
 
 
 @lru_cache(maxsize=None)
-def _scaled_mask(registry: Tuple[FeatureSpec, ...]) -> np.ndarray:
+def _scaled_mask(registry: Tuple[FeatureSpec, ...] = REGISTRY) -> np.ndarray:
     """True at the summary columns that normalize_for_multi rescales."""
     return np.array(
         [spec.scales_with_size and stat in _SCALED_STATS

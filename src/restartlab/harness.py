@@ -14,6 +14,7 @@ probes its candidates the same way, on one state.
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,10 +23,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fc_kernel
-from .features import SummaryVector, normalize_for_multi, registry_hash, summary_columns
+from .features import _scaled_mask, registry_hash, summary_columns
 from .io import DataFormatError, write_dataset, write_rtd
 from .latin import HoleSpec, PartialLatinSquare, generate_complete, poke_holes
-from .learn import Dataset, label_by_median, partition_median
+from .learn import Dataset, partition_median
 from .policy import EmpiricalRTD
 from .seeds import derive_seed
 from .solver import SOLVED, KernelState, RunRecord, SolverConfig
@@ -140,50 +141,43 @@ def _build_split(
     columns: List[str],
     median: Optional[float],
     multi: bool,
-) -> Tuple[Dataset, Dict[str, int], float]:
+) -> Tuple[Dataset, Dict[str, int]]:
     """Assemble one split's Dataset from its run records.
 
     Runs that finished before the horizon, the runs without a summary, are
     dropped (their count is returned); cutoff-hit runs are kept as censored
-    rows labeled LONG.  In multi-instance mode each summary is rescaled by
-    its run's post-propagation size (normalize_for_multi).  The median is
-    computed from the uncensored rows' scaled runtimes when not supplied
-    (training), else applied as given (test)."""
+    rows.  The kept runs' kernel summaries are the rows of one matrix.  In
+    multi-instance mode a row's divisor is its run's post-propagation size,
+    and the columns that normalize_for_multi rescales (features._scaled_mask)
+    are divided by it.  Rows are labeled by Dataset.labeled: against the
+    median of the uncensored rows' scaled runtimes when none is supplied
+    (training), else against the one given (test)."""
     kept = [r for r in records if r.summary is not None]
-    under = len(records) - len(kept)
-    if not any(r.outcome == SOLVED for r in kept):
+    censored = np.array([r.outcome != SOLVED for r in kept], dtype=bool)
+    if censored.all():
         raise DataFormatError(
             "zero surviving rows after censoring; raise run counts or lower the horizon"
         )
-    X = np.asarray([np.frombuffer(r.summary) for r in kept])
+    X = np.frombuffer(b"".join(r.summary for r in kept)).reshape(len(kept), -1).copy()
+    divisor = np.array([r.post_propagation_size if multi else 1 for r in kept], dtype=float)
     if multi:
-        X = np.asarray([normalize_for_multi(SummaryVector(x), r.post_propagation_size).values
-                        for x, r in zip(X, kept)])
-    runtime = np.asarray([r.choice_points for r in kept], dtype=np.int64)
-    censored = np.asarray([r.outcome != SOLVED for r in kept], dtype=bool)
-    divisor = np.asarray(
-        [float(r.post_propagation_size) if multi else 1.0 for r in kept], dtype=float
+        X[:, _scaled_mask()] /= divisor[:, None]
+    unlabeled = Dataset(
+        columns=list(columns),
+        X=X,
+        runtime=np.array([r.choice_points for r in kept], dtype=np.int64),
+        is_short=np.zeros(len(kept), dtype=bool),
+        censored=censored,
+        divisor=divisor,
+        median=math.nan,
     )
-    scaled = runtime / divisor
-    if median is None:
-        median, _ = label_by_median(scaled[~censored])
-    is_short = (scaled < median) & ~censored
     counts = {
         "total": len(records),
-        "under_horizon": under,
+        "under_horizon": len(records) - len(kept),
         "rows": int((~censored).sum()),
         "cutoff_hit": int(censored.sum()),
     }
-    ds = Dataset(
-        columns=list(columns),
-        X=X,
-        runtime=runtime,
-        is_short=is_short,
-        censored=censored,
-        divisor=divisor,
-        median=float(median),
-    )
-    return ds, counts, float(median)
+    return unlabeled.labeled(median), counts
 
 
 def run_experiment(
@@ -205,11 +199,11 @@ def run_experiment(
     records = _execute_runs(spec, total, threads)
     columns = summary_columns()
     multi = spec.mode == MULTI_INSTANCE
-    train, train_counts, median = _build_split(records[: spec.train_runs], columns, None, multi)
+    train, train_counts = _build_split(records[: spec.train_runs], columns, None, multi)
     test = None
     test_counts = {"total": 0, "under_horizon": 0, "rows": 0, "cutoff_hit": 0}
     if spec.test_runs:
-        test, test_counts, _ = _build_split(records[spec.train_runs :], columns, median, multi)
+        test, test_counts = _build_split(records[spec.train_runs :], columns, train.median, multi)
     # not empty: _build_split raised unless the training split kept a solved run
     solved_lengths = [r.choice_points for r in records if r.outcome == SOLVED]
     rtd = EmpiricalRTD(solved_lengths)
@@ -218,7 +212,7 @@ def run_experiment(
         "horizon": spec.horizon,
         "cutoff": spec.cutoff,
         "registry_hash": registry_hash(),
-        "median": median,
+        "median": train.median,
         "train": train_counts,
         "test": test_counts,
         "rtd_size": rtd.size,

@@ -1,8 +1,11 @@
 """Bayesian decision-tree learning of run-length classes.
 
-Runs are labeled SHORT when their length falls strictly below the training
-median, LONG otherwise; runs that finished before the observation horizon
-carry no usable trace and are excluded upstream.  Trees are scored by exact
+One rule labels a split's rows, Dataset.labeled: a row is SHORT when its
+run solved and its length, scaled by the row's divisor, lies strictly below
+the median, LONG otherwise.  A training split takes the median of its
+uncensored rows' scaled lengths, and a test split is labeled against the
+training median.  Runs that finished before the observation horizon carry
+no usable trace and are excluded upstream.  Trees are scored by exact
 Bayesian marginal likelihood with a uniform prior over each leaf's class
 rate, plus a structure prior of kappa per free parameter (one per leaf), and
 grown greedily: every leaf takes its best split while that split raises the
@@ -16,7 +19,7 @@ or 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,15 +44,6 @@ def partition_median(values) -> float:
     if np.isnan(part[-1]):
         return float(part[-1])
     return float(np.mean(part[middle[0] : half + 1]))
-
-
-def label_by_median(runtimes: Sequence[float]) -> Tuple[float, np.ndarray]:
-    """Median split: returns (median, is_short array); ties go to LONG."""
-    arr = np.asarray(runtimes, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot label an empty run set")
-    median = partition_median(arr)
-    return median, arr < median
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -472,18 +466,18 @@ class Dataset:
             provenance=dict(self.provenance),
         )
 
-    def relabeled(self, median: float) -> "Dataset":
-        out = Dataset(
-            columns=list(self.columns),
-            X=self.X,
-            runtime=self.runtime,
-            is_short=self.scaled_runtime < median,
-            censored=self.censored,
-            divisor=self.divisor,
-            median=float(median),
-            provenance=dict(self.provenance),
-        )
-        return out
+    def labeled(self, median: Optional[float] = None) -> "Dataset":
+        """These rows labeled against median: a row is SHORT when it is
+        uncensored and its scaled runtime lies strictly below the median,
+        LONG otherwise (ties go to LONG).  Without a median, the median is
+        partition_median of the uncensored rows' scaled runtimes, and a
+        split with no uncensored row is a ValueError."""
+        scaled = self.scaled_runtime
+        if median is None:
+            if self.censored.all():
+                raise ValueError("cannot take the median of a split without an uncensored row")
+            median = partition_median(scaled[~self.censored])
+        return replace(self, is_short=(scaled < median) & ~self.censored, median=float(median))
 
 
 @dataclass
@@ -502,9 +496,9 @@ def cascade_datasets(
     """Derive per-threshold sub-datasets for conditional length prediction.
 
     Each stage keeps rows with runtime strictly above its threshold and
-    relabels them by the median of the subset's scaled runtimes, the rule
-    Dataset.relabeled applies to test rows.  Stages smaller than min_rows
-    are skipped with a reason instead of producing unstable models.
+    labels them against their own median (Dataset.labeled).  Stages smaller
+    than min_rows are skipped with a reason instead of producing unstable
+    models.
     """
     out: List[CascadeEntry] = []
     for t in thresholds:
@@ -520,7 +514,6 @@ def cascade_datasets(
                 )
             )
             continue
-        sub = dataset.subset(mask)
-        sub = sub.relabeled(label_by_median(sub.scaled_runtime)[0])
+        sub = dataset.subset(mask).labeled()
         out.append(CascadeEntry(threshold=float(t), dataset=sub, skipped=False))
     return out

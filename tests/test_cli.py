@@ -36,7 +36,7 @@ from restartlab.io import (
     write_rtd,
 )
 from restartlab.latin import HOLE, HoleSpec, PartialLatinSquare, generate_complete, poke_holes
-from restartlab.learn import Dataset, label_by_median
+from restartlab.learn import Dataset
 from restartlab.seeds import derive_seed
 from restartlab.solver import FORWARD_CHECK, SolverConfig, solve
 
@@ -501,7 +501,8 @@ class TestTrain:
         path = tmp_path / "split.csv"
         write_dataset(str(path), split)
         assert main(["train", str(path), "-o", str(tmp_path / "m.json")]) == EXIT_DATA
-        assert "column schema" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {path}: column schema does not match the feature registry\n")
 
 
 class TestEval:
@@ -535,7 +536,8 @@ class TestEval:
         path = tmp_path / "narrow.csv"
         write_dataset(str(path), ds)
         assert main(["eval", str(workdir / "model.json"), str(path)]) == EXIT_DATA
-        capsys.readouterr()
+        assert capsys.readouterr() == (
+            "", f"error: {path}: column schema does not match the model\n")
 
     def test_model_without_columns_is_data_error(self, workdir, tmp_path, capsys):
         obj = json.loads((workdir / "model.json").read_text())
@@ -576,12 +578,24 @@ def test_split_without_uncensored_rows_is_data_error(workdir, tmp_path, capsys):
         path.write_text("\n".join(lines[:start] + rows) + "\n")
         for argv in (["train", str(path), "-o", str(tmp_path / "m.json")],
                      ["eval", str(workdir / "model.json"), str(path)],
+                     ["cascade", str(workdir / "small_train.csv"), str(path),
+                      "--thresholds", "20"],
                      ["policy", str(workdir / "small_rtd.txt"), "--policy", "dynamic:20,3000",
                       "--model", str(workdir / "model.json"), "--dataset", str(path)]):
             assert main(argv) == EXIT_DATA, argv
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"error: {path}: "), argv
+
+
+def renamed_column(source, path, old="backtracks__init", new="backtracks__first"):
+    """A copy of the dataset file source at path, its column old named new."""
+    lines = source.read_text().splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    assert old in lines[header].split(",")
+    lines[header] = lines[header].replace(old, new)
+    path.write_text("".join(lines))
+    return str(path)
 
 
 class TestCascade:
@@ -614,12 +628,32 @@ class TestCascade:
         assert [s["threshold"] for s in stages] == [2.0, 3.0]
         for s in stages:
             t = s["threshold"]
-            median, _ = label_by_median(train.scaled_runtime[train.runtime > t])
+            median = float(np.median(train.scaled_runtime[train.runtime > t]))
             assert s["median"] == median
             shorts = int((test.scaled_runtime[test.runtime > t] < median).sum())
             confusion = s["marginal"]["confusion"]
             assert confusion["short_as_short"] + confusion["short_as_long"] == shorts
             assert 0 < shorts < s["test_rows"]
+
+    def test_test_split_columns_must_match_the_training_split(self, workdir, tmp_path, capsys):
+        test = renamed_column(workdir / "small_test.csv", tmp_path / "r_test.csv")
+        out = tmp_path / "cascade.json"
+        assert main(["cascade", str(workdir / "small_train.csv"), test,
+                     "--thresholds", "20", "--min-rows", "5", "-o", str(out)]) == EXIT_DATA
+        assert capsys.readouterr() == (
+            "", f"error: {test}: column schema does not match the training split\n")
+        assert not out.exists()
+
+    def test_training_split_columns_must_match_the_registry(self, workdir, tmp_path, capsys):
+        # both splits agree with each other, and neither with the registry
+        train = renamed_column(workdir / "small_train.csv", tmp_path / "r_train.csv")
+        test = renamed_column(workdir / "small_test.csv", tmp_path / "r_test.csv")
+        out = tmp_path / "cascade.json"
+        assert main(["cascade", train, test, "--thresholds", "20", "--min-rows", "5",
+                     "-o", str(out)]) == EXIT_DATA
+        assert capsys.readouterr() == (
+            "", f"error: {train}: column schema does not match the feature registry\n")
+        assert not out.exists()
 
     def test_small_stage_is_skipped(self, workdir, tmp_path, capsys):
         # 9 uncensored training runs last longer than 60
@@ -746,7 +780,8 @@ class TestPolicy:
         assert code == EXIT_DATA
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: model and dataset disagree on feature columns\n"
+        assert captured.err == (
+            f"error: {workdir / 'small_test.csv'}: column schema does not match the model\n")
         assert not out.exists()
 
     def test_model_without_dataset_rejected(self, workdir, capsys):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from restartlab import harness
-from restartlab.features import REGISTRY, registry_hash, summary_columns
+from restartlab.features import (
+    REGISTRY, SummaryVector, normalize_for_multi, registry_hash, summary_columns,
+)
 from restartlab.harness import (
     MULTI_INSTANCE,
     SINGLE_INSTANCE,
@@ -231,6 +233,20 @@ class TestMultiInstanceMode:
         _, _, _, info = multi
         c = info["train"]
         assert c["under_horizon"] + c["rows"] + c["cutoff_hit"] == 40
+
+    def test_rows_are_each_summary_normalized_alone(self):
+        # the summary matrix's masked division gives every row, bit for bit,
+        # what normalize_for_multi gives that run's summary on its own
+        spec = small_spec(mode=MULTI_INSTANCE, holes=HoleSpec(mode=BALANCED, holes_per_line=5),
+                          train_runs=40, test_runs=0, horizon=2)
+        records = harness._execute_runs(spec, 40, 1)
+        ds, _ = harness._build_split(records, summary_columns(), None, True)
+        kept = [r for r in records if r.summary is not None]
+        want = [normalize_for_multi(SummaryVector(np.frombuffer(r.summary)),
+                                    r.post_propagation_size) for r in kept]
+        assert ds.X.tobytes() == np.array([sv.values for sv in want]).tobytes()
+        assert ds.divisor.tolist() == [sv.divisor for sv in want]
+        assert len(set(ds.divisor.tolist())) > 1
 
 
 class TestDeterminismAcrossThreads:

@@ -25,7 +25,7 @@ from restartlab.io import (
 from restartlab.latin import (
     HoleSpec, PartialLatinSquare, UNBALANCED, generate_complete, poke_holes,
 )
-from restartlab.learn import Dataset, grow_tree, label_by_median, predict_batch
+from restartlab.learn import Dataset, grow_tree, predict_batch
 
 
 def sample_dataset(n=12, features=3, seed=0, censor_every=None):
@@ -35,12 +35,12 @@ def sample_dataset(n=12, features=3, seed=0, censor_every=None):
     censored = np.zeros(n, dtype=bool)
     if censor_every:
         censored[::censor_every] = True
-    median, labels = label_by_median(runtime)
+    median = float(np.median(runtime))
     return Dataset(
         columns=[f"feat{j}__avg" for j in range(features)],
         X=X,
         runtime=runtime,
-        is_short=labels,
+        is_short=runtime < median,
         censored=censored,
         divisor=np.ones(n),
         median=median,

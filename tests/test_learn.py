@@ -19,7 +19,6 @@ from restartlab.learn import (
     cascade_datasets,
     evaluate,
     grow_tree,
-    label_by_median,
     marginal_model,
     partition_median,
     predict_batch,
@@ -47,27 +46,55 @@ def test_partition_median_is_np_median(values):
 
 
 class TestLabelByMedian:
+    """Dataset.labeled, the one SHORT/LONG rule of a split."""
+
     def test_even_count(self):
-        median, labels = label_by_median([3, 10, 20, 100])
-        assert median == 15.0
-        assert labels.tolist() == [True, True, False, False]
+        ds = toy_dataset([3, 10, 20, 100]).labeled()
+        assert ds.median == 15.0
+        assert ds.is_short.tolist() == [True, True, False, False]
 
     def test_all_equal_all_long(self):
-        median, labels = label_by_median([7, 7, 7])
-        assert median == 7.0
-        assert labels.tolist() == [False, False, False]
+        ds = toy_dataset([7, 7, 7]).labeled()
+        assert ds.median == 7.0
+        assert ds.is_short.tolist() == [False, False, False]
 
     def test_tie_at_median_is_long(self):
-        median, labels = label_by_median([5, 9])
-        assert median == 7.0
-        assert labels.tolist() == [True, False]
-        median, labels = label_by_median([5, 7, 9])
-        assert median == 7.0
-        assert labels.tolist() == [True, False, False]
+        ds = toy_dataset([5, 9]).labeled()
+        assert ds.median == 7.0
+        assert ds.is_short.tolist() == [True, False]
+        ds = toy_dataset([5, 7, 9]).labeled()
+        assert ds.median == 7.0
+        assert ds.is_short.tolist() == [True, False, False]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            label_by_median([])
+        # no uncensored row to take a median of: none at all, or all censored
+        for ds in (toy_dataset([5]).subset(np.zeros(1, bool)),
+                   toy_dataset([5, 9], censored=[True, True])):
+            with pytest.raises(ValueError, match="without an uncensored row"):
+                ds.labeled()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_labeled_is_the_median_rule(data):
+    n = data.draw(st.integers(1, 40))
+    runtimes = np.array(data.draw(st.lists(st.integers(1, 10**7), min_size=n, max_size=n)))
+    divisor = np.array(data.draw(st.lists(
+        st.sampled_from([1.0, 3.0, 41.0]) | st.floats(1.0, 1e4), min_size=n, max_size=n)))
+    censored = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    censored[data.draw(st.integers(0, n - 1))] = False
+    ds = toy_dataset(runtimes, censored, divisor)
+    out = ds.labeled()
+    scaled = runtimes / divisor
+    want = np.float64(np.median(scaled[~censored]))
+    assert np.float64(out.median).tobytes() == want.tobytes()
+    assert out.is_short.tolist() == ((scaled < want) & ~censored).tolist()
+    assert out.runtime.tolist() == ds.runtime.tolist() and out.X.tolist() == ds.X.tolist()
+    # a test split: any subset labeled against the given median
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    sub = ds.subset(keep).labeled(out.median)
+    assert sub.median == out.median
+    assert sub.is_short.tolist() == out.is_short[keep].tolist()
 
 
 class TestLeafLogMarginal:
@@ -508,12 +535,13 @@ def toy_dataset(runtimes, censored=None, divisor=None):
         np.zeros(n, dtype=bool) if censored is None else np.asarray(censored, bool)
     )
     divisor = np.ones(n) if divisor is None else np.asarray(divisor, float)
-    median, labels = label_by_median(runtimes / divisor)
+    scaled = runtimes / divisor
+    median = float(np.median(scaled))
     return Dataset(
         columns=["f0"],
         X=np.arange(n, dtype=float).reshape(-1, 1),
         runtime=runtimes,
-        is_short=labels,
+        is_short=scaled < median,
         censored=censored,
         divisor=divisor,
         median=median,
@@ -534,7 +562,7 @@ class TestDataset:
 
     def test_relabeled_uses_scaled_runtime(self):
         ds = toy_dataset([10, 30], divisor=[1.0, 10.0])
-        out = ds.relabeled(5.0)
+        out = ds.labeled(5.0)
         # scaled runtimes are 10 and 3; only the second is below 5
         assert out.is_short.tolist() == [False, True]
         assert out.median == 5.0
@@ -594,7 +622,8 @@ def test_leaf_marginal_vector_matches_scalar(counts):
     runtimes=st.lists(st.integers(1, 10**6), min_size=1, max_size=50),
 )
 def test_median_split_near_balanced(runtimes):
-    median, labels = label_by_median(runtimes)
+    ds = toy_dataset(runtimes).labeled()
+    median, labels = ds.median, ds.is_short
     arr = np.asarray(runtimes)
     assert (labels == (arr < median)).all()
     # at most half the rows can sit strictly below the median

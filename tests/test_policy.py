@@ -19,7 +19,6 @@ from restartlab.learn import (
     Dataset,
     DecisionTreeModel,
     TreeNode,
-    label_by_median,
     marginal_model,
 )
 from restartlab.policy import (
@@ -337,12 +336,12 @@ class TestPolicyObjects:
 def tiny_dataset(runtimes, n_features=2):
     runtimes = np.asarray(runtimes, dtype=np.int64)
     n = runtimes.size
-    median, labels = label_by_median(runtimes)
+    median = float(np.median(runtimes))
     return Dataset(
         columns=[f"f{j}" for j in range(n_features)],
         X=np.zeros((n, n_features)),
         runtime=runtimes,
-        is_short=labels,
+        is_short=runtimes < median,
         censored=np.zeros(n, dtype=bool),
         divisor=np.ones(n),
         median=median,

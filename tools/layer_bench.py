@@ -32,7 +32,9 @@ policy
   the C kernel.  Inputs: desk-fc's dataset stage (`restartlab dataset` on
   the desk instance, forward checking, 48+16 runs, horizon 50, cutoff
   100000, seed 81), whose run-length file holds the 64 solved lengths, and a
-  tree grown on its training split at the largest kappa of the default grid.
+  tree grown on its training split at the largest kappa of the default grid;
+  both splits are read as `train` and a model-driven `policy` read them
+  (cli._read_split).
   Policies, as desk-fc prices them: fixed:900, luby:1 and dynamic:50,3000
   with a synthetic predictor of accuracy 0.9, each over 100000 trials on the
   run-length file; and dynamic:50,3000 with the tree as predictor over 10000
@@ -68,7 +70,8 @@ generation
 
 learn
   tune_kappa and grow_tree seconds on the training split of a dataset stage,
-  fitted as `restartlab train --seed 81` fits it (censored rows dropped).
+  fitted as `restartlab train --seed 81` fits it, on the rows it reads
+  (cli._read_split: the uncensored ones).
   - desk-fc and multi-alldiff: their dataset stages at size full (48+16 and
     36+12 runs).
   - desk paper scale: desk-fc's dataset stage at 4000+1000 runs (the desk
@@ -174,6 +177,7 @@ from workloads import DESK_ACCURACY, DESK_POLICIES, DESK_SEED, WORKLOADS  # noqa
 import reference  # noqa: E402
 from restartlab import cli, fc_kernel, harness, learn as rlearn  # noqa: E402
 from restartlab import io as rio  # noqa: E402
+from restartlab.features import summary_columns  # noqa: E402
 from restartlab.latin import (  # noqa: E402
     HoleSpec, PartialLatinSquare, generate_complete, poke_holes,
 )
@@ -360,8 +364,9 @@ def policy(tmp: Path):
         raise RuntimeError(f"the desk dataset could not be built: {stage.output}")
     train_path, test_path, rtd_path = dataset_paths(prefix)
     rtd = rio.read_rtd(rtd_path)
-    train, test = (ds.subset(~ds.censored) for ds in map(rio.read_dataset, (train_path, test_path)))
+    train = cli._read_split(train_path, summary_columns(), "the feature registry")
     model = grow_tree(train.X, train.is_short, max(DEFAULT_KAPPA_GRID), columns=train.columns)
+    test = cli._read_split(test_path, model.columns, "the model")
     runs = []
     for text in DESK_POLICIES:
         spec = cli._parse_policy(text)
@@ -502,12 +507,11 @@ def learn(tmp: Path):
         stage = run_stage(workload.dataset_argv(prefix, size, os.cpu_count(), instance))
         if stage.failed:
             raise RuntimeError(f"the {name} dataset could not be built: {stage.output}")
-        train = rio.read_dataset(dataset_paths(prefix)[0])
-        usable = train.subset(~train.censored)
+        usable = cli._read_split(dataset_paths(prefix)[0], summary_columns(), "the feature registry")
         X, y = usable.X, usable.is_short
 
         def tune():
-            return tune_kappa(X, y, seed=DESK_SEED, columns=train.columns)
+            return tune_kappa(X, y, seed=DESK_SEED, columns=usable.columns)
 
         def tune_by_loop():
             with mock.patch.object(rlearn, "_best_split", per_feature_loop):
@@ -518,7 +522,7 @@ def learn(tmp: Path):
             raise Disagree(f"{name}: the per-feature loop tunes another model")
 
         def grow():
-            return grow_tree(X, y, result.kappa, columns=train.columns)
+            return grow_tree(X, y, result.kappa, columns=usable.columns)
 
         (grow_s,), _ = repeat(name, grow)
         yield name, {
